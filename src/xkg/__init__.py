@@ -18,6 +18,7 @@ from .enrichment import (
     run_all,
     run_heuristic,
 )
+from .pipeline import PipelineResult, run_pipeline
 from .rdf import (
     BlankNode,
     Iri,
@@ -51,6 +52,7 @@ __all__ = [
     "extract_turtle", "run_all", "run_heuristic",
     "BlankNode", "Iri", "Literal", "PrefixTable", "RdfGraph", "Triple",
     "diff", "isomorphic", "merge", "parse_turtle", "serialize_turtle",
+    "PipelineResult", "run_pipeline",
     "AlignmentMap", "LinkTable", "RolesetMap", "align", "link_entities", "translate",
     "Diagnostic", "GraphProfile", "MiniOntology", "check_anchoring",
     "check_consistency", "infer_precedence", "lint", "profile",

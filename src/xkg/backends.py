@@ -197,7 +197,10 @@ class HttpBackend:
         suffix = image_path.suffix.lower()
         if suffix not in SUPPORTED_IMAGE_SUFFIXES:
             raise UnsupportedImageFormatError(f"unsupported image format {suffix!r}")
-        encoded = base64.b64encode(image_path.read_bytes()).decode("ascii")
+        try:
+            encoded = base64.b64encode(image_path.read_bytes()).decode("ascii")
+        except OSError as exc:
+            raise BackendError(f"cannot read image {image_path}: {exc}")
         mime = "image/jpeg" if suffix in (".jpg", ".jpeg") else f"image/{suffix[1:]}"
         payload = {
             "model": self.config.model,

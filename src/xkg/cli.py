@@ -4,11 +4,14 @@ Subcommands mirror the pipeline stages: ``describe`` (image or text to a
 description file), ``base`` (PENMAN to the translated base graph),
 ``enrich`` (heuristic additions and merged graph), ``validate`` (lints,
 consistency, precedence, profile), ``agree`` (rater statistics), and ``run``
-(the whole chain). Every stage that would call a live model accepts
+(the whole chain). The pipeline subcommands read their input files, call the
+matching stage of :mod:`xkg.pipeline` (``run`` calls ``run_pipeline``) and
+write the results. Every stage that would call a live model accepts
 ``--mock``, making the full pipeline reproducible offline.
 
 Exit codes: 0 on success, 1 when ERROR diagnostics were produced (and
-quarantine is engaged), 2 on configuration or input failures.
+quarantine is engaged), 2 on configuration or input failures, including an
+input file that cannot be read.
 """
 
 from __future__ import annotations
@@ -22,21 +25,12 @@ from typing import Optional
 
 from . import agreement as agreement_mod
 from . import validation
-from .amr import AmrError, parse_penman_file
-from .backends import (
-    SUPPORTED_IMAGE_SUFFIXES,
-    BackendError,
-    HttpBackend,
-    MockBackend,
-    UnsupportedImageFormatError,
-)
+from .amr import AmrError
+from .backends import BackendError, HttpBackend, MockBackend
 from .config import ConfigError, PipelineConfig, default_config, load_config
-from .enrichment import HEURISTICS, HEURISTIC_BY_NAME, run_all
+from .enrichment import HEURISTICS, HEURISTIC_BY_NAME, EnrichmentError
+from .pipeline import ValidationReport, build_base, describe, enrich, run_pipeline, validate
 from .rdf import RdfError, RdfGraph, parse_turtle, serialize_turtle
-from .translate import AlignmentMap, LinkTable, RolesetMap, align, link_entities, translate
-from .validation import MiniOntology
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -48,10 +42,7 @@ class CliError(Exception):
 
 
 def _load_pipeline_config(path: Optional[str]) -> PipelineConfig:
-    try:
-        return load_config(path) if path else default_config()
-    except ConfigError as exc:
-        raise CliError(str(exc))
+    return load_config(path) if path else default_config()
 
 
 def _make_backend(config: PipelineConfig, mock: bool):
@@ -71,33 +62,19 @@ def _write_json(path: Path, payload) -> None:
     _write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _read_graph(path: Path) -> RdfGraph:
+def _read_input(path: str, load=lambda p: p.read_text(encoding="utf-8")):
+    """``load(Path(path))``; an input file that cannot be read is an input error."""
     try:
-        return parse_turtle(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"graph file not found: {path}")
+        return load(Path(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}")
+
+
+def _read_graph(path: str) -> RdfGraph:
+    try:
+        return parse_turtle(_read_input(path))
     except RdfError as exc:
         raise CliError(f"cannot parse {path}: {exc}")
-
-
-def _build_base_graph(amr_path: Path, config: PipelineConfig) -> RdfGraph:
-    resources = config.require_resources()
-    try:
-        graphs = parse_penman_file(amr_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"AMR file not found: {amr_path}")
-    except AmrError as exc:
-        raise CliError(f"cannot parse {amr_path}: {exc}")
-    if not graphs:
-        raise CliError(f"no graphs found in {amr_path}")
-    if len(graphs) > 1:
-        logger.info("found %d graphs in %s, translating the first", len(graphs), amr_path)
-    rolesets = RolesetMap.from_json(resources.rolesets)
-    alignments = AlignmentMap.from_json(resources.alignments)
-    links = LinkTable.from_json(resources.links)
-    graph = translate(graphs[0], rolesets)
-    graph = align(graph, alignments)
-    return link_entities(graph, links)
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +82,38 @@ def _build_base_graph(amr_path: Path, config: PipelineConfig) -> RdfGraph:
 # ---------------------------------------------------------------------------
 
 
+def _write_description(out_dir: Path, description: str) -> None:
+    _write(out_dir / "description.txt", description)
+    print(out_dir / "description.txt")
+
+
 def cmd_describe(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config)
-    out_dir = Path(args.out)
     if args.text:
-        content = Path(args.text).read_text(encoding="utf-8")
+        description = _read_input(args.text)
     else:
-        image = Path(args.image)
-        if image.suffix.lower() not in SUPPORTED_IMAGE_SUFFIXES:
-            raise CliError(f"unsupported image format: {image.suffix!r}")
-        backend = _make_backend(config, args.mock)
         try:
-            content = backend.describe(image)
-        except UnsupportedImageFormatError as exc:
-            raise CliError(str(exc))
+            description = describe(Path(args.image), _make_backend(config, args.mock))
         except BackendError as exc:
             raise CliError(f"description backend failed: {exc}")
-    _write(out_dir / "description.txt", content)
-    print(out_dir / "description.txt")
+    _write_description(Path(args.out), description)
     return EXIT_OK
+
+
+def _write_base(out_dir: Path, base: RdfGraph) -> None:
+    _write(out_dir / "base-graph.ttl", serialize_turtle(base))
+    _write_json(out_dir / "base-profile.json", validation.profile(base).to_dict())
 
 
 def cmd_base(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config)
+    penman = _read_input(args.amr)
+    try:
+        base = build_base(penman, config.require_resources())
+    except AmrError as exc:
+        raise CliError(f"cannot parse {args.amr}: {exc}")
     out_dir = Path(args.out)
-    graph = _build_base_graph(Path(args.amr), config)
-    _write(out_dir / "base-graph.ttl", serialize_turtle(graph))
-    _write_json(out_dir / "base-profile.json", validation.profile(graph).to_dict())
+    _write_base(out_dir, base)
     print(out_dir / "base-graph.ttl")
     return EXIT_OK
 
@@ -149,21 +131,7 @@ def _select_heuristics(selector: str):
     return chosen
 
 
-def cmd_enrich(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
-    resources = config.require_resources()
-    base = _read_graph(Path(args.base))
-    backend = _make_backend(config, args.mock)
-    force_merge = args.force_merge or config.force_merge
-    results, merged = run_all(
-        base, backend, resources.prompts_dir,
-        heuristics=_select_heuristics(args.heuristic),
-        max_tokens=config.backend.max_tokens,
-        temperature=config.backend.temperature,
-        max_concurrent=1 if args.mock else config.backend.max_concurrent,
-        force_merge=force_merge,
-    )
-    out_dir = Path(args.out)
+def _write_enrichment(out_dir: Path, results, merged: RdfGraph, force_merge: bool) -> int:
     for result in results:
         _write(out_dir / f"xkg-{result.heuristic}.ttl", serialize_turtle(result.xkg))
     _write(out_dir / "xkg-merged.ttl", serialize_turtle(merged))
@@ -180,37 +148,32 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     return EXIT_DIAGNOSTICS if failed and not force_merge else EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_enrich(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config)
-    resources = config.require_resources()
-    graph = _read_graph(Path(args.graph))
-    base = _read_graph(Path(args.base)) if args.base else None
-    onto = MiniOntology.from_turtle_file(resources.mini_ontology)
+    base = _read_graph(args.base)
+    backend = _make_backend(config, args.mock)
+    force_merge = args.force_merge or config.force_merge
+    results, merged = enrich(base, backend, config, _select_heuristics(args.heuristic),
+                             force_merge)
+    return _write_enrichment(Path(args.out), results, merged, force_merge)
 
-    diagnostics = validation.lint(graph)
-    diagnostics.extend(validation.check_consistency(graph, onto))
-    precedence = validation.infer_precedence(graph)
-    diagnostics.extend(precedence.diagnostics)
-    graph_profile = validation.profile(graph, base)
 
-    report = {
-        "diagnostics": [d.to_dict() for d in diagnostics],
-        "profile": graph_profile.to_dict(),
-        "precedence": {
-            "asserted": [[a.value, b.value] for a, b in precedence.asserted],
-            "inferred": [[a.value, b.value] for a, b in precedence.inferred],
-        },
-    }
-    out_dir = Path(args.out)
-    _write_json(out_dir / "validation-report.json", report)
-
-    table = _profile_table(graph_profile)
+def _write_validation(out_dir: Path, report: ValidationReport) -> int:
+    _write_json(out_dir / "validation-report.json", report.to_dict())
+    table = _profile_table(report.profile)
     _write(out_dir / "validation-report.txt", table)
     print(table, end="")
-    errors = [d for d in diagnostics if d.severity == validation.ERROR]
-    for d in errors:
+    for d in report.errors:
         print(f"{d.severity} {d.code}: {d.message}")
-    return EXIT_DIAGNOSTICS if errors else EXIT_OK
+    return EXIT_DIAGNOSTICS if report.errors else EXIT_OK
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    config = _load_pipeline_config(args.config)
+    graph = _read_graph(args.graph)
+    base = _read_graph(args.base) if args.base else None
+    report = validate(graph, base, config.require_resources())
+    return _write_validation(Path(args.out), report)
 
 
 def _profile_table(p: validation.GraphProfile) -> str:
@@ -228,9 +191,7 @@ def _profile_table(p: validation.GraphProfile) -> str:
 
 def cmd_agree(args: argparse.Namespace) -> int:
     try:
-        matrix = agreement_mod.load_ratings(args.ratings)
-    except FileNotFoundError:
-        raise CliError(f"ratings file not found: {args.ratings}")
+        matrix = _read_input(args.ratings, agreement_mod.load_ratings)
     except agreement_mod.AgreementError as exc:
         raise CliError(str(exc))
     report = agreement_mod.build_report(
@@ -244,27 +205,21 @@ def cmd_agree(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config)
+    source = _read_input(args.text) if args.text else Path(args.image)
+    penman = _read_input(args.amr)
+    backend = _make_backend(config, args.mock)
+    force_merge = args.force_merge or config.force_merge
+    try:
+        result = run_pipeline(source, penman, config, backend, force_merge)
+    except BackendError as exc:
+        raise CliError(f"description backend failed: {exc}")
+    except AmrError as exc:
+        raise CliError(f"cannot parse {args.amr}: {exc}")
     out_dir = Path(args.out)
-
-    code = cmd_describe(argparse.Namespace(
-        config=args.config, out=args.out, text=args.text, image=args.image,
-        mock=args.mock))
-    if code != EXIT_OK:
-        return code
-
-    base = _build_base_graph(Path(args.amr), config)
-    _write(out_dir / "base-graph.ttl", serialize_turtle(base))
-    _write_json(out_dir / "base-profile.json", validation.profile(base).to_dict())
-
-    enrich_code = cmd_enrich(argparse.Namespace(
-        config=args.config, out=args.out, base=str(out_dir / "base-graph.ttl"),
-        heuristic="all", mock=args.mock, force_merge=args.force_merge))
-
-    validate_code = cmd_validate(argparse.Namespace(
-        config=args.config, out=args.out, graph=str(out_dir / "xkg-merged.ttl"),
-        base=str(out_dir / "base-graph.ttl")))
-
-    return max(enrich_code, validate_code)
+    _write_description(out_dir, result.description)
+    _write_base(out_dir, result.base)
+    enrich_code = _write_enrichment(out_dir, result.results, result.merged, force_merge)
+    return max(enrich_code, _write_validation(out_dir, result.report))
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +293,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RdfError, AmrError) as exc:
+    except (CliError, ConfigError, RdfError, AmrError, EnrichmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

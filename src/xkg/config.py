@@ -10,7 +10,7 @@ holds them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Optional, Union
@@ -76,46 +76,60 @@ def default_config() -> PipelineConfig:
     return PipelineConfig(resources=paths)
 
 
+def _section(raw: dict, name: str, known) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} settings: {sorted(unknown)}")
+    return section
+
+
 def load_config(path: Union[str, Path]) -> PipelineConfig:
-    """Load a JSON config; unspecified resource paths fall back to bundled."""
+    """Load a JSON config; unspecified resource paths fall back to bundled.
+
+    The file is untrusted input: anything but an object of the known
+    sections and keys, with values of the types of the defaults, raises
+    ConfigError.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
-
-    backend_raw = raw.get("backend", {})
-    known = {f for f in BackendConfig.__dataclass_fields__}
-    unknown = set(backend_raw) - known
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(raw) - {"backend", "resources", "force_merge"}
     if unknown:
-        raise ConfigError(f"unknown backend settings: {sorted(unknown)}")
+        raise ConfigError(f"unknown config settings: {sorted(unknown)}")
+
+    backend_raw = _section(raw, "backend", BackendConfig.__dataclass_fields__)
+    for name, value in backend_raw.items():
+        kind = type(getattr(BackendConfig, name))
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(
+                f"backend setting {name!r} must be of type {kind.__name__}, found {value!r}")
     backend = BackendConfig(**backend_raw)
 
     base_dir = path.parent
     defaults = default_resource_paths()
-    resources_raw = raw.get("resources", {})
+    resources_raw = _section(raw, "resources", ResourcePaths.__dataclass_fields__)
 
-    def resolve(name: str, default: Path) -> Path:
+    def resolve(name: str) -> Path:
         value = resources_raw.get(name)
         if value is None:
-            return default
+            return getattr(defaults, name)
+        if not isinstance(value, str) or "\0" in value:
+            raise ConfigError(f"resource path {name!r} must be a path string, found {value!r}")
         candidate = Path(value)
         return candidate if candidate.is_absolute() else (base_dir / candidate).resolve()
 
-    paths = ResourcePaths(
-        rolesets=resolve("rolesets", defaults.rolesets),
-        alignments=resolve("alignments", defaults.alignments),
-        links=resolve("links", defaults.links),
-        mini_ontology=resolve("mini_ontology", defaults.mini_ontology),
-        prompts_dir=resolve("prompts_dir", defaults.prompts_dir),
-        mock_dir=resolve("mock_dir", defaults.mock_dir),
-    )
+    paths = ResourcePaths(**{name: resolve(name) for name in ResourcePaths.__dataclass_fields__})
     paths.validate()
-    return PipelineConfig(backend=backend, resources=paths,
-                          force_merge=bool(raw.get("force_merge", False)))
-
-
-def with_force_merge(config: PipelineConfig, force_merge: bool) -> PipelineConfig:
-    return replace(config, force_merge=force_merge)
+    force_merge = raw.get("force_merge", False)
+    if not isinstance(force_merge, bool):
+        raise ConfigError("force_merge must be true or false")
+    return PipelineConfig(backend=backend, resources=paths, force_merge=force_merge)

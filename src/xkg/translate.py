@@ -174,12 +174,6 @@ class AmbiguousMention:
     candidates: tuple[Iri, ...]
 
 
-@dataclass(frozen=True)
-class UnmatchedSegment:
-    text: str
-    kind: str
-
-
 def _local_token(concept: str) -> str:
     return concept.replace("-", "_")
 

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from xkg import run_pipeline
+from xkg.backends import MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
-from xkg.config import bundled_resources_root
-from xkg.rdf import parse_turtle
+from xkg.config import bundled_resources_root, default_config
+from xkg.rdf import parse_turtle, serialize_turtle
 
 FIXTURES = bundled_resources_root() / "fixtures"
 SCENE_TXT = str(FIXTURES / "athlete-scene.txt")
@@ -84,6 +86,19 @@ class TestBase:
         bad.write_text("(a / athlete", encoding="utf-8")
         assert main(["base", "--amr", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["base", "run"])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_penman_file_must_hold_one_graph(self, tmp_path, capsys, command, count):
+        # Separate graphs reuse IRIs such as fred:x_1; translating them all
+        # would merge unrelated individuals, translating one drops the rest.
+        amr = tmp_path / "scenes.amr"
+        amr.write_text("# only a comment\n" + "(x / athlete)\n# next\n" * count, encoding="utf-8")
+        extra = ["--mock", "--text", SCENE_TXT] if command == "run" else []
+        code = main([command, *extra, "--amr", str(amr), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"found {count}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture()
 def base_graph_dir(tmp_path_factory):
@@ -112,6 +127,12 @@ class TestEnrich:
     def test_unknown_heuristic_rejected(self, base_graph_dir, tmp_path):
         code = main(["enrich", "--base", str(base_graph_dir / "base-graph.ttl"),
                      "--heuristic", "Nope", "--mock", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
+    def test_empty_base_is_input_error(self, tmp_path):
+        empty = tmp_path / "empty.ttl"
+        empty.write_text("", encoding="utf-8")
+        code = main(["enrich", "--base", str(empty), "--mock", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
     def test_floating_mock_quarantined_with_exit_code(self, base_graph_dir, tmp_path):
@@ -216,6 +237,32 @@ class TestAgree:
         assert main(["agree", "--ratings", "/nope.csv", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "--text", "{missing}"],
+    ["describe", "--text", "{directory}"],
+    ["describe", "--image", "{missing}.png", "--config", "{live_config}"],
+    ["base", "--amr", "{binary}"],
+    ["enrich", "--mock", "--base", "{missing}"],
+    ["validate", "--graph", "{binary}"],
+    ["validate", "--graph", str(Path(__file__).parent / "golden" / "base-graph.ttl"),
+     "--base", "{missing}"],
+    ["agree", "--ratings", "{binary}"],
+    ["run", "--mock", "--text", "{missing}", "--amr", SCENE_AMR],
+    ["run", "--mock", "--text", SCENE_TXT, "--amr", "{directory}"],
+])
+def test_unreadable_input_file_is_input_error(tmp_path, capsys, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe not UTF-8 \x80")
+    live_config = tmp_path / "live.json"
+    live_config.write_text(json.dumps({"backend": {"endpoint": "http://127.0.0.1:9/chat"}}),
+                           encoding="utf-8")
+    names = {"missing": tmp_path / "missing", "directory": tmp_path, "binary": binary,
+             "live_config": live_config}
+    argv = [arg.format(**names) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "cannot read" in capsys.readouterr().err
+
+
 class TestGoldenFiles:
     GOLDEN = Path(__file__).parent / "golden"
 
@@ -235,3 +282,31 @@ class TestRun:
         names = {p.name for p in tmp_path.iterdir()}
         assert {"description.txt", "base-graph.ttl", "xkg-merged.ttl",
                 "diagnostics.json", "validation-report.json"} <= names
+
+    def test_run_equals_the_separate_stages(self, tmp_path):
+        run_dir, stage_dir = tmp_path / "run", tmp_path / "stages"
+        code = main(["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR,
+                     "--out", str(run_dir)])
+        base, merged = str(stage_dir / "base-graph.ttl"), str(stage_dir / "xkg-merged.ttl")
+        stage_codes = [
+            main(["describe", "--text", SCENE_TXT, "--out", str(stage_dir)]),
+            main(["base", "--amr", SCENE_AMR, "--out", str(stage_dir)]),
+            main(["enrich", "--mock", "--base", base, "--out", str(stage_dir)]),
+            main(["validate", "--graph", merged, "--base", base, "--out", str(stage_dir)]),
+        ]
+        assert code == max(stage_codes)
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == sorted(p.name for p in stage_dir.iterdir())
+        for name in names:
+            assert (run_dir / name).read_bytes() == (stage_dir / name).read_bytes(), name
+
+        config = default_config()
+        result = run_pipeline(read(Path(SCENE_TXT)), read(Path(SCENE_AMR)), config,
+                              MockBackend(config.require_resources().mock_dir), False)
+        assert result.description == read(run_dir / "description.txt")
+        assert serialize_turtle(result.base) == read(run_dir / "base-graph.ttl")
+        assert serialize_turtle(result.merged) == read(run_dir / "xkg-merged.ttl")
+        assert len(result.results) == 11
+        for r in result.results:
+            assert serialize_turtle(r.xkg) == read(run_dir / f"xkg-{r.heuristic}.ttl")
+        assert json.loads(read(run_dir / "validation-report.json")) == result.report.to_dict()

@@ -59,10 +59,43 @@ class TestLoadConfig:
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+        with pytest.raises(ConfigError):
+            load_config(tmp_path)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError):
+            load_config(binary)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "JSON object"),
+        ("x", "JSON object"),
+        ({"resources": "x"}, "'resources' must be a JSON object"),
+        ({"backend": []}, "'backend' must be a JSON object"),
+        ({"resources": {"mockdir": "mocks"}}, "mockdir"),
+        ({"resource": {}}, "resource"),
+        ({"backend": {"retries": "3"}}, "'retries' must be of type int"),
+        ({"backend": {"timeout": True}}, "'timeout' must be of type float"),
+        ({"backend": {"endpoint": 5}}, "'endpoint' must be of type str"),
+        ({"resources": {"mock_dir": 5}}, "'mock_dir' must be a path"),
+        ({"resources": {"mock_dir": "a\u0000b"}}, "'mock_dir' must be a path"),
+        ({"force_merge": "false"}, "force_merge"),
+    ])
+    def test_malformed_config_rejected(self, tmp_path, raw, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(config_path)
+        assert message in str(err.value)
+
+    def test_numbers_accepted_for_float_settings(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"backend": {"timeout": 5, "temperature": 0.5}}),
+                               encoding="utf-8")
+        assert load_config(config_path).backend.timeout == 5
 
     def test_force_merge_flag(self, tmp_path):
         config_path = tmp_path / "config.json"
