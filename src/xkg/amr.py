@@ -26,6 +26,11 @@ _VARIABLE = re.compile(r"^[a-zA-Z][a-zA-Z0-9]*$")
 _ALIGNMENT = re.compile(r"~(?:[a-z]\.)?\d+(?:,\d+)*")
 _NUMBER = re.compile(r"^[+-]?\d+(\.\d+)?$")
 
+#: Deepest nesting of nodes that ``parse_penman`` accepts. The parser recurses
+#: once per level, so without a limit a hostile file would exhaust the
+#: interpreter's stack.
+MAX_NESTING = 100
+
 
 class AmrError(Exception):
     """Base class for AMR parsing errors."""
@@ -172,8 +177,10 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
     edges: list[AmrEdge] = []
     referenced: list[tuple[str, int]] = []
 
-    def parse_node() -> str:
+    def parse_node(depth: int) -> str:
         reader.expect("(")
+        if depth > MAX_NESTING:
+            raise PenmanSyntaxError(reader.pos - 1, f"nodes nested deeper than {MAX_NESTING}")
         var = reader.token()
         if not _VARIABLE.match(var):
             raise PenmanSyntaxError(reader.pos, f"bad variable name {var!r}")
@@ -201,7 +208,7 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
             reader.skip_ws()
             c = reader.peek()
             if c == "(":
-                target: Union[str, AmrConstant] = parse_node()
+                target: Union[str, AmrConstant] = parse_node(depth + 1)
             elif c == '"':
                 target = AmrConstant(reader.quoted(), quoted=True)
             else:
@@ -216,7 +223,7 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
                 edges.append(edge)
 
     reader.skip_ws()
-    root = parse_node()
+    root = parse_node(1)
     reader.skip_ws()
     if reader.pos < len(reader.text):
         raise PenmanSyntaxError(reader.pos, "trailing content after the expression")

@@ -1,7 +1,7 @@
 """Orchestration of the 11 knowledge-enrichment heuristics.
 
 Each heuristic turns the base graph into a prompt (its template plus the
-graph's Turtle text), sends it to a completion backend, extracts the Turtle
+graph's Turtle text, serialized once per ``run_all``), sends it to a completion backend, extracts the Turtle
 from the response, and validates the additions: anchoring to base nodes and
 the pitfall lints. The per-heuristic result is an extended graph (base plus
 additions) with diagnostics; ``run_all`` merges everything into one graph,
@@ -136,14 +136,16 @@ class EnrichmentResult:
         return has_errors(self.diagnostics)
 
 
-def assemble_prompt(base: RdfGraph, spec: HeuristicSpec,
+def assemble_prompt(base_turtle: str, spec: HeuristicSpec,
                     prompts_dir: Union[str, Path],
                     max_tokens: int = 2048,
                     temperature: float = 0.0) -> PromptRequest:
-    """Substitute the base graph's Turtle into the heuristic's template.
+    """Substitute the base graph's Turtle text into the heuristic's template.
 
-    Deterministic: the same base graph and template produce a byte-identical
-    request. Raises MissingTemplateError / MissingPlaceholderError.
+    ``base_turtle`` is ``serialize_turtle(base)``; ``run_all`` serializes the
+    base once and passes the text to every heuristic. Deterministic: the same
+    text and template produce a byte-identical request. Raises
+    MissingTemplateError / MissingPlaceholderError.
     """
     prompts_dir = Path(prompts_dir)
     system_path = prompts_dir / SYSTEM_TEMPLATE
@@ -158,7 +160,7 @@ def assemble_prompt(base: RdfGraph, spec: HeuristicSpec,
     system_text = system_path.read_text(encoding="utf-8")
     system_text = system_text.replace("{{namespace}}", spec.namespace)
     system_text = system_text.replace("{{prefix}}", spec.prefix)
-    user_text = template.replace(GRAPH_PLACEHOLDER, serialize_turtle(base))
+    user_text = template.replace(GRAPH_PLACEHOLDER, base_turtle)
     return PromptRequest(system_text, user_text, max_tokens, temperature, tag=spec.name)
 
 
@@ -204,19 +206,20 @@ def extract_turtle(response: str, base_prefixes: PrefixTable) -> RdfGraph:
         return parse_turtle(repaired, base_prefixes, bind_undeclared=True)
 
 
-def run_heuristic(base: RdfGraph, spec: HeuristicSpec, backend: Backend,
-                  prompts_dir: Union[str, Path],
+def run_heuristic(base: RdfGraph, base_turtle: str, spec: HeuristicSpec,
+                  backend: Backend, prompts_dir: Union[str, Path],
                   max_tokens: int = 2048,
                   temperature: float = 0.0) -> EnrichmentResult:
     """Prompt, complete, extract, and validate one heuristic.
 
-    Failures never propagate: a backend or parse failure yields a result
-    with no additions and a RESPONSE_INVALID error diagnostic.
+    ``base_turtle`` is ``serialize_turtle(base)``, the text the prompt
+    embeds. Failures never propagate: a backend or parse failure yields a
+    result with no additions and a RESPONSE_INVALID error diagnostic.
     """
     if not base.triples:
         raise EnrichmentError("base graph is empty")
     prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
-    request = assemble_prompt(base, spec, prompts_dir, max_tokens, temperature)
+    request = assemble_prompt(base_turtle, spec, prompts_dir, max_tokens, temperature)
     try:
         response = backend.complete(request)
     except BackendError as exc:
@@ -261,9 +264,11 @@ def run_all(base: RdfGraph, backend: Backend,
     unless ``force_merge`` reproduces the merge-everything behavior.
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
+    base_turtle = serialize_turtle(base)
 
     def run_one(spec: HeuristicSpec) -> EnrichmentResult:
-        return run_heuristic(base, spec, backend, prompts_dir, max_tokens, temperature)
+        return run_heuristic(base, base_turtle, spec, backend, prompts_dir,
+                             max_tokens, temperature)
 
     if max_concurrent > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=max_concurrent) as pool:

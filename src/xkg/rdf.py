@@ -5,7 +5,15 @@ with set semantics, and a prefix table. The Turtle dialect covers what the
 pipeline's artifacts actually use: prefix declarations, ``a``, predicate and
 object lists (``;`` / ``,``), blank nodes (``[]`` and ``_:label``), plain,
 language-tagged and datatyped literals, booleans, integers and decimals.
-Collections ``( )`` and named graphs are not supported.
+Collections ``( )`` and named graphs are not supported. A ``\\u`` escape
+takes exactly four hex digits and may not name a surrogate, and ``[ ]``
+blank nodes nest at most ``MAX_NESTING`` deep; anything else raises
+``TurtleSyntaxError`` with its line and column.
+
+The tokenizer matches one regular expression per token kind at the current
+offset and tracks only the offset and the start of the current line, so a
+column is computed, not counted. Prefix contraction looks the namespace up
+by the IRI's last ``#`` or ``/``.
 
 Serialization is fully deterministic (subjects sorted by expanded IRI, then
 predicates, then objects) so that golden-file tests are byte-stable.
@@ -15,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # Namespaces used across the pipeline. Framester/OntologyDesignPatterns IRIs
@@ -214,6 +224,8 @@ class PrefixTable:
     def __init__(self, mapping: Optional[Mapping[str, str]] = None):
         self._by_label: dict[str, str] = {}
         self._by_ns: dict[str, str] = {}
+        # Namespaces ending in neither '#' nor '/', which contract must scan.
+        self._unsplit_ns: list[str] = []
         if mapping:
             for label, ns in mapping.items():
                 self._bind(label, ns)
@@ -230,6 +242,8 @@ class PrefixTable:
             return
         self._by_label[label] = ns
         self._by_ns[ns] = label
+        if not ns.endswith(("#", "/")):
+            self._unsplit_ns.append(ns)
 
     def with_binding(self, label: str, ns: str) -> "PrefixTable":
         merged = PrefixTable(self._by_label)
@@ -253,16 +267,21 @@ class PrefixTable:
         return Iri(ns + local)
 
     def contract(self, iri: Iri) -> Optional[str]:
-        """Return the shortest CURIE for ``iri``, or None if no prefix matches."""
-        best: Optional[tuple[str, str]] = None
-        for ns, label in self._by_ns.items():
-            if iri.value.startswith(ns) and (best is None or len(ns) > len(best[1])):
-                local = iri.value[len(ns) :]
-                if _PN_LOCAL_OK.fullmatch(local):
-                    best = (label, ns)
-        if best is None:
+        """Return the shortest CURIE for ``iri``, or None if no prefix matches.
+
+        The longest namespace whose remainder is an acceptable local part
+        wins. A local part holds no '#' or '/', so the only namespace ending
+        in one of them that can match is the IRI up to its last '#' or '/'.
+        """
+        value = iri.value
+        cut = max(value.rfind("#"), value.rfind("/")) + 1
+        best = cut if value[:cut] in self._by_ns and _PN_LOCAL_OK.fullmatch(value, cut) else -1
+        for ns in self._unsplit_ns:
+            if len(ns) > best and value.startswith(ns) and _PN_LOCAL_OK.fullmatch(value, len(ns)):
+                best = len(ns)
+        if best < 0:
             return None
-        return f"{best[0]}:{iri.value[len(best[1]):]}"
+        return f"{self._by_ns[value[:best]]}:{value[best:]}"
 
     def items(self) -> Iterable[tuple[str, str]]:
         return self._by_label.items()
@@ -373,12 +392,27 @@ def diff(after: RdfGraph, before: RdfGraph) -> frozenset[Triple]:
 # Turtle tokenizer
 # ---------------------------------------------------------------------------
 
-_NAME_CHARS = re.compile(r"[A-Za-z0-9_.\-]")
 _NUMBER = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _LANG_TAG = re.compile(r"[a-zA-Z]+(-[a-zA-Z0-9]+)*")
 
+# Each pattern is matched at the scanner's offset. Newlines can occur only in
+# the whitespace that _SKIP consumes; every other token ends on its own line.
+_SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
+_IRI_BODY = re.compile(r"<([^>\n <]*)>")
+_STRING_RUN = re.compile(r'[^"\\\n]*')
+# Four hex digits naming no surrogate, which UTF-8 cannot encode.
+_UCHAR = re.compile(r"(?![dD][89A-Fa-f])[0-9A-Fa-f]{4}")
+# A number that runs on into a name is no number; a dot after one ends the
+# statement.
+_NAME_AFTER_NUMBER = re.compile(r"[A-Za-z0-9_\-]")
+_AT_WORD = re.compile(r"(?:[^\W_]|-)*")
+_BLANK_LABEL = re.compile(r"[A-Za-z0-9_.\-]*")
+# A name run without its trailing dots, which terminate the statement.
+_NAME_RUN = re.compile(r"[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:]")
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
-@dataclass
+
+@dataclass(slots=True)
 class _Token:
     kind: str  # IRIREF PNAME BLANK STRING NUMBER KEYWORD PUNCT EOF
     value: str
@@ -386,166 +420,113 @@ class _Token:
     column: int
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _error(self, message: str) -> TurtleSyntaxError:
-        return TurtleSyntaxError(self.line, self.col, message)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "EOF":
-                return out
-
-    def _next(self) -> _Token:
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c.isspace():
-                self._advance()
-                continue
-            if c == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            break
-        if self.pos >= len(text):
-            return _Token("EOF", "", self.line, self.col)
-
-        line, col = self.line, self.col
-        c = text[self.pos]
+def _tokenize(text: str) -> list[_Token]:
+    out: list[_Token] = []
+    pos, line, line_start = 0, 1, 0
+    while True:
+        end = _SKIP.match(text, pos).end()
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+        col = pos - line_start + 1
+        if pos >= len(text):
+            out.append(_Token("EOF", "", line, col))
+            return out
+        c = text[pos]
 
         if c == "<":
-            self._advance()
-            start = self.pos
-            while self.pos < len(text) and text[self.pos] != ">":
-                if text[self.pos] in "\n <":
-                    raise TurtleSyntaxError(line, col, "unterminated IRI reference")
-                self._advance()
-            if self.pos >= len(text):
+            m = _IRI_BODY.match(text, pos)
+            if m is None:
                 raise TurtleSyntaxError(line, col, "unterminated IRI reference")
-            value = text[start : self.pos]
-            self._advance()
-            return _Token("IRIREF", value, line, col)
-
-        if c == '"':
-            return self._string(line, col)
-
-        if c in ";,.[]":
-            self._advance()
-            return _Token("PUNCT", c, line, col)
-
-        if c == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return _Token("PUNCT", "^^", line, col)
-
-        if c == "@":
-            self._advance()
-            start = self.pos
-            while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "-"):
-                self._advance()
-            word = text[start : self.pos]
+            out.append(_Token("IRIREF", m.group(1), line, col))
+            pos = m.end()
+        elif c == '"':
+            value, pos = _string(text, pos, line, line_start)
+            out.append(_Token("STRING", value, line, col))
+        elif c in ";,.[]":
+            out.append(_Token("PUNCT", c, line, col))
+            pos += 1
+        elif c == "^" and text.startswith("^", pos + 1):
+            out.append(_Token("PUNCT", "^^", line, col))
+            pos += 2
+        elif c == "@":
+            m = _AT_WORD.match(text, pos + 1)
+            word = m.group()
+            pos = m.end()
             if word == "prefix":
-                return _Token("KEYWORD", "@prefix", line, col)
-            if _LANG_TAG.fullmatch(word):
-                return _Token("LANG", word, line, col)
-            raise TurtleSyntaxError(line, col, f"unexpected @{word}")
-
-        if c == "_" and self._peek(1) == ":":
-            self._advance(2)
-            start = self.pos
-            while self.pos < len(text) and _NAME_CHARS.match(text[self.pos]):
-                self._advance()
-            return _Token("BLANK", text[start : self.pos], line, col)
-
-        m = _NUMBER.match(text, self.pos)
-        if m and (c.isdigit() or (c in "+-" and self._peek(1).isdigit())):
-            end = m.end()
-            if end >= len(text) or not _NAME_CHARS.match(text[end]) or text[end] == ".":
-                value = m.group(0)
-                # A trailing dot belongs to the statement, not the number.
-                self._advance(end - self.pos)
-                return _Token("NUMBER", value, line, col)
-
-        if _NAME_CHARS.match(c) or c == ":":
-            start = self.pos
-            while self.pos < len(text) and (_NAME_CHARS.match(text[self.pos]) or text[self.pos] == ":"):
-                self._advance()
-            word = text[start : self.pos]
-            # Trailing dots terminate statements; inner dots stay in the name.
-            stripped = word.rstrip(".")
-            trailing = len(word) - len(stripped)
-            if trailing:
-                self.pos -= trailing
-                self.col -= trailing
-                word = stripped
-            if not word:
-                raise TurtleSyntaxError(line, col, "unexpected '.'")
+                out.append(_Token("KEYWORD", "@prefix", line, col))
+            elif _LANG_TAG.fullmatch(word):
+                out.append(_Token("LANG", word, line, col))
+            else:
+                raise TurtleSyntaxError(line, col, f"unexpected @{word}")
+        elif c == "_" and text.startswith(":", pos + 1):
+            m = _BLANK_LABEL.match(text, pos + 2)
+            out.append(_Token("BLANK", m.group(), line, col))
+            pos = m.end()
+        else:
+            m = _NUMBER.match(text, pos)
+            if m and not _NAME_AFTER_NUMBER.match(text, m.end()):
+                out.append(_Token("NUMBER", m.group(), line, col))
+                pos = m.end()
+                continue
+            m = _NAME_RUN.match(text, pos)
+            if m is None:
+                raise TurtleSyntaxError(line, col, f"unexpected character {c!r}")
+            word = m.group()
             if ":" in word:
-                return _Token("PNAME", word, line, col)
-            if word == "a":
-                return _Token("KEYWORD", "a", line, col)
-            if word in ("true", "false"):
-                return _Token("BOOLEAN", word, line, col)
-            raise TurtleSyntaxError(line, col, f"unexpected token {word!r}")
+                out.append(_Token("PNAME", word, line, col))
+            elif word == "a":
+                out.append(_Token("KEYWORD", "a", line, col))
+            elif word in ("true", "false"):
+                out.append(_Token("BOOLEAN", word, line, col))
+            else:
+                raise TurtleSyntaxError(line, col, f"unexpected token {word!r}")
+            pos = m.end()
 
-        raise TurtleSyntaxError(line, col, f"unexpected character {c!r}")
 
-    def _string(self, line: int, col: int) -> _Token:
-        text = self.text
-        self._advance()  # opening quote
-        out: list[str] = []
-        while True:
-            if self.pos >= len(text):
-                raise TurtleSyntaxError(line, col, "unterminated string literal")
-            c = text[self.pos]
-            if c == '"':
-                self._advance()
-                return _Token("STRING", "".join(out), line, col)
-            if c == "\\":
-                esc = self._peek(1)
-                mapping = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
-                if esc in mapping:
-                    out.append(mapping[esc])
-                    self._advance(2)
-                    continue
-                if esc == "u":
-                    hexpart = text[self.pos + 2 : self.pos + 6]
-                    if len(hexpart) != 4:
-                        raise TurtleSyntaxError(self.line, self.col, "bad \\u escape")
-                    out.append(chr(int(hexpart, 16)))
-                    self._advance(6)
-                    continue
-                raise TurtleSyntaxError(self.line, self.col, f"unknown escape \\{esc}")
-            if c == "\n":
-                raise TurtleSyntaxError(line, col, "newline in string literal")
-            out.append(c)
-            self._advance()
+def _string(text: str, pos: int, line: int, line_start: int) -> tuple[str, int]:
+    """Scan the string literal whose opening quote is at ``pos``.
+
+    Returns its value and the offset after the closing quote.
+    """
+    col = pos - line_start + 1
+    parts: list[str] = []
+    pos += 1
+    while True:
+        m = _STRING_RUN.match(text, pos)
+        parts.append(m.group())
+        pos = m.end()
+        c = text[pos : pos + 1]
+        if c == '"':
+            return "".join(parts), pos + 1
+        if c == "\n":
+            raise TurtleSyntaxError(line, col, "newline in string literal")
+        if not c:
+            raise TurtleSyntaxError(line, col, "unterminated string literal")
+        esc = text[pos + 1 : pos + 2]
+        if esc in _ESCAPES:
+            parts.append(_ESCAPES[esc])
+            pos += 2
+        elif esc == "u":
+            m = _UCHAR.match(text, pos + 2)
+            if m is None:
+                raise TurtleSyntaxError(line, pos - line_start + 1, "bad \\u escape")
+            parts.append(chr(int(m.group(), 16)))
+            pos += 6
+        else:
+            raise TurtleSyntaxError(line, pos - line_start + 1, f"unknown escape \\{esc}")
 
 
 # ---------------------------------------------------------------------------
 # Turtle parser
 # ---------------------------------------------------------------------------
+
+#: Deepest nesting of ``[ ]`` blank nodes that ``parse_turtle`` accepts. The
+#: parser recurses once per level, so without a limit a hostile document
+#: would exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -558,6 +539,10 @@ class _Parser:
         self.bind_undeclared = bind_undeclared
         self.triples: list[Triple] = []
         self.blank_counter = 0
+        self.depth = 0  # enclosing '[ ]' of the token being parsed
+        # Prefixed names already resolved. A bound label keeps its namespace
+        # (rebinding it raises PrefixConflictError), so reuse is safe.
+        self.resolved: dict[str, Iri] = {}
         # Labels the document uses itself; generated labels must avoid them.
         self.document_labels = {t.value for t in tokens if t.kind == "BLANK"}
 
@@ -605,6 +590,9 @@ class _Parser:
         self.declared.add(label)
 
     def _resolve_pname(self, tok: _Token) -> Iri:
+        iri = self.resolved.get(tok.value)
+        if iri is not None:
+            return iri
         label, _, local = tok.value.partition(":")
         ns = self.prefixes.namespace(label)
         if ns is None:
@@ -613,7 +601,14 @@ class _Parser:
             ns = UNDECLARED_NS_BASE + label + "#"
             self.prefixes = self.prefixes.with_binding(label, ns)
         try:
-            return Iri(ns + local)
+            iri = self.resolved[tok.value] = Iri(ns + local)
+        except ValueError as exc:
+            raise TurtleSyntaxError(tok.line, tok.column, str(exc))
+        return iri
+
+    def _iri(self, tok: _Token) -> Iri:
+        try:
+            return Iri(tok.value)
         except ValueError as exc:
             raise TurtleSyntaxError(tok.line, tok.column, str(exc))
 
@@ -626,10 +621,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "IRIREF":
             self._take()
-            try:
-                return Iri(tok.value)
-            except ValueError as exc:
-                raise TurtleSyntaxError(tok.line, tok.column, str(exc))
+            return self._iri(tok)
         if tok.kind == "PNAME":
             self._take()
             return self._resolve_pname(tok)
@@ -647,11 +639,16 @@ class _Parser:
         return BlankNode(label)
 
     def _bnode_property_list(self) -> BlankNode:
-        self._expect_punct("[")
+        tok = self._expect_punct("[")
+        if self.depth == MAX_NESTING:
+            raise TurtleSyntaxError(tok.line, tok.column,
+                                    f"blank nodes nested deeper than {MAX_NESTING}")
+        self.depth += 1
         node = self._fresh_blank()
         if not (self._peek().kind == "PUNCT" and self._peek().value == "]"):
             self._predicate_object_list(node)
         self._expect_punct("]")
+        self.depth -= 1
         return node
 
     def _predicate_object_list(self, subject: Union[Iri, BlankNode]) -> None:
@@ -673,10 +670,7 @@ class _Parser:
         if tok.kind == "KEYWORD" and tok.value == "a":
             return RDF_TYPE
         if tok.kind == "IRIREF":
-            try:
-                return Iri(tok.value)
-            except ValueError as exc:
-                raise TurtleSyntaxError(tok.line, tok.column, str(exc))
+            return self._iri(tok)
         if tok.kind == "PNAME":
             return self._resolve_pname(tok)
         raise TurtleSyntaxError(tok.line, tok.column, f"expected predicate, found {tok.value!r}")
@@ -695,10 +689,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "IRIREF":
             self._take()
-            try:
-                return Iri(tok.value)
-            except ValueError as exc:
-                raise TurtleSyntaxError(tok.line, tok.column, str(exc))
+            return self._iri(tok)
         if tok.kind == "PNAME":
             self._take()
             return self._resolve_pname(tok)
@@ -724,10 +715,15 @@ class _Parser:
                 self._take()
                 dt_tok = self._take()
                 if dt_tok.kind == "IRIREF":
-                    return Literal(tok.value, Iri(dt_tok.value))
-                if dt_tok.kind == "PNAME":
-                    return Literal(tok.value, self._resolve_pname(dt_tok))
-                raise TurtleSyntaxError(dt_tok.line, dt_tok.column, "expected datatype IRI after ^^")
+                    datatype = self._iri(dt_tok)
+                elif dt_tok.kind == "PNAME":
+                    datatype = self._resolve_pname(dt_tok)
+                else:
+                    raise TurtleSyntaxError(dt_tok.line, dt_tok.column, "expected datatype IRI after ^^")
+                try:
+                    return Literal(tok.value, datatype)
+                except ValueError as exc:  # e.g. "yes"^^xsd:boolean
+                    raise TurtleSyntaxError(tok.line, tok.column, str(exc))
             return Literal(tok.value)
         raise TurtleSyntaxError(tok.line, tok.column, f"expected object, found {tok.value!r}")
 
@@ -741,7 +737,7 @@ def parse_turtle(text: str, base_prefixes: Optional[PrefixTable] = None,
     prefix label is bound under a recognizable placeholder namespace instead
     of raising, so lint can flag it downstream.
     """
-    tokens = _Tokenizer(text).tokens()
+    tokens = _tokenize(text)
     triples, prefixes = _Parser(tokens, base_prefixes, bind_undeclared).parse()
     return RdfGraph(frozenset(triples), prefixes)
 
@@ -793,35 +789,26 @@ def serialize_turtle(graph: RdfGraph) -> str:
     """
     prefixes = graph.prefixes
     ordered = sorted(graph.triples, key=triple_sort_key)
+    rendered: dict[Term, str] = {}  # most terms recur; render each once
+
+    def render(term: Term) -> str:
+        text = rendered.get(term)
+        if text is None:
+            text = rendered[term] = _render_term(term, prefixes)
+        return text
+
     lines = [f"@prefix {label}: <{prefixes.namespace(label)}> ."
              for label in sorted(prefixes.labels())]
     if lines:
         lines.append("")
 
-    i = 0
-    while i < len(ordered):
-        subject = ordered[i].subject
-        group = []
-        while i < len(ordered) and ordered[i].subject == subject:
-            group.append(ordered[i])
-            i += 1
-        subj_text = _render_term(subject, prefixes)
-        parts: list[str] = []
-        j = 0
-        while j < len(group):
-            predicate = group[j].predicate
-            objs = []
-            while j < len(group) and group[j].predicate == predicate:
-                objs.append(_render_term(group[j].object, prefixes))
-                j += 1
-            pred_text = "a" if predicate == RDF_TYPE else _render_iri(predicate, prefixes)
-            parts.append(f"{pred_text} {', '.join(objs)}")
+    for subject, group in groupby(ordered, key=attrgetter("subject")):
+        parts = [("a" if predicate == RDF_TYPE else render(predicate)) + " "
+                 + ", ".join(render(t.object) for t in objects)
+                 for predicate, objects in groupby(group, key=attrgetter("predicate"))]
         # Predicate groups on continuation lines, indented for readability.
-        if len(parts) == 1:
-            lines.append(f"{subj_text} {parts[0]} .")
-        else:
-            body = " ;\n    ".join(parts)
-            lines.append(f"{subj_text} {body} .")
+        body = " ;\n    ".join(parts)
+        lines.append(f"{render(subject)} {body} .")
     lines.append("")
     return "\n".join(lines)
 

@@ -465,7 +465,8 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
             queue.extend(successors.get(node, ()))
 
     closure_sorted = sorted(closure, key=lambda p: (p[0].value, p[1].value))
-    inferred = [p for p in closure_sorted if p not in set(asserted)]
+    asserted_set = set(asserted)
+    inferred = [p for p in closure_sorted if p not in asserted_set]
     return PrecedenceInference(asserted, closure_sorted, inferred, diagnostics)
 
 
@@ -511,13 +512,14 @@ def is_structural(t: Triple) -> bool:
     return t.predicate == RDF_TYPE and t.object in _DECLARATION_CLASSES
 
 
-def _distinct_in_namespace(triples: Iterable[Triple], namespace: str) -> int:
-    found: set[str] = set()
-    for t in triples:
-        for term in (t.subject, t.predicate, t.object):
-            if isinstance(term, Iri) and term.value.startswith(namespace):
-                found.add(term.value)
-    return len(found)
+_PROFILE_NAMESPACES = {
+    "wordnet": WN30_NS,
+    "pb_roles": PBLR_NS,
+    "pb_frames": PBRS_NS,
+    "vn_roles": VN_ROLE_NS,
+    "d0": D0_NS,
+    "dul": DUL_NS,
+}
 
 
 def profile(graph: RdfGraph, base: Optional[RdfGraph] = None) -> GraphProfile:
@@ -528,20 +530,13 @@ def profile(graph: RdfGraph, base: Optional[RdfGraph] = None) -> GraphProfile:
     additions absent from the base, a datatype property when every object
     occurrence is a literal, an object property otherwise.
     """
-    if base is not None:
-        triples = sorted(graph.triples - base.triples, key=triple_sort_key)
-    else:
-        triples = sorted(graph.triples, key=triple_sort_key)
+    triples = graph.triples - base.triples if base is not None else graph.triples
 
     axioms = sum(1 for t in triples if not is_structural(t))
-    counts = {
-        "wordnet": _distinct_in_namespace(triples, WN30_NS),
-        "pb_roles": _distinct_in_namespace(triples, PBLR_NS),
-        "pb_frames": _distinct_in_namespace(triples, PBRS_NS),
-        "vn_roles": _distinct_in_namespace(triples, VN_ROLE_NS),
-        "d0": _distinct_in_namespace(triples, D0_NS),
-        "dul": _distinct_in_namespace(triples, DUL_NS),
-    }
+    iris = {term.value for t in triples for term in (t.subject, t.predicate, t.object)
+            if isinstance(term, Iri)}
+    counts = {name: sum(1 for value in iris if value.startswith(ns))
+              for name, ns in _PROFILE_NAMESPACES.items()}
 
     new_op: Optional[int] = None
     new_dp: Optional[int] = None

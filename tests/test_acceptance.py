@@ -147,7 +147,7 @@ def test_criterion_3_profile_calibration():
 def test_criterion_4_anchoring():
     base = scene_base_graph()
     impact_mock = (RESOURCES.mock_dir / "FactualImpact.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, HEURISTIC_BY_NAME["FactualImpact"],
+    result = run_heuristic(base, serialize_turtle(base), HEURISTIC_BY_NAME["FactualImpact"],
                            MappingBackend({"FactualImpact": impact_mock}), RESOURCES.prompts_dir)
     assert [d for d in result.diagnostics if d.code == ANCHOR_FLOAT] == []
 
@@ -175,7 +175,7 @@ def test_criterion_5_consistency():
     onto = MiniOntology.from_turtle_file(RESOURCES.mini_ontology)
 
     metonymic = (RESOURCES.mock_dir / "MetonymicCoercion.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, HEURISTIC_BY_NAME["MetonymicCoercion"],
+    result = run_heuristic(base, serialize_turtle(base), HEURISTIC_BY_NAME["MetonymicCoercion"],
                            MappingBackend({"MetonymicCoercion": metonymic}),
                            RESOURCES.prompts_dir)
     clashes = check_consistency(result.xkg, onto)
@@ -193,7 +193,7 @@ def test_criterion_6_precedence():
     started = time.monotonic()
     base = scene_base_graph()
     sequences = (RESOURCES.mock_dir / "EventSequences.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, HEURISTIC_BY_NAME["EventSequences"],
+    result = run_heuristic(base, serialize_turtle(base), HEURISTIC_BY_NAME["EventSequences"],
                            MappingBackend({"EventSequences": sequences}),
                            RESOURCES.prompts_dir)
     inference = infer_precedence(result.xkg)

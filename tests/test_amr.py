@@ -4,6 +4,7 @@ import pytest
 
 from generators import random_amr_graph
 from xkg.amr import (
+    MAX_NESTING,
     AmrConstant,
     AmrEdge,
     AmrGraph,
@@ -79,6 +80,16 @@ class TestParse:
                     "(a / athlete :mod)"]:
             with pytest.raises(PenmanSyntaxError):
                 parse_penman(bad)
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            return "".join(f"(v{i} / thing :mod " for i in range(depth - 1)) \
+                + f"(v{depth - 1} / thing" + ")" * depth
+        assert len(parse_penman(nested(MAX_NESTING)).nodes) == MAX_NESTING
+        with pytest.raises(PenmanSyntaxError, match="nested deeper"):
+            parse_penman(nested(MAX_NESTING + 1))
+        with pytest.raises(PenmanSyntaxError, match="nested deeper"):
+            parse_penman(nested(3000))
 
     def test_alignment_markers_stripped(self):
         graph = parse_penman("(c / celebrate-01~e.2 :ARG0 (a / athlete~e.4))")

@@ -14,9 +14,11 @@ from xkg.rdf import (
     XSD_STRING,
     BlankNode,
     Iri,
+    MAX_NESTING,
     Literal,
     PrefixConflictError,
     PrefixTable,
+    RdfError,
     RdfGraph,
     Triple,
     TurtleSyntaxError,
@@ -90,6 +92,16 @@ class TestPrefixTable:
         with pytest.raises(UndeclaredPrefixError):
             PrefixTable().expand("nope:x")
 
+    def test_contract_longest_namespace_without_separator_end(self):
+        table = PrefixTable({"ex": "http://e/", "exa": "http://e/a", "exab": "http://e/ab",
+                             "isbn": "urn:isbn:"})
+        assert table.contract(Iri("http://e/abc")) == "exab:c"
+        assert table.contract(Iri("http://e/ax")) == "exa:x"
+        # ".c" is no local part, so the next longest namespace wins.
+        assert table.contract(Iri("http://e/ab.c")) == "exa:b.c"
+        assert table.contract(Iri("urn:isbn:123")) == "isbn:123"
+        assert table.contract(Iri("urn:issn:123")) is None
+
 
 class TestParse:
     def test_minimal_document(self):
@@ -150,6 +162,84 @@ class TestParse:
     def test_duplicate_statement_collapses(self):
         graph = parse_turtle("@prefix ex: <http://e/> . ex:a ex:p ex:b . ex:a ex:p ex:b .")
         assert len(graph) == 1
+
+    @pytest.mark.parametrize("escape", ["\\uZZZZ", "\\u12", "\\ud800", "\\uDFFF"])
+    def test_bad_u_escape_is_syntax_error(self, escape):
+        with pytest.raises(TurtleSyntaxError) as err:
+            parse_turtle(f'@prefix ex: <http://e/> .\nex:a ex:p "x{escape}" .')
+        assert (err.value.line, err.value.column, err.value.message) == (2, 13, "bad \\u escape")
+
+    def test_u_escape(self):
+        graph = parse_turtle('@prefix ex: <http://e/> . ex:a ex:p "caf\\u00e9\\uFFFD" .')
+        (triple,) = graph.triples
+        assert triple.object == Literal("caf\u00e9\ufffd")
+
+    def test_bad_datatype_is_syntax_error(self):
+        for literal in ('"x"^^<nocolon>', '"yes"^^<http://www.w3.org/2001/XMLSchema#boolean>'):
+            with pytest.raises(TurtleSyntaxError):
+                parse_turtle(f"@prefix ex: <http://e/> . ex:a ex:p {literal} .")
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            return ("@prefix ex: <http://e/> . ex:a " + "ex:p [ " * depth
+                    + "ex:q ex:b " + "] " * depth + ".")
+        assert len(parse_turtle(nested(MAX_NESTING))) == MAX_NESTING + 1
+        with pytest.raises(TurtleSyntaxError, match="nested deeper"):
+            parse_turtle(nested(MAX_NESTING + 1))
+        with pytest.raises(TurtleSyntaxError, match="nested deeper"):
+            parse_turtle(nested(3000))
+
+    # Fragments that reach every branch of the tokenizer and the parser.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([
+            "@prefix", "@en", "@1", "ex:", "ex:a", ":b", "a", "true", "<http://e/x>", "<",
+            ">", '"', '"x"', "\\", "\\u00e9", "\\ud800", "\\uZZ", ".", ";", ",", "[", "]",
+            "^^", "_:b", "#c\n", "\r\n", " ", "42", "-3.5", "3.5a", "<x>",
+            "<http://www.w3.org/2001/XMLSchema#boolean>"]),
+        st.characters()), max_size=30))
+    def test_arbitrary_text_raises_only_rdf_errors(self, fragments):
+        try:
+            parse_turtle("".join(fragments))
+        except RdfError:
+            pass
+
+
+# One case per TurtleSyntaxError branch of the tokenizer, plus the parser's
+# view of a lone '.': (document, line, column, message).
+SYNTAX_ERRORS = {
+    "unterminated IRI": ("ex:a ex:p <http://e/x", 1, 11, "unterminated IRI reference"),
+    "IRI with a space": ("  <http://e/ x> ex:p ex:b .", 1, 3, "unterminated IRI reference"),
+    "IRI with a newline": ("ex:a ex:p <http://e/\nx> .", 1, 11, "unterminated IRI reference"),
+    "unterminated string": ('ex:a ex:p "abc', 1, 11, "unterminated string literal"),
+    "newline in string": ('ex:a ex:p "ab\ncd" .', 1, 11, "newline in string literal"),
+    "unknown escape": ('ex:a ex:p "ab\\qc" .', 1, 14, "unknown escape \\q"),
+    "escape at end of input": ('ex:a ex:p "ab\\', 1, 14, "unknown escape \\"),
+    "short \\u escape at end of input": ('ex:a ex:p "x\\u12', 1, 13, "bad \\u escape"),
+    "@ and a non-tag word": ('ex:a ex:p "x"@en- .', 1, 14, "unexpected @en-"),
+    "@ and a digit": ("@123 ex:a ex:p ex:b .", 1, 1, "unexpected @123"),
+    "lone '.'": (".", 1, 1, "expected subject, found '.'"),
+    "bare word": ("ex:a ex:p foo .", 1, 11, "unexpected token 'foo'"),
+    "number run into a name": ("ex:a ex:p 3.5a .", 1, 11, "unexpected token '3.5a'"),
+    "stray character": ("ex:a ex:p ! .", 1, 11, "unexpected character '!'"),
+    "lone '^'": ('ex:a ex:p "x"^xsd:string .', 1, 14, "unexpected character '^'"),
+    "line 3 after a comment and CRLF": (
+        '# comment\r\n@prefix ex: <http://e/> .\r\n  ex:a ex:p "x\\q" .\r\n',
+        3, 15, "unknown escape \\q"),
+    "line 3 with a blank CRLF line": (
+        "# c\r\n\r\n\tex:a ex:p ex:b ;; .", 3, 18, "expected predicate, found ';'"),
+    "line 4 after a trailing comment": (
+        "# c\r\n\r\n\tex:a ex:p ex:b .# x\r\n\t  !", 4, 4, "unexpected character '!'"),
+    "end of input": ("ex:a ex:p ", 1, 11, "expected object, found ''"),
+}
+
+
+@pytest.mark.parametrize("text,line,column,message", SYNTAX_ERRORS.values(),
+                         ids=SYNTAX_ERRORS.keys())
+def test_syntax_error_position_and_message(text, line, column, message):
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(text, bind_undeclared=True)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
 class TestSerialize:
