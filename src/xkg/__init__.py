@@ -15,6 +15,7 @@ from .enrichment import (
     HeuristicSpec,
     assemble_prompt,
     extract_turtle,
+    read_system_template,
     run_all,
     run_heuristic,
 )
@@ -27,9 +28,9 @@ from .rdf import (
     RdfGraph,
     Triple,
     diff,
-    isomorphic,
     merge,
     parse_turtle,
+    serialize_extensions,
     serialize_turtle,
 )
 from .translate import AlignmentMap, LinkTable, RolesetMap, align, link_entities, translate
@@ -49,9 +50,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AmrEdge", "AmrGraph", "AmrNode", "parse_penman", "serialize_penman",
     "HEURISTICS", "EnrichmentResult", "HeuristicSpec", "assemble_prompt",
-    "extract_turtle", "run_all", "run_heuristic",
+    "extract_turtle", "read_system_template", "run_all", "run_heuristic",
     "BlankNode", "Iri", "Literal", "PrefixTable", "RdfGraph", "Triple",
-    "diff", "isomorphic", "merge", "parse_turtle", "serialize_turtle",
+    "diff", "merge", "parse_turtle", "serialize_extensions", "serialize_turtle",
     "PipelineResult", "run_pipeline",
     "AlignmentMap", "LinkTable", "RolesetMap", "align", "link_entities", "translate",
     "Diagnostic", "GraphProfile", "MiniOntology", "check_anchoring",

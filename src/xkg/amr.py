@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +174,7 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
     reader = _Reader(_strip_alignments(text))
     nodes: list[AmrNode] = []
     declared: dict[str, str] = {}
-    edges: list[AmrEdge] = []
+    edges: dict[AmrEdge, None] = {}  # insertion-ordered set
     referenced: list[tuple[str, int]] = []
 
     def parse_node(depth: int) -> str:
@@ -218,9 +218,7 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
                 else:
                     target = word
                     referenced.append((word, reader.pos))
-            edge = AmrEdge(var, role, target)
-            if edge not in edges:
-                edges.append(edge)
+            edges[AmrEdge(var, role, target)] = None
 
     reader.skip_ws()
     root = parse_node(1)
@@ -233,12 +231,7 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
             raise DanglingVariableError(var)
 
     if normalize_inverse:
-        edges = [_invert(e) for e in edges]
-        deduped: list[AmrEdge] = []
-        for e in edges:
-            if e not in deduped:
-                deduped.append(e)
-        edges = deduped
+        edges = dict.fromkeys(_invert(e) for e in edges)
 
     return AmrGraph(root, tuple(nodes), tuple(edges))
 
@@ -251,11 +244,7 @@ def _invert(edge: AmrEdge) -> AmrEdge:
 
 def normalize_inverse_roles(graph: AmrGraph) -> AmrGraph:
     """Flip every ``-of`` edge between nodes. Applying this twice equals once."""
-    edges: list[AmrEdge] = []
-    for e in graph.edges:
-        inv = _invert(e)
-        if inv not in edges:
-            edges.append(inv)
+    edges = dict.fromkeys(_invert(e) for e in graph.edges)
     return AmrGraph(graph.root, graph.nodes, tuple(edges))
 
 
@@ -317,52 +306,6 @@ def amr_equal(g1: AmrGraph, g2: AmrGraph) -> bool:
         and set(g1.nodes) == set(g2.nodes)
         and set(g1.edges) == set(g2.edges)
     )
-
-
-def amr_isomorphic(g1: AmrGraph, g2: AmrGraph) -> bool:
-    """Equality up to a bijective renaming of variables."""
-    if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
-        return False
-
-    def profile(g: AmrGraph, var: str) -> tuple:
-        out = sorted((e.role, "*" if isinstance(e.target, str) else repr(e.target))
-                     for e in g.edges if e.source == var)
-        inc = sorted(e.role for e in g.edges if e.target == var)
-        return (g.concept(var), tuple(out), tuple(inc), var == g.root)
-
-    vars1 = [n.variable for n in g1.nodes]
-    vars2 = [n.variable for n in g2.nodes]
-    prof2 = {v: profile(g2, v) for v in vars2}
-    candidates = {v: [w for w in vars2 if prof2[w] == profile(g1, v)] for v in vars1}
-    order = sorted(vars1, key=lambda v: len(candidates[v]))
-
-    edges2 = set(g2.edges)
-
-    def rename(e: AmrEdge, mapping: dict[str, str]) -> Optional[AmrEdge]:
-        target = e.target if isinstance(e.target, AmrConstant) else mapping.get(e.target)
-        source = mapping.get(e.source)
-        if source is None or target is None:
-            return None
-        return AmrEdge(source, e.role, target)
-
-    def backtrack(idx: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if idx == len(order):
-            if mapping[g1.root] != g2.root:
-                return False
-            return {rename(e, mapping) for e in g1.edges} == edges2
-        v = order[idx]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(idx + 1, mapping, used):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return backtrack(0, {}, set())
 
 
 def parse_penman_file(text: str, normalize_inverse: bool = True) -> list[AmrGraph]:

@@ -30,7 +30,7 @@ from .backends import BackendError, HttpBackend, MockBackend
 from .config import ConfigError, PipelineConfig, default_config, load_config
 from .enrichment import HEURISTICS, HEURISTIC_BY_NAME, EnrichmentError
 from .pipeline import ValidationReport, build_base, describe, enrich, run_pipeline, validate
-from .rdf import RdfError, RdfGraph, parse_turtle, serialize_turtle
+from .rdf import RdfError, RdfGraph, parse_turtle, serialize_extensions, serialize_turtle
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -131,10 +131,14 @@ def _select_heuristics(selector: str):
     return chosen
 
 
-def _write_enrichment(out_dir: Path, results, merged: RdfGraph, force_merge: bool) -> int:
-    for result in results:
-        _write(out_dir / f"xkg-{result.heuristic}.ttl", serialize_turtle(result.xkg))
-    _write(out_dir / "xkg-merged.ttl", serialize_turtle(merged))
+def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph,
+                      force_merge: bool) -> int:
+    # Every extended graph and the merge contain the base; each text is
+    # written as soon as it is rendered.
+    names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]
+    texts = serialize_extensions(base, [result.xkg for result in results] + [merged])
+    for name, text in zip(names, texts):
+        _write(out_dir / name, text)
     _write_json(out_dir / "diagnostics.json", {
         result.heuristic: {
             "added": len(result.added),
@@ -155,7 +159,7 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     force_merge = args.force_merge or config.force_merge
     results, merged = enrich(base, backend, config, _select_heuristics(args.heuristic),
                              force_merge)
-    return _write_enrichment(Path(args.out), results, merged, force_merge)
+    return _write_enrichment(Path(args.out), base, results, merged, force_merge)
 
 
 def _write_validation(out_dir: Path, report: ValidationReport) -> int:
@@ -218,7 +222,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _write_description(out_dir, result.description)
     _write_base(out_dir, result.base)
-    enrich_code = _write_enrichment(out_dir, result.results, result.merged, force_merge)
+    enrich_code = _write_enrichment(out_dir, result.base, result.results, result.merged,
+                                    force_merge)
     return max(enrich_code, _write_validation(out_dir, result.report))
 
 

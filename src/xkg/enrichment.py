@@ -1,12 +1,14 @@
 """Orchestration of the 11 knowledge-enrichment heuristics.
 
-Each heuristic turns the base graph into a prompt (its template plus the
-graph's Turtle text, serialized once per ``run_all``), sends it to a completion backend, extracts the Turtle
-from the response, and validates the additions: anchoring to base nodes and
-the pitfall lints. The per-heuristic result is an extended graph (base plus
-additions) with diagnostics; ``run_all`` merges everything into one graph,
-quarantining any heuristic whose result carries an ERROR diagnostic unless
-``force_merge`` is set.
+Each heuristic turns the base graph into a prompt (the shared system
+template, its own template and the graph's Turtle text; ``run_all`` reads
+the system template and serializes the graph once), sends it to a
+completion backend, extracts the Turtle from the response, and validates
+the additions: anchoring to base nodes and the pitfall lints. The
+per-heuristic result is an extended graph (base plus additions) with
+diagnostics; ``run_all`` merges everything into one graph, quarantining any
+heuristic whose result carries an ERROR diagnostic unless ``force_merge`` is
+set.
 
 Templates are data, not code: plain text files with a ``{{graph}}``
 placeholder, shipped under the package resources and freely editable.
@@ -136,29 +138,36 @@ class EnrichmentResult:
         return has_errors(self.diagnostics)
 
 
-def assemble_prompt(base_turtle: str, spec: HeuristicSpec,
+def read_system_template(prompts_dir: Union[str, Path]) -> str:
+    """The system prompt template shared by every heuristic.
+
+    Raises MissingTemplateError.
+    """
+    path = Path(prompts_dir) / SYSTEM_TEMPLATE
+    if not path.exists():
+        raise MissingTemplateError(SYSTEM_TEMPLATE)
+    return path.read_text(encoding="utf-8")
+
+
+def assemble_prompt(base_turtle: str, system_template: str, spec: HeuristicSpec,
                     prompts_dir: Union[str, Path],
                     max_tokens: int = 2048,
                     temperature: float = 0.0) -> PromptRequest:
     """Substitute the base graph's Turtle text into the heuristic's template.
 
-    ``base_turtle`` is ``serialize_turtle(base)``; ``run_all`` serializes the
-    base once and passes the text to every heuristic. Deterministic: the same
-    text and template produce a byte-identical request. Raises
-    MissingTemplateError / MissingPlaceholderError.
+    ``base_turtle`` is ``serialize_turtle(base)`` and ``system_template`` is
+    ``read_system_template(prompts_dir)``; ``run_all`` computes both once and
+    passes them to every heuristic. Deterministic: the same texts and
+    template produce a byte-identical request. Raises MissingTemplateError /
+    MissingPlaceholderError.
     """
-    prompts_dir = Path(prompts_dir)
-    system_path = prompts_dir / SYSTEM_TEMPLATE
-    template_path = prompts_dir / spec.prompt_template
-    if not system_path.exists():
-        raise MissingTemplateError(SYSTEM_TEMPLATE)
+    template_path = Path(prompts_dir) / spec.prompt_template
     if not template_path.exists():
         raise MissingTemplateError(spec.prompt_template)
     template = template_path.read_text(encoding="utf-8")
     if GRAPH_PLACEHOLDER not in template:
         raise MissingPlaceholderError(spec.prompt_template)
-    system_text = system_path.read_text(encoding="utf-8")
-    system_text = system_text.replace("{{namespace}}", spec.namespace)
+    system_text = system_template.replace("{{namespace}}", spec.namespace)
     system_text = system_text.replace("{{prefix}}", spec.prefix)
     user_text = template.replace(GRAPH_PLACEHOLDER, base_turtle)
     return PromptRequest(system_text, user_text, max_tokens, temperature, tag=spec.name)
@@ -206,20 +215,22 @@ def extract_turtle(response: str, base_prefixes: PrefixTable) -> RdfGraph:
         return parse_turtle(repaired, base_prefixes, bind_undeclared=True)
 
 
-def run_heuristic(base: RdfGraph, base_turtle: str, spec: HeuristicSpec,
-                  backend: Backend, prompts_dir: Union[str, Path],
+def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
+                  spec: HeuristicSpec, backend: Backend, prompts_dir: Union[str, Path],
                   max_tokens: int = 2048,
                   temperature: float = 0.0) -> EnrichmentResult:
     """Prompt, complete, extract, and validate one heuristic.
 
     ``base_turtle`` is ``serialize_turtle(base)``, the text the prompt
-    embeds. Failures never propagate: a backend or parse failure yields a
+    embeds, and ``system_template`` the text of ``read_system_template``.
+    Failures never propagate: a backend or parse failure yields a
     result with no additions and a RESPONSE_INVALID error diagnostic.
     """
     if not base.triples:
         raise EnrichmentError("base graph is empty")
     prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
-    request = assemble_prompt(base_turtle, spec, prompts_dir, max_tokens, temperature)
+    request = assemble_prompt(base_turtle, system_template, spec, prompts_dir,
+                              max_tokens, temperature)
     try:
         response = backend.complete(request)
     except BackendError as exc:
@@ -265,9 +276,10 @@ def run_all(base: RdfGraph, backend: Backend,
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
     base_turtle = serialize_turtle(base)
+    system_template = read_system_template(prompts_dir)
 
     def run_one(spec: HeuristicSpec) -> EnrichmentResult:
-        return run_heuristic(base, base_turtle, spec, backend, prompts_dir,
+        return run_heuristic(base, base_turtle, system_template, spec, backend, prompts_dir,
                              max_tokens, temperature)
 
     if max_concurrent > 1 and len(specs) > 1:

@@ -6,9 +6,10 @@ pipeline's artifacts actually use: prefix declarations, ``a``, predicate and
 object lists (``;`` / ``,``), blank nodes (``[]`` and ``_:label``), plain,
 language-tagged and datatyped literals, booleans, integers and decimals.
 Collections ``( )`` and named graphs are not supported. A ``\\u`` escape
-takes exactly four hex digits and may not name a surrogate, and ``[ ]``
-blank nodes nest at most ``MAX_NESTING`` deep; anything else raises
-``TurtleSyntaxError`` with its line and column.
+takes exactly four hex digits and may not name a surrogate, a document may
+hold no lone surrogate character, and ``[ ]`` blank nodes nest at most
+``MAX_NESTING`` deep; anything else raises ``TurtleSyntaxError`` with its
+line and column.
 
 The tokenizer matches one regular expression per token kind at the current
 offset and tracks only the offset and the start of the current line, so a
@@ -16,12 +17,24 @@ column is computed, not counted. Prefix contraction looks the namespace up
 by the IRI's last ``#`` or ``/``.
 
 Serialization is fully deterministic (subjects sorted by expanded IRI, then
-predicates, then objects) so that golden-file tests are byte-stable.
+predicates, then objects) so that golden-file tests are byte-stable. A
+document is the sorted prefix declarations followed by one statement per
+subject, and one renderer produces those statements. ``serialize_extensions``
+writes graphs that extend one base graph, such as the per-heuristic graphs
+and their merge: it renders the base's statements once and, for each graph,
+renders again only the subjects its additions touch and splices them in by
+subject order. A graph whose prefix table could render a base IRI
+differently gets a full ``serialize_turtle`` instead, as does one that lacks
+a base triple: its table lacks a base label or binds it to another
+namespace, or binds a new namespace that is some base IRI's namespace (one
+ending in ``#`` or ``/``) or a prefix of some base IRI (any other). Either
+way the bytes are those of ``serialize_turtle``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -350,14 +363,17 @@ class RdfGraph:
             yield t.object
 
     def node_iris(self) -> frozenset[Iri]:
-        """IRIs occurring in a node position (subject or object)."""
-        out = set()
-        for t in self.triples:
-            if isinstance(t.subject, Iri):
-                out.add(t.subject)
-            if isinstance(t.object, Iri):
-                out.add(t.object)
-        return frozenset(out)
+        """IRIs occurring in a node position (subject or object).
+
+        Computed on the first call and kept: ``run_all`` checks every
+        heuristic's additions against the same base graph.
+        """
+        cached = self.__dict__.get("_node_iris")
+        if cached is None:
+            cached = frozenset(term for t in self.triples for term in (t.subject, t.object)
+                               if isinstance(term, Iri))
+            object.__setattr__(self, "_node_iris", cached)
+        return cached
 
     def all_iris(self) -> frozenset[Iri]:
         out = set()
@@ -421,6 +437,16 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    if not text.isascii():
+        # A lone surrogate (a JSON body can decode to one) would fail only
+        # when the graph is written, since UTF-8 cannot encode it.
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            line_start = text.rfind("\n", 0, exc.start) + 1
+            raise TurtleSyntaxError(text.count("\n", 0, exc.start) + 1,
+                                    exc.start - line_start + 1,
+                                    f"lone surrogate U+{ord(text[exc.start]):04X}")
     out: list[_Token] = []
     pos, line, line_start = 0, 1, 0
     while True:
@@ -534,7 +560,8 @@ class _Parser:
                  bind_undeclared: bool):
         self.tokens = tokens
         self.i = 0
-        self.prefixes = base_prefixes or PrefixTable()
+        # One copy per parse; declarations then bind in place.
+        self.prefixes = PrefixTable(base_prefixes._by_label if base_prefixes else None)
         self.declared: set[str] = set()
         self.bind_undeclared = bind_undeclared
         self.triples: list[Triple] = []
@@ -586,7 +613,7 @@ class _Parser:
         if iri_tok.kind != "IRIREF":
             raise TurtleSyntaxError(iri_tok.line, iri_tok.column, "expected <IRI> in @prefix")
         self._expect_punct(".")
-        self.prefixes = self.prefixes.with_binding(label, iri_tok.value)
+        self.prefixes._bind(label, iri_tok.value)
         self.declared.add(label)
 
     def _resolve_pname(self, tok: _Token) -> Iri:
@@ -599,7 +626,7 @@ class _Parser:
             if not self.bind_undeclared:
                 raise UndeclaredPrefixError(label, tok.line, tok.column)
             ns = UNDECLARED_NS_BASE + label + "#"
-            self.prefixes = self.prefixes.with_binding(label, ns)
+            self.prefixes._bind(label, ns)
         try:
             iri = self.resolved[tok.value] = Iri(ns + local)
         except ValueError as exc:
@@ -779,6 +806,43 @@ def _render_term(term: Term, prefixes: PrefixTable) -> str:
     return _render_literal(term, prefixes)
 
 
+def _subject_blocks(triples: Iterable[Triple], prefixes: PrefixTable,
+                    rendered: dict[Term, str]) -> list[tuple[tuple, str]]:
+    """One statement per subject, as (subject sort key, text), in key order.
+
+    Predicates and objects within a statement are sorted; predicate groups
+    after the first go on indented continuation lines. ``rendered`` caches
+    each term's text under ``prefixes``, since most terms recur.
+    """
+    ordered = sorted(triples, key=triple_sort_key)
+
+    def render(term: Term) -> str:
+        text = rendered.get(term)
+        if text is None:
+            text = rendered[term] = _render_term(term, prefixes)
+        return text
+
+    blocks = []
+    for subject, group in groupby(ordered, key=attrgetter("subject")):
+        parts = [("a" if predicate == RDF_TYPE else render(predicate)) + " "
+                 + ", ".join(render(t.object) for t in objects)
+                 for predicate, objects in groupby(group, key=attrgetter("predicate"))]
+        body = " ;\n    ".join(parts)
+        blocks.append((_term_sort_key(subject), f"{render(subject)} {body} ."))
+    return blocks
+
+
+def _document(prefixes: PrefixTable, statements: Iterable[str]) -> str:
+    """The prefix table's declarations, sorted by label, then the statements."""
+    lines = [f"@prefix {label}: <{prefixes.namespace(label)}> ."
+             for label in sorted(prefixes.labels())]
+    if lines:
+        lines.append("")
+    lines.extend(statements)
+    lines.append("")
+    return "\n".join(lines)
+
+
 def serialize_turtle(graph: RdfGraph) -> str:
     """Render a graph as Turtle with a fixed, deterministic layout.
 
@@ -787,97 +851,62 @@ def serialize_turtle(graph: RdfGraph) -> str:
     subject with ';' and ',' and sorted by expanded IRI so output is
     byte-stable for equal graphs.
     """
-    prefixes = graph.prefixes
-    ordered = sorted(graph.triples, key=triple_sort_key)
-    rendered: dict[Term, str] = {}  # most terms recur; render each once
-
-    def render(term: Term) -> str:
-        text = rendered.get(term)
-        if text is None:
-            text = rendered[term] = _render_term(term, prefixes)
-        return text
-
-    lines = [f"@prefix {label}: <{prefixes.namespace(label)}> ."
-             for label in sorted(prefixes.labels())]
-    if lines:
-        lines.append("")
-
-    for subject, group in groupby(ordered, key=attrgetter("subject")):
-        parts = [("a" if predicate == RDF_TYPE else render(predicate)) + " "
-                 + ", ".join(render(t.object) for t in objects)
-                 for predicate, objects in groupby(group, key=attrgetter("predicate"))]
-        # Predicate groups on continuation lines, indented for readability.
-        body = " ;\n    ".join(parts)
-        lines.append(f"{render(subject)} {body} .")
-    lines.append("")
-    return "\n".join(lines)
+    return _document(graph.prefixes,
+                     [text for _, text in _subject_blocks(graph.triples, graph.prefixes, {})])
 
 
-# ---------------------------------------------------------------------------
-# Graph isomorphism up to blank-node relabeling
-# ---------------------------------------------------------------------------
+def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator[str]:
+    """Yield ``serialize_turtle(graph)`` for each of ``graphs``, which extend ``base``.
 
+    The base's statements are rendered once. For each graph only the
+    subjects that its additions touch are rendered again, from their base
+    triples plus the additions, and spliced into the base's statements by
+    subject order. A graph for which reused statements could render
+    differently gets a plain ``serialize_turtle``: one that lacks a base
+    triple, lacks a base prefix label or binds it elsewhere, or binds a new
+    namespace that contraction could pick for a base IRI.
+    """
+    rendered: dict[Term, str] = {}
+    blocks = _subject_blocks(base.triples, base.prefixes, rendered)
+    keys = [key for key, _ in blocks]
+    texts = [text for _, text in blocks]
+    by_subject: dict[Union[Iri, BlankNode], list[Triple]] = {}
+    for t in base.triples:
+        by_subject.setdefault(t.subject, []).append(t)
+    iris = {term.value for t in base.triples
+            for term in (t.subject, t.predicate, t.object, getattr(t.object, "datatype", None))
+            if isinstance(term, Iri)}
+    iri_namespaces = {value[:max(value.rfind("#"), value.rfind("/")) + 1] for value in iris}
+    base_ns = dict(base.prefixes.items())
 
-def _blank_signature(graph_triples: frozenset[Triple], label: str) -> tuple:
-    sig = []
-    for t in graph_triples:
-        s_blank = isinstance(t.subject, BlankNode) and t.subject.label == label
-        o_blank = isinstance(t.object, BlankNode) and t.object.label == label
-        if s_blank or o_blank:
-            s = "*" if isinstance(t.subject, BlankNode) else t.subject.value
-            o = "*" if isinstance(t.object, BlankNode) else _term_sort_key(t.object)
-            sig.append((s_blank, t.predicate.value, o_blank, s, o))
-    return tuple(sorted(map(repr, sig)))
+    def captures(ns: str) -> bool:
+        """Whether contraction could pick ``ns`` for some base IRI."""
+        if ns.endswith(("#", "/")):
+            return ns in iri_namespaces
+        return any(value.startswith(ns) for value in iris)
 
+    def splice(graph: RdfGraph) -> str:
+        table = graph.prefixes
+        if (not base.triples <= graph.triples
+                or any(table.namespace(label) != ns for label, ns in base_ns.items())
+                or any(label not in base_ns and captures(ns) for label, ns in table.items())):
+            return serialize_turtle(graph)
+        added = graph.triples - base.triples
+        touched = {t.subject for t in added}
+        # Base terms render alike under this table; its own terms need not
+        # render alike under the next graph's, hence the copy.
+        redone = _subject_blocks(
+            [*added, *(t for s in touched for t in by_subject.get(s, ()))], table,
+            dict(rendered))
+        statements: list[str] = []
+        start = 0
+        for key, text in redone:
+            i = bisect_left(keys, key, start)
+            statements.extend(texts[start:i])
+            statements.append(text)
+            start = i + 1 if i < len(keys) and keys[i] == key else i
+        statements.extend(texts[start:])
+        return _document(table, statements)
 
-def _rename_blanks(t: Triple, mapping: dict[str, str]) -> Triple:
-    s = BlankNode(mapping[t.subject.label]) if isinstance(t.subject, BlankNode) else t.subject
-    o = BlankNode(mapping[t.object.label]) if isinstance(t.object, BlankNode) else t.object
-    return Triple(s, t.predicate, o)
-
-
-def isomorphic(g1: RdfGraph, g2: RdfGraph) -> bool:
-    """True when the graphs are equal up to a bijective blank-node relabeling."""
-    def split(g: RdfGraph):
-        ground, blanky = set(), set()
-        labels = set()
-        for t in g.triples:
-            has_blank = False
-            if isinstance(t.subject, BlankNode):
-                labels.add(t.subject.label)
-                has_blank = True
-            if isinstance(t.object, BlankNode):
-                labels.add(t.object.label)
-                has_blank = True
-            (blanky if has_blank else ground).add(t)
-        return ground, blanky, sorted(labels)
-
-    ground1, blanky1, labels1 = split(g1)
-    ground2, blanky2, labels2 = split(g2)
-    if ground1 != ground2 or len(labels1) != len(labels2) or len(blanky1) != len(blanky2):
-        return False
-    if not labels1:
-        return True
-
-    sig1 = {lb: _blank_signature(g1.triples, lb) for lb in labels1}
-    sig2 = {lb: _blank_signature(g2.triples, lb) for lb in labels2}
-    candidates = {lb: [m for m in labels2 if sig2[m] == sig1[lb]] for lb in labels1}
-    order = sorted(labels1, key=lambda lb: len(candidates[lb]))
-
-    def backtrack(idx: int, mapping: dict[str, str], used: set[str]) -> bool:
-        if idx == len(order):
-            renamed = {_rename_blanks(t, mapping) for t in blanky1}
-            return renamed == blanky2
-        lb = order[idx]
-        for m in candidates[lb]:
-            if m in used:
-                continue
-            mapping[lb] = m
-            used.add(m)
-            if backtrack(idx + 1, mapping, used):
-                return True
-            del mapping[lb]
-            used.discard(m)
-        return False
-
-    return backtrack(0, {}, set())
+    # One call per graph, so its temporaries are freed before the next.
+    yield from map(splice, graphs)

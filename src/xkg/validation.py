@@ -312,29 +312,30 @@ class MiniOntology:
 
 
 def _find_cycle(edges: dict[Iri, set[Iri]]) -> Optional[list[Iri]]:
+    """The first cycle a depth-first search meets, as a closed path, or None.
+
+    The search keeps its own stack, so a chain of any length is safe.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[Iri, int] = defaultdict(int)
-    stack: list[Iri] = []
-
-    def visit(node: Iri) -> Optional[list[Iri]]:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in edges.get(node, ()):
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        color[node] = BLACK
-        stack.pop()
-        return None
-
-    for node in list(edges):
-        if color[node] == WHITE:
-            found = visit(node)
-            if found:
-                return found
+    for root in list(edges):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]  # the gray nodes, in visiting order
+        pending = [iter(edges.get(root, ()))]  # each path node's unvisited successors
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(edges.get(nxt, ())))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 

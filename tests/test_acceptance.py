@@ -13,6 +13,7 @@ import pytest
 
 from corpus import build_corpus
 from generators import random_amr_graph, random_dag, random_ratings_table, random_rdf_graph
+from isomorphism import amr_isomorphic, isomorphic
 from oracles import (
     connected_components,
     kappa_oracle,
@@ -20,11 +21,11 @@ from oracles import (
     percent_agreement_oracle,
     reachability_pairs,
 )
-from xkg.amr import amr_isomorphic, parse_penman, parse_penman_file, serialize_penman
+from xkg.amr import parse_penman, parse_penman_file, serialize_penman
 from xkg.backends import MappingBackend
 from xkg.cli import EXIT_DIAGNOSTICS, main
 from xkg.config import bundled_resources_root, default_resource_paths
-from xkg.enrichment import HEURISTIC_BY_NAME, run_all, run_heuristic
+from xkg.enrichment import HEURISTIC_BY_NAME, read_system_template, run_all, run_heuristic
 from xkg.rdf import (
     DUL_NS,
     FRED_NS,
@@ -38,7 +39,6 @@ from xkg.rdf import (
     WN30_NS,
     Iri,
     Triple,
-    isomorphic,
     parse_turtle,
     serialize_turtle,
 )
@@ -64,6 +64,7 @@ from xkg.agreement import (
 )
 
 RESOURCES = default_resource_paths()
+SYSTEM = read_system_template(RESOURCES.prompts_dir)
 FIXTURES = bundled_resources_root() / "fixtures"
 
 BASE_PROFILE_ROW = (293, 33, 23, 20, 1, 4, 10)
@@ -147,7 +148,8 @@ def test_criterion_3_profile_calibration():
 def test_criterion_4_anchoring():
     base = scene_base_graph()
     impact_mock = (RESOURCES.mock_dir / "FactualImpact.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, serialize_turtle(base), HEURISTIC_BY_NAME["FactualImpact"],
+    result = run_heuristic(base, serialize_turtle(base), SYSTEM,
+                           HEURISTIC_BY_NAME["FactualImpact"],
                            MappingBackend({"FactualImpact": impact_mock}), RESOURCES.prompts_dir)
     assert [d for d in result.diagnostics if d.code == ANCHOR_FLOAT] == []
 
@@ -175,7 +177,8 @@ def test_criterion_5_consistency():
     onto = MiniOntology.from_turtle_file(RESOURCES.mini_ontology)
 
     metonymic = (RESOURCES.mock_dir / "MetonymicCoercion.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, serialize_turtle(base), HEURISTIC_BY_NAME["MetonymicCoercion"],
+    result = run_heuristic(base, serialize_turtle(base), SYSTEM,
+                           HEURISTIC_BY_NAME["MetonymicCoercion"],
                            MappingBackend({"MetonymicCoercion": metonymic}),
                            RESOURCES.prompts_dir)
     clashes = check_consistency(result.xkg, onto)
@@ -193,7 +196,8 @@ def test_criterion_6_precedence():
     started = time.monotonic()
     base = scene_base_graph()
     sequences = (RESOURCES.mock_dir / "EventSequences.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, serialize_turtle(base), HEURISTIC_BY_NAME["EventSequences"],
+    result = run_heuristic(base, serialize_turtle(base), SYSTEM,
+                           HEURISTIC_BY_NAME["EventSequences"],
                            MappingBackend({"EventSequences": sequences}),
                            RESOURCES.prompts_dir)
     inference = infer_precedence(result.xkg)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from generators import random_amr_graph
+from isomorphism import amr_isomorphic
 from xkg.amr import (
     MAX_NESTING,
     AmrConstant,
@@ -13,7 +14,6 @@ from xkg.amr import (
     DuplicateVariableError,
     PenmanSyntaxError,
     amr_equal,
-    amr_isomorphic,
     normalize_inverse_roles,
     parse_penman,
     parse_penman_file,
@@ -52,6 +52,17 @@ class TestParse:
         graph = parse_penman("(a / athlete :ARG0-of (w / win-01))", normalize_inverse=False)
         (edge,) = graph.edges
         assert edge == AmrEdge("a", ":ARG0-of", "w")
+
+    def test_duplicate_edges_keep_first_occurrence_order(self):
+        text = "(w / win-01 :ARG0 (a / athlete :ARG0-of w :mod (t / team)) :ARG0 a :mod t :ARG1 t)"
+        expected = (AmrEdge("w", ":ARG0", "a"), AmrEdge("a", ":mod", "t"),
+                    AmrEdge("w", ":mod", "t"), AmrEdge("w", ":ARG1", "t"))
+        assert parse_penman(text).edges == expected
+        raw = parse_penman(text, normalize_inverse=False)
+        assert raw.edges == (AmrEdge("a", ":ARG0-of", "w"), AmrEdge("a", ":mod", "t"),
+                             AmrEdge("w", ":ARG0", "a"), AmrEdge("w", ":mod", "t"),
+                             AmrEdge("w", ":ARG1", "t"))
+        assert normalize_inverse_roles(raw).edges == expected
 
     def test_normalization_is_involution_safe(self):
         graph = parse_penman(

@@ -7,6 +7,7 @@ from xkg import run_pipeline
 from xkg.backends import MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from xkg.config import bundled_resources_root, default_config
+from xkg.enrichment import HEURISTICS
 from xkg.rdf import parse_turtle, serialize_turtle
 
 FIXTURES = bundled_resources_root() / "fixtures"
@@ -104,6 +105,15 @@ class TestBase:
 def base_graph_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("base")
     assert main(["base", "--amr", SCENE_AMR, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    # The merged graph deliberately carries the metonymic inconsistency.
+    code = main(["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR, "--out", str(out)])
+    assert code == EXIT_DIAGNOSTICS
     return out
 
 
@@ -271,6 +281,11 @@ class TestGoldenFiles:
         # byte-stable; regenerate tests/golden/ deliberately if rules change.
         assert read(base_graph_dir / "base-graph.ttl") == read(self.GOLDEN / "base-graph.ttl")
         assert read(base_graph_dir / "base-profile.json") == read(self.GOLDEN / "base-profile.json")
+
+    @pytest.mark.parametrize("name", [f"xkg-{spec.name}.ttl" for spec in HEURISTICS]
+                             + ["xkg-merged.ttl"])
+    def test_enrichment_bytes_are_pinned(self, run_dir, name):
+        assert read(run_dir / name) == read(self.GOLDEN / name)
 
 
 class TestRun:

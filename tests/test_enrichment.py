@@ -19,6 +19,7 @@ from xkg.enrichment import (
     PromptRequest,
     assemble_prompt,
     extract_turtle,
+    read_system_template,
     run_all,
     run_heuristic,
 )
@@ -49,6 +50,7 @@ fred:celebrate_1 a pbrs:celebrate-01 ;
 fred:win_1 a pbrs:win-01 .
 """, standard_prefixes())
 SCENE_TURTLE = serialize_turtle(SCENE_BASE)
+SYSTEM = read_system_template(PROMPTS)
 
 IMPACT_RESPONSE = """```turtle
 @prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .
@@ -86,32 +88,35 @@ class TestRegistry:
 
 class TestAssemblePrompt:
     def test_empty_base_gives_prefix_only_graph_slot(self):
-        request = assemble_prompt(serialize_turtle(RdfGraph.of([], standard_prefixes())), FACTUAL, PROMPTS)
+        request = assemble_prompt(serialize_turtle(RdfGraph.of([], standard_prefixes())), SYSTEM,
+                                  FACTUAL, PROMPTS)
         graph_lines = [l for l in request.user_text.splitlines() if l.startswith("@prefix")]
         assert graph_lines
         assert "fred:" not in request.user_text.replace(
             "@prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .", "")
 
     def test_base_graph_embedded(self):
-        request = assemble_prompt(SCENE_TURTLE, FACTUAL, PROMPTS)
+        request = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, PROMPTS)
         assert "fred:athlete_1" in request.user_text
         assert SCENE_TURTLE in request.user_text
         assert request.tag == "FactualImpact"
 
     def test_byte_identical_requests(self):
-        first = assemble_prompt(SCENE_TURTLE, FACTUAL, PROMPTS)
-        second = assemble_prompt(SCENE_TURTLE, FACTUAL, PROMPTS)
+        first = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, PROMPTS)
+        second = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, PROMPTS)
         assert first == second
 
     def test_missing_template(self, tmp_path):
         with pytest.raises(MissingTemplateError):
-            assemble_prompt(SCENE_TURTLE, FACTUAL, tmp_path)
+            read_system_template(tmp_path)
+        with pytest.raises(MissingTemplateError):
+            assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)
 
     def test_missing_placeholder(self, tmp_path):
         (tmp_path / "system.txt").write_text("sys", encoding="utf-8")
         (tmp_path / FACTUAL.prompt_template).write_text("no slot here", encoding="utf-8")
         with pytest.raises(MissingPlaceholderError):
-            assemble_prompt(SCENE_TURTLE, FACTUAL, tmp_path)
+            assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -159,7 +164,7 @@ fred:y_1 fred:q fred:z_1 .
 class TestRunHeuristic:
     def test_impact_mock_flow(self):
         backend = MappingBackend({"FactualImpact": IMPACT_RESPONSE})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, FACTUAL, backend, PROMPTS)
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         assert len(result.added) == 5
         assert not result.failed
         assert [d for d in result.diagnostics if d.code == ANCHOR_FLOAT] == []
@@ -168,7 +173,7 @@ class TestRunHeuristic:
     def test_floating_triples_flagged(self):
         backend = MappingBackend({
             "FactualImpact": "@prefix x: <http://x.example/> . x:a x:p x:b ."})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, FACTUAL, backend, PROMPTS)
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         floats = [d for d in result.diagnostics if d.code == ANCHOR_FLOAT]
         assert len(floats) == 1
         assert result.failed
@@ -179,19 +184,19 @@ class TestRunHeuristic:
             "@prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .\n"
             "@prefix pbrs: <https://w3id.org/framester/data/propbank-3.4.0/RoleSet/> .\n"
             "fred:spectator_1 pbrs:cheer-01.agent fred:athlete_1 ."})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, FACTUAL, backend, PROMPTS)
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         assert PREFIX_MISUSE in {d.code for d in result.diagnostics}
 
     def test_backend_failure_becomes_diagnostic(self):
         backend = MappingBackend({})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, FACTUAL, backend, PROMPTS)
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         assert result.added == frozenset()
         assert [d.code for d in result.diagnostics] == [RESPONSE_INVALID]
         assert result.failed
 
     def test_unparseable_response_becomes_diagnostic(self):
         backend = MappingBackend({"FactualImpact": "I cannot help."})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, FACTUAL, backend, PROMPTS)
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         assert result.added == frozenset()
         assert result.failed
 
@@ -237,6 +242,24 @@ class TestRunAll:
         assert "bad \\u escape" in moral.diagnostics[0].message
         assert not by_name["FactualImpact"].failed
         assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
+
+    @pytest.mark.parametrize("obj", ['"go\ud800"', "<http://e/go\udc00>"])
+    def test_lone_surrogate_quarantines_only_its_heuristic(self, obj):
+        # A JSON body can decode to a lone surrogate, which UTF-8 cannot encode.
+        responses = {spec.name: "" for spec in HEURISTICS}
+        responses["FactualImpact"] = IMPACT_RESPONSE
+        responses["MoralValueCoercion"] = (
+            "@prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .\n"
+            f"fred:athlete_1 fred:motto {obj} .")
+        results, merged = run_all(SCENE_BASE, MappingBackend(responses), PROMPTS)
+        by_name = {r.heuristic: r for r in results}
+        moral = by_name["MoralValueCoercion"]
+        assert [d.code for d in moral.diagnostics] == [RESPONSE_INVALID]
+        assert "lone surrogate" in moral.diagnostics[0].message
+        assert not by_name["FactualImpact"].failed
+        assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
+        for graph in [merged] + [r.xkg for r in results]:
+            serialize_turtle(graph).encode("utf-8")
 
     def test_mock_directory_run_is_byte_stable(self):
         base = SCENE_BASE  # anchors exist for athlete/win triples

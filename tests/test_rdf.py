@@ -1,15 +1,19 @@
 import random
 
 import pytest
+
+import xkg.rdf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import EX_NS, random_rdf_graph
+from isomorphism import isomorphic
 from xkg.rdf import (
     FRED_NS,
     PBLR_NS,
     TRUE,
     XSD_BOOLEAN,
+    XSD_DECIMAL,
     XSD_INTEGER,
     XSD_STRING,
     BlankNode,
@@ -24,9 +28,9 @@ from xkg.rdf import (
     TurtleSyntaxError,
     UndeclaredPrefixError,
     diff,
-    isomorphic,
     merge,
     parse_turtle,
+    serialize_extensions,
     serialize_turtle,
     standard_prefixes,
 )
@@ -231,6 +235,9 @@ SYNTAX_ERRORS = {
     "line 4 after a trailing comment": (
         "# c\r\n\r\n\tex:a ex:p ex:b .# x\r\n\t  !", 4, 4, "unexpected character '!'"),
     "end of input": ("ex:a ex:p ", 1, 11, "expected object, found ''"),
+    "lone surrogate in a string": ('ex:a ex:p "x\ud800y" .', 1, 13, "lone surrogate U+D800"),
+    "lone surrogate in an IRI on line 2": (
+        "ex:a ex:p ex:b .\n  ex:c ex:p <http://e/\udfff> .", 2, 23, "lone surrogate U+DFFF"),
 }
 
 
@@ -267,6 +274,86 @@ class TestSerialize:
             standard_prefixes())
         text = serialize_turtle(graph)
         assert "<http://unbound.org/p>" in text
+
+
+# Terms over a few namespaces; the prefix tables below may bind them, their
+# unsplit prefixes ("http://ex.org/b", "urn:ex:") or unrelated namespaces.
+_EXT_NS = ["http://ex.org/a#", "http://ex.org/b/", "http://ex.org/bx/", "urn:ex:y"]
+_EXT_BIND_NS = _EXT_NS + ["http://ex.org/b", "http://ex.org/", "urn:ex:", "urn:",
+                          "http://other.org/#"]
+_ext_iris = st.builds(lambda ns, local: Iri(ns + local), st.sampled_from(_EXT_NS),
+                      st.sampled_from(["a", "b", "x.y", "1", "-z", ""]))
+_ext_blanks = st.sampled_from([BlankNode("n1"), BlankNode("n2"), BlankNode("b1")])
+_ext_literals = st.one_of(
+    st.builds(lambda lexical, dt: Literal("true" if dt == XSD_BOOLEAN else lexical, dt),
+              st.sampled_from(["7", "2.5", "abc", 'q"t']),
+              st.sampled_from([None, XSD_INTEGER, XSD_DECIMAL, XSD_BOOLEAN, XSD_STRING,
+                               Iri("http://ex.org/b/dt"), Iri("urn:ex:ydt")])),
+    st.builds(Literal, st.sampled_from(["hi", "yo"]), st.none(), st.sampled_from(["en", "fr"])))
+_ext_objects = st.one_of(_ext_iris, _ext_blanks, _ext_literals)
+_ext_tables = st.dictionaries(st.sampled_from(["ex", "b", "u", "o"]),
+                              st.sampled_from(_EXT_BIND_NS), max_size=4)
+
+
+@st.composite
+def _base_and_extensions(draw):
+    base_table = PrefixTable(draw(_ext_tables))
+    base = RdfGraph.of(draw(st.lists(st.builds(Triple, st.one_of(_ext_iris, _ext_blanks),
+                                               _ext_iris, _ext_objects), max_size=12)),
+                       base_table)
+    base_subjects = sorted({t.subject for t in base.triples}, key=repr)
+    subjects = st.one_of(_ext_iris, _ext_blanks, *([st.sampled_from(base_subjects)]
+                                                    if base_subjects else []))
+    graphs = []
+    for _ in range(draw(st.integers(0, 4))):
+        triples = set(base.triples)
+        if triples and draw(st.integers(0, 9)) == 0:  # not an extension of the base
+            triples.remove(min(triples, key=repr))
+        triples |= set(draw(st.lists(st.builds(Triple, subjects, _ext_iris, _ext_objects),
+                                     max_size=5)))
+        extra = draw(_ext_tables)
+        if draw(st.booleans()):  # the base's table plus new labels
+            table = base_table
+            for label, ns in extra.items():
+                if label not in table:
+                    table = table.with_binding(label, ns)
+        else:  # an unrelated table: base labels may be missing or rebound
+            table = PrefixTable(extra)
+        graphs.append(RdfGraph(frozenset(triples), table))
+    return base, graphs
+
+
+class TestSerializeExtensions:
+    @settings(max_examples=200, deadline=None)
+    @given(_base_and_extensions())
+    def test_equals_serialize_turtle(self, case):
+        base, graphs = case
+        assert list(serialize_extensions(base, graphs)) == [serialize_turtle(g) for g in graphs]
+
+    BASE = RdfGraph.of(
+        [Triple(Iri("http://ex.org/b/s"), Iri("http://ex.org/a#p"), Iri("urn:ex:yo")),
+         Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#p"), Literal("1", XSD_INTEGER))],
+        PrefixTable({"ex": "http://ex.org/a#"}))
+    ADDED = Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#q"), BlankNode("n1"))
+
+    @pytest.mark.parametrize("table,keep_base,fallbacks", [
+        ({"ex": "http://ex.org/a#", "n": "http://other.org/"}, True, 0),
+        ({"ex": "http://ex.org/a#", "n": "http://ex.org/b/"}, True, 1),  # a base IRI's namespace
+        ({"ex": "http://ex.org/a#", "n": "urn:ex:"}, True, 1),  # an unsplit prefix of one
+        ({"ex": "http://ex.org/a#", "n": "urn:ex:yx"}, True, 0),  # an unsplit prefix of none
+        ({"ex": "http://other.org/"}, True, 1),  # a rebound base label
+        ({"n": "http://ex.org/a#"}, True, 1),  # the base namespace under another label
+        ({"ex": "http://ex.org/a#"}, False, 1),  # base triples missing
+    ])
+    def test_falls_back_where_base_statements_could_change(self, monkeypatch, table,
+                                                            keep_base, fallbacks):
+        calls = []
+        monkeypatch.setattr(xkg.rdf, "serialize_turtle",
+                            lambda g: calls.append(g) or serialize_turtle(g))
+        triples = (self.BASE.triples if keep_base else frozenset()) | {self.ADDED}
+        graph = RdfGraph(triples, PrefixTable(table))
+        assert list(serialize_extensions(self.BASE, [graph])) == [serialize_turtle(graph)]
+        assert len(calls) == fallbacks
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -44,6 +45,7 @@ from xkg.validation import (
     lint,
     profile,
 )
+from xkg.validation import _find_cycle
 
 
 def fred(local):
@@ -225,6 +227,59 @@ class TestConsistency:
         with pytest.raises(ValueError):
             MiniOntology({Iri(DUL_NS + "A"): {Iri(DUL_NS + "B")},
                           Iri(DUL_NS + "B"): {Iri(DUL_NS + "A")}}, set())
+
+
+def _recursive_find_cycle(edges):
+    """The recursive depth-first search ``_find_cycle`` replaced: the oracle
+    for the cycle it must return."""
+    color = defaultdict(int)  # 0 white, 1 gray, 2 black
+    stack = []
+
+    def visit(node):
+        color[node] = 1
+        stack.append(node)
+        for nxt in edges.get(node, ()):
+            if color[nxt] == 1:
+                return stack[stack.index(nxt):] + [nxt]
+            if color[nxt] == 0:
+                found = visit(nxt)
+                if found:
+                    return found
+        color[node] = 2
+        stack.pop()
+        return None
+
+    for node in list(edges):
+        if color[node] == 0:
+            found = visit(node)
+            if found:
+                return found
+    return None
+
+
+class TestFindCycle:
+    DEPTH = 5000  # far beyond the interpreter's recursion limit
+
+    def test_deep_subclass_chain_constructs(self):
+        chain = [Triple(ex(f"C{i}"), RDFS_SUBCLASSOF, ex(f"C{i + 1}")) for i in range(self.DEPTH)]
+        onto = MiniOntology.from_graph(RdfGraph.of(chain))
+        assert len(onto.subclass_of) == self.DEPTH
+
+    def test_closed_deep_chain_names_the_cycle(self):
+        edges = {ex(f"C{i}"): {ex(f"C{(i + 1) % self.DEPTH}")} for i in range(self.DEPTH)}
+        with pytest.raises(ValueError) as err:
+            MiniOntology(edges, set())
+        names = [f"C{i}" for i in range(self.DEPTH)] + ["C0"]
+        assert str(err.value) == "cyclic subclass hierarchy: " + " -> ".join(names)
+
+    def test_agrees_with_recursive_search(self):
+        rng = random.Random(11)
+        nodes = [ex(f"n{i}") for i in range(7)]
+        for _ in range(500):
+            edges = {}
+            for _ in range(rng.randrange(12)):
+                edges.setdefault(rng.choice(nodes), set()).add(rng.choice(nodes))
+            assert _find_cycle(edges) == _recursive_find_cycle(edges)
 
 
 class TestPrecedence:
