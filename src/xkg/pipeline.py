@@ -18,6 +18,7 @@ from .amr import AmrError, parse_penman_file
 from .backends import (
     SUPPORTED_IMAGE_SUFFIXES,
     Backend,
+    BackendError,
     HttpBackend,
     UnsupportedImageFormatError,
 )
@@ -60,12 +61,22 @@ class PipelineResult:
 
 def describe(source: Union[str, Path], backend: Backend) -> str:
     """The scene description: ``source`` itself when it is text, else the
-    backend's description of the image file it names."""
+    backend's description of the image file it names.
+
+    Raises BackendError for a description that UTF-8 cannot encode (a JSON
+    body can decode to a lone surrogate), which could not be written.
+    """
     if isinstance(source, str):
         return source
     if source.suffix.lower() not in SUPPORTED_IMAGE_SUFFIXES:
         raise UnsupportedImageFormatError(f"unsupported image format {source.suffix!r}")
-    return backend.describe(source)
+    description = backend.describe(source)
+    try:
+        description.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise BackendError(f"description holds a lone surrogate "
+                           f"U+{ord(description[exc.start]):04X} at offset {exc.start}")
+    return description
 
 
 def build_base(penman: str, resources: ResourcePaths) -> RdfGraph:

@@ -11,10 +11,15 @@ hold no lone surrogate character, and ``[ ]`` blank nodes nest at most
 ``MAX_NESTING`` deep; anything else raises ``TurtleSyntaxError`` with its
 line and column.
 
-The tokenizer matches one regular expression per token kind at the current
-offset and tracks only the offset and the start of the current line, so a
-column is computed, not counted. Prefix contraction looks the namespace up
-by the IRI's last ``#`` or ``/``.
+The reader scans with one regular expression that skips whitespace and
+comments and matches one token, with one group per token kind, and emits a
+``(kind, text, offset)`` tuple per token; a line and column are computed
+from the offset only for an error. The parser walks the token list with a
+local index, recursing only into ``[ ]``, and resolves each distinct IRI,
+prefixed name and blank node label once per document. Terms are tuples, so
+they hash and compare in C. A prefix table may hold a second label for a
+namespace, which expands but is neither declared nor used for contraction.
+Prefix contraction looks the namespace up by the IRI's last ``#`` or ``/``.
 
 Serialization is fully deterministic (subjects sorted by expanded IRI, then
 predicates, then objects) so that golden-file tests are byte-stable. A
@@ -36,8 +41,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import count, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 # Namespaces used across the pipeline. Framester/OntologyDesignPatterns IRIs
@@ -110,17 +115,31 @@ class PrefixConflictError(RdfError):
         super().__init__(f"prefix '{label}:' bound to both <{iri1}> and <{iri2}>")
 
 
-@dataclass(frozen=True)
-class Iri:
+# Terms are tuples, so hashing and equality run in C. Each class validates in
+# ``__new__`` and has no instance dict; ``tuple.__new__`` builds one unchecked.
+_new = tuple.__new__
+
+
+class _Tuple(tuple):
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments, with which copy and pickle rebuild it."""
+        return tuple(self)
+
+
+class Iri(_Tuple):
     """An absolute IRI."""
 
-    value: str
+    __slots__ = ()
+    value = property(itemgetter(0))
 
-    def __post_init__(self) -> None:
-        if not self.value or ":" not in self.value:
-            raise ValueError(f"not an absolute IRI: {self.value!r}")
-        if _IRI_FORBIDDEN.search(self.value):
-            raise ValueError(f"forbidden character in IRI: {self.value!r}")
+    def __new__(cls, value: str) -> "Iri":
+        if not value or ":" not in value:
+            raise ValueError(f"not an absolute IRI: {value!r}")
+        if _IRI_FORBIDDEN.search(value):
+            raise ValueError(f"forbidden character in IRI: {value!r}")
+        return _new(cls, (value,))
 
     def local_name(self) -> str:
         """Everything after the last '#' or '/' (the conventional local part)."""
@@ -158,22 +177,23 @@ DUL_HAS_QUALITY = Iri(DUL_NS + "hasQuality")
 DUL_PRECEDES = Iri(DUL_NS + "precedes")
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Tuple):
     """An RDF literal. ``datatype`` and ``language`` are mutually exclusive."""
 
-    lexical: str
-    datatype: Optional[Iri] = None
-    language: Optional[str] = None
+    __slots__ = ()
+    lexical = property(itemgetter(0))
+    datatype = property(itemgetter(1))
+    language = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
+                language: Optional[str] = None) -> "Literal":
+        if datatype is not None and language is not None:
             raise ValueError("literal cannot have both a datatype and a language tag")
-        if self.datatype == XSD_BOOLEAN:
-            lowered = self.lexical.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(f"bad boolean lexical form: {self.lexical!r}")
-            object.__setattr__(self, "lexical", lowered)
+        if datatype == XSD_BOOLEAN:
+            if lexical.lower() not in ("true", "false"):
+                raise ValueError(f"bad boolean lexical form: {lexical!r}")
+            lexical = lexical.lower()
+        return _new(cls, (lexical, datatype, language))
 
     def __repr__(self) -> str:
         if self.language:
@@ -183,11 +203,18 @@ class Literal:
         return f"Literal({self.lexical!r})"
 
 
-@dataclass(frozen=True)
-class BlankNode:
+class BlankNode(_Tuple):
     """A blank node with a parse-scope label."""
 
-    label: str
+    __slots__ = ()
+    label = property(itemgetter(0))
+
+    def __new__(cls, label: str) -> "BlankNode":
+        # The tag keeps a blank node unequal to the IRI of the same text.
+        return _new(cls, (label, "_:"))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:1]
 
     def __repr__(self) -> str:
         return f"BlankNode(_:{self.label})"
@@ -199,20 +226,21 @@ TRUE = Literal("true", XSD_BOOLEAN)
 FALSE = Literal("false", XSD_BOOLEAN)
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Union[Iri, BlankNode]
-    predicate: Iri
-    object: Term
+class Triple(_Tuple):
+    __slots__ = ()
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    def __new__(cls, subject: Union[Iri, BlankNode], predicate: Iri, object: Term) -> "Triple":
+        if isinstance(subject, Literal):
             raise ValueError("triple subject cannot be a literal")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise ValueError("triple predicate must be an IRI")
+        return _new(cls, (subject, predicate, object))
 
-    def __iter__(self) -> Iterator[Term]:
-        return iter((self.subject, self.predicate, self.object))
+    def __repr__(self) -> str:
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
 
 
 def _term_sort_key(term: Term) -> tuple:
@@ -239,42 +267,53 @@ class PrefixTable:
         self._by_ns: dict[str, str] = {}
         # Namespaces ending in neither '#' nor '/', which contract must scan.
         self._unsplit_ns: list[str] = []
+        # Further labels of a bound namespace. They expand, but the table
+        # neither contracts to nor declares them, so a namespace keeps one
+        # label and rendering stays a round trip.
+        self._aliases: dict[str, str] = {}
         if mapping:
             for label, ns in mapping.items():
                 self._bind(label, ns)
 
     def _bind(self, label: str, ns: str) -> None:
-        existing = self._by_label.get(label)
+        existing = self.namespace(label)
         if existing is not None and existing != ns:
             raise PrefixConflictError(label, existing, ns)
         if existing == ns:
             return
         if ns in self._by_ns:
-            # Same namespace under a second label would make contraction
-            # ambiguous; keep the first binding.
+            self._aliases[label] = ns
             return
         self._by_label[label] = ns
         self._by_ns[ns] = label
         if not ns.endswith(("#", "/")):
             self._unsplit_ns.append(ns)
 
+    def _copy(self) -> "PrefixTable":
+        out = PrefixTable()
+        out._by_label, out._by_ns = dict(self._by_label), dict(self._by_ns)
+        out._unsplit_ns, out._aliases = list(self._unsplit_ns), dict(self._aliases)
+        return out
+
     def with_binding(self, label: str, ns: str) -> "PrefixTable":
-        merged = PrefixTable(self._by_label)
-        merged._bind(label, ns)
-        return merged
+        out = self._copy()
+        out._bind(label, ns)
+        return out
 
     def merged(self, other: "PrefixTable") -> "PrefixTable":
+        """Both tables' declared labels; aliases matter only to a parse."""
         out = PrefixTable(self._by_label)
         for label, ns in other.items():
             out._bind(label, ns)
         return out
 
     def namespace(self, label: str) -> Optional[str]:
-        return self._by_label.get(label)
+        ns = self._by_label.get(label)
+        return self._aliases.get(label) if ns is None else ns
 
     def expand(self, curie: str) -> Iri:
         label, _, local = curie.partition(":")
-        ns = self._by_label.get(label)
+        ns = self.namespace(label)
         if ns is None:
             raise UndeclaredPrefixError(label)
         return Iri(ns + local)
@@ -303,7 +342,7 @@ class PrefixTable:
         return self._by_label.keys()
 
     def __contains__(self, label: str) -> bool:
-        return label in self._by_label
+        return self.namespace(label) is not None
 
     def __len__(self) -> int:
         return len(self._by_label)
@@ -405,149 +444,111 @@ def diff(after: RdfGraph, before: RdfGraph) -> frozenset[Triple]:
 
 
 # ---------------------------------------------------------------------------
-# Turtle tokenizer
+# Turtle reader
 # ---------------------------------------------------------------------------
 
 _NUMBER = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
-_LANG_TAG = re.compile(r"[a-zA-Z]+(-[a-zA-Z0-9]+)*")
-
-# Each pattern is matched at the scanner's offset. Newlines can occur only in
-# the whitespace that _SKIP consumes; every other token ends on its own line.
-_SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
-_IRI_BODY = re.compile(r"<([^>\n <]*)>")
-_STRING_RUN = re.compile(r'[^"\\\n]*')
 # Four hex digits naming no surrogate, which UTF-8 cannot encode.
-_UCHAR = re.compile(r"(?![dD][89A-Fa-f])[0-9A-Fa-f]{4}")
-# A number that runs on into a name is no number; a dot after one ends the
-# statement.
-_NAME_AFTER_NUMBER = re.compile(r"[A-Za-z0-9_\-]")
+_UCHAR = r"(?![dD][89A-Fa-f])[0-9A-Fa-f]{4}"
+
+# One match per token: the whitespace and comments before it, then one group
+# per token kind holding the token's text, so the group's number is the kind.
+# Each group matches only a valid token, so the scan stops at the first bad
+# one and _scan_error names it. A failed match can backtrack, but never into
+# a shorter valid token: a comment runs to the end of its line, and a number
+# may not stop before digits or a fraction, nor run on into a name. A
+# prefixed name is tried early, as the commonest token, so it may not start
+# a blank node label or a number. A name's trailing dots end the statement.
+_NUMBER_TOKEN = r"[+-]?[0-9]+(?:\.[0-9]+(?![A-Za-z0-9_\-])|(?![A-Za-z0-9_\-]|\.[0-9]))"
+_EOF, _IRIREF, _STRING, _PUNCT, _PNAME, _BLANK, _NUM, _WORD, _PREFIX, _LANG = range(10)
+_TOKEN = re.compile(rf"""\s*(?:\#[^\n]*(?![^\n])\s*)*(?:
+    (<[^>\n <]*>)
+  | ("[^"\\\n]*(?:\\(?:[tnr"\\]|u{_UCHAR})[^"\\\n]*)*")
+  | ([;,.\[\]]|\^\^)
+  | (?!_:|{_NUMBER_TOKEN})([A-Za-z0-9_.\-]*:(?:[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:])?)
+  | (_:[A-Za-z0-9_.\-]*)
+  | ({_NUMBER_TOKEN})
+  | (a|true|false)(?!\.*[A-Za-z0-9_\-:])
+  | (@prefix)(?![^\W_]|-)
+  | (@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)(?![^\W_]|-))""", re.VERBOSE)
+_SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
+# For error messages only.
+_STRING_RUN = re.compile(r'[^"\\\n]*')
 _AT_WORD = re.compile(r"(?:[^\W_]|-)*")
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_.\-]*")
-# A name run without its trailing dots, which terminate the statement.
 _NAME_RUN = re.compile(r"[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:]")
+_ESCAPE = re.compile(r"\\(u....|.)")
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # IRIREF PNAME BLANK STRING NUMBER KEYWORD PUNCT EOF
-    value: str
-    line: int
-    column: int
+def _unescape(body: str) -> str:
+    """The value of a valid string literal's body."""
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1]) or chr(int(m[1][1:], 16)), body)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _syntax_error(text: str, pos: int, message: str) -> TurtleSyntaxError:
+    return TurtleSyntaxError(*_line_col(text, pos), message)
+
+
+def _scan_error(text: str, pos: int) -> TurtleSyntaxError:
+    """The error for the text at ``pos``, where no token matches."""
+    c = text[pos]
+    if c == "<":
+        return _syntax_error(text, pos, "unterminated IRI reference")
+    if c == "@":
+        return _syntax_error(text, pos, f"unexpected @{_AT_WORD.match(text, pos + 1).group()}")
+    if c == '"':
+        at = pos + 1
+        while True:
+            at = _STRING_RUN.match(text, at).end()
+            c = text[at : at + 1]
+            if c != "\\":
+                return _syntax_error(text, pos, "newline in string literal" if c
+                                     else "unterminated string literal")
+            esc = text[at + 1 : at + 2]
+            if esc == "u":
+                if not re.match(_UCHAR, text[at + 2 : at + 6]):
+                    return _syntax_error(text, at, "bad \\u escape")
+                at += 6
+            elif esc in _ESCAPES:
+                at += 2
+            else:
+                return _syntax_error(text, at, f"unknown escape \\{esc}")
+    m = _NAME_RUN.match(text, pos)
+    return _syntax_error(text, pos, f"unexpected token {m.group()!r}" if m
+                         else f"unexpected character {c!r}")
+
+
+def _tokenize(text: str) -> list[tuple[int, str, int]]:
+    """Each token as (kind, text, offset), then an _EOF token."""
     if not text.isascii():
         # A lone surrogate (a JSON body can decode to one) would fail only
         # when the graph is written, since UTF-8 cannot encode it.
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
-            line_start = text.rfind("\n", 0, exc.start) + 1
-            raise TurtleSyntaxError(text.count("\n", 0, exc.start) + 1,
-                                    exc.start - line_start + 1,
-                                    f"lone surrogate U+{ord(text[exc.start]):04X}")
-    out: list[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    while True:
-        end = _SKIP.match(text, pos).end()
-        newlines = text.count("\n", pos, end)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, end) + 1
-        pos = end
-        col = pos - line_start + 1
-        if pos >= len(text):
-            out.append(_Token("EOF", "", line, col))
-            return out
-        c = text[pos]
-
-        if c == "<":
-            m = _IRI_BODY.match(text, pos)
-            if m is None:
-                raise TurtleSyntaxError(line, col, "unterminated IRI reference")
-            out.append(_Token("IRIREF", m.group(1), line, col))
-            pos = m.end()
-        elif c == '"':
-            value, pos = _string(text, pos, line, line_start)
-            out.append(_Token("STRING", value, line, col))
-        elif c in ";,.[]":
-            out.append(_Token("PUNCT", c, line, col))
-            pos += 1
-        elif c == "^" and text.startswith("^", pos + 1):
-            out.append(_Token("PUNCT", "^^", line, col))
-            pos += 2
-        elif c == "@":
-            m = _AT_WORD.match(text, pos + 1)
-            word = m.group()
-            pos = m.end()
-            if word == "prefix":
-                out.append(_Token("KEYWORD", "@prefix", line, col))
-            elif _LANG_TAG.fullmatch(word):
-                out.append(_Token("LANG", word, line, col))
-            else:
-                raise TurtleSyntaxError(line, col, f"unexpected @{word}")
-        elif c == "_" and text.startswith(":", pos + 1):
-            m = _BLANK_LABEL.match(text, pos + 2)
-            out.append(_Token("BLANK", m.group(), line, col))
-            pos = m.end()
-        else:
-            m = _NUMBER.match(text, pos)
-            if m and not _NAME_AFTER_NUMBER.match(text, m.end()):
-                out.append(_Token("NUMBER", m.group(), line, col))
-                pos = m.end()
-                continue
-            m = _NAME_RUN.match(text, pos)
-            if m is None:
-                raise TurtleSyntaxError(line, col, f"unexpected character {c!r}")
-            word = m.group()
-            if ":" in word:
-                out.append(_Token("PNAME", word, line, col))
-            elif word == "a":
-                out.append(_Token("KEYWORD", "a", line, col))
-            elif word in ("true", "false"):
-                out.append(_Token("BOOLEAN", word, line, col))
-            else:
-                raise TurtleSyntaxError(line, col, f"unexpected token {word!r}")
-            pos = m.end()
+            raise _syntax_error(text, exc.start, f"lone surrogate U+{ord(text[exc.start]):04X}")
+    # A scanner's match() resumes where its last match ended.
+    tokens = [(k := m.lastindex, m[k], m.start(k))
+              for m in iter(_TOKEN.scanner(text).match, None)]
+    end = _SKIP.match(text, tokens[-1][2] + len(tokens[-1][1]) if tokens else 0).end()
+    if end < len(text):
+        raise _scan_error(text, end)
+    tokens.append((_EOF, "", end))
+    return tokens
 
 
-def _string(text: str, pos: int, line: int, line_start: int) -> tuple[str, int]:
-    """Scan the string literal whose opening quote is at ``pos``.
+def _shown(kind: int, text: str) -> str:
+    """A token's value as error messages show it."""
+    if kind == _STRING:
+        return _unescape(text[1:-1])
+    if kind == _IRIREF:
+        return text[1:-1]
+    return text[2:] if kind == _BLANK else text[1:] if kind == _LANG else text
 
-    Returns its value and the offset after the closing quote.
-    """
-    col = pos - line_start + 1
-    parts: list[str] = []
-    pos += 1
-    while True:
-        m = _STRING_RUN.match(text, pos)
-        parts.append(m.group())
-        pos = m.end()
-        c = text[pos : pos + 1]
-        if c == '"':
-            return "".join(parts), pos + 1
-        if c == "\n":
-            raise TurtleSyntaxError(line, col, "newline in string literal")
-        if not c:
-            raise TurtleSyntaxError(line, col, "unterminated string literal")
-        esc = text[pos + 1 : pos + 2]
-        if esc in _ESCAPES:
-            parts.append(_ESCAPES[esc])
-            pos += 2
-        elif esc == "u":
-            m = _UCHAR.match(text, pos + 2)
-            if m is None:
-                raise TurtleSyntaxError(line, pos - line_start + 1, "bad \\u escape")
-            parts.append(chr(int(m.group(), 16)))
-            pos += 6
-        else:
-            raise TurtleSyntaxError(line, pos - line_start + 1, f"unknown escape \\{esc}")
-
-
-# ---------------------------------------------------------------------------
-# Turtle parser
-# ---------------------------------------------------------------------------
 
 #: Deepest nesting of ``[ ]`` blank nodes that ``parse_turtle`` accepts. The
 #: parser recurses once per level, so without a limit a hostile document
@@ -555,204 +556,143 @@ def _string(text: str, pos: int, line: int, line_start: int) -> tuple[str, int]:
 MAX_NESTING = 100
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], base_prefixes: Optional[PrefixTable],
+class _Reader:
+    """One parse: the tokens, the prefix table and the terms read so far."""
+
+    def __init__(self, text: str, base_prefixes: Optional[PrefixTable],
                  bind_undeclared: bool):
-        self.tokens = tokens
-        self.i = 0
-        # One copy per parse; declarations then bind in place.
-        self.prefixes = PrefixTable(base_prefixes._by_label if base_prefixes else None)
-        self.declared: set[str] = set()
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.prefixes = base_prefixes._copy() if base_prefixes else PrefixTable()
         self.bind_undeclared = bind_undeclared
         self.triples: list[Triple] = []
-        self.blank_counter = 0
-        self.depth = 0  # enclosing '[ ]' of the token being parsed
-        # Prefixed names already resolved. A bound label keeps its namespace
+        # Node terms by token text. A bound label keeps its namespace
         # (rebinding it raises PrefixConflictError), so reuse is safe.
-        self.resolved: dict[str, Iri] = {}
-        # Labels the document uses itself; generated labels must avoid them.
-        self.document_labels = {t.value for t in tokens if t.kind == "BLANK"}
+        self.terms: dict[str, Union[Iri, BlankNode]] = {}
+        self.fresh_ids = count(1)
+        self.used_labels: Optional[set[str]] = None
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def _take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _expect_punct(self, value: str) -> _Token:
-        tok = self._take()
-        if tok.kind != "PUNCT" or tok.value != value:
-            raise TurtleSyntaxError(tok.line, tok.column, f"expected {value!r}, found {tok.value!r}")
-        return tok
-
-    def _fresh_blank(self) -> BlankNode:
-        while True:
-            self.blank_counter += 1
-            label = f"b{self.blank_counter}"
-            if label not in self.document_labels:
-                return BlankNode(label)
-
-    def parse(self) -> tuple[list[Triple], PrefixTable]:
-        while self._peek().kind != "EOF":
-            tok = self._peek()
-            if tok.kind == "KEYWORD" and tok.value == "@prefix":
-                self._prefix_decl()
+    def parse(self) -> RdfGraph:
+        tokens, terms, i = self.tokens, self.terms, 0
+        while tokens[i][0] != _EOF:
+            kind, raw, pos = tokens[i]
+            if raw == "@prefix":
+                kind, label, pos = tokens[i + 1]
+                if kind != _PNAME or not label.endswith(":"):
+                    raise _syntax_error(self.text, pos, "expected prefix label in @prefix")
+                kind, iri, pos = tokens[i + 2]
+                if kind != _IRIREF:
+                    raise _syntax_error(self.text, pos, "expected <IRI> in @prefix")
+                self.expect(i + 3, ".")
+                self.prefixes._bind(label[:-1], iri[1:-1])
+                i += 4
+                continue
+            if raw == "[":
+                subject, i = self.bnode(i, 0)
             else:
-                self._statement()
-        return self.triples, self.prefixes
+                subject = terms.get(raw) or self.resolve(kind, raw, pos, "subject")
+                i += 1
+            i = self.predicate_object_list(i, subject, 0)
+            self.expect(i, ".")
+            i += 1
+        return RdfGraph(frozenset(self.triples), self.prefixes)
 
-    def _prefix_decl(self) -> None:
-        self._take()
-        tok = self._take()
-        if tok.kind != "PNAME" or not tok.value.endswith(":"):
-            raise TurtleSyntaxError(tok.line, tok.column, "expected prefix label in @prefix")
-        label = tok.value[:-1]
-        iri_tok = self._take()
-        if iri_tok.kind != "IRIREF":
-            raise TurtleSyntaxError(iri_tok.line, iri_tok.column, "expected <IRI> in @prefix")
-        self._expect_punct(".")
-        self.prefixes._bind(label, iri_tok.value)
-        self.declared.add(label)
-
-    def _resolve_pname(self, tok: _Token) -> Iri:
-        iri = self.resolved.get(tok.value)
-        if iri is not None:
-            return iri
-        label, _, local = tok.value.partition(":")
-        ns = self.prefixes.namespace(label)
-        if ns is None:
-            if not self.bind_undeclared:
-                raise UndeclaredPrefixError(label, tok.line, tok.column)
-            ns = UNDECLARED_NS_BASE + label + "#"
-            self.prefixes._bind(label, ns)
+    def resolve(self, kind: int, raw: str, pos: int, role: str) -> Union[Iri, BlankNode]:
+        """The term of a token that ``terms`` lacks, in a ``role`` position."""
+        if kind == _BLANK and role != "predicate":
+            term = self.terms[raw] = BlankNode(raw[2:])
+            return term
+        if kind == _IRIREF:
+            value = raw[1:-1]
+        elif kind == _PNAME:
+            label, _, local = raw.partition(":")
+            ns = self.prefixes.namespace(label)
+            if ns is None:
+                if not self.bind_undeclared:
+                    raise UndeclaredPrefixError(label, *_line_col(self.text, pos))
+                ns = UNDECLARED_NS_BASE + label + "#"
+                self.prefixes._bind(label, ns)
+            value = ns + local
+        else:
+            raise _syntax_error(self.text, pos, f"expected {role}, found {_shown(kind, raw)!r}")
         try:
-            iri = self.resolved[tok.value] = Iri(ns + local)
+            term = self.terms[raw] = Iri(value)
         except ValueError as exc:
-            raise TurtleSyntaxError(tok.line, tok.column, str(exc))
-        return iri
+            raise _syntax_error(self.text, pos, str(exc))
+        return term
 
-    def _iri(self, tok: _Token) -> Iri:
-        try:
-            return Iri(tok.value)
-        except ValueError as exc:
-            raise TurtleSyntaxError(tok.line, tok.column, str(exc))
+    def expect(self, i: int, punct: str) -> None:
+        kind, raw, pos = self.tokens[i]
+        if raw != punct:
+            raise _syntax_error(self.text, pos,
+                                f"expected {punct!r}, found {_shown(kind, raw)!r}")
 
-    def _statement(self) -> None:
-        subject = self._subject()
-        self._predicate_object_list(subject)
-        self._expect_punct(".")
+    def bnode(self, i: int, depth: int) -> tuple[BlankNode, int]:
+        """The '[ ]' node opening at ``i`` inside ``depth`` others, and the index after it."""
+        if depth == MAX_NESTING:
+            raise _syntax_error(self.text, self.tokens[i][2],
+                                f"blank nodes nested deeper than {MAX_NESTING}")
+        if self.used_labels is None:  # generated labels avoid the document's own
+            self.used_labels = {raw[2:] for kind, raw, _ in self.tokens if kind == _BLANK}
+        while (label := f"b{next(self.fresh_ids)}") in self.used_labels:
+            pass
+        node = BlankNode(label)
+        i += 1
+        if self.tokens[i][1] != "]":
+            i = self.predicate_object_list(i, node, depth + 1)
+        self.expect(i, "]")
+        return node, i + 1
 
-    def _subject(self) -> Union[Iri, BlankNode]:
-        tok = self._peek()
-        if tok.kind == "IRIREF":
-            self._take()
-            return self._iri(tok)
-        if tok.kind == "PNAME":
-            self._take()
-            return self._resolve_pname(tok)
-        if tok.kind == "BLANK":
-            self._take()
-            return self._scoped_blank(tok.value)
-        if tok.kind == "PUNCT" and tok.value == "[":
-            return self._bnode_property_list()
-        raise TurtleSyntaxError(tok.line, tok.column, f"expected subject, found {tok.value!r}")
-
-    def _scoped_blank(self, label: str) -> BlankNode:
-        # Labels from the document are kept verbatim; anonymous nodes get
-        # fresh ones. Caller-provided graphs never collide because parse
-        # always starts a new scope.
-        return BlankNode(label)
-
-    def _bnode_property_list(self) -> BlankNode:
-        tok = self._expect_punct("[")
-        if self.depth == MAX_NESTING:
-            raise TurtleSyntaxError(tok.line, tok.column,
-                                    f"blank nodes nested deeper than {MAX_NESTING}")
-        self.depth += 1
-        node = self._fresh_blank()
-        if not (self._peek().kind == "PUNCT" and self._peek().value == "]"):
-            self._predicate_object_list(node)
-        self._expect_punct("]")
-        self.depth -= 1
-        return node
-
-    def _predicate_object_list(self, subject: Union[Iri, BlankNode]) -> None:
+    def predicate_object_list(self, i: int, subject: Union[Iri, BlankNode], depth: int) -> int:
+        """Read the predicate-object list at ``i``; return the index after it."""
+        tokens, terms, add, resolve = self.tokens, self.terms, self.triples.append, self.resolve
         while True:
-            predicate = self._predicate()
-            self._object_list(subject, predicate)
-            tok = self._peek()
-            if tok.kind == "PUNCT" and tok.value == ";":
-                self._take()
-                # Allow a dangling ';' before '.' or ']'.
-                nxt = self._peek()
-                if nxt.kind == "PUNCT" and nxt.value in (".", "]"):
-                    return
-                continue
-            return
-
-    def _predicate(self) -> Iri:
-        tok = self._take()
-        if tok.kind == "KEYWORD" and tok.value == "a":
-            return RDF_TYPE
-        if tok.kind == "IRIREF":
-            return self._iri(tok)
-        if tok.kind == "PNAME":
-            return self._resolve_pname(tok)
-        raise TurtleSyntaxError(tok.line, tok.column, f"expected predicate, found {tok.value!r}")
-
-    def _object_list(self, subject: Union[Iri, BlankNode], predicate: Iri) -> None:
-        while True:
-            obj = self._object()
-            self.triples.append(Triple(subject, predicate, obj))
-            tok = self._peek()
-            if tok.kind == "PUNCT" and tok.value == ",":
-                self._take()
-                continue
-            return
-
-    def _object(self) -> Term:
-        tok = self._peek()
-        if tok.kind == "IRIREF":
-            self._take()
-            return self._iri(tok)
-        if tok.kind == "PNAME":
-            self._take()
-            return self._resolve_pname(tok)
-        if tok.kind == "BLANK":
-            self._take()
-            return self._scoped_blank(tok.value)
-        if tok.kind == "PUNCT" and tok.value == "[":
-            return self._bnode_property_list()
-        if tok.kind == "BOOLEAN":
-            self._take()
-            return Literal(tok.value, XSD_BOOLEAN)
-        if tok.kind == "NUMBER":
-            self._take()
-            dt = XSD_DECIMAL if "." in tok.value else XSD_INTEGER
-            return Literal(tok.value, dt)
-        if tok.kind == "STRING":
-            self._take()
-            nxt = self._peek()
-            if nxt.kind == "LANG":
-                self._take()
-                return Literal(tok.value, language=nxt.value)
-            if nxt.kind == "PUNCT" and nxt.value == "^^":
-                self._take()
-                dt_tok = self._take()
-                if dt_tok.kind == "IRIREF":
-                    datatype = self._iri(dt_tok)
-                elif dt_tok.kind == "PNAME":
-                    datatype = self._resolve_pname(dt_tok)
+            kind, raw, pos = tokens[i]
+            if raw == "a":
+                predicate = RDF_TYPE
+            elif kind == _BLANK or (predicate := terms.get(raw)) is None:
+                predicate = resolve(kind, raw, pos, "predicate")
+            while True:  # the object list
+                kind, raw, pos = tokens[i + 1]
+                i += 2
+                obj = terms.get(raw)
+                if obj is not None:
+                    pass
+                elif kind == _STRING:
+                    lexical = _unescape(raw[1:-1]) if "\\" in raw else raw[1:-1]
+                    kind, raw, _ = tokens[i]
+                    if kind == _LANG:
+                        obj = _new(Literal, (lexical, None, raw[1:]))
+                        i += 1
+                    elif raw == "^^":
+                        kind, raw, dpos = tokens[i + 1]
+                        i += 2
+                        if kind != _IRIREF and kind != _PNAME:
+                            raise _syntax_error(self.text, dpos, "expected datatype IRI after ^^")
+                        datatype = terms.get(raw) or resolve(kind, raw, dpos, "datatype")
+                        try:
+                            obj = Literal(lexical, datatype)
+                        except ValueError as exc:  # e.g. "yes"^^xsd:boolean
+                            raise _syntax_error(self.text, pos, str(exc))
+                    else:
+                        obj = _new(Literal, (lexical, None, None))
+                elif kind == _NUM:
+                    obj = _new(Literal, (raw, XSD_DECIMAL if "." in raw else XSD_INTEGER, None))
+                elif raw == "true" or raw == "false":
+                    obj = TRUE if raw == "true" else FALSE
+                elif raw == "[":
+                    obj, i = self.bnode(i - 1, depth)
                 else:
-                    raise TurtleSyntaxError(dt_tok.line, dt_tok.column, "expected datatype IRI after ^^")
-                try:
-                    return Literal(tok.value, datatype)
-                except ValueError as exc:  # e.g. "yes"^^xsd:boolean
-                    raise TurtleSyntaxError(tok.line, tok.column, str(exc))
-            return Literal(tok.value)
-        raise TurtleSyntaxError(tok.line, tok.column, f"expected object, found {tok.value!r}")
+                    obj = resolve(kind, raw, pos, "object")
+                add(_new(Triple, (subject, predicate, obj)))
+                if tokens[i][1] != ",":
+                    break
+            if tokens[i][1] != ";":
+                return i
+            # A dangling ';' may end the list.
+            i += 1
+            if tokens[i][1] == "." or tokens[i][1] == "]":
+                return i
 
 
 def parse_turtle(text: str, base_prefixes: Optional[PrefixTable] = None,
@@ -764,9 +704,7 @@ def parse_turtle(text: str, base_prefixes: Optional[PrefixTable] = None,
     prefix label is bound under a recognizable placeholder namespace instead
     of raising, so lint can flag it downstream.
     """
-    tokens = _tokenize(text)
-    triples, prefixes = _Parser(tokens, base_prefixes, bind_undeclared).parse()
-    return RdfGraph(frozenset(triples), prefixes)
+    return _Reader(text, base_prefixes, bind_undeclared).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +761,10 @@ def _subject_blocks(triples: Iterable[Triple], prefixes: PrefixTable,
         return text
 
     blocks = []
-    for subject, group in groupby(ordered, key=attrgetter("subject")):
+    for subject, group in groupby(ordered, key=itemgetter(0)):
         parts = [("a" if predicate == RDF_TYPE else render(predicate)) + " "
                  + ", ".join(render(t.object) for t in objects)
-                 for predicate, objects in groupby(group, key=attrgetter("predicate"))]
+                 for predicate, objects in groupby(group, key=itemgetter(1))]
         body = " ;\n    ".join(parts)
         blocks.append((_term_sort_key(subject), f"{render(subject)} {body} ."))
     return blocks

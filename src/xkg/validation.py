@@ -267,13 +267,13 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
             subject=term,
         ))
 
-    for t in sorted(graph.triples, key=triple_sort_key):
-        if t.predicate == DUL_ASSOCIATED_WITH:
-            diagnostics.append(Diagnostic(
-                INFO, FALLBACK_ROLE,
-                f"fallback association between {t.subject} and {t.object}",
-                subject=t.subject,
-            ))
+    fallbacks = [t for t in graph.triples if t.predicate == DUL_ASSOCIATED_WITH]
+    for t in sorted(fallbacks, key=triple_sort_key):
+        diagnostics.append(Diagnostic(
+            INFO, FALLBACK_ROLE,
+            f"fallback association between {t.subject} and {t.object}",
+            subject=t.subject,
+        ))
 
     return diagnostics
 

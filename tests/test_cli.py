@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import xkg.cli
 from xkg import run_pipeline
-from xkg.backends import MockBackend
+from xkg.backends import MappingBackend, MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from xkg.config import bundled_resources_root, default_config
 from xkg.enrichment import HEURISTICS
@@ -43,6 +44,19 @@ class TestDescribe:
         bad.write_bytes(b"II*")
         code = main(["describe", "--image", str(bad), "--mock", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["describe", "run"])
+    def test_description_with_lone_surrogate_is_input_error(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        image = tmp_path / "scene.png"
+        image.write_bytes(b"\x89PNG fake")
+        monkeypatch.setattr(xkg.cli, "_make_backend",
+                            lambda config, mock: MappingBackend({}, description="a\ud800"))
+        argv = [command, "--image", str(image), "--mock", "--out", str(tmp_path / "out")]
+        code = main(argv + (["--amr", SCENE_AMR] if command == "run" else []))
+        assert code == EXIT_CONFIG
+        assert "lone surrogate U+D800 at offset 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBase:

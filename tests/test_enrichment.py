@@ -32,7 +32,7 @@ from xkg.rdf import (
     serialize_turtle,
     standard_prefixes,
 )
-from xkg.validation import ANCHOR_FLOAT, PREFIX_MISUSE, RESPONSE_INVALID
+from xkg.validation import ANCHOR_FLOAT, PREFIX_MISUSE, RESPONSE_INVALID, UNDECLARED_PREFIX, lint
 
 PROMPTS = default_resource_paths().prompts_dir
 MOCKS = default_resource_paths().mock_dir
@@ -159,6 +159,13 @@ fred:y_1 fred:q fred:z_1 .
     def test_empty_response_is_error(self):
         with pytest.raises(NoTurtleFoundError):
             extract_turtle("", SCENE_BASE.prefixes)
+
+    def test_second_label_for_a_bound_namespace_is_declared(self):
+        response = f"@prefix f: <{FRED_NS}> .\nf:athlete_1 f:p f:x_1 ."
+        graph = extract_turtle(response, SCENE_BASE.prefixes)
+        assert graph.triples == {Triple(Iri(FRED_NS + "athlete_1"), Iri(FRED_NS + "p"),
+                                        Iri(FRED_NS + "x_1"))}
+        assert UNDECLARED_PREFIX not in {d.code for d in lint(graph)}
 
 
 class TestRunHeuristic:

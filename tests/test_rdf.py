@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+import reference_turtle
 import xkg.rdf
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +162,20 @@ class TestParse:
         (triple,) = graph.triples
         assert "undeclared/nope#" in triple.subject.value
 
+    def test_second_label_for_a_bound_namespace(self):
+        text = f"@prefix f: <{FRED_NS}> .\nf:a f:p f:b ."
+        for bind_undeclared in (False, True):
+            graph = parse_turtle(text, standard_prefixes(), bind_undeclared=bind_undeclared)
+            assert graph.triples == {Triple(Iri(FRED_NS + "a"), Iri(FRED_NS + "p"),
+                                            Iri(FRED_NS + "b"))}
+            # The first label still contracts, and the second is not declared.
+            assert graph.prefixes == standard_prefixes()
+            assert serialize_turtle(graph) == serialize_turtle(
+                RdfGraph(graph.triples, standard_prefixes()))
+            assert "fred:a fred:p fred:b ." in serialize_turtle(graph)
+        with pytest.raises(PrefixConflictError):
+            parse_turtle(text + "\n@prefix f: <http://e/> .", standard_prefixes())
+
     def test_comments_ignored(self):
         graph = parse_turtle("# header\n@prefix ex: <http://e/> .\nex:a ex:p ex:b . # trailing")
         assert len(graph) == 1
@@ -235,6 +252,10 @@ SYNTAX_ERRORS = {
     "line 4 after a trailing comment": (
         "# c\r\n\r\n\tex:a ex:p ex:b .# x\r\n\t  !", 4, 4, "unexpected character '!'"),
     "end of input": ("ex:a ex:p ", 1, 11, "expected object, found ''"),
+    "bad boolean form": ('ex:a ex:p "yes"^^<http://www.w3.org/2001/XMLSchema#boolean> .',
+                         1, 11, "bad boolean lexical form: 'yes'"),
+    "datatype IRI without a scheme": ('ex:a ex:p "x"^^<a> .', 1, 16,
+                                      "not an absolute IRI: 'a'"),
     "lone surrogate in a string": ('ex:a ex:p "x\ud800y" .', 1, 13, "lone surrogate U+D800"),
     "lone surrogate in an IRI on line 2": (
         "ex:a ex:p ex:b .\n  ex:c ex:p <http://e/\udfff> .", 2, 23, "lone surrogate U+DFFF"),
@@ -428,3 +449,173 @@ class TestMergeDiff:
     def test_diff_merge_containment(self):
         merged = merge([self.g, self.h])
         assert diff(merged, self.g) <= self.h.triples
+
+
+# ---------------------------------------------------------------------------
+# The reader against the reference copy of the earlier reader
+# ---------------------------------------------------------------------------
+
+def _read(parse, text, base, bind_undeclared):
+    """What a parse gives: its triples and prefix table, or its error."""
+    try:
+        graph = parse(text, base, bind_undeclared)
+    except RdfError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return (graph.triples, list(graph.prefixes.items()), graph.prefixes._aliases)
+
+
+_NAMES = (["ex:a", "ex:b", "ex:", "fred:x", "f:y", "ex:a.b", "ex:d-e", "ex:1"],
+          ["nope:z", ":c", "a:b", "ex:a.."])
+_NODES = (["<http://e/x>", "<urn:x>", "_:b1", "_:n"], ["<nocolon>", "_:x.y", "<a b>"])
+_STRING_PARTS = (["x", " ", "\\t", "\\n", "\\r", '\\"', "\\\\", "\\u00e9", "\\uFFFD", "é"],
+                 ["\\u12", "\\uD800", "\\uZZZZ", "\\q", "\\", "\ud800", '"', "\n"])
+_LITERAL_TAILS = (["", "@en", "@en-US", "^^xsd:integer", "^^<http://e/dt>", "^^ex:dt"],
+                  ["@1", "@en-", "^^xsd:boolean", "^^<http://www.w3.org/2001/XMLSchema#boolean>",
+                   "^^<x>", "^^", "^^_:b"])
+_OTHER_LITERALS = (["42", "-3.5", "+7", "true", "false"],
+                   ["1.", "3.5a", "1:a", "1.5.3", "1e5", "truex", "true.x", "a"])
+_PREDICATES = (["a", *_NAMES[0]], ["_:b1", "a.p", "true", '"x"', "<nocolon>"])
+# "f" aliases fred's namespace; the bad ones rebind fred or are no label.
+_PREFIXES = ([("ex", "http://e/"), ("f", FRED_NS), ("fred", FRED_NS),
+              ("xsd", "http://www.w3.org/2001/XMLSchema#")],
+             [("fred", "http://e/"), ("1x", "urn:x:")])
+_gaps = st.sampled_from([" ", " ", "\n", "\r\n", "\t", "", " # note\n", "#c\n  "])
+
+
+@st.composite
+def _documents(draw):
+    """Turtle documents with escapes, comments, dangling ';' and nesting near
+    MAX_NESTING. A clean one holds only valid tokens; a dirty one also bad
+    tokens, and may then be edited at a few places."""
+    dirty = draw(st.booleans())
+
+    def pick(choices):
+        valid, bad = choices
+        # A few bad tokens at most, so that the first error is not always
+        # the scanner's.
+        return draw(st.sampled_from(bad if dirty and draw(st.integers(0, 7)) == 0 else valid))
+
+    def gap():
+        return draw(_gaps)
+
+    def literal():
+        if draw(st.integers(0, 2)):
+            return pick(_OTHER_LITERALS)
+        body = "".join(pick(_STRING_PARTS) for _ in range(draw(st.integers(0, 3))))
+        return f'"{body}"{pick(_LITERAL_TAILS)}'
+
+    def objects(depth):
+        out = []
+        for _ in range(draw(st.integers(1, 2))):
+            roll = draw(st.integers(0, 3))
+            if depth and roll == 0:
+                out.append(f"[{gap()}{predicate_objects(depth - 1)}{gap()}]")
+            else:
+                out.append(literal() if roll == 1 else pick(_NAMES if roll == 2 else _NODES))
+        return f"{gap()},{gap()}".join(out)
+
+    def predicate_objects(depth):
+        pairs = [f"{pick(_PREDICATES)} {objects(depth)}"
+                 for _ in range(draw(st.integers(1, 2)))]
+        return f"{gap()};{gap()}".join(pairs) + draw(st.sampled_from(["", "", " ;", ";"]))
+
+    parts = [f"@prefix {label}: <{ns}> .{gap()}"
+             for label, ns in [*_PREFIXES[0][:2], *(pick(_PREFIXES)
+                                                    for _ in range(draw(st.integers(0, 2))))]]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 5)) == 0:  # a chain of '[ ]' around MAX_NESTING deep
+            depth = draw(st.sampled_from([1, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]))
+            parts.append("ex:s " + "ex:p [ " * depth + "ex:q ex:o" + " ]" * depth + " .")
+            continue
+        subject = (f"[{gap()}{predicate_objects(1)}{gap()}]" if draw(st.integers(0, 4)) == 0
+                   else pick(_NODES) if draw(st.booleans()) else pick(_NAMES))
+        parts.append(f"{subject} {predicate_objects(2)}{gap()}.{gap()}")
+    text = "".join(parts)
+    for _ in range(draw(st.sampled_from([0, 1, 2])) if dirty else 0):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.one_of(st.sampled_from(
+            ["", ".", ";", ",", "[", "]", "<", '"', "\\", "@", "#", "\n", " ", "_:", ":", "^^",
+             "1", "a", "\ud800", "!"]), st.characters()))
+        text = text[:at] + edit + text[at + draw(st.integers(0, 2)):]
+    return text
+
+
+class TestReaderAgreesWithReference:
+    """The reader gives what the earlier one-token-object reader gives."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_documents(), st.booleans(), st.booleans())
+    def test_generated_documents(self, text, with_base, bind_undeclared):
+        base = standard_prefixes() if with_base else None
+        assert (_read(parse_turtle, text, base, bind_undeclared)
+                == _read(reference_turtle.parse_turtle, text, base, bind_undeclared))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(0, 200), st.text(max_size=2))
+    def test_serialized_graphs_and_their_mutations(self, seed, at, edit):
+        text = serialize_turtle(random_rdf_graph(random.Random(seed)))
+        for doc in (text, text[:at] + edit + text[at + 1:]):
+            assert (_read(parse_turtle, doc, None, True)
+                    == _read(reference_turtle.parse_turtle, doc, None, True))
+
+    @pytest.mark.parametrize("text", [case[0] for case in SYNTAX_ERRORS.values()])
+    def test_syntax_error_cases(self, text):
+        assert (_read(parse_turtle, text, None, True)
+                == _read(reference_turtle.parse_turtle, text, None, True))
+
+
+class TestTermsAreTuples:
+    """Terms hash and compare as tuples, yet stay distinct kinds."""
+
+    def test_no_cross_kind_equality(self):
+        assert Iri("urn:x") != BlankNode("urn:x")
+        assert BlankNode("urn:x") != Iri("urn:x")
+        assert len({Iri("urn:x"), BlankNode("urn:x")}) == 2
+        iri = Iri("http://e/x")
+        literal = Literal("http://e/x", iri)
+        assert literal != Triple(iri, iri, None) and Triple(iri, iri, None) != literal
+        assert Literal("x") != Literal("x", XSD_STRING) != Literal("x", language="en")
+
+    @pytest.mark.parametrize("term,attr", [
+        (Iri("urn:x"), "value"), (BlankNode("b"), "label"), (Literal("x"), "lexical"),
+        (Literal("x"), "language"), (Triple(Iri("urn:s"), Iri("urn:p"), Literal("o")), "object"),
+    ])
+    def test_immutable(self, term, attr):
+        with pytest.raises(AttributeError):
+            setattr(term, attr, "y")
+        with pytest.raises(AttributeError):
+            term.extra = 1
+
+    def test_equal_across_parses(self):
+        text = ('@prefix ex: <http://e/> . ex:a ex:p "x"@en , 4 , true , _:b , '
+                '"d"^^ex:dt ; ex:q <http://e/b> .')
+        first, second = parse_turtle(text).triples, parse_turtle(text).triples
+        assert first == second
+        for a in first:
+            (b,) = [t for t in second if t == a]
+            assert a is not b and hash(a) == hash(b)
+            assert all(hash(x) == hash(y) for x, y in zip(a, b))
+
+    def test_repr_unchanged(self):
+        assert repr(Iri("http://e/x")) == "Iri('http://e/x')"
+        assert repr(BlankNode("b1")) == "BlankNode(_:b1)"
+        assert repr(Literal("x")) == "Literal('x')"
+        assert repr(Literal("x", language="en")) == "Literal('x'@en)"
+        assert repr(Literal("1", XSD_INTEGER)) == f"Literal('1'^^{XSD_INTEGER.value})"
+        assert repr(Triple(Iri("urn:s"), Iri("urn:p"), BlankNode("o"))) == (
+            "Triple(subject=Iri('urn:s'), predicate=Iri('urn:p'), object=BlankNode(_:o))")
+        assert str(Iri("urn:s")) == repr(Iri("urn:s"))
+
+    def test_copy_and_pickle_rebuild_equal_terms(self):
+        t = Triple(BlankNode("s"), Iri("urn:p"), Literal("True", XSD_BOOLEAN))
+        for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert copied == t and type(copied) is Triple
+            assert [type(x) for x in copied] == [BlankNode, Iri, Literal]
+
+    def test_fields_and_unpacking(self):
+        t = Triple(BlankNode("s"), Iri("urn:p"), Literal("o", language="fr"))
+        subject, predicate, obj = t
+        assert (subject, predicate, obj) == (t.subject, t.predicate, t.object)
+        assert (t.subject.label, t.predicate.value) == ("s", "urn:p")
+        assert (t.object.lexical, t.object.datatype, t.object.language) == ("o", None, "fr")
