@@ -27,7 +27,6 @@ from .rdf import (
     PrefixTable,
     RdfGraph,
     Triple,
-    diff,
     merge,
     parse_turtle,
     serialize_extensions,
@@ -52,7 +51,7 @@ __all__ = [
     "HEURISTICS", "EnrichmentResult", "HeuristicSpec", "assemble_prompt",
     "extract_turtle", "read_system_template", "run_all", "run_heuristic",
     "BlankNode", "Iri", "Literal", "PrefixTable", "RdfGraph", "Triple",
-    "diff", "merge", "parse_turtle", "serialize_extensions", "serialize_turtle",
+    "merge", "parse_turtle", "serialize_extensions", "serialize_turtle",
     "PipelineResult", "run_pipeline",
     "AlignmentMap", "LinkTable", "RolesetMap", "align", "link_entities", "translate",
     "Diagnostic", "GraphProfile", "MiniOntology", "check_anchoring",

@@ -1,8 +1,9 @@
 """Rater-agreement statistics over 5-point Likert annotations.
 
 Ratings arrive as a CSV with header ``item_id,heuristic,annotator,score``
-(blank score = missing) and become a RatingsMatrix with stable
-first-appearance ordering of items and annotators. On top of it:
+(blank score = missing; ``load_ratings`` says what else it accepts) and
+become a RatingsMatrix with stable first-appearance ordering of items and
+annotators. On top of it:
 
 * ``mean_sd``, arithmetic mean and population standard deviation (sample
   standard deviation behind a flag, since either convention is defensible);
@@ -109,27 +110,37 @@ class RatingsMatrix:
 
 
 def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
-    """Load the ratings CSV; raises BadScoreError / DuplicateCellError."""
+    """Load the ratings CSV; raises AgreementError for malformed input. The
+    header names item_id, heuristic, annotator and score, and maybe other
+    columns, which are ignored; a UTF-8 BOM is skipped. Every row has as many
+    fields as the header."""
     matrix = RatingsMatrix()
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
-        expected = {"item_id", "heuristic", "annotator", "score"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise AgreementError(
-                f"ratings CSV must have header item_id,heuristic,annotator,score, found {reader.fieldnames}")
-        for row_number, row in enumerate(reader, start=2):
-            raw = (row["score"] or "").strip()
-            if raw == "":
-                score: Optional[int] = None
-            else:
-                try:
-                    score = int(raw)
-                except ValueError:
-                    raise BadScoreError(row_number, raw)
-                if score not in SCORES:
-                    raise BadScoreError(row_number, raw)
-            matrix.add(row["item_id"].strip(), row["heuristic"].strip(),
-                       row["annotator"].strip(), score)
+        try:
+            expected = {"item_id", "heuristic", "annotator", "score"}
+            if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
+                raise AgreementError(
+                    f"ratings CSV must have header item_id,heuristic,annotator,score, found {reader.fieldnames}")
+            last = reader.fieldnames[-1]
+            for row_number, row in enumerate(reader, start=2):
+                # DictReader gives a short row None values, a long row a None key.
+                if row[last] is None or None in row:
+                    raise AgreementError(f"row {row_number}: not as many fields as the header")
+                raw = row["score"].strip()
+                if raw == "":
+                    score: Optional[int] = None
+                else:
+                    try:
+                        score = int(raw)
+                    except ValueError:
+                        raise BadScoreError(row_number, raw)
+                    if score not in SCORES:
+                        raise BadScoreError(row_number, raw)
+                matrix.add(row["item_id"].strip(), row["heuristic"].strip(),
+                           row["annotator"].strip(), score)
+        except csv.Error as exc:
+            raise AgreementError(f"ratings CSV after line {reader.line_num}: {exc}")
     return matrix
 
 

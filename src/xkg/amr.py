@@ -70,9 +70,6 @@ class AmrNode:
     variable: str
     concept: str
 
-    def is_frame(self) -> bool:
-        return FRAME_CONCEPT.match(self.concept) is not None
-
 
 @dataclass(frozen=True)
 class AmrEdge:
@@ -242,12 +239,6 @@ def _invert(edge: AmrEdge) -> AmrEdge:
     return edge
 
 
-def normalize_inverse_roles(graph: AmrGraph) -> AmrGraph:
-    """Flip every ``-of`` edge between nodes. Applying this twice equals once."""
-    edges = dict.fromkeys(_invert(e) for e in graph.edges)
-    return AmrGraph(graph.root, graph.nodes, tuple(edges))
-
-
 def serialize_penman(graph: AmrGraph) -> str:
     """Render an AmrGraph in PENMAN notation.
 
@@ -297,15 +288,6 @@ def serialize_penman(graph: AmrGraph) -> str:
     if unreachable:
         raise AmrError(f"nodes unreachable from root: {sorted(unreachable)}")
     return out
-
-
-def amr_equal(g1: AmrGraph, g2: AmrGraph) -> bool:
-    """Same root, node set, and edge set (edge order ignored)."""
-    return (
-        g1.root == g2.root
-        and set(g1.nodes) == set(g2.nodes)
-        and set(g1.edges) == set(g2.edges)
-    )
 
 
 def parse_penman_file(text: str, normalize_inverse: bool = True) -> list[AmrGraph]:

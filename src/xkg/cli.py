@@ -9,9 +9,9 @@ matching stage of :mod:`xkg.pipeline` (``run`` calls ``run_pipeline``) and
 write the results. Every stage that would call a live model accepts
 ``--mock``, making the full pipeline reproducible offline.
 
-Exit codes: 0 on success, 1 when ERROR diagnostics were produced (and
-quarantine is engaged), 2 on configuration or input failures, including an
-input file that cannot be read.
+Exit codes: 0 on success, 1 when a heuristic was quarantined or validation
+produced ERROR diagnostics, 2 on configuration or input failures, including
+an input file that cannot be read.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import json
 import logging
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Optional
 
@@ -58,8 +59,23 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
+def _json(value, outer: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` (string keys only) for ``value`` nested
+    where ``outer`` starts a line; unlike the json module's indenting
+    encoder, it escapes strings in C."""
+    inner = outer + "  "
+    if isinstance(value, dict):
+        items = [_encode(k) + ": " + (_encode(v) if type(v) is str else _json(v, inner))
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + outer + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_encode(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + outer + "]" if items else "[]"
+    return "null" if value is None else json.dumps(value)
+
+
 def _write_json(path: Path, payload) -> None:
-    _write(path, json.dumps(payload, indent=2) + "\n")
+    _write(path, _json(payload) + "\n")
 
 
 def _read_input(path: str, load=lambda p: p.read_text(encoding="utf-8")):
@@ -131,8 +147,7 @@ def _select_heuristics(selector: str):
     return chosen
 
 
-def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph,
-                      force_merge: bool) -> int:
+def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) -> int:
     # Every extended graph and the merge contain the base; each text is
     # written as soon as it is rendered.
     names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]
@@ -142,14 +157,13 @@ def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph,
     _write_json(out_dir / "diagnostics.json", {
         result.heuristic: {
             "added": len(result.added),
-            "quarantined": result.failed and not force_merge,
+            "quarantined": result.quarantined,
             "diagnostics": [d.to_dict() for d in result.diagnostics],
         }
         for result in results
     })
     print(out_dir / "xkg-merged.ttl")
-    failed = any(result.failed for result in results)
-    return EXIT_DIAGNOSTICS if failed and not force_merge else EXIT_OK
+    return EXIT_DIAGNOSTICS if any(result.quarantined for result in results) else EXIT_OK
 
 
 def cmd_enrich(args: argparse.Namespace) -> int:
@@ -159,7 +173,7 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     force_merge = args.force_merge or config.force_merge
     results, merged = enrich(base, backend, config, _select_heuristics(args.heuristic),
                              force_merge)
-    return _write_enrichment(Path(args.out), base, results, merged, force_merge)
+    return _write_enrichment(Path(args.out), base, results, merged)
 
 
 def _write_validation(out_dir: Path, report: ValidationReport) -> int:
@@ -222,8 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _write_description(out_dir, result.description)
     _write_base(out_dir, result.base)
-    enrich_code = _write_enrichment(out_dir, result.base, result.results, result.merged,
-                                    force_merge)
+    enrich_code = _write_enrichment(out_dir, result.base, result.results, result.merged)
     return max(enrich_code, _write_validation(out_dir, result.report))
 
 

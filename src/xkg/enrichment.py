@@ -8,7 +8,8 @@ the additions: anchoring to base nodes and the pitfall lints. The
 per-heuristic result is an extended graph (base plus additions) with
 diagnostics; ``run_all`` merges everything into one graph, quarantining any
 heuristic whose result carries an ERROR diagnostic unless ``force_merge`` is
-set.
+set. A result whose prefixes clash with an earlier merged one's gets a
+PREFIX_CONFLICT error and stays out, even with ``force_merge``.
 
 Templates are data, not code: plain text files with a ``{{graph}}``
 placeholder, shipped under the package resources and freely editable.
@@ -26,6 +27,7 @@ from typing import Optional, Sequence, Union
 from . import validation
 from .backends import Backend, BackendError
 from .rdf import (
+    PrefixConflictError,
     PrefixTable,
     RdfGraph,
     RdfError,
@@ -103,13 +105,6 @@ HEURISTICS: tuple[HeuristicSpec, ...] = (
 HEURISTIC_BY_NAME = {spec.name: spec for spec in HEURISTICS}
 
 
-def heuristic_prefixes() -> PrefixTable:
-    table = PrefixTable()
-    for spec in HEURISTICS:
-        table = table.with_binding(spec.prefix, spec.namespace)
-    return table
-
-
 @dataclass(frozen=True)
 class PromptRequest:
     system_text: str
@@ -132,6 +127,8 @@ class EnrichmentResult:
     xkg: RdfGraph
     diagnostics: list[Diagnostic]
     raw_response: str
+    #: Kept out of the merge; ``run_all`` decides.
+    quarantined: bool = False
 
     @property
     def failed(self) -> bool:
@@ -231,33 +228,29 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
     prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
     request = assemble_prompt(base_turtle, system_template, spec, prompts_dir,
                               max_tokens, temperature)
+    response, unexpected = "", None
     try:
         response = backend.complete(request)
     except BackendError as exc:
-        logger.warning("%s: backend failure: %s", spec.name, exc)
-        return EnrichmentResult(
-            spec.name, frozenset(), RdfGraph(base.triples, prefixes),
-            [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID,
-                        f"backend failure: {exc}")],
-            "",
-        )
-    try:
-        extracted = extract_turtle(response, prefixes)
-    except (EnrichmentError, RdfError) as exc:
-        logger.warning("%s: unusable response: %s", spec.name, exc)
-        return EnrichmentResult(
-            spec.name, frozenset(), RdfGraph(base.triples, prefixes),
-            [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID,
-                        f"unusable response: {exc}")],
-            response,
-        )
-
-    added = extracted.triples - base.triples
-    prefixes = prefixes.merged(extracted.prefixes)
-    diagnostics = list(check_anchoring(base, added))
-    diagnostics.extend(lint(RdfGraph(added, prefixes)))
-    xkg = RdfGraph(base.triples | added, prefixes)
-    return EnrichmentResult(spec.name, added, xkg, diagnostics, response)
+        problem = f"backend failure: {exc}"
+    except Exception as exc:  # any other fault fails this heuristic alone
+        problem, unexpected = f"backend failure: {type(exc).__name__}: {exc}", exc
+    else:
+        try:
+            extracted = extract_turtle(response, prefixes)
+        except (EnrichmentError, RdfError) as exc:
+            problem = f"unusable response: {exc}"
+        else:
+            added = extracted.triples - base.triples
+            prefixes = prefixes.merged(extracted.prefixes)
+            diagnostics = list(check_anchoring(base, added))
+            diagnostics.extend(lint(RdfGraph(added, prefixes)))
+            xkg = RdfGraph(base.triples | added, prefixes)
+            return EnrichmentResult(spec.name, added, xkg, diagnostics, response)
+    logger.warning("%s: %s", spec.name, problem, exc_info=unexpected)
+    return EnrichmentResult(spec.name, frozenset(), RdfGraph(base.triples, prefixes),
+                            [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem)],
+                            response)
 
 
 def run_all(base: RdfGraph, backend: Backend,
@@ -269,10 +262,11 @@ def run_all(base: RdfGraph, backend: Backend,
             force_merge: bool = False) -> tuple[list[EnrichmentResult], RdfGraph]:
     """Run every heuristic and merge the additions onto the base.
 
-    Results come back in registry order regardless of completion order, so
-    output is deterministic even with concurrent backend calls. A result
-    carrying an ERROR diagnostic contributes nothing to the merged graph
-    unless ``force_merge`` reproduces the merge-everything behavior.
+    Results come back in the order of ``heuristics`` (registry order by
+    default) regardless of completion order, so output is deterministic even
+    with concurrent backend calls. A result carrying an ERROR diagnostic
+    contributes nothing to the merged graph unless ``force_merge``; one with
+    PREFIX_CONFLICT never does.
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
     base_turtle = serialize_turtle(base)
@@ -288,7 +282,19 @@ def run_all(base: RdfGraph, backend: Backend,
     else:
         results = [run_one(spec) for spec in specs]
 
-    mergeable = [r for r in results if force_merge or not r.failed]
-    merged = merge([RdfGraph(base.triples, base.prefixes)]
-                   + [RdfGraph(r.added, r.xkg.prefixes) for r in mergeable])
-    return results, merged
+    # In run order, so completion order cannot decide a clash.
+    mergeable = []
+    table = base.prefixes
+    for r in results:
+        r.quarantined = r.failed and not force_merge
+        if r.quarantined:
+            continue
+        try:
+            table = table.merged(r.xkg.prefixes)
+        except PrefixConflictError as exc:
+            r.diagnostics.append(Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
+                                            f"not merged: {exc}"))
+            r.quarantined = True
+            continue
+        mergeable.append(RdfGraph(r.added, r.xkg.prefixes))
+    return results, merge([RdfGraph(base.triples, base.prefixes), *mergeable])

@@ -12,28 +12,33 @@ hold no lone surrogate character, and ``[ ]`` blank nodes nest at most
 line and column.
 
 The reader scans with one regular expression that skips whitespace and
-comments and matches one token, with one group per token kind, and emits a
-``(kind, text, offset)`` tuple per token; a line and column are computed
-from the offset only for an error. The parser walks the token list with a
-local index, recursing only into ``[ ]``, and resolves each distinct IRI,
-prefixed name and blank node label once per document. Terms are tuples, so
-they hash and compare in C. A prefix table may hold a second label for a
-namespace, which expands but is neither declared nor used for contraction.
-Prefix contraction looks the namespace up by the IRI's last ``#`` or ``/``.
+comments and matches one token, emitting ``(kind, text, offset)``; a line
+and column are computed only for an error. The parser walks the tokens
+with a local index, recursing only into ``[ ]``, and resolves each distinct
+IRI, prefixed name and blank node label once per document. A prefix table
+may hold a second label for a namespace, which expands but is neither
+declared nor used for contraction, which looks the namespace up by the
+IRI's last ``#`` or ``/``.
 
-Serialization is fully deterministic (subjects sorted by expanded IRI, then
-predicates, then objects) so that golden-file tests are byte-stable. A
-document is the sorted prefix declarations followed by one statement per
-subject, and one renderer produces those statements. ``serialize_extensions``
-writes graphs that extend one base graph, such as the per-heuristic graphs
-and their merge: it renders the base's statements once and, for each graph,
-renders again only the subjects its additions touch and splices them in by
-subject order. A graph whose prefix table could render a base IRI
-differently gets a full ``serialize_turtle`` instead, as does one that lacks
-a base triple: its table lacks a base label or binds it to another
-namespace, or binds a new namespace that is some base IRI's namespace (one
-ending in ``#`` or ``/``) or a prefix of some base IRI (any other). Either
-way the bytes are those of ``serialize_turtle``.
+Terms are tuples laid out so that tuple order is serialization order, and
+hashing, equality and sorting run in C: ``Iri`` is ``(0, value)``,
+``BlankNode`` ``(1, label)``, ``Literal`` ``(2, lexical, datatype value or
+"", language or "", datatype, language)`` and ``Triple`` ``(s, p, o)``. So
+triples sort by subject (IRIs, then blank nodes), predicate IRI and object
+(literals last, by lexical form, datatype, language) without a key.
+
+A document is the prefix declarations, sorted by label, then one statement
+per subject, which ``_statements`` renders from term texts in dicts filled
+beforehand. ``serialize_extensions`` writes graphs
+that extend one base graph (the per-heuristic graphs and their merge). It
+sorts and renders the base once and keeps each subject's sorted triples;
+per graph it sorts only the additions, merges them into their subjects'
+base triples (two sorted runs) and splices the rendered statements in by
+subject. A graph whose table could render a base IRI differently, or that
+lacks a base triple, gets a full ``serialize_turtle``: its table lacks a
+base label or binds it elsewhere, or binds a new namespace that is some
+base IRI's namespace (one ending in ``#`` or ``/``) or a prefix of one (any
+other). Either way the bytes are those of ``serialize_turtle``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import count, groupby
+from itertools import chain, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -115,8 +120,8 @@ class PrefixConflictError(RdfError):
         super().__init__(f"prefix '{label}:' bound to both <{iri1}> and <{iri2}>")
 
 
-# Terms are tuples, so hashing and equality run in C. Each class validates in
-# ``__new__`` and has no instance dict; ``tuple.__new__`` builds one unchecked.
+# Each term class validates in ``__new__`` and has no instance dict;
+# ``tuple.__new__`` builds one unchecked.
 _new = tuple.__new__
 
 
@@ -124,22 +129,22 @@ class _Tuple(tuple):
     __slots__ = ()
 
     def __getnewargs__(self) -> tuple:
-        """The constructor's arguments, with which copy and pickle rebuild it."""
-        return tuple(self)
+        """The constructor's arguments, for copy and pickle: all but the tag."""
+        return self[1:]
 
 
 class Iri(_Tuple):
     """An absolute IRI."""
 
     __slots__ = ()
-    value = property(itemgetter(0))
+    value = property(itemgetter(1))
 
     def __new__(cls, value: str) -> "Iri":
         if not value or ":" not in value:
             raise ValueError(f"not an absolute IRI: {value!r}")
         if _IRI_FORBIDDEN.search(value):
             raise ValueError(f"forbidden character in IRI: {value!r}")
-        return _new(cls, (value,))
+        return _new(cls, (0, value))
 
     def local_name(self) -> str:
         """Everything after the last '#' or '/' (the conventional local part)."""
@@ -178,22 +183,29 @@ DUL_PRECEDES = Iri(DUL_NS + "precedes")
 
 
 class Literal(_Tuple):
-    """An RDF literal. ``datatype`` and ``language`` are mutually exclusive."""
+    """An RDF literal. ``datatype`` and ``language`` are mutually exclusive,
+    and a language tag is never empty."""
 
     __slots__ = ()
-    lexical = property(itemgetter(0))
-    datatype = property(itemgetter(1))
-    language = property(itemgetter(2))
+    lexical = property(itemgetter(1))
+    datatype = property(itemgetter(4))
+    language = property(itemgetter(5))
 
     def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
                 language: Optional[str] = None) -> "Literal":
         if datatype is not None and language is not None:
             raise ValueError("literal cannot have both a datatype and a language tag")
+        if language == "":
+            raise ValueError("empty language tag")
         if datatype == XSD_BOOLEAN:
             if lexical.lower() not in ("true", "false"):
                 raise ValueError(f"bad boolean lexical form: {lexical!r}")
             lexical = lexical.lower()
-        return _new(cls, (lexical, datatype, language))
+        return _new(cls, (2, lexical, datatype[1] if datatype else "", language or "",
+                          datatype, language))
+
+    def __getnewargs__(self) -> tuple:
+        return self[1], self[4], self[5]
 
     def __repr__(self) -> str:
         if self.language:
@@ -207,14 +219,10 @@ class BlankNode(_Tuple):
     """A blank node with a parse-scope label."""
 
     __slots__ = ()
-    label = property(itemgetter(0))
+    label = property(itemgetter(1))
 
     def __new__(cls, label: str) -> "BlankNode":
-        # The tag keeps a blank node unequal to the IRI of the same text.
-        return _new(cls, (label, "_:"))
-
-    def __getnewargs__(self) -> tuple:
-        return self[:1]
+        return _new(cls, (1, label))
 
     def __repr__(self) -> str:
         return f"BlankNode(_:{self.label})"
@@ -239,20 +247,11 @@ class Triple(_Tuple):
             raise ValueError("triple predicate must be an IRI")
         return _new(cls, (subject, predicate, object))
 
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
     def __repr__(self) -> str:
         return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
-
-
-def _term_sort_key(term: Term) -> tuple:
-    if isinstance(term, Iri):
-        return (0, term.value, "", "")
-    if isinstance(term, BlankNode):
-        return (1, term.label, "", "")
-    return (2, term.lexical, term.datatype.value if term.datatype else "", term.language or "")
-
-
-def triple_sort_key(t: Triple) -> tuple:
-    return (_term_sort_key(t.subject), t.predicate.value, _term_sort_key(t.object))
 
 
 class PrefixTable:
@@ -302,7 +301,8 @@ class PrefixTable:
 
     def merged(self, other: "PrefixTable") -> "PrefixTable":
         """Both tables' declared labels; aliases matter only to a parse."""
-        out = PrefixTable(self._by_label)
+        out = self._copy()
+        out._aliases = {}
         for label, ns in other.items():
             out._bind(label, ns)
         return out
@@ -380,26 +380,10 @@ class RdfGraph:
         return triple in self.triples
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples, key=triple_sort_key))
+        return iter(sorted(self.triples))
 
     def with_triples(self, extra: Iterable[Triple]) -> "RdfGraph":
         return RdfGraph(self.triples | frozenset(extra), self.prefixes)
-
-    def subjects(self, predicate: Optional[Iri] = None, obj: Optional[Term] = None):
-        for t in self.triples:
-            if predicate is not None and t.predicate != predicate:
-                continue
-            if obj is not None and t.object != obj:
-                continue
-            yield t.subject
-
-    def objects(self, subject: Optional[Term] = None, predicate: Optional[Iri] = None):
-        for t in self.triples:
-            if subject is not None and t.subject != subject:
-                continue
-            if predicate is not None and t.predicate != predicate:
-                continue
-            yield t.object
 
     def node_iris(self) -> frozenset[Iri]:
         """IRIs occurring in a node position (subject or object).
@@ -436,11 +420,6 @@ def merge(graphs: Iterable[RdfGraph]) -> RdfGraph:
         triples |= g.triples
         prefixes = prefixes.merged(g.prefixes)
     return RdfGraph(frozenset(triples), prefixes)
-
-
-def diff(after: RdfGraph, before: RdfGraph) -> frozenset[Triple]:
-    """Triples present in ``after`` but absent from ``before``."""
-    return after.triples - before.triples
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +641,7 @@ class _Reader:
                     lexical = _unescape(raw[1:-1]) if "\\" in raw else raw[1:-1]
                     kind, raw, _ = tokens[i]
                     if kind == _LANG:
-                        obj = _new(Literal, (lexical, None, raw[1:]))
+                        obj = _new(Literal, (2, lexical, "", raw[1:], None, raw[1:]))
                         i += 1
                     elif raw == "^^":
                         kind, raw, dpos = tokens[i + 1]
@@ -675,9 +654,10 @@ class _Reader:
                         except ValueError as exc:  # e.g. "yes"^^xsd:boolean
                             raise _syntax_error(self.text, pos, str(exc))
                     else:
-                        obj = _new(Literal, (lexical, None, None))
+                        obj = _new(Literal, (2, lexical, "", "", None, None))
                 elif kind == _NUM:
-                    obj = _new(Literal, (raw, XSD_DECIMAL if "." in raw else XSD_INTEGER, None))
+                    datatype = XSD_DECIMAL if "." in raw else XSD_INTEGER
+                    obj = _new(Literal, (2, raw, datatype[1], "", datatype, None))
                 elif raw == "true" or raw == "false":
                     obj = TRUE if raw == "true" else FALSE
                 elif raw == "[":
@@ -719,7 +699,7 @@ def _render_iri(iri: Iri, prefixes: PrefixTable) -> str:
     return f"<{iri.value}>"
 
 
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
 def _render_literal(lit: Literal, prefixes: PrefixTable) -> str:
@@ -727,8 +707,7 @@ def _render_literal(lit: Literal, prefixes: PrefixTable) -> str:
         return lit.lexical
     if lit.datatype in (XSD_INTEGER, XSD_DECIMAL) and _NUMBER.fullmatch(lit.lexical):
         return lit.lexical
-    escaped = "".join(_STRING_ESCAPES.get(c, c) for c in lit.lexical)
-    rendered = f'"{escaped}"'
+    rendered = f'"{lit.lexical.translate(_STRING_ESCAPES)}"'
     if lit.language:
         return f"{rendered}@{lit.language}"
     if lit.datatype and lit.datatype != XSD_STRING:
@@ -744,30 +723,45 @@ def _render_term(term: Term, prefixes: PrefixTable) -> str:
     return _render_literal(term, prefixes)
 
 
-def _subject_blocks(triples: Iterable[Triple], prefixes: PrefixTable,
-                    rendered: dict[Term, str]) -> list[tuple[tuple, str]]:
-    """One statement per subject, as (subject sort key, text), in key order.
+_PREDICATE_TEXTS = {RDF_TYPE: "a"}
 
-    Predicates and objects within a statement are sorted; predicate groups
-    after the first go on indented continuation lines. ``rendered`` caches
-    each term's text under ``prefixes``, since most terms recur.
-    """
-    ordered = sorted(triples, key=triple_sort_key)
 
-    def render(term: Term) -> str:
-        text = rendered.get(term)
-        if text is None:
-            text = rendered[term] = _render_term(term, prefixes)
-        return text
+def _term_texts(triples: list[Triple], prefixes: PrefixTable, nodes: Mapping[Term, str] = {},
+                predicates: Mapping[Iri, str] = _PREDICATE_TEXTS) -> tuple[dict, dict]:
+    """Copies of ``nodes`` (subject and object texts) and ``predicates``,
+    each with every term of ``triples`` it lacks rendered under ``prefixes``."""
+    nodes, predicates = dict(nodes), dict(predicates)
+    for term in {*map(itemgetter(0), triples), *map(itemgetter(2), triples)} - nodes.keys():
+        nodes[term] = _render_term(term, prefixes)
+    for term in set(map(itemgetter(1), triples)) - predicates.keys():
+        predicates[term] = _render_iri(term, prefixes)
+    return nodes, predicates
 
-    blocks = []
-    for subject, group in groupby(ordered, key=itemgetter(0)):
-        parts = [("a" if predicate == RDF_TYPE else render(predicate)) + " "
-                 + ", ".join(render(t.object) for t in objects)
-                 for predicate, objects in groupby(group, key=itemgetter(1))]
-        body = " ;\n    ".join(parts)
-        blocks.append((_term_sort_key(subject), f"{render(subject)} {body} ."))
-    return blocks
+
+def _statements(ordered: list[Triple], nodes: Mapping[Term, str],
+                predicates: Mapping[Iri, str]) -> list[str]:
+    """One statement per subject of the sorted ``ordered``, whose terms'
+    texts ``nodes`` and ``predicates`` hold. Predicate groups after the first
+    go on indented continuation lines."""
+    statements: list[str] = []
+    parts: list[str] = []
+    subject = predicate = None
+    for s, p, o in ordered:
+        if s != subject:
+            if parts:
+                parts.append(" .")
+                statements.append("".join(parts))
+            subject, predicate = s, p
+            parts = [nodes[s], " ", predicates[p], " ", nodes[o]]
+        elif p != predicate:
+            predicate = p
+            parts += " ;\n    ", predicates[p], " ", nodes[o]
+        else:
+            parts += ", ", nodes[o]
+    if parts:
+        parts.append(" .")
+        statements.append("".join(parts))
+    return statements
 
 
 def _document(prefixes: PrefixTable, statements: Iterable[str]) -> str:
@@ -784,36 +778,26 @@ def _document(prefixes: PrefixTable, statements: Iterable[str]) -> str:
 def serialize_turtle(graph: RdfGraph) -> str:
     """Render a graph as Turtle with a fixed, deterministic layout.
 
-    The whole prefix table is declared, sorted by label (an empty graph is a
-    document of prefix declarations alone); statements are grouped per
-    subject with ';' and ',' and sorted by expanded IRI so output is
-    byte-stable for equal graphs.
+    The whole prefix table is declared (an empty graph is a document of
+    prefix declarations alone); statements are grouped per subject with ';'
+    and ',' and sorted, so output is byte-stable for equal graphs.
     """
-    return _document(graph.prefixes,
-                     [text for _, text in _subject_blocks(graph.triples, graph.prefixes, {})])
+    ordered = sorted(graph.triples)
+    return _document(graph.prefixes, _statements(ordered, *_term_texts(ordered, graph.prefixes)))
 
 
 def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator[str]:
-    """Yield ``serialize_turtle(graph)`` for each of ``graphs``, which extend ``base``.
-
-    The base's statements are rendered once. For each graph only the
-    subjects that its additions touch are rendered again, from their base
-    triples plus the additions, and spliced into the base's statements by
-    subject order. A graph for which reused statements could render
-    differently gets a plain ``serialize_turtle``: one that lacks a base
-    triple, lacks a base prefix label or binds it elsewhere, or binds a new
-    namespace that contraction could pick for a base IRI.
-    """
-    rendered: dict[Term, str] = {}
-    blocks = _subject_blocks(base.triples, base.prefixes, rendered)
-    keys = [key for key, _ in blocks]
-    texts = [text for _, text in blocks]
-    by_subject: dict[Union[Iri, BlankNode], list[Triple]] = {}
-    for t in base.triples:
-        by_subject.setdefault(t.subject, []).append(t)
-    iris = {term.value for t in base.triples
-            for term in (t.subject, t.predicate, t.object, getattr(t.object, "datatype", None))
-            if isinstance(term, Iri)}
+    """Yield ``serialize_turtle(graph)`` for each of ``graphs``, which extend
+    ``base``, by splicing (see the module docstring)."""
+    ordered = sorted(base.triples)
+    nodes, predicates = _term_texts(ordered, base.prefixes)
+    runs = {s: list(run) for s, run in groupby(ordered, itemgetter(0))}
+    subjects = list(runs)
+    texts = _statements(ordered, nodes, predicates)
+    terms = {*nodes, *map(itemgetter(1), ordered)}
+    iris = {term.value for term in terms if isinstance(term, Iri)}
+    iris.update(term.datatype.value for term in terms
+                if isinstance(term, Literal) and term.datatype)
     iri_namespaces = {value[:max(value.rfind("#"), value.rfind("/")) + 1] for value in iris}
     base_ns = dict(base.prefixes.items())
 
@@ -829,21 +813,21 @@ def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator
                 or any(table.namespace(label) != ns for label, ns in base_ns.items())
                 or any(label not in base_ns and captures(ns) for label, ns in table.items())):
             return serialize_turtle(graph)
-        added = graph.triples - base.triples
-        touched = {t.subject for t in added}
+        added = sorted(graph.triples - base.triples)
+        touched = list(dict.fromkeys(map(itemgetter(0), added)))
+        # Two sorted runs, which the sort merges.
+        redone = sorted([*added, *chain.from_iterable(map(runs.get, touched, repeat(())))])
         # Base terms render alike under this table; its own terms need not
-        # render alike under the next graph's, hence the copy.
-        redone = _subject_blocks(
-            [*added, *(t for s in touched for t in by_subject.get(s, ()))], table,
-            dict(rendered))
+        # render alike under the next graph's, hence the copies.
         statements: list[str] = []
         start = 0
-        for key, text in redone:
-            i = bisect_left(keys, key, start)
-            statements.extend(texts[start:i])
+        for s, text in zip(touched, _statements(redone, *_term_texts(added, table, nodes,
+                                                                     predicates))):
+            i = bisect_left(subjects, s, start)
+            statements += texts[start:i]
             statements.append(text)
-            start = i + 1 if i < len(keys) and keys[i] == key else i
-        statements.extend(texts[start:])
+            start = i + 1 if s in runs else i
+        statements += texts[start:]
         return _document(table, statements)
 
     # One call per graph, so its temporaries are freed before the next.

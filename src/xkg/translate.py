@@ -340,7 +340,7 @@ def individual_match_keys(graph: RdfGraph) -> dict[str, list[Iri]]:
     for t in graph.triples:
         if t.predicate == RDFS_LABEL and isinstance(t.object, Literal) and isinstance(t.subject, Iri):
             note(t.object.lexical, t.subject)
-    return {k: sorted(v, key=lambda i: i.value) for k, v in keys.items()}
+    return {k: sorted(v) for k, v in keys.items()}
 
 
 def link_entities(graph: RdfGraph, links: LinkTable,

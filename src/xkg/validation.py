@@ -57,7 +57,6 @@ from .rdf import (
     Term,
     Triple,
     parse_turtle,
-    triple_sort_key,
 )
 
 ERROR = "ERROR"
@@ -65,7 +64,8 @@ WARN = "WARN"
 INFO = "INFO"
 
 # Closed diagnostic code registry. RESPONSE_INVALID and PRECEDES_CYCLE cover
-# failed backend responses and cyclic orderings, which still need codes.
+# failed backend responses and cyclic orderings, which still need codes;
+# PREFIX_CONFLICT a result whose prefixes clash with an earlier merged one.
 ANCHOR_FLOAT = "ANCHOR_FLOAT"
 PREFIX_MISUSE = "PREFIX_MISUSE"
 DISJOINT_CLASH = "DISJOINT_CLASH"
@@ -74,6 +74,7 @@ UNDECLARED_PREFIX = "UNDECLARED_PREFIX"
 FALLBACK_ROLE = "FALLBACK_ROLE"
 RESPONSE_INVALID = "RESPONSE_INVALID"
 PRECEDES_CYCLE = "PRECEDES_CYCLE"
+PREFIX_CONFLICT = "PREFIX_CONFLICT"
 
 DIAGNOSTIC_CODES = frozenset({
     ANCHOR_FLOAT,
@@ -84,6 +85,7 @@ DIAGNOSTIC_CODES = frozenset({
     FALLBACK_ROLE,
     RESPONSE_INVALID,
     PRECEDES_CYCLE,
+    PREFIX_CONFLICT,
 })
 
 
@@ -101,17 +103,11 @@ class Diagnostic:
             raise ValueError(f"unknown severity {self.severity!r}")
 
     def to_dict(self) -> dict:
-        subject = None
-        if isinstance(self.subject, Iri):
-            subject = self.subject.value
-        elif isinstance(self.subject, BlankNode):
-            subject = f"_:{self.subject.label}"
-        elif isinstance(self.subject, Literal):
-            subject = self.subject.lexical
+        s = self.subject  # an IRI's value, a literal's lexical form, a blank node's label
         return {
             "severity": self.severity,
             "code": self.code,
-            "subject": subject,
+            "subject": None if s is None else "_:" + s[1] if isinstance(s, BlankNode) else s[1],
             "message": self.message,
         }
 
@@ -132,7 +128,7 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
     at least one of its IRI nodes occurs as a node in the base graph.
     Insensitive to triple order.
     """
-    added = sorted(set(added), key=triple_sort_key)
+    added = sorted(set(added))
     if not added:
         return []
 
@@ -149,28 +145,20 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
         if ra != rb:
             parent[ra] = rb
 
-    def nodes_of(t: Triple) -> list[Term]:
-        nodes: list[Term] = [t.subject]
-        if not isinstance(t.object, Literal):
-            nodes.append(t.object)
-        return nodes
+    for s, _, o in added:
+        parent.setdefault(s, s)
+        if not isinstance(o, Literal):
+            parent.setdefault(o, o)
+            union(s, o)
 
-    for t in added:
-        for node in nodes_of(t):
-            parent.setdefault(node, node)
-        ns = nodes_of(t)
-        for other in ns[1:]:
-            union(ns[0], other)
-
-    base_nodes = base.node_iris()
+    base_nodes = base.node_iris()  # IRIs only, so no literal or blank node is in it
     members: dict[Term, list[Triple]] = defaultdict(list)
     anchored: dict[Term, bool] = defaultdict(bool)
     for t in added:
         root = find(t.subject)
         members[root].append(t)
-        for node in nodes_of(t):
-            if isinstance(node, Iri) and node in base_nodes:
-                anchored[root] = True
+        if t.subject in base_nodes or t.object in base_nodes:
+            anchored[root] = True
 
     diagnostics = []
     for root in sorted(members, key=lambda term: repr(term)):
@@ -232,8 +220,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
 
     misused = sorted({t.predicate for t in graph.triples
-                      if t.predicate.value.startswith(PBRS_NS)},
-                     key=lambda i: i.value)
+                      if t.predicate.value.startswith(PBRS_NS)})
     for predicate in misused:
         diagnostics.append(Diagnostic(
             WARN, PREFIX_MISUSE,
@@ -243,8 +230,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
         ))
 
     undeclared = sorted({iri for iri in graph.all_iris()
-                         if iri.value.startswith(UNDECLARED_NS_BASE)},
-                        key=lambda i: i.value)
+                         if iri.value.startswith(UNDECLARED_NS_BASE)})
     seen_labels: set[str] = set()
     for iri in undeclared:
         label = iri.value[len(UNDECLARED_NS_BASE):].split("#")[0]
@@ -258,7 +244,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
         ))
 
     commented = {t.subject for t in graph.triples if t.predicate == RDFS_COMMENT}
-    for term in sorted(_minted_terms(graph), key=lambda i: i.value):
+    for term in sorted(_minted_terms(graph)):
         if term in commented:
             continue
         diagnostics.append(Diagnostic(
@@ -268,7 +254,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
         ))
 
     fallbacks = [t for t in graph.triples if t.predicate == DUL_ASSOCIATED_WITH]
-    for t in sorted(fallbacks, key=triple_sort_key):
+    for t in sorted(fallbacks):
         diagnostics.append(Diagnostic(
             INFO, FALLBACK_ROLE,
             f"fallback association between {t.subject} and {t.object}",
@@ -366,7 +352,7 @@ def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
             path = queue.popleft()
             if path[-1] == goal:
                 return path
-            for nxt in sorted(subclass_of.get(path[-1], ()), key=lambda i: i.value):
+            for nxt in sorted(subclass_of.get(path[-1], ())):
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(path + [nxt])
@@ -389,17 +375,17 @@ def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
         if t.predicate == OWL_DISJOINT_WITH and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
             disjoint.add(frozenset((t.subject, t.object)))
 
-    for individual in sorted(types, key=lambda i: i.value):
+    for individual in sorted(types):
         reach: set[Iri] = set()
         for klass in types[individual]:
             reach.add(klass)
             reach |= ancestors(klass)
         for pair in sorted(disjoint, key=lambda p: sorted(i.value for i in p)):
-            first, second = sorted(pair, key=lambda i: i.value)
+            first, second = sorted(pair)
             if first in reach and second in reach:
                 chains = []
                 for goal in (first, second):
-                    for klass in sorted(types[individual], key=lambda i: i.value):
+                    for klass in sorted(types[individual]):
                         path = chain_to(klass, goal)
                         if path is not None:
                             chains.append(" -> ".join(
@@ -437,9 +423,7 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
     """
     asserted = sorted(
         {(t.subject, t.object) for t in graph.triples
-         if t.predicate == DUL_PRECEDES and isinstance(t.subject, Iri) and isinstance(t.object, Iri)},
-        key=lambda p: (p[0].value, p[1].value),
-    )
+         if t.predicate == DUL_PRECEDES and isinstance(t.subject, Iri) and isinstance(t.object, Iri)})
     successors: dict[Iri, set[Iri]] = defaultdict(set)
     for a, b in asserted:
         successors[a].add(b)
@@ -465,7 +449,7 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
             closure.add((start, node))
             queue.extend(successors.get(node, ()))
 
-    closure_sorted = sorted(closure, key=lambda p: (p[0].value, p[1].value))
+    closure_sorted = sorted(closure)
     asserted_set = set(asserted)
     inferred = [p for p in closure_sorted if p not in asserted_set]
     return PrecedenceInference(asserted, closure_sorted, inferred, diagnostics)
@@ -487,10 +471,6 @@ class GraphProfile:
     dul: int
     new_op: Optional[int] = None
     new_dp: Optional[int] = None
-
-    def as_row(self) -> tuple:
-        return (self.axioms, self.wordnet, self.pb_roles, self.pb_frames,
-                self.vn_roles, self.d0, self.dul)
 
     def to_dict(self) -> dict:
         return {

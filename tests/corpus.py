@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from xkg.enrichment import HEURISTIC_BY_NAME, heuristic_prefixes
+from xkg.enrichment import HEURISTIC_BY_NAME, HEURISTICS
 from xkg.rdf import (
     D0_NS,
     DUL_ASSOCIATED_WITH,
@@ -50,6 +50,7 @@ from xkg.rdf import (
     WN30_NS,
     Iri,
     Literal,
+    PrefixTable,
     RdfGraph,
     Triple,
     standard_prefixes,
@@ -211,7 +212,8 @@ def build_corpus() -> Corpus:
         s, o = next(pairs)
         add(s, DUL_ASSOCIATED_WITH, o)
 
-    prefixes = standard_prefixes().merged(heuristic_prefixes())
+    prefixes = standard_prefixes().merged(
+        PrefixTable({spec.prefix: spec.namespace for spec in HEURISTICS}))
     base = RdfGraph(frozenset(triples), prefixes)
 
     additions: dict[str, frozenset[Triple]] = {}

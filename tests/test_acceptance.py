@@ -68,6 +68,11 @@ SYSTEM = read_system_template(RESOURCES.prompts_dir)
 FIXTURES = bundled_resources_root() / "fixtures"
 
 BASE_PROFILE_ROW = (293, 33, 23, 20, 1, 4, 10)
+
+
+def profile_row(p) -> tuple:
+    """A profile's counts in the order of the paper's table."""
+    return (p.axioms, p.wordnet, p.pb_roles, p.pb_frames, p.vn_roles, p.d0, p.dul)
 ADDITION_AXIOM_TARGETS = {
     "Presuppositions": 32,
     "ConversationalImplicatures": 36,
@@ -127,7 +132,7 @@ def test_criterion_2_golden_triples():
 def test_criterion_3_profile_calibration():
     corpus = build_corpus()
     base_profile = profile(corpus.base)
-    assert base_profile.as_row() == BASE_PROFILE_ROW
+    assert profile_row(base_profile) == BASE_PROFILE_ROW
 
     for heuristic, expected_axioms in ADDITION_AXIOM_TARGETS.items():
         addition_profile = profile(corpus.xkg(heuristic), corpus.base)
@@ -141,7 +146,7 @@ def test_criterion_3_profile_calibration():
     assert len(boolean_objects) == 11
     assert all(obj == TRUE for obj in boolean_objects)
     print("\ncriterion 3 PASS: base profile "
-          f"{base_profile.as_row()} and all 11 addition axiom counts match; "
+          f"{profile_row(base_profile)} and all 11 addition axiom counts match; "
           "11 boolean datatype properties, all true")
 
 

@@ -73,6 +73,33 @@ class TestLoadRatings:
         cells = sum(len(stats.annotator_means) for stats in report.heuristics)
         assert cells == 55
 
+    def test_short_row_rejected(self, tmp_path):
+        with pytest.raises(AgreementError, match="row 3: not as many fields as the header"):
+            load_ratings(self.write(tmp_path, "i1,H,a1,4\na,h\n"))
+
+    def test_unterminated_quote_rejected(self, tmp_path):
+        with pytest.raises(AgreementError, match="row 2"):
+            load_ratings(self.write(tmp_path, 'i1,H,"a1,4\ni2,H,a2,5\n'))
+
+    def test_extra_field_rejected(self, tmp_path):
+        with pytest.raises(AgreementError, match="row 2: not as many fields as the header"):
+            load_ratings(self.write(tmp_path, "i1,H,a1,4,oops\n"))
+
+    def test_extra_header_column_ignored(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("item_id,heuristic,annotator,score,note\ni1,H,a1,4,fine\n",
+                        encoding="utf-8")
+        assert load_ratings(path).score("i1", "a1") == 4
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes("\ufeffitem_id,heuristic,annotator,score\ni1,H,a1,4\n".encode("utf-8"))
+        assert load_ratings(path).score("i1", "a1") == 4
+
+    def test_oversized_field_is_named_error(self, tmp_path):
+        with pytest.raises(AgreementError, match="after line 1: field larger than"):
+            load_ratings(self.write(tmp_path, "i1,H,a1," + "x" * 200_000 + "\n"))
+
     def test_first_appearance_order(self, tmp_path):
         matrix = load_ratings(self.write(tmp_path, "b,H,z,1\na,H,y,2\n"))
         assert matrix.items == ["b", "a"]

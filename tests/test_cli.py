@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xkg.cli
 from xkg import run_pipeline
@@ -9,7 +11,7 @@ from xkg.backends import MappingBackend, MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from xkg.config import bundled_resources_root, default_config
 from xkg.enrichment import HEURISTICS
-from xkg.rdf import parse_turtle, serialize_turtle
+from xkg.rdf import FRED_NS, parse_turtle, serialize_turtle
 
 FIXTURES = bundled_resources_root() / "fixtures"
 SCENE_TXT = str(FIXTURES / "athlete-scene.txt")
@@ -194,6 +196,57 @@ class TestEnrich:
         assert len(merged.triples) == len(base.triples) + 1
 
 
+    def test_prefix_conflict_quarantines_later_heuristic_despite_force_merge(
+            self, base_graph_dir, tmp_path):
+        mocks = tmp_path / "mocks"
+        mocks.mkdir()
+        for name, ns in (("FactualImpact", "http://a/"), ("CausalRelations", "http://b/")):
+            (mocks / f"{name}.ttl").write_text(
+                f"@prefix fred: <{FRED_NS}> .\n@prefix ex: <{ns}> .\nfred:athlete_1 ex:p ex:x .",
+                encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resources": {"mock_dir": "mocks"}}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["enrich", "--base", str(base_graph_dir / "base-graph.ttl"),
+                     "--heuristic", "FactualImpact,CausalRelations", "--mock", "--force-merge",
+                     "--config", str(config), "--out", str(out)])
+        assert code == EXIT_DIAGNOSTICS
+        diagnostics = json.loads(read(out / "diagnostics.json"))
+        assert diagnostics["FactualImpact"]["quarantined"] is False
+        assert diagnostics["CausalRelations"]["quarantined"] is True
+        assert "PREFIX_CONFLICT" in [d["code"] for d in diagnostics["CausalRelations"]["diagnostics"]]
+        causal = read(out / "xkg-CausalRelations.ttl")
+        assert "@prefix ex: <http://b/> ." in causal and "ex:p ex:x" in causal
+        merged = read(out / "xkg-merged.ttl")
+        assert "@prefix ex: <http://a/> ." in merged and "http://b/" not in merged
+
+
+# Report-shaped JSON: string keys; scalars including non-ASCII and control
+# characters, lone surrogates, special floats, bools and None; empty containers.
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    def test_same_text_as_json_dumps(self, value):
+        assert xkg.cli._json(value) == json.dumps(value, indent=2)
+
+    def test_writes_json_dumps_bytes(self, tmp_path):
+        payload = {"diagnostics": [{"severity": "ERROR", "subject": None, "message": "é\x00\n"}],
+                   "profile": {"axioms": 3, "new_op": None}, "empty": [[], {}], "ratio": 0.5,
+                   "flags": (True, False)}
+        xkg.cli._write_json(tmp_path / "report.json", payload)
+        expected = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        assert (tmp_path / "report.json").read_bytes() == expected
+
+
 class TestValidate:
     def test_clean_base_has_no_errors(self, base_graph_dir, tmp_path):
         code = main(["validate", "--graph", str(base_graph_dir / "base-graph.ttl"),
@@ -259,6 +312,14 @@ class TestAgree:
 
     def test_missing_ratings_file(self, tmp_path):
         assert main(["agree", "--ratings", "/nope.csv", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("row", ["a,h", "i1,H,a1,4,x", 'i1,H,"a1,4'])
+    def test_malformed_row_is_input_error(self, tmp_path, capsys, row):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(f"item_id,heuristic,annotator,score\n{row}\n", encoding="utf-8")
+        code = main(["agree", "--ratings", str(ratings), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "row 2: not as many fields as the header" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,7 +32,14 @@ from xkg.rdf import (
     serialize_turtle,
     standard_prefixes,
 )
-from xkg.validation import ANCHOR_FLOAT, PREFIX_MISUSE, RESPONSE_INVALID, UNDECLARED_PREFIX, lint
+from xkg.validation import (
+    ANCHOR_FLOAT,
+    PREFIX_CONFLICT,
+    PREFIX_MISUSE,
+    RESPONSE_INVALID,
+    UNDECLARED_PREFIX,
+    lint,
+)
 
 PROMPTS = default_resource_paths().prompts_dir
 MOCKS = default_resource_paths().mock_dir
@@ -201,6 +208,16 @@ class TestRunHeuristic:
         assert [d.code for d in result.diagnostics] == [RESPONSE_INVALID]
         assert result.failed
 
+    def test_unexpected_backend_exception_becomes_diagnostic(self):
+        class Broken(MappingBackend):
+            def complete(self, request):
+                raise RuntimeError("boom")
+
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, Broken({}), PROMPTS)
+        assert result.added == frozenset()
+        assert [d.code for d in result.diagnostics] == [RESPONSE_INVALID]
+        assert result.diagnostics[0].message == "backend failure: RuntimeError: boom"
+
     def test_unparseable_response_becomes_diagnostic(self):
         backend = MappingBackend({"FactualImpact": "I cannot help."})
         result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
@@ -267,6 +284,56 @@ class TestRunAll:
         assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
         for graph in [merged] + [r.xkg for r in results]:
             serialize_turtle(graph).encode("utf-8")
+
+    def clashing_responses(self):
+        """Two anchored responses that bind ``ex:`` to different namespaces."""
+        responses = {spec.name: "" for spec in HEURISTICS}
+        for name, ns in (("CausalRelations", "http://b/"), ("FactualImpact", "http://a/")):
+            responses[name] = (f"@prefix fred: <{FRED_NS}> .\n@prefix ex: <{ns}> .\n"
+                               f"fred:athlete_1 ex:p ex:x .")
+        return responses
+
+    @pytest.mark.parametrize("force_merge", [False, True])
+    def test_prefix_conflict_quarantines_the_later_heuristic(self, force_merge):
+        outcomes = []
+        for max_concurrent in (1, 4):
+            results, merged = run_all(SCENE_BASE, MappingBackend(self.clashing_responses()),
+                                      PROMPTS, max_concurrent=max_concurrent,
+                                      force_merge=force_merge)
+            by_name = {r.heuristic: r for r in results}
+            impact, causal = by_name["FactualImpact"], by_name["CausalRelations"]
+            assert not impact.quarantined and impact.added
+            assert causal.quarantined
+            assert [d.code for d in causal.diagnostics if d.severity == "ERROR"] == [
+                PREFIX_CONFLICT]
+            assert "'ex:' bound to both <http://a/> and <http://b/>" in causal.diagnostics[-1].message
+            assert merged.triples == SCENE_BASE.triples | impact.added
+            assert merged.prefixes.namespace("ex") == "http://a/"
+            # Its own extended graph still holds its additions.
+            assert causal.xkg.triples == SCENE_BASE.triples | causal.added
+            outcomes.append((serialize_turtle(merged),
+                             [(r.heuristic, r.quarantined, r.diagnostics) for r in results]))
+        assert outcomes[0] == outcomes[1]
+
+    def test_unexpected_backend_exception_fails_only_its_heuristic(self):
+        class Flaky(MappingBackend):
+            def complete(self, request):
+                if request.tag == "MoralValueCoercion":
+                    raise RuntimeError("connection pool exploded")
+                return super().complete(request)
+
+        responses = {spec.name: "" for spec in HEURISTICS}
+        responses["FactualImpact"] = IMPACT_RESPONSE
+        for max_concurrent in (1, 4):
+            results, merged = run_all(SCENE_BASE, Flaky(responses), PROMPTS,
+                                      max_concurrent=max_concurrent)
+            by_name = {r.heuristic: r for r in results}
+            moral = by_name["MoralValueCoercion"]
+            assert moral.quarantined
+            assert [d.code for d in moral.diagnostics] == [RESPONSE_INVALID]
+            assert "RuntimeError: connection pool exploded" in moral.diagnostics[0].message
+            assert not by_name["FactualImpact"].quarantined
+            assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
 
     def test_mock_directory_run_is_byte_stable(self):
         base = SCENE_BASE  # anchors exist for athlete/win triples

@@ -30,7 +30,6 @@ from xkg.rdf import (
     Triple,
     TurtleSyntaxError,
     UndeclaredPrefixError,
-    diff,
     merge,
     parse_turtle,
     serialize_extensions,
@@ -323,6 +322,7 @@ def _base_and_extensions(draw):
                                                _ext_iris, _ext_objects), max_size=12)),
                        base_table)
     base_subjects = sorted({t.subject for t in base.triples}, key=repr)
+    base_groups = sorted({t[:2] for t in base.triples}, key=repr)
     subjects = st.one_of(_ext_iris, _ext_blanks, *([st.sampled_from(base_subjects)]
                                                     if base_subjects else []))
     graphs = []
@@ -332,6 +332,9 @@ def _base_and_extensions(draw):
             triples.remove(min(triples, key=repr))
         triples |= set(draw(st.lists(st.builds(Triple, subjects, _ext_iris, _ext_objects),
                                      max_size=5)))
+        if base_groups:  # into a base subject's existing predicate group
+            triples |= {Triple(*group, o) for group, o in draw(st.lists(
+                st.tuples(st.sampled_from(base_groups), _ext_objects), max_size=3))}
         extra = draw(_ext_tables)
         if draw(st.booleans()):  # the base's table plus new labels
             table = base_table
@@ -412,6 +415,11 @@ class TestIsomorphism:
         g1 = parse_turtle("@prefix ex: <http://e/> . _:a ex:p _:b . _:a ex:q ex:x .")
         g2 = parse_turtle("@prefix ex: <http://e/> . _:a ex:p _:b . _:b ex:q ex:x .")
         assert not isomorphic(g1, g2)
+
+
+def diff(after: RdfGraph, before: RdfGraph) -> frozenset[Triple]:
+    """Triples present in ``after`` but absent from ``before``."""
+    return after.triples - before.triples
 
 
 class TestMergeDiff:
@@ -563,6 +571,58 @@ class TestReaderAgreesWithReference:
     def test_syntax_error_cases(self, text):
         assert (_read(parse_turtle, text, None, True)
                 == _read(reference_turtle.parse_turtle, text, None, True))
+
+
+def _term_sort_key(term) -> tuple:
+    """The serialization order of terms before terms sorted as plain tuples."""
+    if isinstance(term, Iri):
+        return (0, term.value, "", "")
+    if isinstance(term, BlankNode):
+        return (1, term.label, "", "")
+    return (2, term.lexical, term.datatype.value if term.datatype else "", term.language or "")
+
+
+def triple_sort_key(t: Triple) -> tuple:
+    return (_term_sort_key(t.subject), t.predicate.value, _term_sort_key(t.object))
+
+
+# IRIs and blank nodes of the same text, and literals of one lexical form
+# under several datatypes and languages.
+_TEXTS = ["urn:a", "urn:a#b", "urn:b", "http://e/a", "http://e/a/"]
+_sort_iris = st.sampled_from(_TEXTS).map(Iri)
+_sort_nodes = st.one_of(_sort_iris, st.sampled_from(_TEXTS + ["b1", ""]).map(BlankNode))
+_sort_literals = st.builds(
+    lambda lexical, tail: Literal(lexical, *tail),
+    st.sampled_from(["", "1", "urn:a", "b1", "true"]),
+    st.sampled_from([(None, None), (None, "en"), (None, "en-US"), (None, "fr"),
+                     (XSD_INTEGER, None), (XSD_STRING, None), (Iri("urn:a"), None),
+                     (Iri("urn:a#b"), None)]))
+_sort_terms = st.one_of(_sort_nodes, _sort_literals)
+
+
+class TestSortOrder:
+    """Terms and triples sort as plain tuples in the order of the reference keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Triple, _sort_nodes, _sort_iris, _sort_terms), max_size=30))
+    def test_triples(self, triples):
+        assert sorted(triples) == sorted(triples, key=triple_sort_key)
+        assert list(RdfGraph.of(triples)) == sorted(set(triples), key=triple_sort_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_sort_terms, max_size=30))
+    def test_terms(self, terms):
+        assert sorted(terms) == sorted(terms, key=_term_sort_key)
+
+    def test_keys_are_distinct_for_distinct_terms(self):
+        literals = [Literal("x"), Literal("x", XSD_STRING), Literal("x", language="en"),
+                    Literal("x", Iri("urn:x"))]
+        terms = [Iri("urn:x"), BlankNode("urn:x"), *literals]
+        assert len({_term_sort_key(t) for t in terms}) == len(set(terms)) == len(terms)
+
+    def test_empty_language_tag_rejected(self):
+        with pytest.raises(ValueError):
+            Literal("x", language="")
 
 
 class TestTermsAreTuples:

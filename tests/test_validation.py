@@ -327,8 +327,9 @@ class TestPrecedence:
 class TestProfile:
     def test_empty_graph_all_zero(self):
         p = profile(RdfGraph.of([]))
-        assert p.as_row() == (0, 0, 0, 0, 0, 0, 0)
-        assert p.new_op is None and p.new_dp is None
+        assert p.to_dict() == {**dict.fromkeys(["axioms", "wordnet", "pb_roles", "pb_frames",
+                                                "vn_roles", "d0", "dul"], 0),
+                               "new_op": None, "new_dp": None}
 
     def test_structural_statements_excluded(self):
         graph = RdfGraph.of([
