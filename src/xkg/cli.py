@@ -135,16 +135,16 @@ def cmd_base(args: argparse.Namespace) -> int:
 
 
 def _select_heuristics(selector: str):
+    """The named heuristics in registry order, each once (None for 'all'), so
+    the run order does not depend on how they are listed."""
     if selector == "all":
         return None
-    chosen = []
-    for name in selector.split(","):
-        name = name.strip()
+    names = [name.strip() for name in selector.split(",")]
+    for name in names:
         if name not in HEURISTIC_BY_NAME:
             raise CliError(f"unknown heuristic {name!r}; known: "
                            + ", ".join(spec.name for spec in HEURISTICS))
-        chosen.append(HEURISTIC_BY_NAME[name])
-    return chosen
+    return [spec for spec in HEURISTICS if spec.name in names]
 
 
 def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) -> int:
@@ -210,12 +210,12 @@ def _profile_table(p: validation.GraphProfile) -> str:
 def cmd_agree(args: argparse.Namespace) -> int:
     try:
         matrix = _read_input(args.ratings, agreement_mod.load_ratings)
+        report = agreement_mod.build_report(
+            matrix, heuristic_order=[spec.name for spec in HEURISTICS])
     except agreement_mod.AgreementError as exc:
         raise CliError(str(exc))
-    report = agreement_mod.build_report(
-        matrix, heuristic_order=[spec.name for spec in HEURISTICS])
     out_dir = Path(args.out)
-    _write(out_dir / "agreement-report.json", report.to_json())
+    _write_json(out_dir / "agreement-report.json", report.to_dict())
     _write(out_dir / "agreement-report.txt", report.format_table())
     print(report.format_table(), end="")
     return EXIT_OK

@@ -22,7 +22,7 @@ from .backends import (
     HttpBackend,
     UnsupportedImageFormatError,
 )
-from .config import PipelineConfig, ResourcePaths
+from .config import ConfigError, PipelineConfig, ResourcePaths
 from .enrichment import EnrichmentResult, HeuristicSpec, run_all
 from .rdf import RdfGraph
 from .translate import AlignmentMap, LinkTable, RolesetMap, align, link_entities, translate
@@ -116,7 +116,10 @@ def validate(graph: RdfGraph, base: Optional[RdfGraph],
     """Lints, consistency against the mini ontology, precedence and profile;
     with ``base`` the profile describes the additions."""
     diagnostics = validation.lint(graph)
-    onto = MiniOntology.from_turtle_file(resources.mini_ontology)
+    try:
+        onto = MiniOntology.from_turtle_file(resources.mini_ontology)
+    except ValueError as exc:  # a cyclic subclass hierarchy, or a file not in UTF-8
+        raise ConfigError(f"mini ontology {resources.mini_ontology}: {exc}")
     diagnostics.extend(validation.check_consistency(graph, onto))
     precedence = validation.infer_precedence(graph)
     diagnostics.extend(precedence.diagnostics)

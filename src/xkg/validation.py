@@ -277,7 +277,9 @@ class MiniOntology:
     disjoint: set[frozenset[Iri]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        cycle = _find_cycle(self.subclass_of)
+        # Sorted roots and successors: the cycle named does not depend on the
+        # hash seed.
+        cycle = _find_cycle({k: sorted(v) for k, v in sorted(self.subclass_of.items())})
         if cycle:
             raise ValueError("cyclic subclass hierarchy: " + " -> ".join(c.local_name() for c in cycle))
 
@@ -429,7 +431,9 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
         successors[a].add(b)
 
     diagnostics: list[Diagnostic] = []
-    cycle = _find_cycle({k: set(v) for k, v in successors.items()})
+    # Roots are already sorted (``asserted`` is); sorted successors make the
+    # cycle named independent of the hash seed.
+    cycle = _find_cycle({k: sorted(v) for k, v in successors.items()})
     if cycle:
         diagnostics.append(Diagnostic(
             ERROR, PRECEDES_CYCLE,

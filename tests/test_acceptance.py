@@ -7,8 +7,13 @@ bundled; all other fixtures ship with the package resources.
 """
 
 import filecmp
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
+
 import pytest
 
 from corpus import build_corpus
@@ -23,7 +28,8 @@ from oracles import (
 )
 from xkg.amr import parse_penman, parse_penman_file, serialize_penman
 from xkg.backends import MappingBackend
-from xkg.cli import EXIT_DIAGNOSTICS, main
+import xkg
+from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, main
 from xkg.config import bundled_resources_root, default_resource_paths
 from xkg.enrichment import HEURISTIC_BY_NAME, read_system_template, run_all, run_heuristic
 from xkg.rdf import (
@@ -304,6 +310,71 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     assert elapsed < 10.0
     print(f"\ncriterion 9 PASS: two mock pipeline runs byte-identical "
           f"({len(names)} files) in {elapsed:.2f}s")
+
+
+# Hash seeds under which the branching precedence cycle below was reported
+# along three different paths (a -> d -> a, a -> c -> a, a -> b -> a) while
+# the cycle search still walked sets in hash order.
+HASH_SEEDS = ("0", "1", "6")
+
+BRANCHING_PRECEDES_CYCLE = """\
+@prefix dul: <http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#> .
+@prefix ex: <http://example.org/> .
+ex:a dul:precedes ex:b, ex:c, ex:d .
+ex:b dul:precedes ex:a .
+ex:c dul:precedes ex:a .
+ex:d dul:precedes ex:a .
+"""
+
+BRANCHING_SUBCLASS_CYCLE = """\
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix ex: <http://example.org/> .
+ex:A rdfs:subClassOf ex:B, ex:C, ex:D .
+ex:B rdfs:subClassOf ex:A .
+ex:C rdfs:subClassOf ex:A .
+ex:D rdfs:subClassOf ex:A .
+"""
+
+
+def _xkg_in_fresh_interpreter(argv, seed):
+    """``xkg *argv`` in a new interpreter under PYTHONHASHSEED=seed: the exit
+    code and stderr."""
+    src = str(Path(xkg.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "xkg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+def test_outputs_independent_of_hash_seed(tmp_path):
+    """Companion to criterion 9: every output byte, and every message, is the
+    same under any hash seed."""
+    graph = tmp_path / "cycle.ttl"
+    graph.write_text(BRANCHING_PRECEDES_CYCLE, encoding="utf-8")
+    (tmp_path / "onto.ttl").write_text(BRANCHING_SUBCLASS_CYCLE, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text('{"resources": {"mini_ontology": "onto.ttl"}}', encoding="utf-8")
+    commands = {
+        "validate": (["validate", "--graph", str(graph)], EXIT_DIAGNOSTICS),
+        "run": (["run", "--mock", "--text", str(FIXTURES / "athlete-scene.txt"),
+                 "--amr", str(FIXTURES / "athlete-scene.amr")], EXIT_DIAGNOSTICS),
+        "cyclic-ontology": (["validate", "--graph", str(graph), "--config", str(config)],
+                            EXIT_CONFIG),
+    }
+    for name, (argv, expected_code) in commands.items():
+        outputs = []
+        for seed in HASH_SEEDS:
+            out = tmp_path / f"{name}-{seed}"
+            code, stderr = _xkg_in_fresh_interpreter(argv + ["--out", str(out)], seed)
+            assert code == expected_code, (name, seed, stderr)
+            files = sorted(out.iterdir()) if out.exists() else []
+            outputs.append((stderr, [(f.name, f.read_bytes()) for f in files]))
+        for seed, output in zip(HASH_SEEDS[1:], outputs[1:]):
+            assert output == outputs[0], f"{name}: PYTHONHASHSEED={seed} differs from 0"
+    report = (tmp_path / "validate-0" / "validation-report.json").read_text(encoding="utf-8")
+    assert "precedes assertions form a cycle: a -> b -> a" in report
 
 
 def test_full_scale_mock_merge_dedups():

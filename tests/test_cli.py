@@ -221,6 +221,41 @@ class TestEnrich:
         assert "@prefix ex: <http://a/> ." in merged and "http://b/" not in merged
 
 
+    def test_heuristic_listing_order_does_not_matter(self, base_graph_dir, tmp_path):
+        mocks = tmp_path / "mocks"
+        mocks.mkdir()
+        for name, ns in (("FactualImpact", "http://a/"), ("CausalRelations", "http://b/")):
+            (mocks / f"{name}.ttl").write_text(
+                f"@prefix fred: <{FRED_NS}> .\n@prefix ex: <{ns}> .\nfred:athlete_1 ex:p ex:x .",
+                encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resources": {"mock_dir": "mocks"}}), encoding="utf-8")
+        outs = []
+        for listing in ("FactualImpact,CausalRelations", "CausalRelations,FactualImpact"):
+            outs.append(tmp_path / listing.replace(",", "-"))
+            assert main(["enrich", "--base", str(base_graph_dir / "base-graph.ttl"),
+                         "--heuristic", listing, "--mock", "--config", str(config),
+                         "--out", str(outs[-1])]) == EXIT_DIAGNOSTICS
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        # Registry order: FactualImpact runs first and keeps its prefix.
+        diagnostics = json.loads(read(outs[1] / "diagnostics.json"))
+        assert list(diagnostics) == ["FactualImpact", "CausalRelations"]
+        assert diagnostics["CausalRelations"]["quarantined"] is True
+
+    def test_duplicated_heuristic_runs_once(self, base_graph_dir, tmp_path, monkeypatch):
+        backend = MockBackend(default_config().require_resources().mock_dir)
+        monkeypatch.setattr(xkg.cli, "_make_backend", lambda config, mock: backend)
+        code = main(["enrich", "--base", str(base_graph_dir / "base-graph.ttl"),
+                     "--heuristic", "FactualImpact, FactualImpact", "--mock",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert [request.tag for request in backend.requests] == ["FactualImpact"]
+        assert list(json.loads(read(tmp_path / "diagnostics.json"))) == ["FactualImpact"]
+
+
 # Report-shaped JSON: string keys; scalars including non-ASCII and control
 # characters, lone surrogates, special floats, bools and None; empty containers.
 _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -282,6 +317,24 @@ class TestValidate:
             assert (fred + earlier, fred + "celebrate_1") in inferred
 
 
+class TestValidateConfig:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_cyclic_mini_ontology_is_config_error(self, tmp_path, capsys, command):
+        (tmp_path / "onto.ttl").write_text(
+            "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:A rdfs:subClassOf ex:B .\nex:B rdfs:subClassOf ex:A .\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"resources": {"mini_ontology": "onto.ttl"}}),
+                          encoding="utf-8")
+        args = (["validate", "--graph", str(Path(__file__).parent / "golden" / "base-graph.ttl")]
+                if command == "validate" else
+                ["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR])
+        code = main(args + ["--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "cyclic subclass hierarchy: A -> B -> A" in capsys.readouterr().err
+
+
 class TestAgree:
     def test_perfect_agreement_alphas(self, tmp_path):
         ratings = tmp_path / "ratings.csv"
@@ -320,6 +373,20 @@ class TestAgree:
         code = main(["agree", "--ratings", str(ratings), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "row 2: not as many fields as the header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("item_id,heuristic,annotator,score\ni1,H,a1,\ni1,H,a2,\ni2,G,a1,4\n",
+         "no scores for heuristic 'H'"),
+        ("item_id,heuristic,annotator,score,score\ni1,H,a1,4,2\n",
+         "ratings CSV header names column 'score' more than once"),
+    ], ids=["all-blank-heuristic", "duplicated-column"])
+    def test_bad_ratings_are_input_errors(self, tmp_path, capsys, text, message):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(text, encoding="utf-8")
+        code = main(["agree", "--ratings", str(ratings), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,6 +428,15 @@ class TestGoldenFiles:
                              + ["xkg-merged.ttl"])
     def test_enrichment_bytes_are_pinned(self, run_dir, name):
         assert read(run_dir / name) == read(self.GOLDEN / name)
+
+    def test_agreement_report_bytes_are_pinned(self, tmp_path, capsys):
+        # A fixed ratings CSV with missing scores, an unlisted heuristic, a
+        # degenerate heuristic, one without overlap and a non-ASCII annotator.
+        ratings = str(self.GOLDEN / "ratings.csv")
+        assert main(["agree", "--ratings", ratings, "--out", str(tmp_path)]) == EXIT_OK
+        for name in ("agreement-report.json", "agreement-report.txt"):
+            assert (tmp_path / name).read_bytes() == (self.GOLDEN / name).read_bytes(), name
+        assert capsys.readouterr().out == read(self.GOLDEN / "agreement-report.txt")
 
 
 class TestRun:
