@@ -30,6 +30,15 @@ SCORES = (1, 2, 3, 4, 5)
 COLUMNS = ("item_id", "heuristic", "annotator", "score")
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Floats added left to right, as ``sum`` adds them before CPython 3.12,
+    which compensates for rounding and so changes the reports' last digits."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 class AgreementError(Exception):
     """Base class for ratings/statistics errors."""
 
@@ -147,7 +156,7 @@ def mean_sd(matrix: RatingsMatrix, heuristic: str) -> tuple[float, float]:
         raise NoDataError(heuristic)
     n = len(values)
     mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
+    variance = _sum((v - mean) ** 2 for v in values) / n
     return mean, variance ** 0.5
 
 
@@ -224,7 +233,7 @@ def cohen_kappa_pairwise(matrix: RatingsMatrix, heuristic: str) -> KappaResult:
     if not pairs:
         raise NoOverlapError(heuristic)
     defined = [p.kappa for p in pairs if p.kappa is not None]
-    mean = sum(defined) / len(defined) if defined else None
+    mean = _sum(defined) / len(defined) if defined else None
     return KappaResult(pairs, mean)
 
 
@@ -246,7 +255,9 @@ def _ordinal_delta_squared(c: int, k: int, marginals: dict[int, float]) -> float
     if c == k:
         return 0.0
     lo, hi = min(c, k), max(c, k)
-    between = sum(marginals.get(g, 0.0) for g in range(lo, hi + 1))
+    between = 0  # as _sum adds
+    for g in range(lo, hi + 1):
+        between += marginals.get(g, 0.0)
     return (between - (marginals.get(lo, 0.0) + marginals.get(hi, 0.0)) / 2.0) ** 2
 
 
@@ -278,10 +289,10 @@ def krippendorff_alpha(matrix: RatingsMatrix, heuristic: str) -> AlphaResult:
     for (c, _k), weight in coincidence.items():
         marginals[c] = marginals.get(c, 0.0) + weight
 
-    observed = sum(weight * _ordinal_delta_squared(c, k, marginals)
-                   for (c, k), weight in coincidence.items())
-    expected = sum(marginals[c] * marginals[k] * _ordinal_delta_squared(c, k, marginals)
-                   for c in marginals for k in marginals) / (n - 1)
+    observed = _sum(weight * _ordinal_delta_squared(c, k, marginals)
+                    for (c, k), weight in coincidence.items())
+    expected = _sum(marginals[c] * marginals[k] * _ordinal_delta_squared(c, k, marginals)
+                    for c in marginals for k in marginals) / (n - 1)
     if expected == 0.0:
         return AlphaResult(1.0, degenerate=True)
     return AlphaResult(1.0 - observed / expected)

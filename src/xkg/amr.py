@@ -105,9 +105,6 @@ class AmrGraph:
                 return n
         raise KeyError(variable)
 
-    def outgoing(self, variable: str) -> tuple[AmrEdge, ...]:
-        return tuple(e for e in self.edges if e.source == variable)
-
 
 class _Reader:
     def __init__(self, text: str):
@@ -290,6 +287,29 @@ def serialize_penman(graph: AmrGraph) -> str:
     return out
 
 
+def _paren_depth(line: str, in_string: bool) -> tuple[int, bool]:
+    """The line's '(' less its ')' outside quoted strings, and whether it ends
+    inside one; ``in_string`` says whether it starts inside one."""
+    if not in_string and '"' not in line:
+        return line.count("(") - line.count(")"), False
+    depth, escaped = 0, False
+    for c in line:
+        if in_string:  # as _Reader.quoted reads it: a backslash escapes any character
+            if escaped:
+                escaped = False
+            elif c == "\\":
+                escaped = True
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+    return depth, in_string
+
+
 def parse_penman_file(text: str, normalize_inverse: bool = True) -> list[AmrGraph]:
     """Parse a PENMAN file: '#'-comment lines separate or annotate graphs."""
     graphs: list[AmrGraph] = []
@@ -301,15 +321,16 @@ def parse_penman_file(text: str, normalize_inverse: bool = True) -> list[AmrGrap
             graphs.append(parse_penman(block, normalize_inverse=normalize_inverse))
         chunk.clear()
 
-    depth = 0
+    depth, in_string = 0, False
     for line in text.splitlines():
-        if line.lstrip().startswith("#"):
+        if not in_string and line.lstrip().startswith("#"):
             if depth == 0:
                 flush()
             continue
-        depth += line.count("(") - line.count(")")
+        change, in_string = _paren_depth(line, in_string)
+        depth += change
         chunk.append(line)
-        if depth == 0 and any(s.strip() for s in chunk):
+        if depth == 0 and not in_string and any(s.strip() for s in chunk):
             flush()
     flush()
     return graphs

@@ -5,20 +5,22 @@ with set semantics, and a prefix table. The Turtle dialect covers what the
 pipeline's artifacts actually use: prefix declarations, ``a``, predicate and
 object lists (``;`` / ``,``), blank nodes (``[]`` and ``_:label``), plain,
 language-tagged and datatyped literals, booleans, integers and decimals.
-Collections ``( )`` and named graphs are not supported. A ``\\u`` escape
-takes exactly four hex digits and may not name a surrogate, a document may
-hold no lone surrogate character, and ``[ ]`` blank nodes nest at most
-``MAX_NESTING`` deep; anything else raises ``TurtleSyntaxError`` with its
-line and column.
+Collections, named graphs, ``@base``, SPARQL-style ``PREFIX``/``BASE`` and
+single- or triple-quoted strings are not supported, and each raises an error
+naming it. A ``\\u`` escape takes exactly four hex digits and may not name a
+surrogate, a document may hold no lone surrogate character, and ``[ ]`` blank
+nodes nest at most ``MAX_NESTING`` deep; anything else raises
+``TurtleSyntaxError`` with its line and column.
 
-The reader scans with one regular expression that skips whitespace and
-comments and matches one token, emitting ``(kind, text, offset)``; a line
-and column are computed only for an error. The parser walks the tokens
-with a local index, recursing only into ``[ ]``, and resolves each distinct
-IRI, prefixed name and blank node label once per document. A prefix table
-may hold a second label for a namespace, which expands but is neither
-declared nor used for contraction, which looks the namespace up by the
-IRI's last ``#`` or ``/``.
+The reader splits the document with one regular expression (whitespace and
+comments, then one token), so a token is its text; its kind is worked out
+from the text only if the token is not yet resolved. Offsets, and a line and
+column, are found by scanning again only for an error. The parser walks the
+tokens with a local index, recursing only into ``[ ]``, resolves each
+distinct IRI, prefixed name and blank node label once per document and
+checks each namespace once. A prefix table may hold a second label for a
+namespace, which expands but is neither declared nor used for contraction,
+which looks the namespace up by the IRI's last ``#`` or ``/``.
 
 Terms are tuples laid out so that tuple order is serialization order, and
 hashing, equality and sorting run in C: ``Iri`` is ``(0, value)``,
@@ -430,33 +432,50 @@ _NUMBER = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 # Four hex digits naming no surrogate, which UTF-8 cannot encode.
 _UCHAR = r"(?![dD][89A-Fa-f])[0-9A-Fa-f]{4}"
 
-# One match per token: the whitespace and comments before it, then one group
-# per token kind holding the token's text, so the group's number is the kind.
-# Each group matches only a valid token, so the scan stops at the first bad
-# one and _scan_error names it. A failed match can backtrack, but never into
-# a shorter valid token: a comment runs to the end of its line, and a number
-# may not stop before digits or a fraction, nor run on into a name. A
-# prefixed name is tried early, as the commonest token, so it may not start
-# a blank node label or a number. A name's trailing dots end the statement.
-_NUMBER_TOKEN = r"[+-]?[0-9]+(?:\.[0-9]+(?![A-Za-z0-9_\-])|(?![A-Za-z0-9_\-]|\.[0-9]))"
-_EOF, _IRIREF, _STRING, _PUNCT, _PNAME, _BLANK, _NUM, _WORD, _PREFIX, _LANG = range(10)
-_TOKEN = re.compile(rf"""\s*(?:\#[^\n]*(?![^\n])\s*)*(?:
-    (<[^>\n <]*>)
-  | ("[^"\\\n]*(?:\\(?:[tnr"\\]|u{_UCHAR})[^"\\\n]*)*")
-  | ([;,.\[\]]|\^\^)
-  | (?!_:|{_NUMBER_TOKEN})([A-Za-z0-9_.\-]*:(?:[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:])?)
-  | (_:[A-Za-z0-9_.\-]*)
-  | ({_NUMBER_TOKEN})
-  | (a|true|false)(?!\.*[A-Za-z0-9_\-:])
-  | (@prefix)(?![^\W_]|-)
-  | (@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)(?![^\W_]|-))""", re.VERBOSE)
+# The whitespace and comments before a token, then the token, the one group;
+# the end of input matches as the empty token. Each alternative matches only
+# a valid token, so text that none matches is left between two matches and
+# _scan_error names it. A failed match can backtrack, but never into a
+# shorter valid token: a comment runs to the end of its line, and a number
+# may not stop before digits or a fraction, nor run on into a name. A number
+# or a blank node label is tried before a prefixed name, which may start like
+# one. A name's trailing dots end the statement.
+_TOKEN = re.compile(rf"""\s*(?:\#[^\n]*(?![^\n])\s*)*(
+    [;,.\[\]] | \^\^
+  | "[^"\\\n]*(?:\\(?:[tnr"\\]|u{_UCHAR})[^"\\\n]*)*"
+  | <[^>\n <]*>
+  | [+-]?[0-9]+(?:\.[0-9]+(?![A-Za-z0-9_\-])|(?![A-Za-z0-9_\-]|\.[0-9]))
+  | _:[A-Za-z0-9_.\-]*
+  | [A-Za-z0-9_.\-]*:(?:[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:])?
+  | (?:a|true|false)(?!\.*[A-Za-z0-9_\-:])
+  | @[a-zA-Z]+(?:-[a-zA-Z0-9]+)*(?![^\W_]|-)
+  | \Z)""", re.VERBOSE)
 _SKIP = re.compile(r"(?:\s+|#[^\n]*)*")
 # For error messages only.
 _STRING_RUN = re.compile(r'[^"\\\n]*')
 _AT_WORD = re.compile(r"(?:[^\W_]|-)*")
 _NAME_RUN = re.compile(r"[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:]")
+_SPARQL_DIRECTIVE = re.compile(r"(?i:(PREFIX)\s+[A-Za-z0-9_.\-]*:|(BASE)\s+<)")
 _ESCAPE = re.compile(r"\\(u....|.)")
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
+
+# Token kinds, worked out from a token's text; punctuation, a keyword and the
+# end of input are _OTHER.
+_OTHER, _IRIREF, _STRING, _BLANK, _LANG, _PNAME, _NUM = range(7)
+_KINDS = {"<": _IRIREF, '"': _STRING, "": _OTHER, **dict.fromkeys(";,.[]^", _OTHER)}
+
+
+def _kind(token: str) -> int:
+    kind = _KINDS.get(token[:1])
+    if kind is not None:
+        return kind
+    if token[0] == "@":
+        return _OTHER if token == "@prefix" else _LANG
+    if token.startswith("_:"):
+        return _BLANK
+    if token == "a" or token == "true" or token == "false":
+        return _OTHER
+    return _PNAME if ":" in token else _NUM
 
 
 def _unescape(body: str) -> str:
@@ -470,6 +489,23 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 def _syntax_error(text: str, pos: int, message: str) -> TurtleSyntaxError:
     return TurtleSyntaxError(*_line_col(text, pos), message)
+
+
+def _error(text: str, index: Optional[int] = None, message: str = "") -> TurtleSyntaxError:
+    """The error ``message`` at token ``index``, or with no index the error at
+    the text that no token matches, where the tokens end."""
+    prev = m = None
+    for n, m in enumerate(iter(_TOKEN.scanner(text).match, None)):
+        if n == index:
+            break
+        prev = m
+    else:
+        m = None
+    pos = m.start(1) if m else _SKIP.match(text, prev.end() if prev else 0).end()
+    for t in (prev, m):  # a triple-quoted string reads as "" and then a string
+        if t and t[1] == '""' and t.end() >= pos and text.startswith('"', t.end()):
+            return _syntax_error(text, t.start(1), "triple-quoted string literals are not supported")
+    return _syntax_error(text, pos, message) if m else _scan_error(text, pos)
 
 
 def _scan_error(text: str, pos: int) -> TurtleSyntaxError:
@@ -496,13 +532,20 @@ def _scan_error(text: str, pos: int) -> TurtleSyntaxError:
                 at += 2
             else:
                 return _syntax_error(text, at, f"unknown escape \\{esc}")
+    if c == "'" or c == "(":
+        return _syntax_error(text, pos, "collections are not supported" if c == "("
+                             else "single-quoted string literals are not supported")
+    m = _SPARQL_DIRECTIVE.match(text, pos)
+    if m:
+        return _syntax_error(text, pos, f"SPARQL-style {(m[1] or m[2]).upper()} directives "
+                                        "are not supported")
     m = _NAME_RUN.match(text, pos)
     return _syntax_error(text, pos, f"unexpected token {m.group()!r}" if m
                          else f"unexpected character {c!r}")
 
 
-def _tokenize(text: str) -> list[tuple[int, str, int]]:
-    """Each token as (kind, text, offset), then an _EOF token."""
+def _tokenize(text: str) -> list[str]:
+    """The document's tokens, then "" (once or twice) for the end of input."""
     if not text.isascii():
         # A lone surrogate (a JSON body can decode to one) would fail only
         # when the graph is written, since UTF-8 cannot encode it.
@@ -510,23 +553,21 @@ def _tokenize(text: str) -> list[tuple[int, str, int]]:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise _syntax_error(text, exc.start, f"lone surrogate U+{ord(text[exc.start]):04X}")
-    # A scanner's match() resumes where its last match ended.
-    tokens = [(k := m.lastindex, m[k], m.start(k))
-              for m in iter(_TOKEN.scanner(text).match, None)]
-    end = _SKIP.match(text, tokens[-1][2] + len(tokens[-1][1]) if tokens else 0).end()
-    if end < len(text):
-        raise _scan_error(text, end)
-    tokens.append((_EOF, "", end))
-    return tokens
+    # [gap, token, gap, token, ..., ""], where a gap is text no token matches.
+    parts = _TOKEN.split(text)
+    if any(parts[::2]):
+        raise _error(text)
+    return parts[1::2]
 
 
-def _shown(kind: int, text: str) -> str:
+def _shown(token: str) -> str:
     """A token's value as error messages show it."""
+    kind = _kind(token)
     if kind == _STRING:
-        return _unescape(text[1:-1])
+        return _unescape(token[1:-1])
     if kind == _IRIREF:
-        return text[1:-1]
-    return text[2:] if kind == _BLANK else text[1:] if kind == _LANG else text
+        return token[1:-1]
+    return token[2:] if kind == _BLANK else token[1:] if kind == _LANG else token
 
 
 #: Deepest nesting of ``[ ]`` blank nodes that ``parse_turtle`` accepts. The
@@ -548,20 +589,25 @@ class _Reader:
         # Node terms by token text. A bound label keeps its namespace
         # (rebinding it raises PrefixConflictError), so reuse is safe.
         self.terms: dict[str, Union[Iri, BlankNode]] = {}
+        # Whether a namespace makes a valid IRI with any local part, which
+        # holds no character that Iri forbids.
+        self.sound: dict[str, bool] = {}
         self.fresh_ids = count(1)
         self.used_labels: Optional[set[str]] = None
 
+    def error(self, i: int, message: str) -> TurtleSyntaxError:
+        return _error(self.text, i, message)
+
     def parse(self) -> RdfGraph:
         tokens, terms, i = self.tokens, self.terms, 0
-        while tokens[i][0] != _EOF:
-            kind, raw, pos = tokens[i]
+        while raw := tokens[i]:
             if raw == "@prefix":
-                kind, label, pos = tokens[i + 1]
-                if kind != _PNAME or not label.endswith(":"):
-                    raise _syntax_error(self.text, pos, "expected prefix label in @prefix")
-                kind, iri, pos = tokens[i + 2]
-                if kind != _IRIREF:
-                    raise _syntax_error(self.text, pos, "expected <IRI> in @prefix")
+                label = tokens[i + 1]
+                if _kind(label) != _PNAME or not label.endswith(":"):
+                    raise self.error(i + 1, "expected prefix label in @prefix")
+                iri = tokens[i + 2]
+                if not iri.startswith("<"):
+                    raise self.error(i + 2, "expected <IRI> in @prefix")
                 self.expect(i + 3, ".")
                 self.prefixes._bind(label[:-1], iri[1:-1])
                 i += 4
@@ -569,55 +615,63 @@ class _Reader:
             if raw == "[":
                 subject, i = self.bnode(i, 0)
             else:
-                subject = terms.get(raw) or self.resolve(kind, raw, pos, "subject")
+                subject = terms.get(raw) or self.resolve(i, "subject")
                 i += 1
             i = self.predicate_object_list(i, subject, 0)
             self.expect(i, ".")
             i += 1
         return RdfGraph(frozenset(self.triples), self.prefixes)
 
-    def resolve(self, kind: int, raw: str, pos: int, role: str) -> Union[Iri, BlankNode]:
-        """The term of a token that ``terms`` lacks, in a ``role`` position."""
+    def resolve(self, i: int, role: str) -> Union[Iri, BlankNode]:
+        """The term of token ``i``, which ``terms`` lacks, in a ``role`` position."""
+        raw = self.tokens[i]
+        kind = _kind(raw)
         if kind == _BLANK and role != "predicate":
             term = self.terms[raw] = BlankNode(raw[2:])
             return term
         if kind == _IRIREF:
-            value = raw[1:-1]
+            term = self.iri(i, raw[1:-1])
         elif kind == _PNAME:
             label, _, local = raw.partition(":")
             ns = self.prefixes.namespace(label)
             if ns is None:
                 if not self.bind_undeclared:
-                    raise UndeclaredPrefixError(label, *_line_col(self.text, pos))
+                    at = self.error(i, "")
+                    raise UndeclaredPrefixError(label, at.line, at.column)
                 ns = UNDECLARED_NS_BASE + label + "#"
                 self.prefixes._bind(label, ns)
-            value = ns + local
+            sound = self.sound.get(ns)
+            if sound is None:
+                sound = self.sound[ns] = ":" in ns and not _IRI_FORBIDDEN.search(ns)
+            term = _new(Iri, (0, ns + local)) if sound else self.iri(i, ns + local)
+        elif raw == "@base" and role == "subject":
+            raise self.error(i, "@base directives are not supported")
         else:
-            raise _syntax_error(self.text, pos, f"expected {role}, found {_shown(kind, raw)!r}")
-        try:
-            term = self.terms[raw] = Iri(value)
-        except ValueError as exc:
-            raise _syntax_error(self.text, pos, str(exc))
+            raise self.error(i, f"expected {role}, found {_shown(raw)!r}")
+        self.terms[raw] = term
         return term
 
+    def iri(self, i: int, value: str) -> Iri:
+        try:
+            return Iri(value)
+        except ValueError as exc:
+            raise self.error(i, str(exc))
+
     def expect(self, i: int, punct: str) -> None:
-        kind, raw, pos = self.tokens[i]
-        if raw != punct:
-            raise _syntax_error(self.text, pos,
-                                f"expected {punct!r}, found {_shown(kind, raw)!r}")
+        if self.tokens[i] != punct:
+            raise self.error(i, f"expected {punct!r}, found {_shown(self.tokens[i])!r}")
 
     def bnode(self, i: int, depth: int) -> tuple[BlankNode, int]:
         """The '[ ]' node opening at ``i`` inside ``depth`` others, and the index after it."""
         if depth == MAX_NESTING:
-            raise _syntax_error(self.text, self.tokens[i][2],
-                                f"blank nodes nested deeper than {MAX_NESTING}")
+            raise self.error(i, f"blank nodes nested deeper than {MAX_NESTING}")
         if self.used_labels is None:  # generated labels avoid the document's own
-            self.used_labels = {raw[2:] for kind, raw, _ in self.tokens if kind == _BLANK}
+            self.used_labels = {raw[2:] for raw in self.tokens if raw.startswith("_:")}
         while (label := f"b{next(self.fresh_ids)}") in self.used_labels:
             pass
         node = BlankNode(label)
         i += 1
-        if self.tokens[i][1] != "]":
+        if self.tokens[i] != "]":
             i = self.predicate_object_list(i, node, depth + 1)
         self.expect(i, "]")
         return node, i + 1
@@ -626,33 +680,34 @@ class _Reader:
         """Read the predicate-object list at ``i``; return the index after it."""
         tokens, terms, add, resolve = self.tokens, self.terms, self.triples.append, self.resolve
         while True:
-            kind, raw, pos = tokens[i]
+            raw = tokens[i]
             if raw == "a":
                 predicate = RDF_TYPE
-            elif kind == _BLANK or (predicate := terms.get(raw)) is None:
-                predicate = resolve(kind, raw, pos, "predicate")
+            elif (predicate := terms.get(raw)) is None or predicate[0]:  # none, or a blank node
+                predicate = resolve(i, "predicate")
             while True:  # the object list
-                kind, raw, pos = tokens[i + 1]
+                raw = tokens[i + 1]
                 i += 2
                 obj = terms.get(raw)
                 if obj is not None:
                     pass
-                elif kind == _STRING:
+                elif (kind := _kind(raw)) == _STRING:
                     lexical = _unescape(raw[1:-1]) if "\\" in raw else raw[1:-1]
-                    kind, raw, _ = tokens[i]
-                    if kind == _LANG:
+                    raw = tokens[i]
+                    if raw[:1] == "@" and raw != "@prefix":
                         obj = _new(Literal, (2, lexical, "", raw[1:], None, raw[1:]))
                         i += 1
                     elif raw == "^^":
-                        kind, raw, dpos = tokens[i + 1]
                         i += 2
-                        if kind != _IRIREF and kind != _PNAME:
-                            raise _syntax_error(self.text, dpos, "expected datatype IRI after ^^")
-                        datatype = terms.get(raw) or resolve(kind, raw, dpos, "datatype")
+                        datatype = terms.get(tokens[i - 1])
+                        if datatype is None or datatype[0]:
+                            if _kind(tokens[i - 1]) not in (_IRIREF, _PNAME):
+                                raise self.error(i - 1, "expected datatype IRI after ^^")
+                            datatype = resolve(i - 1, "datatype")
                         try:
                             obj = Literal(lexical, datatype)
                         except ValueError as exc:  # e.g. "yes"^^xsd:boolean
-                            raise _syntax_error(self.text, pos, str(exc))
+                            raise self.error(i - 3, str(exc))
                     else:
                         obj = _new(Literal, (2, lexical, "", "", None, None))
                 elif kind == _NUM:
@@ -663,15 +718,15 @@ class _Reader:
                 elif raw == "[":
                     obj, i = self.bnode(i - 1, depth)
                 else:
-                    obj = resolve(kind, raw, pos, "object")
+                    obj = resolve(i - 1, "object")
                 add(_new(Triple, (subject, predicate, obj)))
-                if tokens[i][1] != ",":
+                if tokens[i] != ",":
                     break
-            if tokens[i][1] != ";":
+            if tokens[i] != ";":
                 return i
             # A dangling ';' may end the list.
             i += 1
-            if tokens[i][1] == "." or tokens[i][1] == "]":
+            if tokens[i] == "." or tokens[i] == "]":
                 return i
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .amr import FRAME_CONCEPT, AmrConstant, AmrGraph
+from .amr import FRAME_CONCEPT, AmrConstant, AmrEdge, AmrGraph
 from .rdf import (
     DUL_ASSOCIATED_WITH,
     DUL_HAS_QUALITY,
@@ -196,19 +196,14 @@ def _constant_literal(constant: AmrConstant) -> Literal:
     return Literal(constant.value)
 
 
-def _is_name_cluster(graph: AmrGraph, variable: str) -> bool:
-    if graph.concept(variable) != "name":
-        return False
-    out = graph.outgoing(variable)
-    return bool(out) and all(
+def _is_name_cluster(concept: str, out: list[AmrEdge]) -> bool:
+    return concept == "name" and bool(out) and all(
         _OP_ROLE.match(e.role) and isinstance(e.target, AmrConstant) for e in out
     )
 
 
-def _name_label(graph: AmrGraph, variable: str) -> str:
-    parts = sorted(
-        ((int(_OP_ROLE.match(e.role).group(1)), e.target.value) for e in graph.outgoing(variable)),
-    )
+def _name_label(out: list[AmrEdge]) -> str:
+    parts = sorted((int(_OP_ROLE.match(e.role).group(1)), e.target.value) for e in out)
     return " ".join(value for _, value in parts)
 
 
@@ -224,9 +219,16 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
     rolesets = rolesets or RolesetMap()
     vn_roles = VN_ROLE_PREDICATES if vn_roles is None else vn_roles
 
-    name_nodes = {n.variable for n in amr.nodes
-                  if _is_name_cluster(amr, n.variable)
-                  and any(e.role == ":name" and e.target == n.variable for e in amr.edges)}
+    # Each variable's concept (its first declaration's, as AmrGraph.concept)
+    # and outgoing edges, built once so that translation stays linear in the
+    # graph's size.
+    concepts = {n.variable: n.concept for n in reversed(amr.nodes)}
+    outgoing: dict[str, list[AmrEdge]] = {}
+    for e in amr.edges:
+        outgoing.setdefault(e.source, []).append(e)
+    named = {e.target for e in amr.edges if e.role == ":name" and isinstance(e.target, str)}
+    name_nodes = {v for v in named
+                  if v in concepts and _is_name_cluster(concepts[v], outgoing.get(v, []))}
 
     individuals: dict[str, Iri] = {}
     counters: dict[str, int] = {}
@@ -248,7 +250,7 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
         triples.add(Triple(individual, RDF_TYPE, klass))
 
     def role_predicate(source_var: str, role: str) -> Iri:
-        concept = amr.concept(source_var)
+        concept = concepts[source_var]
         arg = _ARG_ROLE.match(role)
         if arg and FRAME_CONCEPT.match(concept):
             index = int(arg.group(1))
@@ -274,7 +276,7 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
         if source is None:  # edge hanging off an absorbed name node
             continue
         if edge.role == ":name" and isinstance(edge.target, str) and edge.target in name_nodes:
-            triples.add(Triple(source, RDFS_LABEL, Literal(_name_label(amr, edge.target))))
+            triples.add(Triple(source, RDFS_LABEL, Literal(_name_label(outgoing[edge.target]))))
             continue
         predicate = role_predicate(edge.source, edge.role)
         obj: Term

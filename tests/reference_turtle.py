@@ -5,7 +5,10 @@ document: the same triples and prefix table, or the same exception with the
 same line, column and message. This copy matches one regular expression per
 token kind, builds a token object per token and parses by recursive descent
 with a peek/take method per token. It builds the package's own terms and
-prefix tables, so only the reading is compared.
+prefix tables, so only the reading is compared. Since then it also names
+the Turtle 1.1 forms outside the subset (``@base``, SPARQL-style
+``PREFIX``/``BASE``, single- and triple-quoted strings, collections) in its
+errors, as the package's reader does.
 """
 
 from __future__ import annotations
@@ -62,6 +65,12 @@ class _Token:
     value: str
     line: int
     column: int
+    # A "" string directly followed by a quote: a triple-quoted string.
+    opens_long: bool = False
+
+
+_LONG_STRING = "triple-quoted string literals are not supported"
+_SPARQL_DIRECTIVE = re.compile(r"(?i:(PREFIX)\s+[A-Za-z0-9_.\-]*:|(BASE)\s+<)")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -97,8 +106,19 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token("IRIREF", m.group(1), line, col))
             pos = m.end()
         elif c == '"':
-            value, pos = _string(text, pos, line, line_start)
-            out.append(_Token("STRING", value, line, col))
+            try:
+                value, end = _string(text, pos, line, line_start)
+            except TurtleSyntaxError:
+                if out and out[-1].opens_long:  # this quote is the third of three
+                    raise TurtleSyntaxError(out[-1].line, out[-1].column, _LONG_STRING)
+                raise
+            out.append(_Token("STRING", value, line, col,
+                              end == pos + 2 and text.startswith('"', end)))
+            pos = end
+        elif c == "'":
+            raise TurtleSyntaxError(line, col, "single-quoted string literals are not supported")
+        elif c == "(":
+            raise TurtleSyntaxError(line, col, "collections are not supported")
         elif c in ";,.[]":
             out.append(_Token("PUNCT", c, line, col))
             pos += 1
@@ -125,6 +145,10 @@ def _tokenize(text: str) -> list[_Token]:
                 out.append(_Token("NUMBER", m.group(), line, col))
                 pos = m.end()
                 continue
+            m = _SPARQL_DIRECTIVE.match(text, pos)
+            if m:
+                raise TurtleSyntaxError(line, col, f"SPARQL-style {(m[1] or m[2]).upper()} "
+                                                   "directives are not supported")
             m = _NAME_RUN.match(text, pos)
             if m is None:
                 raise TurtleSyntaxError(line, col, f"unexpected character {c!r}")
@@ -277,6 +301,8 @@ class _Parser:
             return self._scoped_blank(tok.value)
         if tok.kind == "PUNCT" and tok.value == "[":
             return self._bnode_property_list()
+        if tok.kind == "LANG" and tok.value == "base":
+            raise TurtleSyntaxError(tok.line, tok.column, "@base directives are not supported")
         raise TurtleSyntaxError(tok.line, tok.column, f"expected subject, found {tok.value!r}")
 
     def _scoped_blank(self, label: str) -> BlankNode:
@@ -385,6 +411,16 @@ def parse_turtle(text: str, base_prefixes: Optional[PrefixTable] = None,
     of raising, so lint can flag it downstream.
     """
     tokens = _tokenize(text)
-    triples, prefixes = _Parser(tokens, base_prefixes, bind_undeclared).parse()
+    try:
+        triples, prefixes = _Parser(tokens, base_prefixes, bind_undeclared).parse()
+    except TurtleSyntaxError as exc:
+        # An error at a "" that opens a triple-quoted string, or at the string
+        # that follows it, is an error at the triple-quoted string.
+        at = next((k for k, tok in enumerate(tokens)
+                   if (tok.line, tok.column) == (exc.line, exc.column)), None)
+        for k in (at - 1, at) if at is not None else ():
+            if k >= 0 and tokens[k].opens_long:
+                raise TurtleSyntaxError(tokens[k].line, tokens[k].column, _LONG_STRING) from None
+        raise
     return RdfGraph(frozenset(triples), prefixes)
 

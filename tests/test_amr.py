@@ -205,3 +205,19 @@ class TestPenmanFile:
         graphs = parse_penman_file("(c / celebrate-01\n   :ARG0 (a / athlete))\n")
         assert len(graphs) == 1
         assert len(graphs[0].nodes) == 2
+
+    def test_parentheses_in_a_quoted_constant_on_its_own_line(self):
+        text = '(s / smile-01\n   :op1 "smile :)"\n   :ARG0 (b / boy))\n'
+        graphs = parse_penman_file(text)
+        assert len(graphs) == 1
+        assert graphs[0].edges[0].target == AmrConstant("smile :)", quoted=True)
+
+    def test_parenthesis_in_a_quoted_constant_does_not_join_graphs(self):
+        text = '(a / say-01 :ARG1 "x(")\n(b / dog :mod "\\"(")\n(c / cat)\n'
+        assert [g.root for g in parse_penman_file(text)] == ["a", "b", "c"]
+
+    def test_quoted_constant_across_lines(self):
+        text = '(a / say-01 :ARG1 "x\n# (not a comment\n")\n(b / dog)\n'
+        graphs = parse_penman_file(text)
+        assert [g.root for g in graphs] == ["a", "b"]
+        assert graphs[0].edges[0].target.value == "x\n# (not a comment\n"

@@ -258,6 +258,33 @@ SYNTAX_ERRORS = {
     "lone surrogate in a string": ('ex:a ex:p "x\ud800y" .', 1, 13, "lone surrogate U+D800"),
     "lone surrogate in an IRI on line 2": (
         "ex:a ex:p ex:b .\n  ex:c ex:p <http://e/\udfff> .", 2, 23, "lone surrogate U+DFFF"),
+    # Turtle 1.1 forms outside the subset, each named at its first character.
+    "SPARQL-style PREFIX": ("ex:a ex:p ex:b .\nPREFIX ex: <http://e/>", 2, 1,
+                            "SPARQL-style PREFIX directives are not supported"),
+    "SPARQL-style prefix in lower case": ("  prefix : <http://e/>", 1, 3,
+                                          "SPARQL-style PREFIX directives are not supported"),
+    "SPARQL-style BASE": ("Base\t<http://e/>", 1, 1,
+                          "SPARQL-style BASE directives are not supported"),
+    "@base": ("ex:a ex:p ex:b .\n @base <http://e/> .", 2, 2,
+              "@base directives are not supported"),
+    "single-quoted string": ("ex:a ex:p 'x' .", 1, 11,
+                             "single-quoted string literals are not supported"),
+    "triple-single-quoted string": ("ex:a ex:p '''x''' .", 1, 11,
+                                    "single-quoted string literals are not supported"),
+    "triple-quoted string over two lines": ('ex:a ex:p """x\ny""" .', 1, 11,
+                                            "triple-quoted string literals are not supported"),
+    "triple-quoted string on one line": ('ex:a ex:p """x""" .', 1, 11,
+                                         "triple-quoted string literals are not supported"),
+    "triple-quoted string as subject": ('"""x""" ex:p ex:b .', 1, 1,
+                                        "triple-quoted string literals are not supported"),
+    "triple-quoted string with a bad escape": ('ex:a ex:p """a\\q""" .', 1, 11,
+                                               "triple-quoted string literals are not supported"),
+    "collection": ("ex:a ex:p ( ex:b ) .", 1, 11, "collections are not supported"),
+    # Near misses keep their own messages.
+    "a word 'base' as object": ("ex:a ex:p base .", 1, 11, "unexpected token 'base'"),
+    "two adjacent strings": ('ex:a ex:p "a\\"""b" .', 1, 16, "expected '.', found 'b'"),
+    "language tag @base": ('ex:a ex:p "x"@base ; @base .', 1, 22,
+                           "expected predicate, found 'base'"),
 }
 
 
@@ -474,15 +501,18 @@ def _read(parse, text, base, bind_undeclared):
 
 
 _NAMES = (["ex:a", "ex:b", "ex:", "fred:x", "f:y", "ex:a.b", "ex:d-e", "ex:1"],
-          ["nope:z", ":c", "a:b", "ex:a.."])
-_NODES = (["<http://e/x>", "<urn:x>", "_:b1", "_:n"], ["<nocolon>", "_:x.y", "<a b>"])
+          ["nope:z", ":c", "a:b", "ex:a..", "PREFIX ex: <http://e/>", "base <http://e/>",
+           "@base <http://e/> ."])
+_NODES = (["<http://e/x>", "<urn:x>", "_:b1", "_:n"],
+          ["<nocolon>", "_:x.y", "<a b>", "( ex:b )", "()"])
 _STRING_PARTS = (["x", " ", "\\t", "\\n", "\\r", '\\"', "\\\\", "\\u00e9", "\\uFFFD", "é"],
                  ["\\u12", "\\uD800", "\\uZZZZ", "\\q", "\\", "\ud800", '"', "\n"])
 _LITERAL_TAILS = (["", "@en", "@en-US", "^^xsd:integer", "^^<http://e/dt>", "^^ex:dt"],
                   ["@1", "@en-", "^^xsd:boolean", "^^<http://www.w3.org/2001/XMLSchema#boolean>",
                    "^^<x>", "^^", "^^_:b"])
 _OTHER_LITERALS = (["42", "-3.5", "+7", "true", "false"],
-                   ["1.", "3.5a", "1:a", "1.5.3", "1e5", "truex", "true.x", "a"])
+                   ["1.", "3.5a", "1:a", "1.5.3", "1e5", "truex", "true.x", "a", "'x'",
+                    "'''x'''", '"""x"""', '"""x\ny"""', '""""""', '"""a\\q"""@en'])
 _PREDICATES = (["a", *_NAMES[0]], ["_:b1", "a.p", "true", '"x"', "<nocolon>"])
 # "f" aliases fred's namespace; the bad ones rebind fred or are no label.
 _PREFIXES = ([("ex", "http://e/"), ("f", FRED_NS), ("fred", FRED_NS),
@@ -571,6 +601,35 @@ class TestReaderAgreesWithReference:
     def test_syntax_error_cases(self, text):
         assert (_read(parse_turtle, text, None, True)
                 == _read(reference_turtle.parse_turtle, text, None, True))
+
+    # A last line whose first error lies at a known column; the reader finds
+    # offsets only when it raises, by scanning again up to the error.
+    LAST_LINES = {
+        "scan error": ("ex:a ex:p ! .", 11),
+        "parse error": ("ex:a ex:p ex:b ;; .", 17),
+        "error at the end of input": ("ex:a ex:p", 10),
+        "undeclared prefix": ("ex:a nope:p ex:b .", 6),
+        "bad datatype IRI": ('ex:a ex:p "x"^^<nocolon> .', 16),
+        "bad boolean form": ('ex:a ex:p "yes"^^<http://www.w3.org/2001/XMLSchema#boolean> .', 11),
+        "blank nodes nested too deep": (
+            "ex:a " + "ex:p [ " * (MAX_NESTING + 1) + "ex:q ex:b" + " ]" * (MAX_NESTING + 1)
+            + " .", 11 + 7 * MAX_NESTING),
+        "triple-quoted string": ('ex:a ex:p """x""" .', 11),
+        "collection": ("ex:a ex:p ( ex:b ) .", 11),
+    }
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("last_line,column", LAST_LINES.values(), ids=LAST_LINES.keys())
+    def test_error_deep_in_a_long_document(self, newline, last_line, column):
+        head = "".join([f"@prefix ex: <http://e/> .{newline}"] + [
+            f'# statement {n}{newline}ex:s{n} ex:p "v{n}" ;{newline}'
+            f"    ex:q ex:o{n % 7}, {n} .{newline}" for n in range(300)])
+        assert len(xkg.rdf._tokenize(head)) > 2700
+        assert len(parse_turtle(head)) == 900
+        text = head + last_line
+        got = _read(parse_turtle, text, None, False)
+        assert got == _read(reference_turtle.parse_turtle, text, None, False)
+        assert got[2:] == (head.count("\n") + 1, column)
 
 
 def _term_sort_key(term) -> tuple:

@@ -137,6 +137,26 @@ class TestTranslate:
             graph = translate(random_amr_graph(rng), ROLESETS)
             assert not any(t.predicate.value.startswith(PBRS_NS) for t in graph.triples)
 
+    def test_ten_thousand_node_star(self):
+        """A graph of about 10 000 nodes: one frame with an :ARG0 edge to each
+        of 9 000 events, and a :name cluster on every tenth event."""
+        from xkg.amr import AmrConstant, AmrEdge, AmrGraph, AmrNode
+        nodes, edges = [AmrNode("r", "win-01")], []
+        for i in range(1, 9001):
+            nodes.append(AmrNode(f"e{i}", "win-01"))
+            edges.append(AmrEdge("r", ":ARG0", f"e{i}"))
+            if i % 10 == 0:
+                nodes.append(AmrNode(f"n{i}", "name"))
+                edges += [AmrEdge(f"e{i}", ":name", f"n{i}"),
+                          AmrEdge(f"n{i}", ":op1", AmrConstant(f"E{i}", quoted=True))]
+        amr = AmrGraph("r", tuple(nodes), tuple(edges))
+        assert len(amr.nodes) == 9901
+        graph = translate(amr, ROLESETS)
+        # A type per event and the root, an :ARG0 per event, a label per name.
+        assert len(graph) == 9001 + 9000 + 900
+        assert Triple(fred("win_11"), RDFS_LABEL, Literal("E10")) in graph
+        assert Triple(fred("win_1"), Iri(PBLR_NS + "win-01.winner"), fred("win_9001")) in graph
+
 
 ALIGNMENTS = AlignmentMap({
     "athlete": AlignmentEntry(
