@@ -9,9 +9,10 @@ import xkg.cli
 from xkg import run_pipeline
 from xkg.backends import MappingBackend, MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
+from corpus import build_corpus
 from xkg.config import bundled_resources_root, default_config
 from xkg.enrichment import HEURISTICS
-from xkg.rdf import FRED_NS, parse_turtle, serialize_turtle
+from xkg.rdf import FRED_NS, RdfGraph, parse_turtle, serialize_turtle
 
 FIXTURES = bundled_resources_root() / "fixtures"
 SCENE_TXT = str(FIXTURES / "athlete-scene.txt")
@@ -428,6 +429,26 @@ class TestGoldenFiles:
                              + ["xkg-merged.ttl"])
     def test_enrichment_bytes_are_pinned(self, run_dir, name):
         assert read(run_dir / name) == read(self.GOLDEN / name)
+
+    @pytest.mark.parametrize("name", ["diagnostics.json", "validation-report.json",
+                                      "validation-report.txt"])
+    def test_validation_bytes_are_pinned(self, run_dir, name):
+        assert (run_dir / name).read_bytes() == (self.GOLDEN / name).read_bytes()
+
+    def test_corpus_validation_bytes_are_pinned(self, tmp_path):
+        # The merged corpus holds a DISJOINT_CLASH, precedence chains and
+        # FALLBACK_ROLE and MISSING_COMMENT diagnostics.
+        corpus = build_corpus()
+        merged = RdfGraph(corpus.base.triples.union(*corpus.additions.values()),
+                          corpus.base.prefixes)
+        (tmp_path / "base.ttl").write_text(serialize_turtle(corpus.base), encoding="utf-8")
+        (tmp_path / "merged.ttl").write_text(serialize_turtle(merged), encoding="utf-8")
+        code = main(["validate", "--graph", str(tmp_path / "merged.ttl"),
+                     "--base", str(tmp_path / "base.ttl"), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DIAGNOSTICS
+        for name in ("validation-report.json", "validation-report.txt"):
+            golden = self.GOLDEN / f"corpus-{name}"
+            assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
 
     def test_agreement_report_bytes_are_pinned(self, tmp_path, capsys):
         # A fixed ratings CSV with missing scores, an unlisted heuristic, a
