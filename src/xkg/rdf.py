@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count, groupby, repeat
 from operator import itemgetter
@@ -395,20 +396,23 @@ class RdfGraph:
         """
         cached = self.__dict__.get("_node_iris")
         if cached is None:
-            cached = frozenset(term for t in self.triples for term in (t.subject, t.object)
-                               if isinstance(term, Iri))
+            nodes = set(map(itemgetter(0), self.triples))
+            nodes.update(map(itemgetter(2), self.triples))
+            cached = frozenset(term for term in nodes if isinstance(term, Iri))
             object.__setattr__(self, "_node_iris", cached)
         return cached
 
-    def all_iris(self) -> frozenset[Iri]:
-        out = set()
-        for t in self.triples:
-            if isinstance(t.subject, Iri):
-                out.add(t.subject)
-            out.add(t.predicate)
-            if isinstance(t.object, Iri):
-                out.add(t.object)
-        return frozenset(out)
+    def by_predicate(self) -> dict[Iri, list[Triple]]:
+        """Each predicate's triples, in no fixed order; computed on the first
+        call and kept like ``node_iris``. Callers must not change it."""
+        cached = self.__dict__.get("_by_predicate")
+        if cached is None:
+            buckets = defaultdict(list)
+            for t in self.triples:
+                buckets[t[1]].append(t)
+            cached = dict(buckets)
+            object.__setattr__(self, "_by_predicate", cached)
+        return cached
 
 
 def merge(graphs: Iterable[RdfGraph]) -> RdfGraph:

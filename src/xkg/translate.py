@@ -233,6 +233,7 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
     individuals: dict[str, Iri] = {}
     counters: dict[str, int] = {}
     triples: set[Triple] = set()
+    unmapped: set[tuple[str, int]] = set()
 
     for node in amr.nodes:  # declaration order is depth-first from the root
         if node.variable in name_nodes:
@@ -256,7 +257,9 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
             index = int(arg.group(1))
             name = rolesets.role(concept, index)
             if name is None:
-                logger.warning("no roleset entry for %s ARG%d, using positional role", concept, index)
+                if (concept, index) not in unmapped:  # warn once per call
+                    unmapped.add((concept, index))
+                    logger.warning("no roleset entry for %s ARG%d, using positional role", concept, index)
                 name = f"arg{index}"
             return Iri(PBLR_NS + f"{concept}.{name}")
         lowered = role.lower()

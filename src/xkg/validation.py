@@ -14,14 +14,22 @@ Four families of checks, all pure over immutable graphs:
 
 ``profile`` computes the per-namespace statistics used to describe a base
 graph and the per-heuristic additions.
+
+The lints, the consistency check, the closure and the profile read only the
+predicates they need from the graph's ``by_predicate`` index. The closure
+condenses cycles and ORs reachable sets as Python-int bitsets in reverse
+topological order; at most ``MAX_PRECEDENCE_PAIRS`` pairs are listed.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import defaultdict, deque, namedtuple
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .rdf import (
     D0_NS,
@@ -65,7 +73,8 @@ INFO = "INFO"
 
 # Closed diagnostic code registry. RESPONSE_INVALID and PRECEDES_CYCLE cover
 # failed backend responses and cyclic orderings, which still need codes;
-# PREFIX_CONFLICT a result whose prefixes clash with an earlier merged one.
+# PREFIX_CONFLICT a result whose prefixes clash with an earlier merged one;
+# PRECEDES_TRUNCATED a closure too large to list in full.
 ANCHOR_FLOAT = "ANCHOR_FLOAT"
 PREFIX_MISUSE = "PREFIX_MISUSE"
 DISJOINT_CLASH = "DISJOINT_CLASH"
@@ -75,6 +84,7 @@ FALLBACK_ROLE = "FALLBACK_ROLE"
 RESPONSE_INVALID = "RESPONSE_INVALID"
 PRECEDES_CYCLE = "PRECEDES_CYCLE"
 PREFIX_CONFLICT = "PREFIX_CONFLICT"
+PRECEDES_TRUNCATED = "PRECEDES_TRUNCATED"
 
 DIAGNOSTIC_CODES = frozenset({
     ANCHOR_FLOAT,
@@ -86,21 +96,24 @@ DIAGNOSTIC_CODES = frozenset({
     RESPONSE_INVALID,
     PRECEDES_CYCLE,
     PREFIX_CONFLICT,
+    PRECEDES_TRUNCATED,
 })
 
+_new = tuple.__new__  # builds a Diagnostic unchecked, for codes known good
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # ERROR | WARN | INFO
-    code: str
-    message: str
-    subject: Optional[Term] = None
 
-    def __post_init__(self) -> None:
-        if self.code not in DIAGNOSTIC_CODES:
-            raise ValueError(f"unknown diagnostic code {self.code!r}")
-        if self.severity not in (ERROR, WARN, INFO):
-            raise ValueError(f"unknown severity {self.severity!r}")
+class Diagnostic(namedtuple("Diagnostic", "severity code message subject")):
+    """A finding; a tuple like the RDF terms. Severity: ERROR | WARN | INFO."""
+
+    __slots__ = ()
+
+    def __new__(cls, severity: str, code: str, message: str,
+                subject: Optional[Term] = None) -> "Diagnostic":
+        if code not in DIAGNOSTIC_CODES:
+            raise ValueError(f"unknown diagnostic code {code!r}")
+        if severity not in (ERROR, WARN, INFO):
+            raise ValueError(f"unknown severity {severity!r}")
+        return _new(cls, (severity, code, message, subject))
 
     def to_dict(self) -> dict:
         s = self.subject  # an IRI's value, a literal's lexical form, a blank node's label
@@ -194,17 +207,14 @@ _DECLARATION_CLASSES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY,
 
 def _minted_terms(graph: RdfGraph) -> set[Iri]:
     """Terms introduced by this graph rather than by a curated vocabulary."""
-    minted: set[Iri] = set()
-    for t in graph.triples:
-        if t.predicate == RDF_TYPE and t.object in _DECLARATION_CLASSES:
-            if isinstance(t.subject, Iri):
-                minted.add(t.subject)
-            continue
-        if not t.predicate.value.startswith(_CURATED_NAMESPACES):
-            minted.add(t.predicate)
-        if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
-            if not t.object.value.startswith(_CURATED_NAMESPACES):
-                minted.add(t.object)
+    index = graph.by_predicate()
+    minted = {p for p in index if not p.value.startswith(_CURATED_NAMESPACES)}
+    for s, _, o in index.get(RDF_TYPE, ()):
+        if o in _DECLARATION_CLASSES:
+            if isinstance(s, Iri):
+                minted.add(s)
+        elif isinstance(o, Iri) and not o.value.startswith(_CURATED_NAMESPACES):
+            minted.add(o)
     return minted
 
 
@@ -217,19 +227,15 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
     parsed under a placeholder namespace. FALLBACK_ROLE (INFO): each
     ``dul:associatedWith`` occurrence.
     """
-    diagnostics: list[Diagnostic] = []
+    index = graph.by_predicate()
+    diagnostics = [_new(Diagnostic, (
+        WARN, PREFIX_MISUSE,
+        f"predicate {predicate.local_name()} lives in the roleset-class namespace; "
+        "role predicates belong to the local-role namespace",
+        predicate,
+    )) for predicate in sorted(p for p in index if p.value.startswith(PBRS_NS))]
 
-    misused = sorted({t.predicate for t in graph.triples
-                      if t.predicate.value.startswith(PBRS_NS)})
-    for predicate in misused:
-        diagnostics.append(Diagnostic(
-            WARN, PREFIX_MISUSE,
-            f"predicate {predicate.local_name()} lives in the roleset-class namespace; "
-            "role predicates belong to the local-role namespace",
-            subject=predicate,
-        ))
-
-    undeclared = sorted({iri for iri in graph.all_iris()
+    undeclared = sorted({iri for iri in chain(index, graph.node_iris())
                          if iri.value.startswith(UNDECLARED_NS_BASE)})
     seen_labels: set[str] = set()
     for iri in undeclared:
@@ -243,24 +249,11 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
             subject=iri,
         ))
 
-    commented = {t.subject for t in graph.triples if t.predicate == RDFS_COMMENT}
-    for term in sorted(_minted_terms(graph)):
-        if term in commented:
-            continue
-        diagnostics.append(Diagnostic(
-            INFO, MISSING_COMMENT,
-            f"{term.local_name()} has no rdfs:comment",
-            subject=term,
-        ))
-
-    fallbacks = [t for t in graph.triples if t.predicate == DUL_ASSOCIATED_WITH]
-    for t in sorted(fallbacks):
-        diagnostics.append(Diagnostic(
-            INFO, FALLBACK_ROLE,
-            f"fallback association between {t.subject} and {t.object}",
-            subject=t.subject,
-        ))
-
+    commented = {t[0] for t in index.get(RDFS_COMMENT, ())}
+    diagnostics += [_new(Diagnostic, (INFO, MISSING_COMMENT, f"{term.local_name()} has no rdfs:comment", term))
+                    for term in sorted(_minted_terms(graph) - commented)]
+    diagnostics += [_new(Diagnostic, (INFO, FALLBACK_ROLE, f"fallback association between {s!r} and {o!r}", s))
+                    for s, _, o in sorted(index.get(DUL_ASSOCIATED_WITH, ()))]
     return diagnostics
 
 
@@ -286,45 +279,25 @@ class MiniOntology:
     @staticmethod
     def from_graph(graph: RdfGraph) -> "MiniOntology":
         subclass_of: dict[Iri, set[Iri]] = defaultdict(set)
-        disjoint: set[frozenset[Iri]] = set()
-        for t in graph.triples:
-            if t.predicate == RDFS_SUBCLASSOF and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                subclass_of[t.subject].add(t.object)
-            elif t.predicate == OWL_DISJOINT_WITH and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-                disjoint.add(frozenset((t.subject, t.object)))
-        return MiniOntology(dict(subclass_of), disjoint)
+        for s, o in _iri_pairs(graph, RDFS_SUBCLASSOF):
+            subclass_of[s].add(o)
+        return MiniOntology(dict(subclass_of), set(map(frozenset, _iri_pairs(graph, OWL_DISJOINT_WITH))))
 
     @staticmethod
     def from_turtle_file(path: Union[str, Path]) -> "MiniOntology":
         return MiniOntology.from_graph(parse_turtle(Path(path).read_text(encoding="utf-8")))
 
 
-def _find_cycle(edges: dict[Iri, set[Iri]]) -> Optional[list[Iri]]:
-    """The first cycle a depth-first search meets, as a closed path, or None.
+def _find_cycle(edges: dict[Iri, Iterable[Iri]]) -> Optional[list[Iri]]:
+    """The first cycle a depth-first search from each key in turn meets, as a
+    closed path, or None."""
+    return _reachability(list(dict.fromkeys(chain(edges, *edges.values()))), edges, False)[1]
 
-    The search keeps its own stack, so a chain of any length is safe.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[Iri, int] = defaultdict(int)
-    for root in list(edges):
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]  # the gray nodes, in visiting order
-        pending = [iter(edges.get(root, ()))]  # each path node's unvisited successors
-        while pending:
-            for nxt in pending[-1]:
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    pending.append(iter(edges.get(nxt, ())))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                pending.pop()
-    return None
+
+def _iri_pairs(graph: RdfGraph, predicate: Iri) -> Iterator[tuple[Iri, Iri]]:
+    for s, _, o in graph.by_predicate().get(predicate, ()):
+        if isinstance(s, Iri) and isinstance(o, Iri):
+            yield s, o
 
 
 def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
@@ -333,19 +306,18 @@ def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
     Subclass edges from the graph and the ontology are combined, types are
     propagated through the transitive closure, and each disjoint pair held
     simultaneously yields a DISJOINT_CLASH naming both subsumption chains.
+    A class disjoint with itself is the pair of it and itself.
     """
     subclass_of: dict[Iri, set[Iri]] = defaultdict(set)
     for klass, supers in onto.subclass_of.items():
         subclass_of[klass] |= supers
-    for t in graph.triples:
-        if t.predicate == RDFS_SUBCLASSOF and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            subclass_of[t.subject].add(t.object)
+    for s, o in _iri_pairs(graph, RDFS_SUBCLASSOF):
+        subclass_of[s].add(o)
 
     types: dict[Iri, set[Iri]] = defaultdict(set)
-    for t in graph.triples:
-        if t.predicate == RDF_TYPE and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            if t.object not in _DECLARATION_CLASSES:
-                types[t.subject].add(t.object)
+    for s, o in _iri_pairs(graph, RDF_TYPE):
+        if o not in _DECLARATION_CLASSES:
+            types[s].add(o)
 
     def chain_to(start: Iri, goal: Iri) -> Optional[list[Iri]]:
         queue = deque([[start]])
@@ -360,30 +332,24 @@ def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
                     queue.append(path + [nxt])
         return None
 
-    def ancestors(klass: Iri) -> set[Iri]:
-        out: set[Iri] = set()
-        queue = deque([klass])
+    @lru_cache(maxsize=None)
+    def up(klass: Iri) -> set[Iri]:  # the class and its ancestors
+        out, queue = {klass}, [klass]
         while queue:
-            current = queue.popleft()
-            for nxt in subclass_of.get(current, ()):
+            for nxt in subclass_of.get(queue.pop(), ()):
                 if nxt not in out:
                     out.add(nxt)
                     queue.append(nxt)
         return out
 
-    diagnostics = []
     disjoint = set(onto.disjoint)
-    for t in graph.triples:
-        if t.predicate == OWL_DISJOINT_WITH and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            disjoint.add(frozenset((t.subject, t.object)))
+    disjoint.update(map(frozenset, _iri_pairs(graph, OWL_DISJOINT_WITH)))
+    pairs = sorted((min(pair), max(pair)) for pair in disjoint)
 
+    diagnostics = []
     for individual in sorted(types):
-        reach: set[Iri] = set()
-        for klass in types[individual]:
-            reach.add(klass)
-            reach |= ancestors(klass)
-        for pair in sorted(disjoint, key=lambda p: sorted(i.value for i in p)):
-            first, second = sorted(pair)
+        reach = set().union(*map(up, types[individual]))
+        for first, second in pairs:
             if first in reach and second in reach:
                 chains = []
                 for goal in (first, second):
@@ -407,13 +373,81 @@ def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
 # Precedence inference
 # ---------------------------------------------------------------------------
 
+#: Closure and inferred pairs listed at most: a chain of n links has
+#: n(n+1)/2 closure pairs.
+MAX_PRECEDENCE_PAIRS = 10_000
+
 
 @dataclass
 class PrecedenceInference:
     asserted: list[tuple[Iri, Iri]]
-    closure: list[tuple[Iri, Iri]]
+    closure: list[tuple[Iri, Iri]]  # sorted, like inferred, and cut at the cap
     inferred: list[tuple[Iri, Iri]]
     diagnostics: list[Diagnostic]
+
+
+def _reachability(nodes: list[Iri], edges: dict[Iri, Iterable[Iri]],
+                  closure: bool) -> tuple[list[int], Optional[list[Iri]]]:
+    """With ``closure``, each node's bitset of the nodes it reaches (bit i for
+    ``nodes[i]``); and the first cycle met, as a closed path, or None.
+
+    Tarjan's algorithm with its own stack, so a chain of any length is safe;
+    stack positions serve as visiting order. A component's set is the OR of
+    its successors' sets and bits, and its own if cyclic.
+    """
+    position = {node: i for i, node in enumerate(nodes)}
+    successors = [[position[m] for m in edges.get(node, ())] for node in nodes]
+    at, low = [-1] * len(nodes), [0] * len(nodes)  # at -1: not visited
+    reach = [-1] * len(nodes)  # -1 until the node's component completes
+    stack: list[int] = []
+    work: list = []  # the search path: each node and its unvisited successors
+    cycle = None
+
+    def push(node: int) -> None:
+        at[node] = low[node] = len(stack)
+        stack.append(node)
+        work.append((node, iter(successors[node])))
+
+    for root in range(len(nodes)):
+        if at[root] < 0:
+            push(root)
+        while work:
+            node, pending = work[-1]
+            for nxt in pending:
+                if at[nxt] < 0:
+                    push(nxt)
+                    break
+                if reach[nxt] < 0:  # on the stack; the first such is on the path
+                    if cycle is None:
+                        path = [w[0] for w in work]
+                        cycle = [nodes[i] for i in path[path.index(nxt):]] + [nodes[nxt]]
+                    low[node] = min(low[node], at[nxt])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == at[node]:
+                    members = stack[at[node]:]
+                    del stack[at[node]:]
+                    bits = 0
+                    if closure:
+                        for m in members:
+                            for nxt in successors[m]:
+                                if reach[nxt] >= 0:  # in a component completed before
+                                    bits |= reach[nxt] | 1 << nxt
+                        if len(members) > 1 or node in successors[node]:
+                            bits |= sum(1 << m for m in members)
+                    for m in members:
+                        reach[m] = bits
+    return reach, cycle
+
+
+def _pairs(nodes: list[Iri], sets: list[int]) -> Iterator[tuple[Iri, Iri]]:
+    for first, bits in zip(nodes, sets):
+        while bits:
+            low = bits & -bits
+            yield first, nodes[low.bit_length() - 1]
+            bits ^= low
 
 
 def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
@@ -421,19 +455,19 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
     are the inferred orderings.
 
     A cycle yields a PRECEDES_CYCLE diagnostic and a partial (reachability)
-    result instead of failing.
+    result instead of failing. Past ``MAX_PRECEDENCE_PAIRS`` closure pairs a
+    PRECEDES_TRUNCATED warning gives the totals.
     """
-    asserted = sorted(
-        {(t.subject, t.object) for t in graph.triples
-         if t.predicate == DUL_PRECEDES and isinstance(t.subject, Iri) and isinstance(t.object, Iri)})
-    successors: dict[Iri, set[Iri]] = defaultdict(set)
+    asserted = sorted(_iri_pairs(graph, DUL_PRECEDES))
+    successors: dict[Iri, list[Iri]] = defaultdict(list)
     for a, b in asserted:
-        successors[a].add(b)
+        successors[a].append(b)
+    # Sorted roots and successors: the cycle named does not depend on the
+    # hash seed, and bit order is term order.
+    nodes = sorted({node for pair in asserted for node in pair})
+    reach, cycle = _reachability(nodes, successors, True)
 
     diagnostics: list[Diagnostic] = []
-    # Roots are already sorted (``asserted`` is); sorted successors make the
-    # cycle named independent of the hash seed.
-    cycle = _find_cycle({k: sorted(v) for k, v in successors.items()})
     if cycle:
         diagnostics.append(Diagnostic(
             ERROR, PRECEDES_CYCLE,
@@ -441,22 +475,18 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
             subject=cycle[0],
         ))
 
-    closure: set[tuple[Iri, Iri]] = set()
-    for start in successors:
-        seen: set[Iri] = set()
-        queue = deque(successors[start])
-        while queue:
-            node = queue.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            closure.add((start, node))
-            queue.extend(successors.get(node, ()))
-
-    closure_sorted = sorted(closure)
+    closure = list(islice(_pairs(nodes, reach), MAX_PRECEDENCE_PAIRS))
     asserted_set = set(asserted)
-    inferred = [p for p in closure_sorted if p not in asserted_set]
-    return PrecedenceInference(asserted, closure_sorted, inferred, diagnostics)
+    inferred = list(islice((p for p in _pairs(nodes, reach) if p not in asserted_set),
+                           MAX_PRECEDENCE_PAIRS))
+    total = sum(map(int.bit_count, reach))
+    if total > MAX_PRECEDENCE_PAIRS:
+        diagnostics.append(Diagnostic(
+            WARN, PRECEDES_TRUNCATED,
+            f"precedence closure has {total} pairs, {total - len(asserted)} of them inferred; "
+            f"the first {MAX_PRECEDENCE_PAIRS} of each are listed",
+        ))
+    return PrecedenceInference(asserted, closure, inferred, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +507,7 @@ class GraphProfile:
     new_dp: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "axioms": self.axioms,
-            "wordnet": self.wordnet,
-            "pb_roles": self.pb_roles,
-            "pb_frames": self.pb_frames,
-            "vn_roles": self.vn_roles,
-            "d0": self.d0,
-            "dul": self.dul,
-            "new_op": self.new_op,
-            "new_dp": self.new_dp,
-        }
+        return asdict(self)
 
 
 def is_structural(t: Triple) -> bool:
@@ -518,22 +538,19 @@ def profile(graph: RdfGraph, base: Optional[RdfGraph] = None) -> GraphProfile:
     triples = graph.triples - base.triples if base is not None else graph.triples
 
     axioms = sum(1 for t in triples if not is_structural(t))
-    iris = {term.value for t in triples for term in (t.subject, t.predicate, t.object)
-            if isinstance(term, Iri)}
+    iris = {term.value for term in set(chain.from_iterable(triples)) if isinstance(term, Iri)}
     counts = {name: sum(1 for value in iris if value.startswith(ns))
               for name, ns in _PROFILE_NAMESPACES.items()}
 
     new_op: Optional[int] = None
     new_dp: Optional[int] = None
     if base is not None:
-        base_predicates = {t.predicate for t in base.triples}
-        fresh: dict[Iri, bool] = {}
-        for t in triples:
-            if t.predicate in base_predicates:
-                continue
-            all_literal = fresh.get(t.predicate, True)
-            fresh[t.predicate] = all_literal and isinstance(t.object, Literal)
-        new_dp = sum(1 for only_literals in fresh.values() if only_literals)
+        # A predicate absent from the base has all its triples in the additions.
+        base_predicates = set(map(itemgetter(1), base.triples))
+        fresh = [all(isinstance(t[2], Literal) for t in bucket)
+                 for predicate, bucket in graph.by_predicate().items()
+                 if predicate not in base_predicates]
+        new_dp = sum(fresh)
         new_op = len(fresh) - new_dp
 
     return GraphProfile(axioms=axioms, new_op=new_op, new_dp=new_dp, **counts)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xkg.backends import (
     AuthError,
@@ -34,6 +36,8 @@ from xkg.rdf import (
 )
 from xkg.validation import (
     ANCHOR_FLOAT,
+    DIAGNOSTIC_CODES,
+    ERROR,
     PREFIX_CONFLICT,
     PREFIX_MISUSE,
     RESPONSE_INVALID,
@@ -349,6 +353,62 @@ class TestRunAll:
         par_results, par = run_all(SCENE_BASE, backend, PROMPTS, max_concurrent=4)
         assert serialize_turtle(seq) == serialize_turtle(par)
         assert [r.heuristic for r in seq_results] == [r.heuristic for r in par_results]
+
+
+def _statement(subject: str, predicate: str, obj: str) -> str:
+    return f"{subject} {predicate} {obj} ."
+
+
+_TURTLE_LINES = st.builds(
+    _statement,
+    st.sampled_from(["fred:athlete_1", "fred:win_1", "ex:a", "_:b", "mystery:x"]),
+    st.sampled_from(["ex:p", "pbrs:run-01.agent", "dul:associatedWith", "a", "mystery:q"]),
+    st.sampled_from(["ex:b", "fred:track_1", '"x"@en', "true", "[ ex:p ex:c ]", "owl:Class"]))
+
+
+@st.composite
+def _responses(draw):
+    """A response per heuristic: clean, fenced, prose-wrapped, unparseable,
+    empty or missing (a backend error), any of them binding ``ex:`` to one of
+    two namespaces, so prefixes clash across heuristics."""
+    responses = {}
+    for spec in HEURISTICS:
+        kind = draw(st.sampled_from(["clean", "fenced", "prose", "unparseable", "text", "empty",
+                                     "missing"]))
+        if kind == "missing":
+            continue
+        ns = draw(st.sampled_from(["http://a.example/", "http://b.example/"]))
+        body = (f"@prefix fred: <{FRED_NS}> .\n@prefix ex: <{ns}> .\n"
+                "@prefix pbrs: <https://w3id.org/framester/data/propbank-3.4.0/RoleSet/> .\n"
+                "@prefix dul: <http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#> .\n"
+                "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+                + "\n".join(draw(st.lists(_TURTLE_LINES, min_size=1, max_size=5))))
+        responses[spec.name] = {
+            "clean": body,
+            "fenced": f"Here you go:\n```turtle\n{body}\n```\nDone.",
+            "prose": f"Sure, the triples are:\n{body}\nHope this helps.",
+            "unparseable": body + "\nfred:athlete_1 ex:p .",
+            "text": draw(st.text(max_size=40)),
+            "empty": "",
+        }[kind]
+    return responses
+
+
+class TestRunAllGate:
+    @settings(max_examples=60, deadline=None)
+    @given(_responses(), st.booleans())
+    def test_never_raises_and_is_the_same_at_any_concurrency(self, responses, force_merge):
+        outcomes = []
+        for max_concurrent in (1, 4):
+            results, merged = run_all(SCENE_BASE, MappingBackend(responses), PROMPTS,
+                                      max_concurrent=max_concurrent, force_merge=force_merge)
+            for r in results:
+                assert all(d.code in DIAGNOSTIC_CODES for d in r.diagnostics)
+                if r.quarantined:
+                    assert any(d.severity == ERROR for d in r.diagnostics), r.heuristic
+            outcomes.append((serialize_turtle(merged),
+                             [(r.heuristic, r.quarantined, r.diagnostics) for r in results]))
+        assert outcomes[0] == outcomes[1]
 
 
 class FakeResponse:

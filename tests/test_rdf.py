@@ -449,6 +449,24 @@ def diff(after: RdfGraph, before: RdfGraph) -> frozenset[Triple]:
     return after.triples - before.triples
 
 
+class TestGraphIndexes:
+    def test_by_predicate_and_node_iris_match_full_scans(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            graph = random_rdf_graph(rng)
+            index = graph.by_predicate()
+            assert {p: sorted(bucket) for p, bucket in index.items()} == {
+                p: sorted(t for t in graph.triples if t.predicate == p)
+                for p in {t.predicate for t in graph.triples}}
+            assert graph.node_iris() == {term for t in graph.triples for term in (t.subject, t.object)
+                                         if isinstance(term, Iri)}
+            assert graph.by_predicate() is index  # kept
+
+    def test_empty_graph(self):
+        graph = RdfGraph.of([])
+        assert graph.by_predicate() == {} and graph.node_iris() == frozenset()
+
+
 class TestMergeDiff:
     def setup_method(self):
         self.rng = random.Random(11)

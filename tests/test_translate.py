@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -75,6 +76,20 @@ class TestTranslate:
         amr = parse_penman("(s / sprint-01 :ARG0 (a / athlete))")
         graph = translate(amr, ROLESETS)
         assert Triple(fred("sprint_1"), Iri(PBLR_NS + "sprint-01.arg0"), fred("athlete_1")) in graph.triples
+
+    def test_missing_roleset_entry_warned_once_per_frame_and_index(self, caplog):
+        amr = parse_penman("(s / sprint-01 :ARG0 (a / athlete) :ARG2 (t / track)"
+                           " :ARG1 (s2 / sprint-01 :ARG0 (b / athlete) :ARG2 (u / track)"
+                           " :ARG1 (w / wear-01 :ARG0 a :ARG2 (m / medal))))")
+        caplog.set_level(logging.WARNING, logger="xkg.translate")
+        for _ in range(2):  # once per call, not once per process
+            caplog.clear()
+            graph = translate(amr, ROLESETS)
+            assert sorted(r.getMessage() for r in caplog.records) == [
+                f"no roleset entry for {frame} ARG{index}, using positional role"
+                for frame, index in [("sprint-01", 0), ("sprint-01", 1), ("sprint-01", 2),
+                                     ("wear-01", 2)]]
+        assert Triple(fred("sprint_2"), Iri(PBLR_NS + "sprint-01.arg0"), fred("athlete_2")) in graph.triples
 
     def test_mod_and_fallback_roles(self):
         amr = parse_penman("(a / athlete :mod (t / team) :topic (m / medal))")

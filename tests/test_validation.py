@@ -1,17 +1,29 @@
+import copy
+import json
+import pickle
 import random
 from collections import defaultdict
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_validation
+import xkg.validation
 from generators import EX_NS, random_dag
 from oracles import connected_components, reachability_pairs
+from xkg.cli import EXIT_OK, main
 from xkg.rdf import (
     D0_NS,
     DUL_ASSOCIATED_WITH,
+    DUL_HAS_QUALITY,
     DUL_NS,
     DUL_PRECEDES,
     FRED_NS,
     OWL_CLASS,
+    OWL_DISJOINT_WITH,
+    OWL_NAMED_INDIVIDUAL,
     PBLR_NS,
     PBRS_NS,
     RDFS_COMMENT,
@@ -19,22 +31,29 @@ from xkg.rdf import (
     RDFS_SUBCLASSOF,
     RDF_TYPE,
     TRUE,
+    UNDECLARED_NS_BASE,
     WN30_NS,
+    BlankNode,
     Iri,
     Literal,
     RdfGraph,
     Triple,
     parse_turtle,
+    serialize_turtle,
+    standard_prefixes,
 )
 from xkg.validation import (
     ANCHOR_FLOAT,
+    DIAGNOSTIC_CODES,
     DISJOINT_CLASH,
     ERROR,
     FALLBACK_ROLE,
     INFO,
+    MAX_PRECEDENCE_PAIRS,
     MISSING_COMMENT,
     PREFIX_MISUSE,
     PRECEDES_CYCLE,
+    PRECEDES_TRUNCATED,
     UNDECLARED_PREFIX,
     WARN,
     Diagnostic,
@@ -166,6 +185,46 @@ class TestLint:
             Diagnostic(ERROR, "NOT_A_CODE", "nope")
 
 
+class TestDiagnostic:
+    def test_unknown_severity_rejected(self):
+        with pytest.raises(ValueError, match="unknown severity 'FATAL'"):
+            Diagnostic("FATAL", ANCHOR_FLOAT, "nope")
+
+    def test_fields_and_defaults(self):
+        d = Diagnostic(WARN, PREFIX_MISUSE, "m", subject=fred("a"))
+        assert (d.severity, d.code, d.message, d.subject) == (WARN, PREFIX_MISUSE, "m", fred("a"))
+        assert Diagnostic(INFO, FALLBACK_ROLE, "m").subject is None
+        assert repr(Diagnostic(INFO, FALLBACK_ROLE, "m")) == (
+            "Diagnostic(severity='INFO', code='FALLBACK_ROLE', message='m', subject=None)")
+
+    @pytest.mark.parametrize("subject, shown", [
+        (None, None),
+        (Iri(EX_NS + "a"), EX_NS + "a"),
+        (BlankNode("b1"), "_:b1"),
+        (Literal("x", language="en"), "x"),
+    ])
+    def test_to_dict(self, subject, shown):
+        assert Diagnostic(ERROR, DISJOINT_CLASH, "m", subject).to_dict() == {
+            "severity": ERROR, "code": DISJOINT_CLASH, "subject": shown, "message": "m"}
+
+    def test_copy_and_pickle_keep_the_class(self):
+        d = Diagnostic(ERROR, ANCHOR_FLOAT, "m", subject=Literal("true", TRUE.datatype))
+        for again in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert again == d and type(again) is Diagnostic
+            assert again.to_dict() == d.to_dict()
+
+    def test_lint_builds_only_registered_codes(self):
+        graph = parse_turtle("mystery:a mystery:p pbrs:x . fred:a_1 dul:associatedWith fred:b_1 .\n"
+                             "fred:b_1 pbrs:run-01.agent [ a owl:Class ] .", standard_prefixes(),
+                             bind_undeclared=True)
+        diagnostics = lint(graph)
+        assert {d.code for d in diagnostics} == {PREFIX_MISUSE, UNDECLARED_PREFIX,
+                                                 MISSING_COMMENT, FALLBACK_ROLE}
+        for d in diagnostics:
+            assert type(d) is Diagnostic and d.code in DIAGNOSTIC_CODES
+            assert d.severity in (ERROR, WARN, INFO)
+
+
 MINI_ONTO = MiniOntology.from_graph(parse_turtle("""
 @prefix dul: <http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#> .
 @prefix d0: <http://www.ontologydesignpatterns.org/ont/d0.owl#> .
@@ -222,6 +281,14 @@ class TestConsistency:
                               MINI_ONTO.disjoint | {frozenset((Iri(DUL_NS + "Person"), Iri(DUL_NS + "Event")))})
         after = check_consistency(graph, richer)
         assert len(after) >= len(before)
+
+    def test_class_disjoint_with_itself_clashes(self):
+        graph = RdfGraph.of([
+            Triple(fred("x_1"), RDF_TYPE, fred("A")),
+            Triple(fred("A"), OWL_DISJOINT_WITH, fred("A")),
+        ])
+        assert [d.message for d in check_consistency(graph, MINI_ONTO)] == [
+            "x_1 falls under disjoint classes A and A: x_1 -> A | x_1 -> A"]
 
     def test_cyclic_ontology_rejected(self):
         with pytest.raises(ValueError):
@@ -323,6 +390,80 @@ class TestPrecedence:
         assert [d.code for d in result.diagnostics] == [PRECEDES_CYCLE]
         assert result.closure  # partial reachability still returned
 
+    def test_cycles_match_reachability_oracle(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            names = [f"n{i}" for i in range(rng.randrange(1, 9))]
+            edges = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randrange(1, 16))}
+            result = infer_precedence(self.graph_of(sorted(edges)))
+            expected = reachability_pairs([(ex(a), ex(b)) for a, b in edges])
+            assert result.closure == sorted(expected)
+            assert result.inferred == sorted(expected - {(ex(a), ex(b)) for a, b in edges})
+            assert ([d.code for d in result.diagnostics] == [PRECEDES_CYCLE]) == any(
+                a == b for a, b in expected)
+
+
+def chain_pairs(names, gap=1):
+    """In order, the pairs of the chain names[0] -> names[1] -> ... that lie
+    ``gap`` or more links apart: the closure for 1, the inferred pairs for 2."""
+    for i, first in enumerate(names):
+        for second in names[i + gap:]:
+            yield ex(first), ex(second)
+
+
+class TestPrecedenceCap:
+    LINKS = 2000
+    NAMES = [f"e{i:04d}" for i in range(LINKS + 1)]
+    TOTAL = LINKS * (LINKS + 1) // 2 - LINKS  # inferred pairs: n(n+1)/2 - n
+
+    def chain(self):
+        return RdfGraph.of([Triple(ex(a), DUL_PRECEDES, ex(b))
+                            for a, b in zip(self.NAMES, self.NAMES[1:])])
+
+    def test_long_chain_lists_the_cap_and_warns_with_the_total(self):
+        result = infer_precedence(self.chain())
+        assert len(result.asserted) == self.LINKS
+        assert len(result.closure) == len(result.inferred) == MAX_PRECEDENCE_PAIRS
+        assert result.closure == list(islice(chain_pairs(self.NAMES), MAX_PRECEDENCE_PAIRS))
+        assert result.inferred == list(islice(chain_pairs(self.NAMES, 2), MAX_PRECEDENCE_PAIRS))
+        [warning] = result.diagnostics
+        assert (warning.severity, warning.code) == (WARN, PRECEDES_TRUNCATED)
+        assert warning.message == (
+            f"precedence closure has {self.TOTAL + self.LINKS} pairs, {self.TOTAL} of them "
+            f"inferred; the first {MAX_PRECEDENCE_PAIRS} of each are listed")
+
+    def test_long_chain_through_validate(self, tmp_path):
+        (tmp_path / "chain.ttl").write_text(serialize_turtle(self.chain()), encoding="utf-8")
+        code = main(["validate", "--graph", str(tmp_path / "chain.ttl"), "--out", str(tmp_path)])
+        assert code == EXIT_OK  # a warning is no error
+        report = json.loads((tmp_path / "validation-report.json").read_text(encoding="utf-8"))
+        assert len(report["precedence"]["asserted"]) == self.LINKS
+        assert len(report["precedence"]["inferred"]) == MAX_PRECEDENCE_PAIRS
+        assert report["precedence"]["inferred"][0] == [EX_NS + "e0000", EX_NS + "e0002"]
+        warnings = [d for d in report["diagnostics"] if d["code"] == PRECEDES_TRUNCATED]
+        assert len(warnings) == 1 and f", {self.TOTAL} of them inferred;" in warnings[0]["message"]
+
+    def test_long_cycle_is_named_and_capped(self):
+        names = self.NAMES[:-1]
+        graph = RdfGraph.of([Triple(ex(a), DUL_PRECEDES, ex(b))
+                             for a, b in zip(names, names[1:] + names[:1])])
+        result = infer_precedence(graph)
+        cycle, truncated = result.diagnostics
+        assert cycle.message == ("precedes assertions form a cycle: "
+                                 + " -> ".join(names + names[:1]))
+        n = len(names)
+        assert f"closure has {n * n} pairs, {n * n - n} of them inferred" in truncated.message
+        assert len(result.closure) == MAX_PRECEDENCE_PAIRS
+
+    @pytest.mark.parametrize("links, warned", [(3, False), (4, True)])
+    def test_at_the_cap_nothing_is_cut(self, monkeypatch, links, warned):
+        monkeypatch.setattr(xkg.validation, "MAX_PRECEDENCE_PAIRS", 6)  # 3 links: 6 pairs
+        names = self.NAMES[:links + 1]
+        result = infer_precedence(RdfGraph.of(
+            [Triple(ex(a), DUL_PRECEDES, ex(b)) for a, b in zip(names, names[1:])]))
+        assert result.closure == list(islice(chain_pairs(names), 6))
+        assert [d.code for d in result.diagnostics] == ([PRECEDES_TRUNCATED] if warned else [])
+
 
 class TestProfile:
     def test_empty_graph_all_zero(self):
@@ -369,3 +510,68 @@ class TestProfile:
             h = random_rdf_graph(rng)
             union = RdfGraph.of(g.triples | h.triples, g.prefixes)
             assert profile(union).axioms <= profile(g).axioms + profile(h).axioms
+
+
+# ---------------------------------------------------------------------------
+# The indexed checks against the full-scan reference
+# ---------------------------------------------------------------------------
+
+_CLASSES = [fred("A"), fred("B"), Iri(DUL_NS + "Person"), Iri(DUL_NS + "Agent"),
+            Iri(DUL_NS + "Object"), Iri(DUL_NS + "Event"), Iri(D0_NS + "Activity")]
+_PLACEHOLDERS = [Iri(UNDECLARED_NS_BASE + "mystery#a"), Iri(UNDECLARED_NS_BASE + "mystery#p"),
+                 Iri(UNDECLARED_NS_BASE + "other#b")]
+_IRIS = ([ex(c) for c in "abcde"] + _CLASSES + _PLACEHOLDERS
+         + [OWL_CLASS, OWL_NAMED_INDIVIDUAL, Iri(PBRS_NS + "run-01"), Iri(WN30_NS + "s")])
+_PREDICATES = [RDF_TYPE, RDFS_COMMENT, RDFS_LABEL, RDFS_SUBCLASSOF, OWL_DISJOINT_WITH,
+               DUL_ASSOCIATED_WITH, DUL_PRECEDES, DUL_HAS_QUALITY, ex("p"),
+               Iri(PBRS_NS + "run-01.agent"), Iri(PBLR_NS + "run-01.runner"), _PLACEHOLDERS[1]]
+_SUBJECTS = st.sampled_from(_IRIS + [BlankNode("b0"), BlankNode("b1")])
+_OBJECTS = st.one_of(_SUBJECTS, st.sampled_from(
+    [Literal("x"), Literal("x", language="en"), TRUE, Literal("Event")]))
+
+
+def _among(predicate, nodes):
+    node = st.sampled_from(nodes)
+    return st.builds(Triple, node, st.just(predicate), node)
+
+
+# Any subject, predicate and object (so blank nodes and literals under every
+# indexed predicate, placeholder IRIs in each position, pbrs predicates),
+# plus dense typings, subclass links and precedes links, where cycles and
+# clashes are common.
+_graphs = st.tuples(
+    st.lists(st.builds(Triple, _SUBJECTS, st.sampled_from(_PREDICATES), _OBJECTS), max_size=30),
+    st.lists(st.builds(Triple, st.sampled_from([ex(c) for c in "abc"]), st.just(RDF_TYPE),
+                       st.sampled_from(_CLASSES)), max_size=6),
+    st.lists(_among(RDFS_SUBCLASSOF, _CLASSES), max_size=4),
+    st.lists(_among(DUL_PRECEDES, [ex(c) for c in "abcdef"]), max_size=14),
+).map(lambda parts: RdfGraph.of(set().union(*parts)))
+
+
+class TestAgreesWithFullScans:
+    @settings(max_examples=400, deadline=None)
+    @given(_graphs, _graphs)
+    def test_same_results_as_the_reference(self, graph, other):
+        assert lint(graph) == reference_validation.lint(graph)
+        try:
+            ontologies = [MINI_ONTO, MiniOntology.from_graph(other)]
+        except ValueError:  # a cyclic subclass hierarchy
+            ontologies = [MINI_ONTO]
+        for onto in ontologies:
+            assert (check_consistency(graph, onto)
+                    == reference_validation.check_consistency(graph, onto))
+        assert infer_precedence(graph) == reference_validation.infer_precedence(graph)
+        base = RdfGraph.of(other.triples | set(sorted(graph.triples)[::2]))
+        for against in (None, base):
+            assert profile(graph, against) == reference_validation.profile(graph, against)
+
+    def test_corpus_agrees(self):
+        from corpus import build_corpus
+
+        corpus = build_corpus()
+        merged = RdfGraph.of(corpus.base.triples.union(*corpus.additions.values()))
+        assert lint(merged) == reference_validation.lint(merged)
+        assert (check_consistency(merged, MINI_ONTO)
+                == reference_validation.check_consistency(merged, MINI_ONTO))
+        assert infer_precedence(merged) == reference_validation.infer_precedence(merged)
+        assert profile(merged, corpus.base) == reference_validation.profile(merged, corpus.base)
