@@ -8,7 +8,7 @@ class-disjointness consistency, and event-order inference; and agreement
 statistics summarize human ratings of the generated triples.
 """
 
-from .amr import AmrEdge, AmrGraph, AmrNode, parse_penman, serialize_penman
+from .amr import AmrEdge, AmrGraph, AmrNode, parse_penman
 from .enrichment import (
     HEURISTICS,
     EnrichmentResult,
@@ -47,7 +47,7 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmrEdge", "AmrGraph", "AmrNode", "parse_penman", "serialize_penman",
+    "AmrEdge", "AmrGraph", "AmrNode", "parse_penman",
     "HEURISTICS", "EnrichmentResult", "HeuristicSpec", "assemble_prompt",
     "extract_turtle", "read_system_template", "run_all", "run_heuristic",
     "BlankNode", "Iri", "Literal", "PrefixTable", "RdfGraph", "Triple",

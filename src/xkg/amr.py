@@ -1,10 +1,9 @@
 """Abstract Meaning Representation graphs and their PENMAN notation.
 
 ``parse_penman`` turns a single parenthesized PENMAN expression into a rooted
-graph; ``serialize_penman`` is its inverse. Re-entrant variables (mentioned
-without ``/``) resolve to one node, and inverse ``-of`` roles are normalized
-by flipping the edge (``:ARG0-of`` on X->Y becomes ``:ARG0`` on Y->X) unless
-normalization is disabled.
+graph. Re-entrant variables (mentioned without ``/``) resolve to one node, and
+inverse ``-of`` roles are normalized by flipping the edge (``:ARG0-of`` on
+X->Y becomes ``:ARG0`` on Y->X) unless normalization is disabled.
 
 Constants (quoted strings, numbers, ``-`` and ``+``) are legal edge targets
 and do not create nodes. Unquoted targets are variable references and must be
@@ -95,9 +94,6 @@ class AmrGraph:
             if n.variable == variable:
                 return n.concept
         raise KeyError(variable)
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(n.variable for n in self.nodes)
 
     def node(self, variable: str) -> AmrNode:
         for n in self.nodes:
@@ -234,57 +230,6 @@ def _invert(edge: AmrEdge) -> AmrEdge:
     if edge.role.endswith("-of") and isinstance(edge.target, str):
         return AmrEdge(edge.target, edge.role[: -len("-of")], edge.source)
     return edge
-
-
-def serialize_penman(graph: AmrGraph) -> str:
-    """Render an AmrGraph in PENMAN notation.
-
-    Each node is declared exactly once, at its first reachable position in a
-    depth-first walk from the root; edges that would revisit a declared node
-    print the bare variable, and edges only traversable against their
-    direction print with an ``-of`` role.
-    """
-    declared: set[str] = set()
-    printed: set[int] = set()  # indexes into graph.edges
-    concepts = {n.variable: n.concept for n in graph.nodes}
-
-    incident: dict[str, list[int]] = {v: [] for v in concepts}
-    for idx, e in enumerate(graph.edges):
-        incident[e.source].append(idx)
-        if isinstance(e.target, str):
-            incident[e.target].append(idx)
-
-    def render_constant(c: AmrConstant) -> str:
-        if c.quoted:
-            escaped = c.value.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return c.value
-
-    def render(var: str) -> str:
-        declared.add(var)
-        parts = [f"({var} / {concepts[var]}"]
-        for idx in incident[var]:
-            if idx in printed:
-                continue
-            e = graph.edges[idx]
-            if e.source == var:
-                role, other = e.role, e.target
-            else:
-                role, other = e.role + "-of", e.source
-            printed.add(idx)
-            if isinstance(other, AmrConstant):
-                parts.append(f"{role} {render_constant(other)}")
-            elif other in declared:
-                parts.append(f"{role} {other}")
-            else:
-                parts.append(f"{role} {render(other)}")
-        return " ".join(parts) + ")"
-
-    out = render(graph.root)
-    unreachable = set(concepts) - declared
-    if unreachable:
-        raise AmrError(f"nodes unreachable from root: {sorted(unreachable)}")
-    return out
 
 
 def _paren_depth(line: str, in_string: bool) -> tuple[int, bool]:

@@ -9,6 +9,15 @@ matching stage of :mod:`xkg.pipeline` (``run`` calls ``run_pipeline``) and
 write the results. Every stage that would call a live model accepts
 ``--mock``, making the full pipeline reproducible offline.
 
+Every JSON file is the text of ``json.dumps(indent=2)``. The profiles and
+the agreement report go through ``_json``, which walks any value.
+``validation-report.json`` and ``diagnostics.json`` hold one entry per
+diagnostic, so they are rendered from a format string per diagnostic (and
+per precedence pair) instead, with the same bytes and no dict built;
+``Diagnostic.to_dict`` and ``ValidationReport.to_dict`` stay the reference
+the tests compare them with. ``main`` builds the argument parser once per
+process.
+
 Exit codes: 0 on success, 1 when a heuristic was quarantined or validation
 produced ERROR diagnostics, 2 on configuration or input failures, including
 an input file that cannot be read.
@@ -17,6 +26,7 @@ an input file that cannot be read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -31,7 +41,8 @@ from .backends import BackendError, HttpBackend, MockBackend
 from .config import ConfigError, PipelineConfig, default_config, load_config
 from .enrichment import HEURISTICS, HEURISTIC_BY_NAME, EnrichmentError
 from .pipeline import ValidationReport, build_base, describe, enrich, run_pipeline, validate
-from .rdf import RdfError, RdfGraph, parse_turtle, serialize_extensions, serialize_turtle
+from .rdf import (BlankNode, RdfError, RdfGraph, parse_turtle, serialize_extensions,
+                  serialize_turtle)
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -72,6 +83,40 @@ def _json(value, outer: str = "\n") -> str:
         items = [_encode(v) if type(v) is str else _json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + outer + "]" if items else "[]"
     return "null" if value is None else json.dumps(value)
+
+
+def _diagnostics_json(diagnostics, outer: str) -> str:
+    """``_json([d.to_dict() for d in diagnostics], outer)``, each diagnostic
+    rendered from one format string, with no dict built."""
+    if not diagnostics:
+        return "[]"
+    inner = outer + "  "
+    key = inner + "  "
+    template = ("{" + key + '"severity": %s,' + key + '"code": %s,' + key + '"subject": %s,'
+                + key + '"message": %s' + inner + "}")
+    return "[" + inner + ("," + inner).join([
+        template % (_encode(severity), _encode(code),
+                    "null" if s is None else _encode("_:" + s[1] if isinstance(s, BlankNode)
+                                                     else s[1]),
+                    _encode(message))
+        for severity, code, message, s in diagnostics]) + outer + "]"
+
+
+def _pairs_json(pairs, outer: str) -> str:
+    """``_json([[a.value, b.value] for a, b in pairs], outer)``."""
+    if not pairs:
+        return "[]"
+    inner = outer + "  "
+    template = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+    return "[" + inner + ("," + inner).join([
+        template % (_encode(a.value), _encode(b.value)) for a, b in pairs]) + outer + "]"
+
+
+#: One result's entry in ``diagnostics.json``, and ``validation-report.json``
+#: with its final newline: the layout ``_json`` gives their dicts.
+_DIAGNOSTICS_ENTRY = '%s: {\n    "added": %d,\n    "quarantined": %s,\n    "diagnostics": %s\n  }'
+_REPORT = ('{\n  "diagnostics": %s,\n  "profile": %s,\n  "precedence": {'
+           '\n    "asserted": %s,\n    "inferred": %s\n  }\n}\n')
 
 
 def _write_json(path: Path, payload) -> None:
@@ -154,14 +199,12 @@ def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) 
     texts = serialize_extensions(base, [result.xkg for result in results] + [merged])
     for name, text in zip(names, texts):
         _write(out_dir / name, text)
-    _write_json(out_dir / "diagnostics.json", {
-        result.heuristic: {
-            "added": len(result.added),
-            "quarantined": result.quarantined,
-            "diagnostics": [d.to_dict() for d in result.diagnostics],
-        }
-        for result in results
-    })
+    entries = [_DIAGNOSTICS_ENTRY % (_encode(result.heuristic), len(result.added),
+                                     "true" if result.quarantined else "false",
+                                     _diagnostics_json(result.diagnostics, "\n    "))
+               for result in results]
+    _write(out_dir / "diagnostics.json",
+           "{\n  " + ",\n  ".join(entries) + "\n}\n" if entries else "{}\n")
     print(out_dir / "xkg-merged.ttl")
     return EXIT_DIAGNOSTICS if any(result.quarantined for result in results) else EXIT_OK
 
@@ -177,7 +220,10 @@ def cmd_enrich(args: argparse.Namespace) -> int:
 
 
 def _write_validation(out_dir: Path, report: ValidationReport) -> int:
-    _write_json(out_dir / "validation-report.json", report.to_dict())
+    _write(out_dir / "validation-report.json", _REPORT % (
+        _diagnostics_json(report.diagnostics, "\n  "), _json(report.profile.to_dict(), "\n  "),
+        _pairs_json(report.precedence.asserted, "\n    "),
+        _pairs_json(report.precedence.inferred, "\n    ")))
     table = _profile_table(report.profile)
     _write(out_dir / "validation-report.txt", table)
     print(table, end="")
@@ -245,7 +291,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="xkg",
         description="Build, enrich, and validate extended knowledge graphs from AMR.",

@@ -10,6 +10,7 @@ holds them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 from pathlib import Path
@@ -91,7 +92,10 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
 
     The file is untrusted input: anything but an object of the known
     sections and keys, with values of the types of the defaults, raises
-    ConfigError.
+    ConfigError. So does a backend setting out of range: ``timeout``,
+    ``max_concurrent``, ``max_tokens`` and ``max_tokens_cap`` must be positive,
+    ``retries`` and ``temperature`` non-negative, all of them finite, and
+    ``max_tokens`` at most ``max_tokens_cap``.
     """
     path = Path(path)
     try:
@@ -113,6 +117,19 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
             raise ConfigError(
                 f"backend setting {name!r} must be of type {kind.__name__}, found {value!r}")
     backend = BackendConfig(**backend_raw)
+    for name in ("timeout", "max_concurrent", "max_tokens", "max_tokens_cap"):
+        value = getattr(backend, name)
+        if not 0 < value < math.inf:
+            raise ConfigError(
+                f"backend setting {name!r} must be positive and finite, found {value!r}")
+    for name in ("retries", "temperature"):
+        value = getattr(backend, name)
+        if not 0 <= value < math.inf:
+            raise ConfigError(
+                f"backend setting {name!r} must be non-negative and finite, found {value!r}")
+    if backend.max_tokens > backend.max_tokens_cap:
+        raise ConfigError(f"backend setting 'max_tokens' ({backend.max_tokens}) exceeds "
+                          f"'max_tokens_cap' ({backend.max_tokens_cap})")
 
     base_dir = path.parent
     defaults = default_resource_paths()

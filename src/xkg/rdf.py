@@ -372,10 +372,6 @@ class RdfGraph:
     triples: frozenset[Triple] = frozenset()
     prefixes: PrefixTable = field(default_factory=standard_prefixes)
 
-    @staticmethod
-    def of(triples: Iterable[Triple], prefixes: Optional[PrefixTable] = None) -> "RdfGraph":
-        return RdfGraph(frozenset(triples), prefixes or standard_prefixes())
-
     def __len__(self) -> int:
         return len(self.triples)
 

@@ -1,10 +1,12 @@
-"""Seeded random generators shared by property and acceptance tests."""
+"""Seeded random generators, and the graph builders and PENMAN writer the
+tests use, shared by property and acceptance tests."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterable, Optional
 
-from xkg.amr import AmrConstant, AmrEdge, AmrGraph, AmrNode
+from xkg.amr import AmrConstant, AmrEdge, AmrError, AmrGraph, AmrNode
 from xkg.rdf import (
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -12,12 +14,17 @@ from xkg.rdf import (
     BlankNode,
     Iri,
     Literal,
+    PrefixTable,
     RdfGraph,
     Triple,
     standard_prefixes,
 )
 
 EX_NS = "http://example.org/x#"
+
+
+def graph_of(triples: Iterable[Triple], prefixes: Optional[PrefixTable] = None) -> RdfGraph:
+    return RdfGraph(frozenset(triples), prefixes or standard_prefixes())
 
 
 def random_rdf_graph(rng: random.Random, max_triples: int = 12) -> RdfGraph:
@@ -50,7 +57,7 @@ def random_rdf_graph(rng: random.Random, max_triples: int = 12) -> RdfGraph:
     for _ in range(rng.randrange(1, max_triples + 1)):
         subject = rng.choice(iris + blanks)
         triples.add(Triple(subject, rng.choice(predicates), obj()))
-    return RdfGraph.of(triples, prefixes)
+    return graph_of(triples, prefixes)
 
 
 AMR_CONCEPTS = ["athlete", "track", "team", "medal", "crowd",
@@ -83,6 +90,57 @@ def random_amr_graph(rng: random.Random, max_nodes: int = 10) -> AmrGraph:
         if extra not in edges:
             edges.append(extra)
     return AmrGraph("v0", nodes, tuple(edges))
+
+
+def serialize_penman(graph: AmrGraph) -> str:
+    """Render an AmrGraph in PENMAN notation.
+
+    Each node is declared exactly once, at its first reachable position in a
+    depth-first walk from the root; edges that would revisit a declared node
+    print the bare variable, and edges only traversable against their
+    direction print with an ``-of`` role.
+    """
+    declared: set[str] = set()
+    printed: set[int] = set()  # indexes into graph.edges
+    concepts = {n.variable: n.concept for n in graph.nodes}
+
+    incident: dict[str, list[int]] = {v: [] for v in concepts}
+    for idx, e in enumerate(graph.edges):
+        incident[e.source].append(idx)
+        if isinstance(e.target, str):
+            incident[e.target].append(idx)
+
+    def render_constant(c: AmrConstant) -> str:
+        if c.quoted:
+            escaped = c.value.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{escaped}"'
+        return c.value
+
+    def render(var: str) -> str:
+        declared.add(var)
+        parts = [f"({var} / {concepts[var]}"]
+        for idx in incident[var]:
+            if idx in printed:
+                continue
+            e = graph.edges[idx]
+            if e.source == var:
+                role, other = e.role, e.target
+            else:
+                role, other = e.role + "-of", e.source
+            printed.add(idx)
+            if isinstance(other, AmrConstant):
+                parts.append(f"{role} {render_constant(other)}")
+            elif other in declared:
+                parts.append(f"{role} {other}")
+            else:
+                parts.append(f"{role} {render(other)}")
+        return " ".join(parts) + ")"
+
+    out = render(graph.root)
+    unreachable = set(concepts) - declared
+    if unreachable:
+        raise AmrError(f"nodes unreachable from root: {sorted(unreachable)}")
+    return out
 
 
 def random_dag(rng: random.Random, max_nodes: int = 50) -> list[tuple[str, str]]:

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from corpus import build_corpus
-from generators import random_amr_graph, random_dag, random_ratings_table, random_rdf_graph
+from generators import (graph_of, random_amr_graph, random_dag, random_ratings_table,
+                        random_rdf_graph, serialize_penman)
 from isomorphism import amr_isomorphic, isomorphic
 from oracles import (
     connected_components,
@@ -26,7 +27,7 @@ from oracles import (
     percent_agreement_oracle,
     reachability_pairs,
 )
-from xkg.amr import parse_penman, parse_penman_file, serialize_penman
+from xkg.amr import parse_penman, parse_penman_file
 from xkg.backends import MappingBackend
 import xkg
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, main
@@ -217,11 +218,11 @@ def test_criterion_6_precedence():
         assert (fred(earlier), fred("celebrate_1")) in inferred
 
     rng = random.Random(66)
-    from xkg.rdf import DUL_PRECEDES, RdfGraph
+    from xkg.rdf import DUL_PRECEDES
     for _ in range(100):
         dag = random_dag(rng, max_nodes=50)
-        graph = RdfGraph.of([Triple(Iri(f"http://x.example/{a}"), DUL_PRECEDES,
-                                    Iri(f"http://x.example/{b}")) for a, b in dag])
+        graph = graph_of([Triple(Iri(f"http://x.example/{a}"), DUL_PRECEDES,
+                                 Iri(f"http://x.example/{b}")) for a, b in dag])
         expected = reachability_pairs(
             [(Iri(f"http://x.example/{a}"), Iri(f"http://x.example/{b}")) for a, b in dag])
         assert set(infer_precedence(graph).closure) == expected
@@ -280,8 +281,7 @@ def test_criterion_7_agreement_statistics():
 
 
 def test_criterion_8_prefix_lint():
-    from xkg.rdf import RdfGraph
-    offending = RdfGraph.of([
+    offending = graph_of([
         Triple(fred("spectator_1"), Iri(PBRS_NS + "cheer-01.agent"), fred("athlete_1")),
     ])
     assert [d.code for d in lint(offending) if d.code == PREFIX_MISUSE] == [PREFIX_MISUSE]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from generators import random_amr_graph
+from generators import random_amr_graph, serialize_penman
 from isomorphism import amr_isomorphic
 from xkg.amr import (
     MAX_NESTING,
@@ -17,7 +17,6 @@ from xkg.amr import (
     _invert,
     parse_penman,
     parse_penman_file,
-    serialize_penman,
 )
 
 

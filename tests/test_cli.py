@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,10 @@ from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from corpus import build_corpus
 from xkg.config import bundled_resources_root, default_config
 from xkg.enrichment import HEURISTICS
-from xkg.rdf import FRED_NS, RdfGraph, parse_turtle, serialize_turtle
+from xkg.pipeline import enrich, validate
+from xkg.rdf import (FRED_NS, XSD_INTEGER, BlankNode, Iri, Literal, RdfGraph, parse_turtle,
+                     serialize_turtle)
+from xkg.validation import DIAGNOSTIC_CODES, ERROR, INFO, WARN, Diagnostic
 
 FIXTURES = bundled_resources_root() / "fixtures"
 SCENE_TXT = str(FIXTURES / "athlete-scene.txt")
@@ -283,6 +290,71 @@ class TestJsonWriter:
         assert (tmp_path / "report.json").read_bytes() == expected
 
 
+# Diagnostics as the validators build them: every registered code, every
+# subject kind, and messages and labels with non-ASCII text, control
+# characters and lone surrogates.
+_chars = st.one_of(st.characters(), st.sampled_from("\x00\x1f\x7f\"\\\u00e9\u2028\ud800\udfff"))
+_texts = st.text(_chars, max_size=8)
+_iris = st.text("aZ09#/:%-._~\u00e9", max_size=6).map(lambda s: Iri("http://x.example/" + s))
+_subjects = st.one_of(
+    st.none(), _iris, st.builds(BlankNode, _texts),
+    st.builds(Literal, _texts, st.sampled_from([None, XSD_INTEGER])),
+    st.builds(Literal, _texts, st.none(), st.just("en")))
+_diagnostics = st.lists(st.builds(
+    Diagnostic, st.sampled_from([ERROR, WARN, INFO]), st.sampled_from(sorted(DIAGNOSTIC_CODES)),
+    _texts, _subjects), max_size=4)
+_indents = st.sampled_from(["\n", "\n  ", "\n    ", "\n      "])
+
+
+def _diagnostics_reference(results) -> str:
+    """``diagnostics.json`` through the dict-building writer."""
+    return xkg.cli._json({
+        r.heuristic: {"added": len(r.added), "quarantined": r.quarantined,
+                      "diagnostics": [d.to_dict() for d in r.diagnostics]}
+        for r in results}) + "\n"
+
+
+class TestReportTemplates:
+    """The per-diagnostic templates write the bytes of ``_json`` over ``to_dict``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_diagnostics, _indents)
+    def test_diagnostics_equal_json_of_to_dict(self, diagnostics, outer):
+        assert (xkg.cli._diagnostics_json(diagnostics, outer)
+                == xkg.cli._json([d.to_dict() for d in diagnostics], outer))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_iris, _iris), max_size=4), _indents)
+    def test_pairs_equal_json_of_values(self, pairs, outer):
+        assert (xkg.cli._pairs_json(pairs, outer)
+                == xkg.cli._json([[a.value, b.value] for a, b in pairs], outer))
+
+    @pytest.mark.parametrize("responses", [
+        {},
+        {"FactualImpact": "@prefix x: <http://x.example/> . x:a x:p x:b .",
+         "CausalRelations": "not turtle at all {"},
+    ], ids=["no-results", "quarantined"])
+    def test_diagnostics_file(self, tmp_path, responses):
+        base = parse_turtle(read(Path(__file__).parent / "golden" / "base-graph.ttl"))
+        specs = [spec for spec in HEURISTICS if spec.name in responses]
+        results, merged = enrich(base, MappingBackend(responses), default_config(), specs, False)
+        assert [r.quarantined for r in results] == [True] * len(responses)
+        code = xkg.cli._write_enrichment(tmp_path, base, results, merged)
+        assert code == (EXIT_DIAGNOSTICS if responses else EXIT_OK)
+        assert read(tmp_path / "diagnostics.json") == _diagnostics_reference(results)
+
+    @pytest.mark.parametrize("name", ["empty", "corpus"])
+    def test_validation_report(self, tmp_path, name):
+        corpus = build_corpus()
+        graph = (RdfGraph() if name == "empty" else
+                 RdfGraph(corpus.base.triples.union(*corpus.additions.values()),
+                          corpus.base.prefixes))
+        report = validate(graph, None, default_config().require_resources())
+        xkg.cli._write_validation(tmp_path, report)
+        expected = xkg.cli._json(report.to_dict()) + "\n"
+        assert read(tmp_path / "validation-report.json") == expected
+
+
 class TestValidate:
     def test_clean_base_has_no_errors(self, base_graph_dir, tmp_path):
         code = main(["validate", "--graph", str(base_graph_dir / "base-graph.ttl"),
@@ -414,6 +486,78 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, argv):
     argv = [arg.format(**names) for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend, message", [
+    ({"max_tokens": 0}, "'max_tokens' must be positive"),
+    ({"max_tokens_cap": 0}, "'max_tokens_cap' must be positive"),
+    ({"timeout": 0}, "'timeout' must be positive"),
+    ({"timeout": -1.5}, "'timeout' must be positive"),
+    ({"timeout": float("inf")}, "'timeout' must be positive and finite"),
+    ({"max_concurrent": 0}, "'max_concurrent' must be positive"),
+    ({"retries": -1}, "'retries' must be non-negative"),
+    ({"temperature": -0.5}, "'temperature' must be non-negative"),
+    ({"temperature": float("nan")}, "'temperature' must be non-negative and finite"),
+    ({"temperature": float("inf")}, "'temperature' must be non-negative and finite"),
+    ({"max_tokens": 9000}, "'max_tokens' (9000) exceeds 'max_tokens_cap' (8192)"),
+    ({"max_tokens": 64, "max_tokens_cap": 32}, "'max_tokens' (64) exceeds 'max_tokens_cap' (32)"),
+])
+def test_backend_setting_out_of_range_is_config_error(tmp_path, capsys, backend, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": backend}), encoding="utf-8")  # NaN, Infinity
+    code = main(["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR,
+                 "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def _xkg_fresh(argv):
+    """``xkg *argv`` in a new interpreter: the exit code, stdout and stderr."""
+    src = str(Path(xkg.cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "xkg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_successive_calls_equal_fresh_processes(tmp_path, capsys):
+    """``main`` keeps one parser per process; a call, also one that argparse
+    rejects, leaves nothing behind that changes the next call's outputs."""
+    golden = Path(__file__).parent / "golden"
+    out = tmp_path / "out"
+    calls = [
+        ["validate", "--graph", str(golden / "xkg-merged.ttl"),
+         "--base", str(golden / "base-graph.ttl"), "--out", str(out / "validate")],
+        ["agree", "--ratings", str(golden / "ratings.csv"), "--out", str(out / "agree")],
+        ["validate", "--graph", str(golden / "base-graph.ttl"), "--bogus", "--out", str(out)],
+        ["enrich", "--mock", "--base", str(golden / "base-graph.ttl"), "--heuristic",
+         "EventSequences", "--out", str(out / "enrich")],
+        ["agree", "--out", str(out / "agree")],
+        ["agree", "--ratings", str(tmp_path / "missing.csv"), "--out", str(out / "missing")],
+        ["validate", "--graph", str(golden / "base-graph.ttl"), "--out", str(out / "again")],
+    ]
+
+    def files():
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()}
+
+    fresh = [_xkg_fresh(argv) for argv in calls]
+    fresh_files = files()
+    shutil.rmtree(out)
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    assert [call[0] for call in fresh] == [1, 0, 2, 0, 2, 2, 0]
+    assert in_process == fresh
+    assert files() == fresh_files
+    assert xkg.cli.build_parser() is xkg.cli.build_parser()
 
 
 class TestGoldenFiles:

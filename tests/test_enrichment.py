@@ -99,7 +99,7 @@ class TestRegistry:
 
 class TestAssemblePrompt:
     def test_empty_base_gives_prefix_only_graph_slot(self):
-        request = assemble_prompt(serialize_turtle(RdfGraph.of([], standard_prefixes())), SYSTEM,
+        request = assemble_prompt(serialize_turtle(RdfGraph()), SYSTEM,
                                   FACTUAL, PROMPTS)
         graph_lines = [l for l in request.user_text.splitlines() if l.startswith("@prefix")]
         assert graph_lines

@@ -9,7 +9,7 @@ import xkg.rdf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import EX_NS, random_rdf_graph
+from generators import EX_NS, graph_of, random_rdf_graph
 from isomorphism import isomorphic
 from xkg.rdf import (
     FRED_NS,
@@ -298,7 +298,7 @@ def test_syntax_error_position_and_message(text, line, column, message):
 
 class TestSerialize:
     def test_empty_graph_is_prefix_declarations_only(self):
-        text = serialize_turtle(RdfGraph.of([], standard_prefixes()))
+        text = serialize_turtle(graph_of([], standard_prefixes()))
         lines = [l for l in text.splitlines() if l]
         assert lines and all(l.startswith("@prefix ") for l in lines)
 
@@ -312,11 +312,11 @@ class TestSerialize:
         rng = random.Random(7)
         for _ in range(20):
             graph = random_rdf_graph(rng)
-            shuffled = RdfGraph.of(sorted(graph.triples, key=repr), graph.prefixes)
+            shuffled = graph_of(sorted(graph.triples, key=repr), graph.prefixes)
             assert serialize_turtle(graph) == serialize_turtle(shuffled)
 
     def test_unknown_namespace_falls_back_to_iriref(self):
-        graph = RdfGraph.of(
+        graph = graph_of(
             [Triple(Iri("urn:uuid:x"), Iri("http://unbound.org/p"), Literal("v"))],
             standard_prefixes())
         text = serialize_turtle(graph)
@@ -345,9 +345,9 @@ _ext_tables = st.dictionaries(st.sampled_from(["ex", "b", "u", "o"]),
 @st.composite
 def _base_and_extensions(draw):
     base_table = PrefixTable(draw(_ext_tables))
-    base = RdfGraph.of(draw(st.lists(st.builds(Triple, st.one_of(_ext_iris, _ext_blanks),
-                                               _ext_iris, _ext_objects), max_size=12)),
-                       base_table)
+    base = graph_of(draw(st.lists(st.builds(Triple, st.one_of(_ext_iris, _ext_blanks),
+                                            _ext_iris, _ext_objects), max_size=12)),
+                    base_table)
     base_subjects = sorted({t.subject for t in base.triples}, key=repr)
     base_groups = sorted({t[:2] for t in base.triples}, key=repr)
     subjects = st.one_of(_ext_iris, _ext_blanks, *([st.sampled_from(base_subjects)]
@@ -381,7 +381,7 @@ class TestSerializeExtensions:
         base, graphs = case
         assert list(serialize_extensions(base, graphs)) == [serialize_turtle(g) for g in graphs]
 
-    BASE = RdfGraph.of(
+    BASE = graph_of(
         [Triple(Iri("http://ex.org/b/s"), Iri("http://ex.org/a#p"), Iri("urn:ex:yo")),
          Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#p"), Literal("1", XSD_INTEGER))],
         PrefixTable({"ex": "http://ex.org/a#"}))
@@ -423,7 +423,7 @@ class TestRoundTrip:
 
     def test_insert_twice_leaves_cardinality(self):
         t = Triple(Iri(EX_NS + "a"), Iri(EX_NS + "p"), Iri(EX_NS + "b"))
-        graph = RdfGraph.of([t])
+        graph = graph_of([t])
         assert len(graph.with_triples([t])) == len(graph)
 
 
@@ -463,7 +463,7 @@ class TestGraphIndexes:
             assert graph.by_predicate() is index  # kept
 
     def test_empty_graph(self):
-        graph = RdfGraph.of([])
+        graph = graph_of([])
         assert graph.by_predicate() == {} and graph.node_iris() == frozenset()
 
 
@@ -477,7 +477,7 @@ class TestMergeDiff:
         assert merge([self.g, self.g]).triples == self.g.triples
 
     def test_merge_identity(self):
-        empty = RdfGraph.of([], self.g.prefixes)
+        empty = graph_of([], self.g.prefixes)
         assert merge([self.g, empty]).triples == self.g.triples
 
     def test_merge_commutative_associative(self):
@@ -488,8 +488,8 @@ class TestMergeDiff:
         assert merge([merge([self.g, self.h]), k]).triples == merge([self.g, merge([self.h, k])]).triples
 
     def test_merge_prefix_conflict(self):
-        g1 = RdfGraph.of([], PrefixTable({"ex": "http://a/"}))
-        g2 = RdfGraph.of([], PrefixTable({"ex": "http://b/"}))
+        g1 = graph_of([], PrefixTable({"ex": "http://a/"}))
+        g2 = graph_of([], PrefixTable({"ex": "http://b/"}))
         with pytest.raises(PrefixConflictError):
             merge([g1, g2])
 
@@ -684,7 +684,7 @@ class TestSortOrder:
     @given(st.lists(st.builds(Triple, _sort_nodes, _sort_iris, _sort_terms), max_size=30))
     def test_triples(self, triples):
         assert sorted(triples) == sorted(triples, key=triple_sort_key)
-        assert list(RdfGraph.of(triples)) == sorted(set(triples), key=triple_sort_key)
+        assert list(graph_of(triples)) == sorted(set(triples), key=triple_sort_key)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_sort_terms, max_size=30))

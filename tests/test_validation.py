@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_validation
 import xkg.validation
-from generators import EX_NS, random_dag
+from generators import EX_NS, graph_of, random_dag
 from oracles import connected_components, reachability_pairs
 from xkg.cli import EXIT_OK, main
 from xkg.rdf import (
@@ -36,7 +36,6 @@ from xkg.rdf import (
     BlankNode,
     Iri,
     Literal,
-    RdfGraph,
     Triple,
     parse_turtle,
     serialize_turtle,
@@ -75,7 +74,7 @@ def ex(local):
     return Iri(EX_NS + local)
 
 
-BASE = RdfGraph.of([
+BASE = graph_of([
     Triple(fred("athlete_1"), RDF_TYPE, fred("Athlete")),
     Triple(fred("win_1"), RDF_TYPE, Iri(PBRS_NS + "win-01")),
     Triple(fred("celebrate_1"), Iri(PBLR_NS + "celebrate-01.honorer"), fred("athlete_1")),
@@ -134,7 +133,7 @@ class TestAnchoring:
 
 class TestLint:
     def test_pbrs_predicate_flagged(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("spectator_1"), Iri(PBRS_NS + "cheer-01.agent"), fred("athlete_1")),
         ])
         diagnostics = [d for d in lint(graph) if d.code == PREFIX_MISUSE]
@@ -155,13 +154,13 @@ class TestLint:
         assert [d for d in lint(graph) if d.severity in (ERROR, WARN)] == []
 
     def test_declared_class_without_comment(self):
-        graph = RdfGraph.of([Triple(ex("Thing"), RDF_TYPE, OWL_CLASS)])
+        graph = graph_of([Triple(ex("Thing"), RDF_TYPE, OWL_CLASS)])
         diagnostics = [d for d in lint(graph) if d.code == MISSING_COMMENT]
         assert len(diagnostics) == 1
         assert diagnostics[0].severity == INFO
 
     def test_commented_class_not_flagged(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(ex("Thing"), RDF_TYPE, OWL_CLASS),
             Triple(ex("Thing"), RDFS_COMMENT, Literal("a thing")),
         ])
@@ -174,7 +173,7 @@ class TestLint:
         assert "mystery" in diagnostics[0].message
 
     def test_fallback_role_occurrences(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("a_1"), DUL_ASSOCIATED_WITH, fred("b_1")),
             Triple(fred("b_1"), DUL_ASSOCIATED_WITH, fred("c_1")),
         ])
@@ -240,7 +239,7 @@ dul:Event owl:disjointWith dul:Object .
 
 class TestConsistency:
     def metonymic_graph(self):
-        return RdfGraph.of([
+        return graph_of([
             Triple(fred("athlete_1"), RDF_TYPE, fred("Athlete")),
             Triple(fred("Athlete"), RDFS_SUBCLASSOF, Iri(DUL_NS + "Person")),
             Triple(Iri(PBRS_NS + "cheer-01"), RDFS_SUBCLASSOF, Iri(D0_NS + "Activity")),
@@ -256,14 +255,14 @@ class TestConsistency:
         assert "Event" in diag.message
 
     def test_single_typing_clean(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("athlete_1"), RDF_TYPE, fred("Athlete")),
             Triple(fred("Athlete"), RDFS_SUBCLASSOF, Iri(DUL_NS + "Person")),
         ])
         assert check_consistency(graph, MINI_ONTO) == []
 
     def test_shared_nondisjoint_ancestor_clean(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("x_1"), RDF_TYPE, fred("A")),
             Triple(fred("x_1"), RDF_TYPE, fred("B")),
             Triple(fred("A"), RDFS_SUBCLASSOF, Iri(DUL_NS + "Person")),
@@ -272,7 +271,7 @@ class TestConsistency:
         assert check_consistency(graph, MINI_ONTO) == []
 
     def test_monotone_in_disjointness(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("x_1"), RDF_TYPE, Iri(DUL_NS + "Person")),
             Triple(fred("x_1"), RDF_TYPE, Iri(DUL_NS + "Event")),
         ])
@@ -283,7 +282,7 @@ class TestConsistency:
         assert len(after) >= len(before)
 
     def test_class_disjoint_with_itself_clashes(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("x_1"), RDF_TYPE, fred("A")),
             Triple(fred("A"), OWL_DISJOINT_WITH, fred("A")),
         ])
@@ -329,7 +328,7 @@ class TestFindCycle:
 
     def test_deep_subclass_chain_constructs(self):
         chain = [Triple(ex(f"C{i}"), RDFS_SUBCLASSOF, ex(f"C{i + 1}")) for i in range(self.DEPTH)]
-        onto = MiniOntology.from_graph(RdfGraph.of(chain))
+        onto = MiniOntology.from_graph(graph_of(chain))
         assert len(onto.subclass_of) == self.DEPTH
 
     def test_closed_deep_chain_names_the_cycle(self):
@@ -351,7 +350,7 @@ class TestFindCycle:
 
 class TestPrecedence:
     def graph_of(self, pairs):
-        return RdfGraph.of([Triple(ex(a), DUL_PRECEDES, ex(b)) for a, b in pairs])
+        return graph_of([Triple(ex(a), DUL_PRECEDES, ex(b)) for a, b in pairs])
 
     def test_chain_inference(self):
         result = infer_precedence(self.graph_of([("wear", "race"), ("race", "win"),
@@ -417,8 +416,8 @@ class TestPrecedenceCap:
     TOTAL = LINKS * (LINKS + 1) // 2 - LINKS  # inferred pairs: n(n+1)/2 - n
 
     def chain(self):
-        return RdfGraph.of([Triple(ex(a), DUL_PRECEDES, ex(b))
-                            for a, b in zip(self.NAMES, self.NAMES[1:])])
+        return graph_of([Triple(ex(a), DUL_PRECEDES, ex(b))
+                         for a, b in zip(self.NAMES, self.NAMES[1:])])
 
     def test_long_chain_lists_the_cap_and_warns_with_the_total(self):
         result = infer_precedence(self.chain())
@@ -445,8 +444,8 @@ class TestPrecedenceCap:
 
     def test_long_cycle_is_named_and_capped(self):
         names = self.NAMES[:-1]
-        graph = RdfGraph.of([Triple(ex(a), DUL_PRECEDES, ex(b))
-                             for a, b in zip(names, names[1:] + names[:1])])
+        graph = graph_of([Triple(ex(a), DUL_PRECEDES, ex(b))
+                          for a, b in zip(names, names[1:] + names[:1])])
         result = infer_precedence(graph)
         cycle, truncated = result.diagnostics
         assert cycle.message == ("precedes assertions form a cycle: "
@@ -459,7 +458,7 @@ class TestPrecedenceCap:
     def test_at_the_cap_nothing_is_cut(self, monkeypatch, links, warned):
         monkeypatch.setattr(xkg.validation, "MAX_PRECEDENCE_PAIRS", 6)  # 3 links: 6 pairs
         names = self.NAMES[:links + 1]
-        result = infer_precedence(RdfGraph.of(
+        result = infer_precedence(graph_of(
             [Triple(ex(a), DUL_PRECEDES, ex(b)) for a, b in zip(names, names[1:])]))
         assert result.closure == list(islice(chain_pairs(names), 6))
         assert [d.code for d in result.diagnostics] == ([PRECEDES_TRUNCATED] if warned else [])
@@ -467,13 +466,13 @@ class TestPrecedenceCap:
 
 class TestProfile:
     def test_empty_graph_all_zero(self):
-        p = profile(RdfGraph.of([]))
+        p = profile(graph_of([]))
         assert p.to_dict() == {**dict.fromkeys(["axioms", "wordnet", "pb_roles", "pb_frames",
                                                 "vn_roles", "d0", "dul"], 0),
                                "new_op": None, "new_dp": None}
 
     def test_structural_statements_excluded(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("Athlete"), RDF_TYPE, OWL_CLASS),
             Triple(fred("Athlete"), RDFS_LABEL, Literal("Athlete")),
             Triple(fred("Athlete"), RDFS_COMMENT, Literal("a sportsperson")),
@@ -482,7 +481,7 @@ class TestProfile:
         assert profile(graph).axioms == 1
 
     def test_namespace_entity_counts_are_distinct(self):
-        graph = RdfGraph.of([
+        graph = graph_of([
             Triple(fred("Athlete"), RDFS_SUBCLASSOF, Iri(WN30_NS + "supersense-noun_person")),
             Triple(fred("Runner"), RDFS_SUBCLASSOF, Iri(WN30_NS + "supersense-noun_person")),
             Triple(fred("celebrate_1"), Iri(PBLR_NS + "celebrate-01.honorer"), fred("athlete_1")),
@@ -492,7 +491,7 @@ class TestProfile:
         assert (p.wordnet, p.pb_roles, p.pb_frames) == (1, 1, 1)
 
     def test_new_properties_split_by_object_kind(self):
-        base = RdfGraph.of([Triple(fred("a_1"), RDF_TYPE, fred("A"))])
+        base = graph_of([Triple(fred("a_1"), RDF_TYPE, fred("A"))])
         extended = base.with_triples([
             Triple(fred("a_1"), ex("wasBuilt"), TRUE),
             Triple(fred("a_1"), ex("linksTo"), fred("b_1")),
@@ -508,7 +507,7 @@ class TestProfile:
         for _ in range(10):
             g = random_rdf_graph(rng)
             h = random_rdf_graph(rng)
-            union = RdfGraph.of(g.triples | h.triples, g.prefixes)
+            union = graph_of(g.triples | h.triples, g.prefixes)
             assert profile(union).axioms <= profile(g).axioms + profile(h).axioms
 
 
@@ -545,7 +544,7 @@ _graphs = st.tuples(
                        st.sampled_from(_CLASSES)), max_size=6),
     st.lists(_among(RDFS_SUBCLASSOF, _CLASSES), max_size=4),
     st.lists(_among(DUL_PRECEDES, [ex(c) for c in "abcdef"]), max_size=14),
-).map(lambda parts: RdfGraph.of(set().union(*parts)))
+).map(lambda parts: graph_of(set().union(*parts)))
 
 
 class TestAgreesWithFullScans:
@@ -561,7 +560,7 @@ class TestAgreesWithFullScans:
             assert (check_consistency(graph, onto)
                     == reference_validation.check_consistency(graph, onto))
         assert infer_precedence(graph) == reference_validation.infer_precedence(graph)
-        base = RdfGraph.of(other.triples | set(sorted(graph.triples)[::2]))
+        base = graph_of(other.triples | set(sorted(graph.triples)[::2]))
         for against in (None, base):
             assert profile(graph, against) == reference_validation.profile(graph, against)
 
@@ -569,7 +568,7 @@ class TestAgreesWithFullScans:
         from corpus import build_corpus
 
         corpus = build_corpus()
-        merged = RdfGraph.of(corpus.base.triples.union(*corpus.additions.values()))
+        merged = graph_of(corpus.base.triples.union(*corpus.additions.values()))
         assert lint(merged) == reference_validation.lint(merged)
         assert (check_consistency(merged, MINI_ONTO)
                 == reference_validation.check_consistency(merged, MINI_ONTO))
