@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
+
+from .records import Record
 
 SCORES = (1, 2, 3, 4, 5)
 COLUMNS = ("item_id", "heuristic", "annotator", "score")
@@ -69,14 +70,19 @@ class NoOverlapError(AgreementError):
         super().__init__(f"no annotator pair shares items for heuristic {heuristic!r}")
 
 
-@dataclass
-class RatingsMatrix:
+class RatingsMatrix(Record):
     """Items x annotators ordinal scores; each item belongs to one heuristic."""
 
-    item_heuristic: dict[str, str] = field(default_factory=dict)
-    annotators: list[str] = field(default_factory=list)
-    scores: dict[tuple[str, str], int] = field(default_factory=dict)
-    heuristic_items: dict[str, list[str]] = field(default_factory=dict)
+    __slots__ = _fields = ("item_heuristic", "annotators", "scores", "heuristic_items")
+
+    def __init__(self, item_heuristic: Optional[dict[str, str]] = None,
+                 annotators: Optional[list[str]] = None,
+                 scores: Optional[dict[tuple[str, str], int]] = None,
+                 heuristic_items: Optional[dict[str, list[str]]] = None):
+        self.item_heuristic = {} if item_heuristic is None else item_heuristic
+        self.annotators = [] if annotators is None else annotators
+        self.scores = {} if scores is None else scores
+        self.heuristic_items = {} if heuristic_items is None else heuristic_items
 
     def add(self, item_id: str, heuristic: str, annotator: str, score: Optional[int]) -> None:
         known = self.item_heuristic.get(item_id)
@@ -196,16 +202,14 @@ def percent_agreement(matrix: RatingsMatrix, heuristic: str) -> float:
     return equal / total
 
 
-@dataclass(frozen=True)
-class KappaPair:
+class KappaPair(NamedTuple):
     annotator_a: str
     annotator_b: str
     kappa: Optional[float]  # None when expected agreement is 1 (degenerate)
     items: int
 
 
-@dataclass
-class KappaResult:
+class KappaResult(NamedTuple):
     pairs: list[KappaPair]
     mean: Optional[float]  # over defined pairs
 
@@ -242,8 +246,7 @@ def cohen_kappa_pairwise(matrix: RatingsMatrix, heuristic: str) -> KappaResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     value: float
     degenerate: bool = False  # expected disagreement was zero
 
@@ -303,8 +306,7 @@ def krippendorff_alpha(matrix: RatingsMatrix, heuristic: str) -> AlphaResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HeuristicStats:
+class HeuristicStats(NamedTuple):
     heuristic: str
     items: int
     mean: float
@@ -316,13 +318,14 @@ class HeuristicStats:
     annotator_means: dict[str, float]
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     annotators: list[str]
     heuristics: list[HeuristicStats]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"annotators": list(self.annotators),
+                "heuristics": [{**h._asdict(), "annotator_means": dict(h.annotator_means)}
+                               for h in self.heuristics]}
 
     def format_table(self) -> str:
         headers = ["Heuristic", "Items", "Mean", "SD", "Agreement", "Kappa", "Alpha"]

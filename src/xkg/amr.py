@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Union
+from collections import namedtuple
+from typing import NamedTuple, Union
 
 logger = logging.getLogger(__name__)
 
@@ -53,8 +53,7 @@ class DanglingVariableError(AmrError):
         super().__init__(f"variable {variable!r} referenced but never declared")
 
 
-@dataclass(frozen=True)
-class AmrConstant:
+class AmrConstant(NamedTuple):
     """A constant edge target: a quoted string, a number, or '-'/'+'."""
 
     value: str
@@ -64,25 +63,24 @@ class AmrConstant:
         return f"AmrConstant({self.value!r})" if not self.quoted else f"AmrConstant({self.value!r}, quoted)"
 
 
-@dataclass(frozen=True)
-class AmrNode:
+class AmrNode(NamedTuple):
     variable: str
     concept: str
 
 
-@dataclass(frozen=True)
-class AmrEdge:
-    source: str
-    role: str  # begins with ':'
-    target: Union[str, AmrConstant]  # variable name or constant
+class AmrEdge(namedtuple("AmrEdge", "source role target")):
+    """``source`` and ``target`` are variable names; ``target`` may be an
+    AmrConstant instead. ``role`` begins with ':'."""
 
-    def __post_init__(self) -> None:
-        if not self.role.startswith(":"):
-            raise ValueError(f"role must begin with ':': {self.role!r}")
+    __slots__ = ()
+
+    def __new__(cls, source: str, role: str, target: Union[str, AmrConstant]) -> "AmrEdge":
+        if not role.startswith(":"):
+            raise ValueError(f"role must begin with ':': {role!r}")
+        return tuple.__new__(cls, (source, role, target))
 
 
-@dataclass(frozen=True)
-class AmrGraph:
+class AmrGraph(NamedTuple):
     """Rooted AMR graph. ``nodes`` preserves declaration (depth-first) order."""
 
     root: str

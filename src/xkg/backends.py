@@ -15,9 +15,8 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Union
 
 logger = logging.getLogger(__name__)
 
@@ -44,8 +43,7 @@ class UnsupportedImageFormatError(BackendError):
     pass
 
 
-@dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(NamedTuple):
     endpoint: str = ""
     model: str = ""
     credential_env: str = "XKG_API_KEY"

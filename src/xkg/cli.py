@@ -355,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds a handler only to a root logger without one, and then
+    # ignores its level, so the level is set on every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except (CliError, ConfigError, RdfError, AmrError, EnrichmentError) as exc:

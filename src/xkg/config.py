@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .backends import BackendConfig
 
@@ -23,8 +21,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ResourcePaths:
+class ResourcePaths(NamedTuple):
     rolesets: Path
     alignments: Path
     links: Path
@@ -43,9 +40,8 @@ class ResourcePaths:
                 raise ConfigError(f"resource directory for {name!r} not found: {path}")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    backend: BackendConfig = field(default_factory=BackendConfig)
+class PipelineConfig(NamedTuple):
+    backend: BackendConfig = BackendConfig()
     resources: Optional[ResourcePaths] = None
     force_merge: bool = False
 
@@ -56,7 +52,10 @@ class PipelineConfig:
 
 
 def bundled_resources_root() -> Path:
-    return Path(str(importlib_resources.files("xkg").joinpath("resources")))
+    # The package's own directory, which is what importlib.resources.files
+    # gives for a package on the file system; that module imports inspect on
+    # CPython 3.12 and later.
+    return Path(__file__).parent / "resources"
 
 
 def default_resource_paths() -> ResourcePaths:
@@ -110,9 +109,9 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config settings: {sorted(unknown)}")
 
-    backend_raw = _section(raw, "backend", BackendConfig.__dataclass_fields__)
+    backend_raw = _section(raw, "backend", BackendConfig._fields)
     for name, value in backend_raw.items():
-        kind = type(getattr(BackendConfig, name))
+        kind = type(BackendConfig._field_defaults[name])
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
             raise ConfigError(
                 f"backend setting {name!r} must be of type {kind.__name__}, found {value!r}")
@@ -133,7 +132,7 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
 
     base_dir = path.parent
     defaults = default_resource_paths()
-    resources_raw = _section(raw, "resources", ResourcePaths.__dataclass_fields__)
+    resources_raw = _section(raw, "resources", ResourcePaths._fields)
 
     def resolve(name: str) -> Path:
         value = resources_raw.get(name)
@@ -144,7 +143,7 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
         candidate = Path(value)
         return candidate if candidate.is_absolute() else (base_dir / candidate).resolve()
 
-    paths = ResourcePaths(**{name: resolve(name) for name in ResourcePaths.__dataclass_fields__})
+    paths = ResourcePaths(**{name: resolve(name) for name in ResourcePaths._fields})
     paths.validate()
     force_merge = raw.get("force_merge", False)
     if not isinstance(force_merge, bool):

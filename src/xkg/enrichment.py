@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import validation
 from .backends import Backend, BackendError
@@ -36,6 +36,7 @@ from .rdf import (
     parse_turtle,
     serialize_turtle,
 )
+from .records import Record
 from .validation import Diagnostic, check_anchoring, has_errors, lint
 
 logger = logging.getLogger(__name__)
@@ -67,8 +68,7 @@ class NoTurtleFoundError(EnrichmentError):
         super().__init__("no Turtle content found in the response")
 
 
-@dataclass(frozen=True)
-class HeuristicSpec:
+class HeuristicSpec(NamedTuple):
     """One enrichment heuristic: its name, namespace for new terms, template."""
 
     name: str
@@ -105,30 +105,36 @@ HEURISTICS: tuple[HeuristicSpec, ...] = (
 HEURISTIC_BY_NAME = {spec.name: spec for spec in HEURISTICS}
 
 
-@dataclass(frozen=True)
-class PromptRequest:
-    system_text: str
-    user_text: str
-    max_tokens: int
-    temperature: float
-    tag: Optional[str] = None  # heuristic name, used by mock backends
+class PromptRequest(namedtuple("PromptRequest",
+                               "system_text user_text max_tokens temperature tag")):
+    """One completion request; ``tag``, the heuristic name, keys mock backends."""
 
-    def __post_init__(self) -> None:
-        if self.max_tokens <= 0:
+    __slots__ = ()
+
+    def __new__(cls, system_text: str, user_text: str, max_tokens: int, temperature: float,
+                tag: Optional[str] = None) -> "PromptRequest":
+        if max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if self.temperature < 0:
+        if temperature < 0:
             raise ValueError("temperature must be non-negative")
+        return tuple.__new__(cls, (system_text, user_text, max_tokens, temperature, tag))
 
 
-@dataclass
-class EnrichmentResult:
-    heuristic: str
-    added: frozenset[Triple]
-    xkg: RdfGraph
-    diagnostics: list[Diagnostic]
-    raw_response: str
-    #: Kept out of the merge; ``run_all`` decides.
-    quarantined: bool = False
+class EnrichmentResult(Record):
+    """One heuristic's outcome; ``quarantined`` keeps it out of the merge,
+    and ``run_all`` decides it."""
+
+    __slots__ = _fields = ("heuristic", "added", "xkg", "diagnostics", "raw_response",
+                           "quarantined")
+
+    def __init__(self, heuristic: str, added: frozenset[Triple], xkg: RdfGraph,
+                 diagnostics: list[Diagnostic], raw_response: str, quarantined: bool = False):
+        self.heuristic = heuristic
+        self.added = added
+        self.xkg = xkg
+        self.diagnostics = diagnostics
+        self.raw_response = raw_response
+        self.quarantined = quarantined
 
     @property
     def failed(self) -> bool:

@@ -9,9 +9,8 @@ stages produce the same graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import validation
 from .amr import AmrError, parse_penman_file
@@ -29,8 +28,7 @@ from .translate import AlignmentMap, LinkTable, RolesetMap, align, link_entities
 from .validation import Diagnostic, GraphProfile, MiniOntology, PrecedenceInference
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     diagnostics: list[Diagnostic]
     profile: GraphProfile
     precedence: PrecedenceInference
@@ -50,8 +48,7 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     description: str
     base: RdfGraph
     results: list[EnrichmentResult]

@@ -31,9 +31,11 @@ triples sort by subject (IRIs, then blank nodes), predicate IRI and object
 
 A document is the prefix declarations, sorted by label, then one statement
 per subject, which ``_statements`` renders from term texts in dicts filled
-beforehand. ``serialize_extensions`` writes graphs
+beforehand. A graph keeps its sorted triples, term texts and statements
+(``RdfGraph.rendering``), so it is rendered once however often it is
+serialized or extended. ``serialize_extensions`` writes graphs
 that extend one base graph (the per-heuristic graphs and their merge). It
-sorts and renders the base once and keeps each subject's sorted triples;
+takes the base's rendering and keeps each subject's sorted triples;
 per graph it sorts only the additions, merges them into their subjects'
 base triples (two sorted runs) and splices the rendered statements in by
 subject. A graph whose table could render a base IRI differently, or that
@@ -48,10 +50,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import chain, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
+
+from .records import Record
 
 # Namespaces used across the pipeline. Framester/OntologyDesignPatterns IRIs
 # are the public ones these prefixes conventionally denote.
@@ -365,12 +368,29 @@ def standard_prefixes() -> PrefixTable:
 _PN_LOCAL_OK = re.compile(r"|[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?")
 
 
-@dataclass(frozen=True)
-class RdfGraph:
-    """An immutable set of triples plus the prefix table used to render it."""
+_set = object.__setattr__  # sets a field of a graph, which __setattr__ refuses
 
-    triples: frozenset[Triple] = frozenset()
-    prefixes: PrefixTable = field(default_factory=standard_prefixes)
+
+class RdfGraph(Record):
+    """An immutable set of triples plus the prefix table used to render it
+    (the standard prefixes by default)."""
+
+    __slots__ = ("triples", "prefixes", "_node_iris", "_by_predicate", "_rendering")
+    _fields = ("triples", "prefixes")
+
+    def __init__(self, triples: frozenset[Triple] = frozenset(),
+                 prefixes: Optional[PrefixTable] = None):
+        _set(self, "triples", triples)
+        _set(self, "prefixes", standard_prefixes() if prefixes is None else prefixes)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return RdfGraph, (self.triples, self.prefixes)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -390,25 +410,42 @@ class RdfGraph:
         Computed on the first call and kept: ``run_all`` checks every
         heuristic's additions against the same base graph.
         """
-        cached = self.__dict__.get("_node_iris")
-        if cached is None:
+        try:
+            return self._node_iris
+        except AttributeError:
             nodes = set(map(itemgetter(0), self.triples))
             nodes.update(map(itemgetter(2), self.triples))
             cached = frozenset(term for term in nodes if isinstance(term, Iri))
-            object.__setattr__(self, "_node_iris", cached)
-        return cached
+            _set(self, "_node_iris", cached)
+            return cached
 
     def by_predicate(self) -> dict[Iri, list[Triple]]:
         """Each predicate's triples, in no fixed order; computed on the first
         call and kept like ``node_iris``. Callers must not change it."""
-        cached = self.__dict__.get("_by_predicate")
-        if cached is None:
+        try:
+            return self._by_predicate
+        except AttributeError:
             buckets = defaultdict(list)
             for t in self.triples:
                 buckets[t[1]].append(t)
             cached = dict(buckets)
-            object.__setattr__(self, "_by_predicate", cached)
-        return cached
+            _set(self, "_by_predicate", cached)
+            return cached
+
+    def rendering(self) -> tuple[list[Triple], dict, dict, list[str]]:
+        """The sorted triples, the texts of their subjects and objects and of
+        their predicates, and the statements ``serialize_turtle`` writes;
+        computed on the first call and kept like ``node_iris``, so the
+        prompts, the base graph's file and ``serialize_extensions`` share one
+        rendering. Callers must not change it."""
+        try:
+            return self._rendering
+        except AttributeError:
+            ordered = sorted(self.triples)
+            nodes, predicates = _term_texts(ordered, self.prefixes)
+            cached = ordered, nodes, predicates, _statements(ordered, nodes, predicates)
+            _set(self, "_rendering", cached)
+            return cached
 
 
 def merge(graphs: Iterable[RdfGraph]) -> RdfGraph:
@@ -837,18 +874,15 @@ def serialize_turtle(graph: RdfGraph) -> str:
     prefix declarations alone); statements are grouped per subject with ';'
     and ',' and sorted, so output is byte-stable for equal graphs.
     """
-    ordered = sorted(graph.triples)
-    return _document(graph.prefixes, _statements(ordered, *_term_texts(ordered, graph.prefixes)))
+    return _document(graph.prefixes, graph.rendering()[3])
 
 
 def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator[str]:
     """Yield ``serialize_turtle(graph)`` for each of ``graphs``, which extend
     ``base``, by splicing (see the module docstring)."""
-    ordered = sorted(base.triples)
-    nodes, predicates = _term_texts(ordered, base.prefixes)
+    ordered, nodes, predicates, texts = base.rendering()
     runs = {s: list(run) for s, run in groupby(ordered, itemgetter(0))}
     subjects = list(runs)
-    texts = _statements(ordered, nodes, predicates)
     terms = {*nodes, *map(itemgetter(1), ordered)}
     iris = {term.value for term in terms if isinstance(term, Iri)}
     iris.update(term.datatype.value for term in terms

@@ -26,9 +26,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .amr import FRAME_CONCEPT, AmrConstant, AmrEdge, AmrGraph
 from .rdf import (
@@ -53,6 +52,7 @@ from .rdf import (
     Triple,
     standard_prefixes,
 )
+from .records import Record
 
 logger = logging.getLogger(__name__)
 
@@ -82,11 +82,13 @@ class InvalidAmrError(TranslateError):
     """The AMR graph violates a translation precondition."""
 
 
-@dataclass
-class RolesetMap:
+class RolesetMap(Record):
     """Frame id -> ARG index -> local role name (lowercase token)."""
 
-    frames: dict[str, dict[int, str]] = field(default_factory=dict)
+    __slots__ = _fields = ("frames",)
+
+    def __init__(self, frames: Optional[dict[str, dict[int, str]]] = None):
+        self.frames = {} if frames is None else frames
 
     @staticmethod
     def from_json(path: Union[str, Path]) -> "RolesetMap":
@@ -101,8 +103,7 @@ class RolesetMap:
         return self.frames.get(frame, {}).get(index)
 
 
-@dataclass
-class AlignmentEntry:
+class AlignmentEntry(NamedTuple):
     synset: Optional[Iri] = None
     supersenses: tuple[Iri, ...] = ()
     dolce: tuple[Iri, ...] = ()
@@ -114,14 +115,13 @@ def _alignment_lookup_key(key: str) -> str:
     return key.lower().replace("-", "_")
 
 
-@dataclass
-class AlignmentMap:
+class AlignmentMap(Record):
     """Lemma or frame id -> WordNet synset, supersenses, and DOLCE types."""
 
-    entries: dict[str, AlignmentEntry] = field(default_factory=dict)
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        self.entries = {_alignment_lookup_key(k): v for k, v in self.entries.items()}
+    def __init__(self, entries: Optional[dict[str, AlignmentEntry]] = None):
+        self.entries = {_alignment_lookup_key(k): v for k, v in (entries or {}).items()}
 
     @staticmethod
     def from_json(path: Union[str, Path]) -> "AlignmentMap":
@@ -144,11 +144,13 @@ class AlignmentMap:
         return self.entries.get(_alignment_lookup_key(key))
 
 
-@dataclass
-class LinkTable:
+class LinkTable(Record):
     """Surface mention -> external entity IRI. Matching is case-insensitive."""
 
-    mentions: dict[str, Iri] = field(default_factory=dict)
+    __slots__ = _fields = ("mentions",)
+
+    def __init__(self, mentions: Optional[dict[str, Iri]] = None):
+        self.mentions = {} if mentions is None else mentions
 
     @staticmethod
     def from_json(path: Union[str, Path]) -> "LinkTable":
@@ -166,8 +168,7 @@ class LinkTable:
         return self.mentions.items()
 
 
-@dataclass(frozen=True)
-class AmbiguousMention:
+class AmbiguousMention(NamedTuple):
     """One mention matched several individuals; the link was skipped."""
 
     mention: str

@@ -24,12 +24,11 @@ topological order; at most ``MAX_PRECEDENCE_PAIRS`` pairs are listed.
 from __future__ import annotations
 
 from collections import defaultdict, deque, namedtuple
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .rdf import (
     D0_NS,
@@ -66,6 +65,7 @@ from .rdf import (
     Triple,
     parse_turtle,
 )
+from .records import Record
 
 ERROR = "ERROR"
 WARN = "WARN"
@@ -262,14 +262,16 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MiniOntology:
-    """Subclass edges plus disjoint class pairs over the foundational layer."""
+class MiniOntology(Record):
+    """Subclass edges plus disjoint class pairs over the foundational layer.
+    A cyclic subclass hierarchy raises ValueError."""
 
-    subclass_of: dict[Iri, set[Iri]] = field(default_factory=dict)
-    disjoint: set[frozenset[Iri]] = field(default_factory=set)
+    __slots__ = _fields = ("subclass_of", "disjoint")
 
-    def __post_init__(self) -> None:
+    def __init__(self, subclass_of: Optional[dict[Iri, set[Iri]]] = None,
+                 disjoint: Optional[set[frozenset[Iri]]] = None):
+        self.subclass_of = {} if subclass_of is None else subclass_of
+        self.disjoint = set() if disjoint is None else disjoint
         # Sorted roots and successors: the cycle named does not depend on the
         # hash seed.
         cycle = _find_cycle({k: sorted(v) for k, v in sorted(self.subclass_of.items())})
@@ -378,8 +380,7 @@ def check_consistency(graph: RdfGraph, onto: MiniOntology) -> list[Diagnostic]:
 MAX_PRECEDENCE_PAIRS = 10_000
 
 
-@dataclass
-class PrecedenceInference:
+class PrecedenceInference(NamedTuple):
     asserted: list[tuple[Iri, Iri]]
     closure: list[tuple[Iri, Iri]]  # sorted, like inferred, and cut at the cap
     inferred: list[tuple[Iri, Iri]]
@@ -494,8 +495,7 @@ def infer_precedence(graph: RdfGraph) -> PrecedenceInference:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphProfile:
+class GraphProfile(NamedTuple):
     axioms: int
     wordnet: int
     pb_roles: int
@@ -507,7 +507,7 @@ class GraphProfile:
     new_dp: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def is_structural(t: Triple) -> bool:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -558,6 +559,23 @@ def test_successive_calls_equal_fresh_processes(tmp_path, capsys):
     assert in_process == fresh
     assert files() == fresh_files
     assert xkg.cli.build_parser() is xkg.cli.build_parser()
+
+
+def test_verbose_flag_holds_on_every_call(tmp_path):
+    """``-v`` turns DEBUG logging on in any call of a process, also once the
+    root logger has handlers, which stay as they are; a call without it turns
+    it off again."""
+    graph = str(Path(__file__).parent / "golden" / "base-graph.ttl")
+    root = logging.getLogger()
+    level, handlers = root.level, list(root.handlers)
+    try:
+        for verbose in (False, True, False):
+            argv = ["-v"] * verbose + ["validate", "--graph", graph, "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK
+            assert logging.getLogger("xkg.cli").isEnabledFor(logging.DEBUG) is verbose
+            assert root.handlers == handlers
+    finally:
+        root.setLevel(level)
 
 
 class TestGoldenFiles:
