@@ -1,14 +1,19 @@
 """Abstract Meaning Representation graphs and their PENMAN notation.
 
-``parse_penman`` turns a single parenthesized PENMAN expression into a rooted
-graph. Re-entrant variables (mentioned without ``/``) resolve to one node, and
-inverse ``-of`` roles are normalized by flipping the edge (``:ARG0-of`` on
-X->Y becomes ``:ARG0`` on Y->X) unless normalization is disabled.
+``parse_penman_file`` reads every graph of a PENMAN document, one
+parenthesized expression after another, and ``parse_penman`` the one graph
+of a document that must hold exactly one. Re-entrant variables (mentioned
+without ``/``) resolve to one node, and inverse ``-of`` roles are normalized
+by flipping the edge (``:ARG0-of`` on X->Y becomes ``:ARG0`` on Y->X).
 
 Constants (quoted strings, numbers, ``-`` and ``+``) are legal edge targets
 and do not create nodes. Unquoted targets are variable references and must be
-declared somewhere in the expression. ISI-style alignment markers (``~e.4``)
-are stripped with a logged warning; nothing downstream consumes them.
+declared somewhere in their graph. A line whose first non-blank character is
+``#`` outside a quoted string is a comment, wherever it stands. ISI-style
+alignment markers (``~e.4``) are stripped from the whole document first,
+with one logged warning; nothing downstream consumes them. Error offsets
+count from the start of the document so stripped, with each line end
+counted as one character.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ import re
 from collections import namedtuple
 from typing import NamedTuple, Union
 
+from .records import checked_make
+
 logger = logging.getLogger(__name__)
 
 FRAME_CONCEPT = re.compile(r"^(?P<lemma>.+)-(?P<sense>\d{2,3})$")
 _VARIABLE = re.compile(r"^[a-zA-Z][a-zA-Z0-9]*$")
 _ALIGNMENT = re.compile(r"~(?:[a-z]\.)?\d+(?:,\d+)*")
 _NUMBER = re.compile(r"^[+-]?\d+(\.\d+)?$")
+# Whitespace, and lines whose first non-blank character is '#'.
+_SPACE = re.compile(r"(?:^[^\S\n]*#.*|\s)*", re.MULTILINE)
 
 #: Deepest nesting of nodes that ``parse_penman`` accepts. The parser recurses
 #: once per level, so without a limit a hostile file would exhaust the
@@ -73,6 +82,7 @@ class AmrEdge(namedtuple("AmrEdge", "source role target")):
     AmrConstant instead. ``role`` begins with ':'."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, source: str, role: str, target: Union[str, AmrConstant]) -> "AmrEdge":
         if not role.startswith(":"):
@@ -101,13 +111,17 @@ class AmrGraph(NamedTuple):
 
 
 class _Reader:
+    """Reads a PENMAN document with its alignment markers removed and each
+    line end, as ``str.splitlines`` finds them, written as one ``\\n``: a
+    constant that spans lines holds ``\\n`` whatever the file's line ends."""
+
     def __init__(self, text: str):
-        self.text = text
+        self.text = "\n".join(_strip_alignments(text).splitlines())
         self.pos = 0
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        """Skip whitespace and ``#`` comment lines."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -122,7 +136,7 @@ class _Reader:
         """Read up to the next whitespace, paren, or slash."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in " \t\r\n()/":
+        while self.pos < len(self.text) and self.text[self.pos] not in " \t\n()/":
             self.pos += 1
         if self.pos == start:
             raise PenmanSyntaxError(start, "expected a token")
@@ -153,17 +167,19 @@ def _strip_alignments(text: str) -> str:
     return stripped
 
 
-def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
-    """Parse one PENMAN expression into an AmrGraph.
+def _invert(edge: AmrEdge) -> AmrEdge:
+    if edge.role.endswith("-of") and isinstance(edge.target, str):
+        return AmrEdge(edge.target, edge.role[: -len("-of")], edge.source)
+    return edge
 
-    Raises PenmanSyntaxError, DuplicateVariableError, or
-    DanglingVariableError.
-    """
-    reader = _Reader(_strip_alignments(text))
+
+def _read_graph(reader: _Reader) -> AmrGraph:
+    """Read one parenthesized expression into an AmrGraph, with inverse
+    ``-of`` edges between nodes flipped."""
     nodes: list[AmrNode] = []
     declared: dict[str, str] = {}
     edges: dict[AmrEdge, None] = {}  # insertion-ordered set
-    referenced: list[tuple[str, int]] = []
+    referenced: list[str] = []
 
     def parse_node(depth: int) -> str:
         reader.expect("(")
@@ -205,75 +221,38 @@ def parse_penman(text: str, normalize_inverse: bool = True) -> AmrGraph:
                     target = AmrConstant(word)
                 else:
                     target = word
-                    referenced.append((word, reader.pos))
-            edges[AmrEdge(var, role, target)] = None
+                    referenced.append(word)
+            edges[_invert(AmrEdge(var, role, target))] = None
 
-    reader.skip_ws()
     root = parse_node(1)
-    reader.skip_ws()
-    if reader.pos < len(reader.text):
-        raise PenmanSyntaxError(reader.pos, "trailing content after the expression")
-
-    for var, _pos in referenced:
+    for var in referenced:
         if var not in declared:
             raise DanglingVariableError(var)
-
-    if normalize_inverse:
-        edges = dict.fromkeys(_invert(e) for e in edges)
-
     return AmrGraph(root, tuple(nodes), tuple(edges))
 
 
-def _invert(edge: AmrEdge) -> AmrEdge:
-    if edge.role.endswith("-of") and isinstance(edge.target, str):
-        return AmrEdge(edge.target, edge.role[: -len("-of")], edge.source)
-    return edge
+def parse_penman_file(text: str) -> list[AmrGraph]:
+    """Every graph of a PENMAN document, in order.
 
-
-def _paren_depth(line: str, in_string: bool) -> tuple[int, bool]:
-    """The line's '(' less its ')' outside quoted strings, and whether it ends
-    inside one; ``in_string`` says whether it starts inside one."""
-    if not in_string and '"' not in line:
-        return line.count("(") - line.count(")"), False
-    depth, escaped = 0, False
-    for c in line:
-        if in_string:  # as _Reader.quoted reads it: a backslash escapes any character
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-    return depth, in_string
-
-
-def parse_penman_file(text: str, normalize_inverse: bool = True) -> list[AmrGraph]:
-    """Parse a PENMAN file: '#'-comment lines separate or annotate graphs."""
-    graphs: list[AmrGraph] = []
-    chunk: list[str] = []
-
-    def flush() -> None:
-        block = "\n".join(chunk).strip()
-        if block:
-            graphs.append(parse_penman(block, normalize_inverse=normalize_inverse))
-        chunk.clear()
-
-    depth, in_string = 0, False
-    for line in text.splitlines():
-        if not in_string and line.lstrip().startswith("#"):
-            if depth == 0:
-                flush()
-            continue
-        change, in_string = _paren_depth(line, in_string)
-        depth += change
-        chunk.append(line)
-        if depth == 0 and not in_string and any(s.strip() for s in chunk):
-            flush()
-    flush()
+    Raises PenmanSyntaxError, DuplicateVariableError, or
+    DanglingVariableError.
+    """
+    reader = _Reader(text)
+    graphs = []
+    reader.skip_ws()
+    while reader.pos < len(reader.text):
+        graphs.append(_read_graph(reader))
+        reader.skip_ws()
     return graphs
+
+
+def parse_penman(text: str) -> AmrGraph:
+    """The one graph of a PENMAN document.
+
+    Raises AmrError ``expected one PENMAN graph, found N`` for a document
+    that does not hold exactly one, and the errors of ``parse_penman_file``.
+    """
+    graphs = parse_penman_file(text)
+    if len(graphs) != 1:
+        raise AmrError(f"expected one PENMAN graph, found {len(graphs)}")
+    return graphs[0]

@@ -10,13 +10,13 @@ write the results. Every stage that would call a live model accepts
 ``--mock``, making the full pipeline reproducible offline.
 
 Every JSON file is the text of ``json.dumps(indent=2)``. The profiles and
-the agreement report go through ``_json``, which walks any value.
+the agreement report are written by ``json.dumps`` itself.
 ``validation-report.json`` and ``diagnostics.json`` hold one entry per
 diagnostic, so they are rendered from a format string per diagnostic (and
 per precedence pair) instead, with the same bytes and no dict built;
-``Diagnostic.to_dict`` and ``ValidationReport.to_dict`` stay the reference
-the tests compare them with. ``main`` builds the argument parser once per
-process.
+``json.dumps`` over ``Diagnostic.to_dict`` and ``ValidationReport.to_dict``
+stays the reference the tests compare them with. ``main`` builds the
+argument parser once per process.
 
 Exit codes: 0 on success, 1 when a heuristic was quarantined or validation
 produced ERROR diagnostics, 2 on configuration or input failures, including
@@ -70,24 +70,11 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
-def _json(value, outer: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` (string keys only) for ``value`` nested
-    where ``outer`` starts a line; unlike the json module's indenting
-    encoder, it escapes strings in C."""
-    inner = outer + "  "
-    if isinstance(value, dict):
-        items = [_encode(k) + ": " + (_encode(v) if type(v) is str else _json(v, inner))
-                 for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + outer + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_encode(v) if type(v) is str else _json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + outer + "]" if items else "[]"
-    return "null" if value is None else json.dumps(value)
-
-
 def _diagnostics_json(diagnostics, outer: str) -> str:
-    """``_json([d.to_dict() for d in diagnostics], outer)``, each diagnostic
-    rendered from one format string, with no dict built."""
+    """``json.dumps([d.to_dict() for d in diagnostics], indent=2)`` with each
+    ``"\\n"`` replaced by ``outer``, which nests it where ``outer`` starts a
+    line. Each diagnostic is rendered from one format string, with no dict
+    built."""
     if not diagnostics:
         return "[]"
     inner = outer + "  "
@@ -103,7 +90,8 @@ def _diagnostics_json(diagnostics, outer: str) -> str:
 
 
 def _pairs_json(pairs, outer: str) -> str:
-    """``_json([[a.value, b.value] for a, b in pairs], outer)``."""
+    """``json.dumps([[a.value, b.value] for a, b in pairs], indent=2)``, nested
+    as in ``_diagnostics_json``."""
     if not pairs:
         return "[]"
     inner = outer + "  "
@@ -113,14 +101,15 @@ def _pairs_json(pairs, outer: str) -> str:
 
 
 #: One result's entry in ``diagnostics.json``, and ``validation-report.json``
-#: with its final newline: the layout ``_json`` gives their dicts.
+#: with its final newline: the layout ``json.dumps(indent=2)`` gives their
+#: dicts.
 _DIAGNOSTICS_ENTRY = '%s: {\n    "added": %d,\n    "quarantined": %s,\n    "diagnostics": %s\n  }'
 _REPORT = ('{\n  "diagnostics": %s,\n  "profile": %s,\n  "precedence": {'
            '\n    "asserted": %s,\n    "inferred": %s\n  }\n}\n')
 
 
 def _write_json(path: Path, payload) -> None:
-    _write(path, _json(payload) + "\n")
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _read_input(path: str, load=lambda p: p.read_text(encoding="utf-8")):
@@ -220,8 +209,11 @@ def cmd_enrich(args: argparse.Namespace) -> int:
 
 
 def _write_validation(out_dir: Path, report: ValidationReport) -> int:
+    # json.dumps writes no raw line end inside a string, so each "\n" it
+    # writes starts a line of the layout.
+    profile = json.dumps(report.profile.to_dict(), indent=2).replace("\n", "\n  ")
     _write(out_dir / "validation-report.json", _REPORT % (
-        _diagnostics_json(report.diagnostics, "\n  "), _json(report.profile.to_dict(), "\n  "),
+        _diagnostics_json(report.diagnostics, "\n  "), profile,
         _pairs_json(report.precedence.asserted, "\n    "),
         _pairs_json(report.precedence.inferred, "\n    ")))
     table = _profile_table(report.profile)

@@ -36,7 +36,7 @@ from .rdf import (
     parse_turtle,
     serialize_turtle,
 )
-from .records import Record
+from .records import Record, checked_make
 from .validation import Diagnostic, check_anchoring, has_errors, lint
 
 logger = logging.getLogger(__name__)
@@ -110,6 +110,7 @@ class PromptRequest(namedtuple("PromptRequest",
     """One completion request; ``tag``, the heuristic name, keys mock backends."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, system_text: str, user_text: str, max_tokens: int, temperature: float,
                 tag: Optional[str] = None) -> "PromptRequest":

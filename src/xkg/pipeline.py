@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import validation
-from .amr import AmrError, parse_penman_file
+from .amr import parse_penman
 from .backends import (
     SUPPORTED_IMAGE_SUFFIXES,
     Backend,
@@ -83,10 +83,7 @@ def build_base(penman: str, resources: ResourcePaths) -> RdfGraph:
     graphs reuse variable-derived IRIs such as ``fred:x_1``, so translating
     several into one base graph would merge unrelated individuals.
     """
-    graphs = parse_penman_file(penman)
-    if len(graphs) != 1:
-        raise AmrError(f"expected one PENMAN graph, found {len(graphs)}")
-    graph = translate(graphs[0], RolesetMap.from_json(resources.rolesets))
+    graph = translate(parse_penman(penman), RolesetMap.from_json(resources.rolesets))
     graph = align(graph, AlignmentMap.from_json(resources.alignments))
     return link_entities(graph, LinkTable.from_json(resources.links))
 

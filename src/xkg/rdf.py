@@ -157,10 +157,6 @@ class Iri(_Tuple):
         cut = max(self.value.rfind("#"), self.value.rfind("/"))
         return self.value[cut + 1 :]
 
-    def namespace(self) -> str:
-        cut = max(self.value.rfind("#"), self.value.rfind("/"))
-        return self.value[: cut + 1]
-
     def __repr__(self) -> str:
         return f"Iri({self.value!r})"
 

@@ -2,11 +2,11 @@
 
 Immutable records are ``typing.NamedTuple`` classes, or subclasses of a
 ``collections.namedtuple`` whose ``__new__`` checks the fields (see
-``amr.AmrEdge``). Records that change after they are built, check their
-arguments or keep a cache are ``__slots__`` classes derived from
-``Record``. Defining them compiles at most a named tuple's one-line
-``__new__``, where a generated class compiles every method it writes, so
-importing the package stays cheap.
+``amr.AmrEdge``) and whose ``_make`` is ``checked_make``. Records that
+change after they are built, check their arguments or keep a cache are
+``__slots__`` classes derived from ``Record``. Defining them compiles at
+most a named tuple's one-line ``__new__``, where a generated class compiles
+every method it writes, so importing the package stays cheap.
 """
 
 from __future__ import annotations
@@ -33,3 +33,10 @@ class Record:
         return self._values() == other._values()
 
     __hash__ = None  # type: ignore[assignment]
+
+
+@classmethod
+def checked_make(cls, iterable):
+    """``cls(*iterable)``: a checked named tuple's ``_make``, so that it and
+    ``_replace``, which calls it, go through the checks in ``__new__``."""
+    return cls(*iterable)

@@ -45,6 +45,7 @@ from .rdf import (
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
+    _NUMBER,
     Iri,
     Literal,
     RdfGraph,
@@ -59,7 +60,6 @@ logger = logging.getLogger(__name__)
 _ARG_ROLE = re.compile(r"^:ARG(\d+)$", re.IGNORECASE)
 _OP_ROLE = re.compile(r"^:op(\d+)$", re.IGNORECASE)
 _INDEX_SUFFIX = re.compile(r"_\d+$")
-_NUMBER = re.compile(r"^[+-]?\d+(\.\d+)?$")
 
 #: Non-core AMR roles with a conventional VerbNet role predicate.
 VN_ROLE_PREDICATES: dict[str, Iri] = {
@@ -168,13 +168,6 @@ class LinkTable(Record):
         return self.mentions.items()
 
 
-class AmbiguousMention(NamedTuple):
-    """One mention matched several individuals; the link was skipped."""
-
-    mention: str
-    candidates: tuple[Iri, ...]
-
-
 def _local_token(concept: str) -> str:
     return concept.replace("-", "_")
 
@@ -191,7 +184,7 @@ def _constant_literal(constant: AmrConstant) -> Literal:
         return Literal("false", XSD_BOOLEAN)
     if constant.value == "+":
         return Literal("true", XSD_BOOLEAN)
-    if _NUMBER.match(constant.value):
+    if _NUMBER.fullmatch(constant.value):  # the Turtle writer's rule: ASCII digits only
         dt = XSD_DECIMAL if "." in constant.value else XSD_INTEGER
         return Literal(constant.value, dt)
     return Literal(constant.value)
@@ -208,8 +201,7 @@ def _name_label(out: list[AmrEdge]) -> str:
     return " ".join(value for _, value in parts)
 
 
-def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
-              vn_roles: Optional[dict[str, Iri]] = None) -> RdfGraph:
+def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
     """Translate an AMR graph into its RDF base form.
 
     Deterministic: identical inputs serialize identically. Unknown frames are
@@ -218,7 +210,6 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
     if not amr.nodes:
         raise InvalidAmrError("empty AMR graph")
     rolesets = rolesets or RolesetMap()
-    vn_roles = VN_ROLE_PREDICATES if vn_roles is None else vn_roles
 
     # Each variable's concept (its first declaration's, as AmrGraph.concept)
     # and outgoing edges, built once so that translation stays linear in the
@@ -264,8 +255,8 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None,
                 name = f"arg{index}"
             return Iri(PBLR_NS + f"{concept}.{name}")
         lowered = role.lower()
-        if lowered in vn_roles:
-            return vn_roles[lowered]
+        if lowered in VN_ROLE_PREDICATES:
+            return VN_ROLE_PREDICATES[lowered]
         if lowered == ":mod":
             return DUL_HAS_QUALITY
         return DUL_ASSOCIATED_WITH
@@ -349,12 +340,10 @@ def individual_match_keys(graph: RdfGraph) -> dict[str, list[Iri]]:
     return {k: sorted(v) for k, v in keys.items()}
 
 
-def link_entities(graph: RdfGraph, links: LinkTable,
-                  diagnostics: Optional[list] = None) -> RdfGraph:
+def link_entities(graph: RdfGraph, links: LinkTable) -> RdfGraph:
     """Add ``owl:sameAs`` links for individuals matching a mention.
 
-    A mention matching several individuals is reported as AmbiguousMention in
-    ``diagnostics`` (when given) and skipped.
+    A mention matching several individuals is skipped with a logged warning.
     """
     keys = individual_match_keys(graph)
     added: set[Triple] = set()
@@ -364,9 +353,6 @@ def link_entities(graph: RdfGraph, links: LinkTable,
         if not candidates:
             continue
         if len(candidates) > 1:
-            report = AmbiguousMention(mention, tuple(candidates))
-            if diagnostics is not None:
-                diagnostics.append(report)
             logger.warning("ambiguous mention %r matches %d individuals; link skipped",
                            mention, len(candidates))
             continue

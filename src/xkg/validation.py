@@ -65,7 +65,7 @@ from .rdf import (
     Triple,
     parse_turtle,
 )
-from .records import Record
+from .records import Record, checked_make
 
 ERROR = "ERROR"
 WARN = "WARN"
@@ -106,6 +106,7 @@ class Diagnostic(namedtuple("Diagnostic", "severity code message subject")):
     """A finding; a tuple like the RDF terms. Severity: ERROR | WARN | INFO."""
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, severity: str, code: str, message: str,
                 subject: Optional[Term] = None) -> "Diagnostic":

@@ -100,6 +100,13 @@ def serialize_penman(graph: AmrGraph) -> str:
     print the bare variable, and edges only traversable against their
     direction print with an ``-of`` role.
     """
+    tokens = penman_tokens(graph)
+    return tokens[0] + "".join(t if t == ")" else " " + t for t in tokens[1:])
+
+
+def penman_tokens(graph: AmrGraph) -> list[str]:
+    """The words of ``serialize_penman(graph)``: ``(`` with its variable, ``/``,
+    concepts, roles, targets and ``)``, each to be separated by whitespace."""
     declared: set[str] = set()
     printed: set[int] = set()  # indexes into graph.edges
     concepts = {n.variable: n.concept for n in graph.nodes}
@@ -116,9 +123,9 @@ def serialize_penman(graph: AmrGraph) -> str:
             return f'"{escaped}"'
         return c.value
 
-    def render(var: str) -> str:
+    def render(var: str) -> list[str]:
         declared.add(var)
-        parts = [f"({var} / {concepts[var]}"]
+        parts = [f"({var}", "/", concepts[var]]
         for idx in incident[var]:
             if idx in printed:
                 continue
@@ -128,19 +135,107 @@ def serialize_penman(graph: AmrGraph) -> str:
             else:
                 role, other = e.role + "-of", e.source
             printed.add(idx)
+            parts.append(role)
             if isinstance(other, AmrConstant):
-                parts.append(f"{role} {render_constant(other)}")
+                parts.append(render_constant(other))
             elif other in declared:
-                parts.append(f"{role} {other}")
+                parts.append(other)
             else:
-                parts.append(f"{role} {render(other)}")
-        return " ".join(parts) + ")"
+                parts.extend(render(other))
+        return parts + [")"]
 
     out = render(graph.root)
     unreachable = set(concepts) - declared
     if unreachable:
         raise AmrError(f"nodes unreachable from root: {sorted(unreachable)}")
     return out
+
+
+_LINE_ENDS = ["\n"] * 8 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                           "\u2029"]
+_INDENTS = ["", "", " ", "    ", "\t", "  \u3000"]
+_COMMENTS = ["#", "# ::snt The athlete (won) a \"gold medal.", "#(", "#)", '# "', "# \\",
+             "# ::id 7 ~e.2", "## (x / y)"]
+_MARKERS = ["~e.3", "~7", "~e.1,2"]
+# Quoted constants with comment marks, parentheses, quotes, backslashes,
+# alignment markers and line ends, so that some span lines.
+_VALUE_PIECES = ["a", " ", "#", "(", ")", '"', "\\", "~1", "\n", "\n# x (", "\r\n  #)",
+                 "\u2028", ")\n"]
+_JUNK = ["junk", ")", "(", ":ARG0", "#", "(zz / thing"]
+
+
+def random_penman_file(rng: random.Random, max_graphs: int = 3) -> tuple[str, str]:
+    """A PENMAN document of random graphs in a random layout, and its twin.
+
+    The layout puts line ends of every kind ``str.splitlines`` knows,
+    indentation, ``#`` comment lines and lines holding only alignment markers
+    between any two words, and alignment markers after them. Some graphs are
+    broken: a word dropped, added or repeated. The twin is the same document
+    without the two layouts that only a reader of whole documents accepts:
+    its marker lines lose their markers, and no graph starts on the line
+    where the one before it ends.
+    """
+    text: list[str] = []
+    twin: list[str] = []
+
+    def emit(piece: str, twin_piece: Optional[str] = None) -> None:
+        text.append(piece)
+        twin.append(piece if twin_piece is None else twin_piece)
+
+    def comment() -> str:
+        return rng.choice(_COMMENTS)
+
+    def line_break() -> None:
+        emit(rng.choice(_LINE_ENDS))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            indent, roll = rng.choice(_INDENTS), rng.random()
+            if roll < 0.5:
+                emit(indent + comment())
+            elif roll < 0.8:
+                tail = rng.choice(["", "", " " + comment()])
+                emit(indent + rng.choice(_MARKERS) + tail, indent + tail)
+            else:
+                emit(indent)
+            emit(rng.choice(_LINE_ENDS))
+        emit(rng.choice(_INDENTS))
+
+    def separator() -> None:
+        if rng.random() < 0.2:
+            line_break()
+        else:
+            emit(rng.choice([" ", " ", "  ", "\t"]))
+
+    for _ in range(rng.randrange(0, 2)):
+        emit(rng.choice(_INDENTS) + comment() + rng.choice(_LINE_ENDS))
+    for index in range(rng.randrange(0, max_graphs + 1)):
+        if index:
+            if rng.random() < 0.1:
+                emit(rng.choice(["", " "]), rng.choice(_LINE_ENDS))
+            else:
+                line_break()
+        graph = random_amr_graph(rng, max_nodes=6)
+        edges = list(graph.edges)
+        for _ in range(rng.randrange(0, 3)):
+            value = "".join(rng.choice(_VALUE_PIECES) for _ in range(rng.randrange(0, 5)))
+            edges.append(AmrEdge(rng.choice(graph.nodes).variable, ":op1",
+                                 AmrConstant(value, quoted=True)))
+        words = penman_tokens(AmrGraph(graph.root, graph.nodes, tuple(dict.fromkeys(edges))))
+        if rng.random() < 0.15:
+            at = rng.randrange(len(words))
+            roll = rng.random()
+            if roll < 0.4:
+                del words[at]
+            elif roll < 0.8:
+                words.insert(at, rng.choice(_JUNK))
+            else:
+                words.insert(at, words[rng.randrange(len(words))])
+        for i, word in enumerate(words):
+            if i and (word != ")" or rng.random() < 0.3):
+                separator()
+            emit(word + (rng.choice(_MARKERS) if rng.random() < 0.1 else ""))
+    if rng.random() < 0.5:
+        emit(rng.choice(_LINE_ENDS))
+    return "".join(text), "".join(twin)
 
 
 def random_dag(rng: random.Random, max_nodes: int = 50) -> list[tuple[str, str]]:

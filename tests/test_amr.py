@@ -1,13 +1,16 @@
+import logging
 import random
 
 import pytest
 
-from generators import random_amr_graph, serialize_penman
+import reference_penman
+from generators import random_amr_graph, random_penman_file, serialize_penman
 from isomorphism import amr_isomorphic
 from xkg.amr import (
     MAX_NESTING,
     AmrConstant,
     AmrEdge,
+    AmrError,
     AmrGraph,
     AmrNode,
     DanglingVariableError,
@@ -61,28 +64,21 @@ class TestParse:
         (edge,) = graph.edges
         assert edge == AmrEdge("w", ":ARG0", "a")
 
-    def test_inverse_normalization_can_be_disabled(self):
-        graph = parse_penman("(a / athlete :ARG0-of (w / win-01))", normalize_inverse=False)
-        (edge,) = graph.edges
-        assert edge == AmrEdge("a", ":ARG0-of", "w")
-
     def test_duplicate_edges_keep_first_occurrence_order(self):
         text = "(w / win-01 :ARG0 (a / athlete :ARG0-of w :mod (t / team)) :ARG0 a :mod t :ARG1 t)"
         expected = (AmrEdge("w", ":ARG0", "a"), AmrEdge("a", ":mod", "t"),
                     AmrEdge("w", ":mod", "t"), AmrEdge("w", ":ARG1", "t"))
         assert parse_penman(text).edges == expected
-        raw = parse_penman(text, normalize_inverse=False)
-        assert raw.edges == (AmrEdge("a", ":ARG0-of", "w"), AmrEdge("a", ":mod", "t"),
-                             AmrEdge("w", ":ARG0", "a"), AmrEdge("w", ":mod", "t"),
-                             AmrEdge("w", ":ARG1", "t"))
-        assert normalize_inverse_roles(raw).edges == expected
 
     def test_normalization_is_involution_safe(self):
-        graph = parse_penman(
-            "(a / athlete :ARG0-of (w / win-01) :mod (t / team))", normalize_inverse=False)
+        # (a / athlete :ARG0-of (w / win-01) :mod (t / team)) as written
+        graph = AmrGraph("a", (AmrNode("a", "athlete"), AmrNode("w", "win-01"),
+                               AmrNode("t", "team")),
+                         (AmrEdge("a", ":ARG0-of", "w"), AmrEdge("a", ":mod", "t")))
         once = normalize_inverse_roles(graph)
         twice = normalize_inverse_roles(once)
         assert amr_equal(once, twice)
+        assert once == parse_penman("(a / athlete :ARG0-of (w / win-01) :mod (t / team))")
 
     def test_constants(self):
         graph = parse_penman('(t / team :quant 3 :polarity - :name (n / name :op1 "Alfa"))')
@@ -220,3 +216,94 @@ class TestPenmanFile:
         graphs = parse_penman_file(text)
         assert [g.root for g in graphs] == ["a", "b"]
         assert graphs[0].edges[0].target.value == "x\n# (not a comment\n"
+
+    def test_comment_lines_anywhere_outside_strings(self):
+        text = ('#(\n(a / say-01\n  # :ARG0 (b / boy)\n\t:ARG1 "x\n  # kept"\n'
+                '# )\n :mod (d / dog))\n  # "\n')
+        (graph,) = parse_penman_file(text)
+        assert [n.variable for n in graph.nodes] == ["a", "d"]
+        assert graph.edges[0].target.value == "x\n  # kept"
+
+    def test_a_comment_mark_inside_a_line_is_part_of_a_word(self):
+        (graph,) = parse_penman_file("(a / b#c :mod (d / #e))")
+        assert [n.concept for n in graph.nodes] == ["b#c", "#e"]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\u2028", "\x85"])
+    def test_every_line_end_is_one_newline(self, end):
+        text = f'(a / say-01 :ARG1 "x{end}y"{end}# c{end}:mod (b / big)){end}'
+        (graph,) = parse_penman_file(text)
+        assert graph.edges[0].target.value == "x\ny"
+        assert len(graph.nodes) == 2
+
+    def test_an_empty_document_holds_no_graph(self):
+        assert parse_penman_file("") == parse_penman_file("# only\n\n  # comments\n") == []
+
+    @pytest.mark.parametrize("text, count", [("", 0), ("# c\n", 0), ("(a / b)\n(c / d)", 2)])
+    def test_parse_penman_wants_one_graph(self, text, count):
+        with pytest.raises(AmrError, match=f"^expected one PENMAN graph, found {count}$"):
+            parse_penman(text)
+
+    def test_error_offsets_count_in_the_stripped_document(self):
+        with pytest.raises(PenmanSyntaxError, match="^at offset 12: expected a token$"):
+            parse_penman_file("(a / b~e.1)\r\n(c /)")
+
+    def test_one_alignment_warning_per_file(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="xkg.amr"):
+            parse_penman_file("(a / b~e.1)\n(c / d~e.2 :mod (e / f~e.3))\n")
+        assert [r.getMessage() for r in caplog.records] == [
+            "stripped 3 alignment marker(s) from PENMAN input"]
+
+    # Layouts that read differently from the line splitter that came before
+    # (tests/reference_penman.py), as README documents.
+
+    @pytest.mark.parametrize("text", ["(a / b)\n  ~e.3\n(c / d)\n", "(a / b) (c / d)",
+                                      "(a / b\n) (c\n/ d)", "(a / b)\n~e.3 # c\n(c / d)"])
+    def test_widened_layouts(self, text):
+        with pytest.raises(AmrError):
+            reference_penman.parse_penman_file(text)
+        assert [g.root for g in parse_penman_file(text)] == ["a", "c"]
+
+    def test_a_quote_inside_a_word_opens_no_string(self):
+        text = '(a / b"c)\n(d / e)'
+        with pytest.raises(AmrError):
+            reference_penman.parse_penman_file(text)
+        assert [g.root for g in parse_penman_file(text)] == ["a", "d"]
+        text = '(a / b"c :mod (d /\n#x\n))'
+        assert reference_penman.parse_penman_file(text)[0].concept("d") == "#x"
+        with pytest.raises(PenmanSyntaxError, match="expected a token"):  # '#x' is a comment
+            parse_penman_file(text)
+
+    def test_markers_before_a_comment_mark_make_a_comment_line(self):
+        text = "(a /\n~1#x)"
+        assert reference_penman.parse_penman_file(text)[0].concept("a") == "#x"
+        with pytest.raises(PenmanSyntaxError, match="expected a token"):
+            parse_penman_file(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except AmrError:
+        return AmrError
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_reads_the_graphs_the_line_splitter_read(seed):
+    """``parse_penman_file`` against the line splitter it replaced, on files
+    with comment lines at every indentation, comment marks, parentheses and
+    escaped quotes in constants, constants that span lines, every line end,
+    alignment markers and broken graphs: the same graphs, or an AmrError from
+    both. Each file's twin (``random_penman_file``) leaves out the widened
+    layouts, which must not change what the reader returns. A quote inside a
+    bare word is left to the tests above: the splitter took it for a string."""
+    rng = random.Random(seed)
+    widened = rejected = 0
+    for _ in range(1000):
+        text, twin = random_penman_file(rng)
+        new = _outcome(parse_penman_file, text)
+        assert new == _outcome(parse_penman_file, twin), (text, twin)
+        assert new == _outcome(reference_penman.parse_penman_file, twin), twin
+        rejected += new is AmrError
+        widened += new is not AmrError and _outcome(
+            reference_penman.parse_penman_file, text) is AmrError
+    assert 100 < rejected < 500 and widened > 100

@@ -125,6 +125,12 @@ class TestBase:
         assert f"found {count}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_two_graphs_on_one_line_are_two(self, tmp_path, capsys):
+        amr = tmp_path / "scenes.amr"
+        amr.write_text("(x / athlete) (y / athlete)\n", encoding="utf-8")
+        assert main(["base", "--amr", str(amr), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "expected one PENMAN graph, found 2" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def base_graph_dir(tmp_path_factory):
@@ -265,23 +271,7 @@ class TestEnrich:
         assert list(json.loads(read(tmp_path / "diagnostics.json"))) == ["FactualImpact"]
 
 
-# Report-shaped JSON: string keys; scalars including non-ASCII and control
-# characters, lone surrogates, special floats, bools and None; empty containers.
-_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
-                          st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8))
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
-    max_leaves=25)
-
-
 class TestJsonWriter:
-    @settings(max_examples=300, deadline=None)
-    @given(_json_values)
-    def test_same_text_as_json_dumps(self, value):
-        assert xkg.cli._json(value) == json.dumps(value, indent=2)
-
     def test_writes_json_dumps_bytes(self, tmp_path):
         payload = {"diagnostics": [{"severity": "ERROR", "subject": None, "message": "é\x00\n"}],
                    "profile": {"axioms": 3, "new_op": None}, "empty": [[], {}], "ratio": 0.5,
@@ -309,26 +299,27 @@ _indents = st.sampled_from(["\n", "\n  ", "\n    ", "\n      "])
 
 def _diagnostics_reference(results) -> str:
     """``diagnostics.json`` through the dict-building writer."""
-    return xkg.cli._json({
+    return json.dumps({
         r.heuristic: {"added": len(r.added), "quarantined": r.quarantined,
                       "diagnostics": [d.to_dict() for d in r.diagnostics]}
-        for r in results}) + "\n"
+        for r in results}, indent=2) + "\n"
 
 
 class TestReportTemplates:
-    """The per-diagnostic templates write the bytes of ``_json`` over ``to_dict``."""
+    """The per-diagnostic templates write the bytes of ``json.dumps(indent=2)``
+    over ``to_dict``."""
 
     @settings(max_examples=300, deadline=None)
     @given(_diagnostics, _indents)
     def test_diagnostics_equal_json_of_to_dict(self, diagnostics, outer):
-        assert (xkg.cli._diagnostics_json(diagnostics, outer)
-                == xkg.cli._json([d.to_dict() for d in diagnostics], outer))
+        expected = json.dumps([d.to_dict() for d in diagnostics], indent=2)
+        assert xkg.cli._diagnostics_json(diagnostics, outer) == expected.replace("\n", outer)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_iris, _iris), max_size=4), _indents)
     def test_pairs_equal_json_of_values(self, pairs, outer):
-        assert (xkg.cli._pairs_json(pairs, outer)
-                == xkg.cli._json([[a.value, b.value] for a, b in pairs], outer))
+        expected = json.dumps([[a.value, b.value] for a, b in pairs], indent=2)
+        assert xkg.cli._pairs_json(pairs, outer) == expected.replace("\n", outer)
 
     @pytest.mark.parametrize("responses", [
         {},
@@ -352,7 +343,7 @@ class TestReportTemplates:
                           corpus.base.prefixes))
         report = validate(graph, None, default_config().require_resources())
         xkg.cli._write_validation(tmp_path, report)
-        expected = xkg.cli._json(report.to_dict()) + "\n"
+        expected = json.dumps(report.to_dict(), indent=2) + "\n"
         assert read(tmp_path / "validation-report.json") == expected
 
 

@@ -23,7 +23,7 @@ from xkg.config import PipelineConfig, ResourcePaths
 from xkg.enrichment import EnrichmentResult, HeuristicSpec, PromptRequest
 from xkg.pipeline import PipelineResult, ValidationReport
 from xkg.rdf import FRED_NS, Iri, PrefixTable, RdfGraph, Triple, standard_prefixes
-from xkg.translate import AlignmentEntry, AlignmentMap, AmbiguousMention, LinkTable, RolesetMap
+from xkg.translate import AlignmentEntry, AlignmentMap, LinkTable, RolesetMap
 from xkg.validation import INFO, MISSING_COMMENT, Diagnostic, GraphProfile, MiniOntology, \
     PrecedenceInference
 
@@ -58,7 +58,6 @@ RECORDS = [
     (AlignmentEntry, [A, (B,), (A,)], {"synset": None, "supersenses": (), "dolce": ()}, True),
     (AlignmentMap, [{"gold_medal": AlignmentEntry(A)}], {"entries": {}}, False),
     (LinkTable, [{"saint lucia": A}], {"mentions": {}}, False),
-    (AmbiguousMention, ["lucia", (A, B)], {}, True),
     (ValidationReport, list(REPORT), {}, True),
     (PipelineResult, ["text", GRAPH, [], GRAPH, REPORT], {}, True),
     (RatingsMatrix, [{"i1": "H"}, ["a1"], {("i1", "a1"): 4}, {"H": ["i1"]}],
@@ -92,6 +91,9 @@ class TestRecords:
         record = cls(*values)
         assert [getattr(record, name) for name in fields] == values
         assert cls(**dict(zip(fields, values))) == record
+        if immutable and cls is not RdfGraph:  # the named tuples
+            assert cls._make(values) == record
+            assert record._replace(**{fields[0]: values[0]}) == record
         required = {name: value for name, value in zip(fields, values) if name not in defaults}
         assert list(required) == list(fields[:len(required)])
         bare = cls(**required)
@@ -135,6 +137,13 @@ class TestRecords:
     (lambda: PromptRequest("s", "u", 16, -0.5), "temperature must be non-negative"),
     (lambda: PromptRequest(system_text="s", user_text="u", max_tokens=-1, temperature=-1.0),
      "max_tokens must be positive"),
+    # _replace builds through _make, which a checked tuple routes through __new__.
+    (lambda: AmrEdge("a", ":r", "b")._replace(role="r"), "role must begin with ':': 'r'"),
+    (lambda: PromptRequest("s", "u", 5, 0.0)._replace(max_tokens=0),
+     "max_tokens must be positive"),
+    (lambda: Diagnostic._make(["BAD", "NOPE", "m", None]), "unknown diagnostic code 'NOPE'"),
+    (lambda: Diagnostic(INFO, MISSING_COMMENT, "m")._replace(severity="BAD"),
+     "unknown severity 'BAD'"),
 ])
 def test_checked_records_reject_bad_fields(make, message):
     with pytest.raises(ValueError) as raised:

@@ -21,13 +21,13 @@ from xkg.rdf import (
     DUL_NS,
     Iri,
     Literal,
+    XSD_INTEGER,
     Triple,
     serialize_turtle,
 )
 from xkg.translate import (
     AlignmentEntry,
     AlignmentMap,
-    AmbiguousMention,
     InvalidAmrError,
     LinkTable,
     RolesetMap,
@@ -112,6 +112,14 @@ class TestTranslate:
         lexicals = {(o.lexical, o.datatype.local_name()) for o in objects}
         assert ("3", "integer") in lexicals
         assert ("false", "boolean") in lexicals
+
+    def test_non_ascii_digits_make_a_plain_literal(self):
+        # xsd:integer's lexical space allows only ASCII digits.
+        amr = parse_penman("(a / age-01 :ARG1 (p / person) :ARG2 \u0661\u0662 :quant 12)")
+        graph = translate(amr)
+        objects = {t.object for t in graph.triples}
+        assert Literal("\u0661\u0662") in objects and Literal("12", XSD_INTEGER) in objects
+        assert 'pblr:age-01.arg2 "\u0661\u0662" .' in serialize_turtle(graph)
 
     def test_per_concept_counters_in_traversal_order(self):
         amr = parse_penman("(a / athlete :mod (b / athlete) :part (c / athlete))")
@@ -248,16 +256,15 @@ class TestLinkEntities:
         graph = translate(parse_penman("(a / athlete)"))
         assert link_entities(graph, LinkTable()).triples == graph.triples
 
-    def test_ambiguous_mention_skipped_and_reported(self):
+    def test_ambiguous_mention_skipped_and_reported(self, caplog):
         amr = parse_penman("(a / athlete :mod (b / athlete))")
         graph = translate(amr)
-        reports = []
-        linked = link_entities(
-            graph, LinkTable({"athlete": Iri("http://www.wikidata.org/entity/Q1")}), reports)
+        with caplog.at_level(logging.WARNING, logger="xkg.translate"):
+            linked = link_entities(
+                graph, LinkTable({"athlete": Iri("http://www.wikidata.org/entity/Q1")}))
         assert linked.triples == graph.triples
-        assert len(reports) == 1
-        assert isinstance(reports[0], AmbiguousMention)
-        assert len(reports[0].candidates) == 2
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "ambiguous mention 'athlete' matches 2 individuals; link skipped")]
 
     def test_idempotent(self):
         graph = translate(parse_penman("(a / athlete)"))
