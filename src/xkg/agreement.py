@@ -2,10 +2,11 @@
 
 Ratings arrive as a CSV with header ``item_id,heuristic,annotator,score``
 (blank score = missing; ``load_ratings`` says what else it accepts) and
-become a RatingsMatrix. Each statistic reads one dense table per heuristic,
-``RatingsMatrix.rows``: the heuristic's items in first-appearance order by
-every annotator in first-appearance order, ``None`` where a score is
-missing. On top of it:
+become a RatingsMatrix. Each statistic is a function of one heuristic's
+dense table, ``RatingsMatrix.rows``, which ``build_report`` builds once per
+heuristic: its items by every annotator, each in first-appearance order,
+``None`` where a score is missing. A statistic is ``None`` where the table
+does not define it:
 
 * ``mean_sd``, arithmetic mean and population standard deviation;
 * ``percent_agreement``, the share of annotator pairs with exactly equal
@@ -62,12 +63,6 @@ class NoDataError(AgreementError):
     def __init__(self, heuristic: str):
         self.heuristic = heuristic
         super().__init__(f"no scores for heuristic {heuristic!r}")
-
-
-class NoOverlapError(AgreementError):
-    def __init__(self, heuristic: str):
-        self.heuristic = heuristic
-        super().__init__(f"no annotator pair shares items for heuristic {heuristic!r}")
 
 
 class RatingsMatrix(Record):
@@ -153,23 +148,25 @@ def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
 # Descriptive statistics
 # ---------------------------------------------------------------------------
 
+Table = list[list[Optional[int]]]
 
-def mean_sd(matrix: RatingsMatrix, heuristic: str) -> tuple[float, float]:
-    """Mean and population standard deviation over all present scores of a
-    heuristic."""
-    values = [score for row in matrix.rows(heuristic) for score in row if score is not None]
+
+def mean_sd(table: Table) -> Optional[tuple[float, float]]:
+    """Mean and population standard deviation over the table's scores."""
+    values = [score for row in table for score in row if score is not None]
     if not values:
-        raise NoDataError(heuristic)
+        return None
     n = len(values)
     mean = sum(values) / n
     variance = _sum((v - mean) ** 2 for v in values) / n
     return mean, variance ** 0.5
 
 
-def annotator_means(matrix: RatingsMatrix, heuristic: str) -> dict[str, float]:
-    """Mean score per annotator, restricted to the heuristic's items."""
+def annotator_means(annotators: list[str], table: Table) -> dict[str, float]:
+    """Mean score per annotator (the table's columns), for each annotator
+    with a score in the table."""
     out = {}
-    for annotator, column in zip(matrix.annotators, zip(*matrix.rows(heuristic))):
+    for annotator, column in zip(annotators, zip(*table)):
         values = [score for score in column if score is not None]
         if values:
             out[annotator] = sum(values) / len(values)
@@ -181,25 +178,23 @@ def annotator_means(matrix: RatingsMatrix, heuristic: str) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _shared_scores(matrix: RatingsMatrix, heuristic: str):
-    """Each annotator pair ``(i, j)``, ``i < j``, with the score pairs of the
-    heuristic's items both of them rated."""
-    rows = matrix.rows(heuristic)
-    for i, j in combinations(range(len(matrix.annotators)), 2):
-        yield i, j, [(row[i], row[j]) for row in rows
-                     if row[i] is not None and row[j] is not None]
+def _shared_scores(table: Table):
+    """Each column pair ``(i, j)``, ``i < j``, with the score pairs of the
+    rows that hold both."""
+    columns = list(zip(*table))
+    for i, j in combinations(range(len(columns)), 2):
+        yield i, j, [(a, b) for a, b in zip(columns[i], columns[j])
+                     if a is not None and b is not None]
 
 
-def percent_agreement(matrix: RatingsMatrix, heuristic: str) -> float:
+def percent_agreement(table: Table) -> Optional[float]:
     """Fraction of annotator pairs with exactly equal scores, over all items."""
     equal = 0
     total = 0
-    for _, _, shared in _shared_scores(matrix, heuristic):
+    for _, _, shared in _shared_scores(table):
         total += len(shared)
         equal += sum(a == b for a, b in shared)
-    if total == 0:
-        raise NoOverlapError(heuristic)
-    return equal / total
+    return equal / total if total else None
 
 
 class KappaPair(NamedTuple):
@@ -225,17 +220,17 @@ def _pair_kappa(shared: list[tuple[int, int]]) -> Optional[float]:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def cohen_kappa_pairwise(matrix: RatingsMatrix, heuristic: str) -> KappaResult:
-    """Kappa for each annotator pair sharing at least two items.
+def cohen_kappa_pairwise(annotators: list[str], table: Table) -> Optional[KappaResult]:
+    """Kappa for each annotator pair (the table's columns) sharing at least
+    two items; ``None`` without such a pair.
 
     Pairs with zero expected disagreement are reported with ``kappa=None``
     (degenerate) and excluded from the mean.
     """
-    annotators = matrix.annotators
     pairs = [KappaPair(annotators[i], annotators[j], _pair_kappa(shared), len(shared))
-             for i, j, shared in _shared_scores(matrix, heuristic) if len(shared) >= 2]
+             for i, j, shared in _shared_scores(table) if len(shared) >= 2]
     if not pairs:
-        raise NoOverlapError(heuristic)
+        return None
     defined = [p.kappa for p in pairs if p.kappa is not None]
     mean = _sum(defined) / len(defined) if defined else None
     return KappaResult(pairs, mean)
@@ -250,9 +245,6 @@ class AlphaResult(NamedTuple):
     value: float
     degenerate: bool = False  # expected disagreement was zero
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _ordinal_delta_squared(c: int, k: int, marginals: dict[int, float]) -> float:
     if c == k:
@@ -264,18 +256,18 @@ def _ordinal_delta_squared(c: int, k: int, marginals: dict[int, float]) -> float
     return (between - (marginals.get(lo, 0.0) + marginals.get(hi, 0.0)) / 2.0) ** 2
 
 
-def krippendorff_alpha(matrix: RatingsMatrix, heuristic: str) -> AlphaResult:
+def krippendorff_alpha(table: Table) -> Optional[AlphaResult]:
     """Ordinal alpha via the coincidence matrix; only items with >= 2 scores
-    pair up.
+    pair up, and ``None`` without such an item.
 
     When every pairable score is identical the expected disagreement is zero;
     that case is reported as alpha 1.0 with the degenerate flag set.
     """
-    units = [scores for row in matrix.rows(heuristic)
+    units = [scores for row in table
              if len(scores := [score for score in row if score is not None]) >= 2]
+    if not units:
+        return None
     n = sum(len(u) for u in units)
-    if n < 2:
-        raise NoDataError(heuristic)
 
     # Coincidence matrix: each ordered pair within a unit contributes
     # 1/(m_u - 1) to o[c][k].
@@ -328,69 +320,40 @@ class AgreementReport(NamedTuple):
                                for h in self.heuristics]}
 
     def format_table(self) -> str:
-        headers = ["Heuristic", "Items", "Mean", "SD", "Agreement", "Kappa", "Alpha"]
-        rows = []
-        for h in self.heuristics:
-            alpha = h.krippendorff_alpha
-            rows.append([
-                h.heuristic,
-                str(h.items),
-                f"{h.mean:.2f}",
-                f"{h.sd:.2f}",
-                "-" if h.percent_agreement is None else f"{h.percent_agreement:.2f}",
-                "-" if h.mean_kappa is None else f"{h.mean_kappa:.2f}",
-                "-" if alpha is None else f"{alpha:.2f}" + ("*" if h.alpha_degenerate else ""),
-            ])
-        widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-        lines.append("")
-        return "\n".join(lines)
+        def cell(value: Optional[float]) -> str:
+            return "-" if value is None else f"{value:.2f}"
+
+        rows = [["Heuristic", "Items", "Mean", "SD", "Agreement", "Kappa", "Alpha"]]
+        rows += [[h.heuristic, str(h.items), cell(h.mean), cell(h.sd), cell(h.percent_agreement),
+                  cell(h.mean_kappa),
+                  cell(h.krippendorff_alpha) + ("*" if h.alpha_degenerate else "")]
+                 for h in self.heuristics]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        rows.insert(1, ["-" * w for w in widths])
+        return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n" for row in rows)
 
 
 def build_report(matrix: RatingsMatrix, heuristic_order: Optional[Iterable[str]] = None) -> AgreementReport:
-    """Compute the full per-heuristic report.
+    """Compute the full per-heuristic report from one table per heuristic.
 
     ``heuristic_order`` pins the row order (unknown names keep first
-    appearance order at the end); statistics that need overlap fall back to
-    None instead of failing the other rows. A heuristic without any score
-    raises NoDataError.
+    appearance order at the end); a statistic the table does not define is
+    None in its row. A heuristic without any score raises NoDataError.
     """
     present = matrix.heuristics()
-    ordered = []
-    if heuristic_order:
-        ordered = [h for h in heuristic_order if h in present]
+    ordered = [h for h in heuristic_order or () if h in present]
     ordered.extend(h for h in present if h not in ordered)
 
+    annotators = matrix.annotators
     stats = []
     for heuristic in ordered:
-        mean, sd = mean_sd(matrix, heuristic)
-        try:
-            agreement: Optional[float] = percent_agreement(matrix, heuristic)
-        except NoOverlapError:
-            agreement = None
-        try:
-            kappa = cohen_kappa_pairwise(matrix, heuristic).mean
-        except NoOverlapError:
-            kappa = None
-        try:
-            alpha_result = krippendorff_alpha(matrix, heuristic)
-            alpha: Optional[float] = alpha_result.value
-            degenerate = alpha_result.degenerate
-        except NoDataError:
-            alpha = None
-            degenerate = False
+        table = matrix.rows(heuristic)
+        moments = mean_sd(table)
+        if moments is None:
+            raise NoDataError(heuristic)
+        kappa = cohen_kappa_pairwise(annotators, table)
+        alpha = krippendorff_alpha(table) or (None, False)  # value, degenerate
         stats.append(HeuristicStats(
-            heuristic=heuristic,
-            items=len(matrix.heuristic_items[heuristic]),
-            mean=mean,
-            sd=sd,
-            percent_agreement=agreement,
-            mean_kappa=kappa,
-            krippendorff_alpha=alpha,
-            alpha_degenerate=degenerate,
-            annotator_means=annotator_means(matrix, heuristic),
-        ))
-    return AgreementReport(list(matrix.annotators), stats)
+            heuristic, len(table), *moments, percent_agreement(table),
+            None if kappa is None else kappa.mean, *alpha, annotator_means(annotators, table)))
+    return AgreementReport(list(annotators), stats)

@@ -82,23 +82,27 @@ class MappingBackend:
         return self.description
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BackendError(f"cannot read {path}: {exc}")
+
+
 class MockBackend(MappingBackend):
     """Mock backed by a directory of ``<heuristic>.ttl`` canned responses.
 
-    An optional ``description.txt`` in the same directory serves the
-    multimodal description step.
+    An optional ``description.txt`` serves the multimodal description
+    step. A file that cannot be read as UTF-8 raises BackendError.
     """
 
     def __init__(self, directory: Union[str, Path]):
         directory = Path(directory)
         if not directory.is_dir():
             raise FileNotFoundError(f"mock directory not found: {directory}")
-        responses = {
-            path.stem: path.read_text(encoding="utf-8")
-            for path in sorted(directory.glob("*.ttl"))
-        }
+        responses = {path.stem: _read_text(path) for path in sorted(directory.glob("*.ttl"))}
         description_file = directory / "description.txt"
-        description = description_file.read_text(encoding="utf-8") if description_file.exists() else ""
+        description = _read_text(description_file) if description_file.exists() else ""
         super().__init__(responses, description)
         self.directory = directory
 

@@ -15,8 +15,9 @@ the agreement report are written by ``json.dumps`` itself.
 diagnostic, so they are rendered from a format string per diagnostic (and
 per precedence pair) instead, with the same bytes and no dict built;
 ``json.dumps`` over ``Diagnostic.to_dict`` and ``ValidationReport.to_dict``
-stays the reference the tests compare them with. ``main`` builds the
-argument parser once per process.
+stays the reference the tests compare them with. Files are UTF-8; stdout
+escapes what its encoding cannot hold. ``main`` builds the argument parser
+once per process.
 
 Exit codes: 0 on success, 1 when a heuristic was quarantined or validation
 produced ERROR diagnostics, 2 on configuration or input failures, including
@@ -63,6 +64,12 @@ def _make_backend(config: PipelineConfig, mock: bool):
     if not config.backend.endpoint:
         raise CliError("no backend endpoint configured; pass --mock or set backend.endpoint")
     return HttpBackend(config.backend)
+
+
+def _echo(text: str) -> None:
+    """Write ``text`` to stdout, backslash-escaping what it cannot encode."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _write(path: Path, content: str) -> None:
@@ -134,7 +141,7 @@ def _read_graph(path: str) -> RdfGraph:
 
 def _write_description(out_dir: Path, description: str) -> None:
     _write(out_dir / "description.txt", description)
-    print(out_dir / "description.txt")
+    _echo(f"{out_dir / 'description.txt'}\n")
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
@@ -164,7 +171,7 @@ def cmd_base(args: argparse.Namespace) -> int:
         raise CliError(f"cannot parse {args.amr}: {exc}")
     out_dir = Path(args.out)
     _write_base(out_dir, base)
-    print(out_dir / "base-graph.ttl")
+    _echo(f"{out_dir / 'base-graph.ttl'}\n")
     return EXIT_OK
 
 
@@ -194,7 +201,7 @@ def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) 
                for result in results]
     _write(out_dir / "diagnostics.json",
            "{\n  " + ",\n  ".join(entries) + "\n}\n" if entries else "{}\n")
-    print(out_dir / "xkg-merged.ttl")
+    _echo(f"{out_dir / 'xkg-merged.ttl'}\n")
     return EXIT_DIAGNOSTICS if any(result.quarantined for result in results) else EXIT_OK
 
 
@@ -218,9 +225,7 @@ def _write_validation(out_dir: Path, report: ValidationReport) -> int:
         _pairs_json(report.precedence.inferred, "\n    ")))
     table = _profile_table(report.profile)
     _write(out_dir / "validation-report.txt", table)
-    print(table, end="")
-    for d in report.errors:
-        print(f"{d.severity} {d.code}: {d.message}")
+    _echo(table + "".join(f"{d.severity} {d.code}: {d.message}\n" for d in report.errors))
     return EXIT_DIAGNOSTICS if report.errors else EXIT_OK
 
 
@@ -254,8 +259,9 @@ def cmd_agree(args: argparse.Namespace) -> int:
         raise CliError(str(exc))
     out_dir = Path(args.out)
     _write_json(out_dir / "agreement-report.json", report.to_dict())
-    _write(out_dir / "agreement-report.txt", report.format_table())
-    print(report.format_table(), end="")
+    table = report.format_table()
+    _write(out_dir / "agreement-report.txt", table)
+    _echo(table)
     return EXIT_OK
 
 
@@ -353,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (CliError, ConfigError, RdfError, AmrError, EnrichmentError) as exc:
+    except (CliError, ConfigError, RdfError, AmrError, EnrichmentError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -142,15 +142,21 @@ class EnrichmentResult(Record):
         return has_errors(self.diagnostics)
 
 
-def read_system_template(prompts_dir: Union[str, Path]) -> str:
-    """The system prompt template shared by every heuristic.
-
-    Raises MissingTemplateError.
-    """
-    path = Path(prompts_dir) / SYSTEM_TEMPLATE
+def _read_template(prompts_dir: Union[str, Path], name: str) -> str:
+    """The text of template ``name``. Raises MissingTemplateError, or
+    EnrichmentError for a template that cannot be read as UTF-8."""
+    path = Path(prompts_dir) / name
     if not path.exists():
-        raise MissingTemplateError(SYSTEM_TEMPLATE)
-    return path.read_text(encoding="utf-8")
+        raise MissingTemplateError(name)
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EnrichmentError(f"cannot read prompt template {path}: {exc}")
+
+
+def read_system_template(prompts_dir: Union[str, Path]) -> str:
+    """The system prompt template shared by every heuristic; raises as ``_read_template``."""
+    return _read_template(prompts_dir, SYSTEM_TEMPLATE)
 
 
 def assemble_prompt(base_turtle: str, system_template: str, spec: HeuristicSpec,
@@ -163,12 +169,9 @@ def assemble_prompt(base_turtle: str, system_template: str, spec: HeuristicSpec,
     ``read_system_template(prompts_dir)``; ``run_all`` computes both once and
     passes them to every heuristic. Deterministic: the same texts and
     template produce a byte-identical request. Raises MissingTemplateError /
-    MissingPlaceholderError.
+    MissingPlaceholderError, or EnrichmentError for an unreadable template.
     """
-    template_path = Path(prompts_dir) / spec.prompt_template
-    if not template_path.exists():
-        raise MissingTemplateError(spec.prompt_template)
-    template = template_path.read_text(encoding="utf-8")
+    template = _read_template(prompts_dir, spec.prompt_template)
     if GRAPH_PLACEHOLDER not in template:
         raise MissingPlaceholderError(spec.prompt_template)
     system_text = system_template.replace("{{namespace}}", spec.namespace)

@@ -23,7 +23,7 @@ from .backends import (
 )
 from .config import ConfigError, PipelineConfig, ResourcePaths
 from .enrichment import EnrichmentResult, HeuristicSpec, run_all
-from .rdf import RdfGraph
+from .rdf import RdfError, RdfGraph
 from .translate import AlignmentMap, LinkTable, RolesetMap, align, link_entities, translate
 from .validation import Diagnostic, GraphProfile, MiniOntology, PrecedenceInference
 
@@ -76,6 +76,15 @@ def describe(source: Union[str, Path], backend: Backend) -> str:
     return description
 
 
+def _load_resource(load, path: Path):
+    """``load(path)``; a resource file that cannot be read or that the loader
+    rejects (ValueError, RdfError) raises ConfigError naming the file."""
+    try:
+        return load(path)
+    except (OSError, ValueError, RdfError) as exc:
+        raise ConfigError(f"resource file {path}: {exc}")
+
+
 def build_base(penman: str, resources: ResourcePaths) -> RdfGraph:
     """Translate, align and link the one AMR graph of a PENMAN document.
 
@@ -83,9 +92,10 @@ def build_base(penman: str, resources: ResourcePaths) -> RdfGraph:
     graphs reuse variable-derived IRIs such as ``fred:x_1``, so translating
     several into one base graph would merge unrelated individuals.
     """
-    graph = translate(parse_penman(penman), RolesetMap.from_json(resources.rolesets))
-    graph = align(graph, AlignmentMap.from_json(resources.alignments))
-    return link_entities(graph, LinkTable.from_json(resources.links))
+    graph = translate(parse_penman(penman),
+                      _load_resource(RolesetMap.from_json, resources.rolesets))
+    graph = align(graph, _load_resource(AlignmentMap.from_json, resources.alignments))
+    return link_entities(graph, _load_resource(LinkTable.from_json, resources.links))
 
 
 def enrich(base: RdfGraph, backend: Backend, config: PipelineConfig,
@@ -110,10 +120,7 @@ def validate(graph: RdfGraph, base: Optional[RdfGraph],
     """Lints, consistency against the mini ontology, precedence and profile;
     with ``base`` the profile describes the additions."""
     diagnostics = validation.lint(graph)
-    try:
-        onto = MiniOntology.from_turtle_file(resources.mini_ontology)
-    except ValueError as exc:  # a cyclic subclass hierarchy, or a file not in UTF-8
-        raise ConfigError(f"mini ontology {resources.mini_ontology}: {exc}")
+    onto = _load_resource(MiniOntology.from_turtle_file, resources.mini_ontology)
     diagnostics.extend(validation.check_consistency(graph, onto))
     precedence = validation.infer_precedence(graph)
     diagnostics.extend(precedence.diagnostics)

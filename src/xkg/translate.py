@@ -82,6 +82,18 @@ class InvalidAmrError(TranslateError):
     """The AMR graph violates a translation precondition."""
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; a map of the wrong shape is a ValueError."""
+    if isinstance(value, kind):
+        return value
+    name = {dict: "object", list: "array", str: "string"}[kind]
+    raise ValueError(f"{what} must be a JSON {name}, found {value!r:.60}")
+
+
+def _json_object(path: Union[str, Path]) -> dict:
+    return _typed(json.loads(Path(path).read_text(encoding="utf-8")), dict, "the map")
+
+
 class RolesetMap(Record):
     """Frame id -> ARG index -> local role name (lowercase token)."""
 
@@ -92,11 +104,12 @@ class RolesetMap(Record):
 
     @staticmethod
     def from_json(path: Union[str, Path]) -> "RolesetMap":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        frames = {
-            frame: {int(idx): str(role) for idx, role in roles.items()}
-            for frame, roles in raw.items()
-        }
+        frames = {}
+        for frame, roles in _json_object(path).items():
+            frames[frame] = {int(idx): _typed(role, str, f"role {idx} of {frame!r}")
+                             for idx, role in _typed(roles, dict, f"roles of {frame!r}").items()}
+            for role in frames[frame].values():
+                Iri(PBLR_NS + f"{frame}.{role}")  # ValueError for a role no IRI can hold
         return RolesetMap(frames)
 
     def role(self, frame: str, index: int) -> Optional[str]:
@@ -127,16 +140,19 @@ class AlignmentMap(Record):
     def from_json(path: Union[str, Path]) -> "AlignmentMap":
         prefixes = standard_prefixes()
 
-        def iri(curie: str) -> Iri:
+        def iri(curie, key: str) -> Iri:
+            curie = _typed(curie, str, f"an IRI of alignment {key!r}")
             return prefixes.expand(curie) if "://" not in curie else Iri(curie)
 
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         entries = {}
-        for key, spec in raw.items():
+        for key, spec in _json_object(path).items():
+            spec = _typed(spec, dict, f"alignment {key!r}")
+            supersenses, dolce = (_typed(spec.get(name, []), list, f"{name} of {key!r}")
+                                  for name in ("supersenses", "dolce"))
             entries[key] = AlignmentEntry(
-                synset=iri(spec["synset"]) if spec.get("synset") else None,
-                supersenses=tuple(iri(s) for s in spec.get("supersenses", ())),
-                dolce=tuple(iri(s) for s in spec.get("dolce", ())),
+                synset=iri(spec["synset"], key) if spec.get("synset") else None,
+                supersenses=tuple(iri(c, key) for c in supersenses),
+                dolce=tuple(iri(c, key) for c in dolce),
             )
         return AlignmentMap(entries)
 
@@ -155,11 +171,11 @@ class LinkTable(Record):
     @staticmethod
     def from_json(path: Union[str, Path]) -> "LinkTable":
         prefixes = standard_prefixes()
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         mentions = {}
-        for mention, target in raw.items():
+        for mention, target in _json_object(path).items():
             if not mention.strip():
                 raise ValueError("empty mention in link table")
+            target = _typed(target, str, f"link target of {mention!r}")
             iri = prefixes.expand(target) if "://" not in target else Iri(target)
             mentions[mention.strip().lower()] = iri
         return LinkTable(mentions)

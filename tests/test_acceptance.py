@@ -63,7 +63,6 @@ from xkg.validation import (
     profile,
 )
 from xkg.agreement import (
-    RatingsMatrix,
     cohen_kappa_pairwise,
     krippendorff_alpha,
     mean_sd,
@@ -233,48 +232,36 @@ def test_criterion_6_precedence():
 
 
 def test_criterion_7_agreement_statistics():
-    def matrix_from(table, heuristic="H"):
-        matrix = RatingsMatrix()
-        for i, row in enumerate(table):
-            for j, value in enumerate(row):
-                matrix.add(f"i{i}", heuristic, f"r{j}", value)
-        return matrix
+    def raters(table):
+        return [f"r{j}" for j in range(len(table[0]))]
 
-    perfect = matrix_from([[1, 1, 1], [5, 5, 5], [3, 3, 3]])
-    assert krippendorff_alpha(perfect, "H").value == pytest.approx(1.0)
-    assert cohen_kappa_pairwise(perfect, "H").mean == pytest.approx(1.0)
+    def same(got, want):
+        return got is None if want is None else got == pytest.approx(want, abs=1e-9)
 
-    assert mean_sd(matrix_from([[1, 5]]), "H") == (3.0, 2.0)
+    perfect = [[1, 1, 1], [5, 5, 5], [3, 3, 3]]
+    assert krippendorff_alpha(perfect).value == pytest.approx(1.0)
+    assert cohen_kappa_pairwise(raters(perfect), perfect).mean == pytest.approx(1.0)
+
+    assert mean_sd([[1, 5]]) == (3.0, 2.0)
 
     rng = random.Random(777)
     alpha_checked = kappa_checked = 0
     for _ in range(200):
         table = random_ratings_table(rng, max_raters=5, max_items=20, missing_rate=0.1)
-        matrix = matrix_from(table)
 
         expected_alpha = krippendorff_oracle(table)
-        if expected_alpha is not None:
-            alpha_checked += 1
-            assert krippendorff_alpha(matrix, "H").value == pytest.approx(
-                expected_alpha, abs=1e-9)
+        alpha = krippendorff_alpha(table)
+        assert same(None if alpha is None else alpha.value, expected_alpha)
+        alpha_checked += expected_alpha is not None
 
-        expected_percent = percent_agreement_oracle(table)
-        if expected_percent is not None:
-            assert percent_agreement(matrix, "H") == pytest.approx(expected_percent, abs=1e-9)
+        assert same(percent_agreement(table), percent_agreement_oracle(table))
 
-        try:
-            result = cohen_kappa_pairwise(matrix, "H")
-        except Exception:
-            continue
-        for pair in result.pairs:
+        result = cohen_kappa_pairwise(raters(table), table)
+        for pair in [] if result is None else result.pairs:
             a = int(pair.annotator_a.removeprefix("r"))
             b = int(pair.annotator_b.removeprefix("r"))
-            expected_kappa = kappa_oracle(table, a, b)
-            if pair.kappa is None:
-                assert expected_kappa is None
-            else:
-                kappa_checked += 1
-                assert pair.kappa == pytest.approx(expected_kappa, abs=1e-9)
+            assert same(pair.kappa, kappa_oracle(table, a, b))
+            kappa_checked += pair.kappa is not None
     assert alpha_checked > 150 and kappa_checked > 150
     print(f"\ncriterion 7 PASS: perfect-agreement fixtures give alpha=1 and kappa=1; "
           f"{alpha_checked} alpha and {kappa_checked} kappa values match the oracles to 1e-9")

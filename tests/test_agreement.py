@@ -11,8 +11,8 @@ from xkg.agreement import (
     BadScoreError,
     DuplicateCellError,
     NoDataError,
-    NoOverlapError,
     RatingsMatrix,
+    annotator_means,
     build_report,
     cohen_kappa_pairwise,
     krippendorff_alpha,
@@ -128,133 +128,165 @@ class TestLoadRatings:
             assert matrix_from_table(table).rows(H) == table
 
 
+def raters(table) -> list[str]:
+    return [f"rater{j}" for j in range(len(table[0]))]
+
+
+def assert_equal_or_none(got, want, abs=1e-9):
+    """``got`` is ``None`` exactly where ``want`` is, and close to it elsewhere."""
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, abs=abs)
+
+
+def direct_mean_sd(table):
+    values = [v for row in table for v in row if v is not None]
+    if not values:
+        return None
+    mean = sum(values) / len(values)
+    return mean, (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+
+
+def expected_kappas(table) -> dict:
+    """The oracle kappa of each column pair sharing at least two rows."""
+    width = len(table[0])
+    return {(a, b): kappa_oracle(table, a, b)
+            for a in range(width) for b in range(a + 1, width)
+            if sum(row[a] is not None and row[b] is not None for row in table) >= 2}
+
+
 class TestMeanSd:
     def test_constant_scores(self):
-        matrix = matrix_from_table([[4, 4], [4, 4]])
-        assert mean_sd(matrix, H) == (4.0, 0.0)
+        assert mean_sd([[4, 4], [4, 4]]) == (4.0, 0.0)
 
     def test_one_five_population_sd(self):
-        matrix = matrix_from_table([[1, 5]])
-        assert mean_sd(matrix, H) == (3.0, 2.0)
+        assert mean_sd([[1, 5]]) == (3.0, 2.0)
 
     def test_no_data(self):
-        with pytest.raises(NoDataError):
-            mean_sd(matrix_from_table([[1]]), "Other")
+        assert mean_sd([]) is None
+        assert mean_sd([[None, None], [None, None]]) is None
+
+    def test_matches_direct_computation(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            table = random_ratings_table(rng, missing_rate=rng.choice([0.1, 0.6, 1.0]))
+            expected = direct_mean_sd(table)
+            got = mean_sd(table)
+            if expected is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(expected, abs=1e-9)
+
+
+class TestAnnotatorMeans:
+    def test_annotators_without_a_score_are_left_out(self):
+        table = [[1, None, 4], [3, None, None]]
+        assert annotator_means(["a", "b", "c"], table) == {"a": 2.0, "c": 4.0}
+        assert annotator_means(["a", "b"], []) == {}
 
 
 class TestPercentAgreement:
     def test_identical_ratings(self):
-        matrix = matrix_from_table([[3, 3, 3], [5, 5, 5]])
-        assert percent_agreement(matrix, H) == 1.0
+        assert percent_agreement([[3, 3, 3], [5, 5, 5]]) == 1.0
 
     def test_total_disagreement(self):
-        matrix = matrix_from_table([[1, 2], [3, 4], [5, 1]])
-        assert percent_agreement(matrix, H) == 0.0
+        assert percent_agreement([[1, 2], [3, 4], [5, 1]]) == 0.0
 
     def test_no_overlap(self):
-        matrix = matrix_from_table([[1, None], [None, 2]])
-        with pytest.raises(NoOverlapError):
-            percent_agreement(matrix, H)
+        table = [[1, None], [None, 2]]
+        assert percent_agreement_oracle(table) is None
+        assert percent_agreement(table) is None
 
     def test_matches_pair_enumeration_oracle(self):
         rng = random.Random(21)
         for _ in range(50):
-            table = random_ratings_table(rng, max_raters=5, max_items=10)
-            expected = percent_agreement_oracle(table)
-            matrix = matrix_from_table(table)
-            if expected is None:
-                with pytest.raises(NoOverlapError):
-                    percent_agreement(matrix, H)
-            else:
-                assert percent_agreement(matrix, H) == pytest.approx(expected, abs=1e-9)
+            table = random_ratings_table(rng, max_raters=5, max_items=10,
+                                         missing_rate=rng.choice([0.1, 0.7]))
+            assert_equal_or_none(percent_agreement(table), percent_agreement_oracle(table))
 
 
 class TestKappa:
     def test_identical_ratings_with_two_categories(self):
-        matrix = matrix_from_table([[1, 1], [5, 5], [1, 1]])
-        result = cohen_kappa_pairwise(matrix, H)
+        table = [[1, 1], [5, 5], [1, 1]]
+        result = cohen_kappa_pairwise(raters(table), table)
         assert all(p.kappa == pytest.approx(1.0) for p in result.pairs)
         assert result.mean == pytest.approx(1.0)
 
     def test_chance_level_marginals(self):
         # p_o = 0.5 and independent marginals give p_e = 0.5, so kappa = 0.
-        matrix = matrix_from_table([[1, 1], [1, 2], [2, 1], [2, 2]])
-        result = cohen_kappa_pairwise(matrix, H)
-        assert result.mean == pytest.approx(0.0)
+        table = [[1, 1], [1, 2], [2, 1], [2, 2]]
+        assert cohen_kappa_pairwise(raters(table), table).mean == pytest.approx(0.0)
 
     def test_degenerate_pair_reported(self):
-        matrix = matrix_from_table([[2, 2], [2, 2]])
-        result = cohen_kappa_pairwise(matrix, H)
+        table = [[2, 2], [2, 2]]
+        result = cohen_kappa_pairwise(raters(table), table)
+        assert kappa_oracle(table, 0, 1) is None
         assert result.pairs[0].kappa is None
         assert result.mean is None
 
     def test_pairs_with_few_shared_items_dropped(self):
-        matrix = matrix_from_table([[1, 1, 1], [2, 2, None], [3, 3, None]])
-        result = cohen_kappa_pairwise(matrix, H)
+        table = [[1, 1, 1], [2, 2, None], [3, 3, None]]
+        result = cohen_kappa_pairwise(raters(table), table)
         names = {(p.annotator_a, p.annotator_b) for p in result.pairs}
         assert names == {("rater0", "rater1")}
 
     def test_no_overlap(self):
-        matrix = matrix_from_table([[1, None], [None, 2]])
-        with pytest.raises(NoOverlapError):
-            cohen_kappa_pairwise(matrix, H)
+        table = [[1, None], [None, 2]]
+        assert expected_kappas(table) == {}
+        assert cohen_kappa_pairwise(raters(table), table) is None
 
     def test_matches_confusion_matrix_oracle(self):
         rng = random.Random(31)
-        checked = 0
+        checked = undefined = 0
         for _ in range(60):
-            table = random_ratings_table(rng, max_raters=3, max_items=12)
-            matrix = matrix_from_table(table)
-            try:
-                result = cohen_kappa_pairwise(matrix, H)
-            except NoOverlapError:
+            table = random_ratings_table(rng, max_raters=3, max_items=12,
+                                         missing_rate=rng.choice([0.1, 0.6]))
+            expected = expected_kappas(table)
+            result = cohen_kappa_pairwise(raters(table), table)
+            if not expected:
+                undefined += 1
+                assert result is None
                 continue
-            for pair in result.pairs:
-                a = int(pair.annotator_a.removeprefix("rater"))
-                b = int(pair.annotator_b.removeprefix("rater"))
-                expected = kappa_oracle(table, a, b)
-                if pair.kappa is None:
-                    assert expected is None
-                else:
-                    checked += 1
-                    assert pair.kappa == pytest.approx(expected, abs=1e-9)
-        assert checked > 20
+            got = {(int(p.annotator_a.removeprefix("rater")),
+                    int(p.annotator_b.removeprefix("rater"))): p.kappa for p in result.pairs}
+            assert got.keys() == expected.keys()
+            for pair, kappa in got.items():
+                checked += kappa is not None
+                assert_equal_or_none(kappa, expected[pair])
+            defined = [k for k in expected.values() if k is not None]
+            assert_equal_or_none(result.mean, sum(defined) / len(defined) if defined else None)
+        assert checked > 20 and undefined > 0
 
 
 class TestAlpha:
     def test_perfect_agreement_two_categories(self):
-        matrix = matrix_from_table([[1, 1], [5, 5]])
-        result = krippendorff_alpha(matrix, H)
+        result = krippendorff_alpha([[1, 1], [5, 5]])
         assert result.value == pytest.approx(1.0)
         assert not result.degenerate
 
     def test_single_item_one_five_matches_oracle(self):
         table = [[1, 5]]
-        result = krippendorff_alpha(matrix_from_table(table), H)
-        assert result.value == pytest.approx(krippendorff_oracle(table), abs=1e-12)
+        assert krippendorff_alpha(table).value == pytest.approx(krippendorff_oracle(table),
+                                                                abs=1e-12)
 
     def test_degenerate_when_all_identical(self):
-        matrix = matrix_from_table([[4, 4], [4, 4]])
-        result = krippendorff_alpha(matrix, H)
+        result = krippendorff_alpha([[4, 4], [4, 4]])
         assert result.value == 1.0
         assert result.degenerate
 
     def test_requires_pairable_values(self):
-        matrix = matrix_from_table([[1, None], [None, 3]])
-        with pytest.raises(NoDataError):
-            krippendorff_alpha(matrix, H)
+        table = [[1, None], [None, 3]]
+        assert krippendorff_oracle(table) is None
+        assert krippendorff_alpha(table) is None
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(41)
         for _ in range(100):
-            table = random_ratings_table(rng)
-            expected = krippendorff_oracle(table)
-            matrix = matrix_from_table(table)
-            if expected is None:
-                with pytest.raises(NoDataError):
-                    krippendorff_alpha(matrix, H)
-            else:
-                assert krippendorff_alpha(matrix, H).value == pytest.approx(expected, abs=1e-9)
+            table = random_ratings_table(rng, missing_rate=rng.choice([0.1, 0.8]))
+            result = krippendorff_alpha(table)
+            assert_equal_or_none(None if result is None else result.value,
+                                 krippendorff_oracle(table))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -263,20 +295,16 @@ class TestAlpha:
         table = random_ratings_table(rng, max_raters=4, max_items=8)
         if krippendorff_oracle(table) is None:
             return
-        matrix = matrix_from_table(table)
         shuffled_rows = list(table)
         rng.shuffle(shuffled_rows)
-        permuted_cols = [list(reversed(row)) for row in shuffled_rows]
-        permuted = matrix_from_table(permuted_cols)
-        assert krippendorff_alpha(matrix, H).value == pytest.approx(
-            krippendorff_alpha(permuted, H).value, abs=1e-12)
-        try:
-            k1 = cohen_kappa_pairwise(matrix, H).mean
-            k2 = cohen_kappa_pairwise(permuted, H).mean
-        except NoOverlapError:
-            return
-        if k1 is not None and k2 is not None:
-            assert k1 == pytest.approx(k2, abs=1e-12)
+        permuted = [list(reversed(row)) for row in shuffled_rows]
+        assert krippendorff_alpha(table).value == pytest.approx(
+            krippendorff_alpha(permuted).value, abs=1e-12)
+        k1 = cohen_kappa_pairwise(raters(table), table)
+        k2 = cohen_kappa_pairwise(raters(permuted), permuted)
+        assert (k1 is None) == (k2 is None)
+        if k1 is not None:
+            assert_equal_or_none(k1.mean, k2.mean, abs=1e-12)
 
 
 class TestReport:
@@ -305,3 +333,99 @@ class TestReport:
         matrix.add("y", "Alpha", "a", 3)
         report = build_report(matrix, heuristic_order=["Alpha", "Zeta"])
         assert [s.heuristic for s in report.heuristics] == ["Alpha", "Zeta"]
+
+
+def random_heuristic_table(rng: random.Random, width: int):
+    """A random table ``width`` wide, of one of the kinds a report must
+    handle: scattered blanks, no two scores on one item, or one score
+    everywhere (degenerate kappa and alpha)."""
+    items = rng.randrange(1, 9)
+    kind = rng.choice(["sparse", "dense", "no-overlap", "constant"])
+    if kind == "no-overlap":
+        table = [[None] * width for _ in range(items)]
+        for row in table:
+            row[rng.randrange(width)] = rng.randrange(1, 6)
+        return table
+    if kind == "constant":
+        score = rng.randrange(1, 6)
+        return [[score if rng.random() > 0.2 else None for _ in range(width)]
+                for _ in range(items)]
+    missing = 0.6 if kind == "sparse" else 0.1
+    return [[None if rng.random() < missing else rng.randrange(1, 6) for _ in range(width)]
+            for _ in range(items)]
+
+
+def scored_table(rng: random.Random, width: int):
+    """``random_heuristic_table`` with at least one score."""
+    while direct_mean_sd(table := random_heuristic_table(rng, width)) is None:
+        pass
+    return table
+
+
+def matrix_of(tables: dict, rng: random.Random) -> RatingsMatrix:
+    """The matrix holding every cell of ``tables`` (heuristic -> table),
+    items of different heuristics interleaved, so ``rows`` gives each
+    table back."""
+    queues = {h: [(f"{h}-{i}", row) for i, row in enumerate(table)]
+              for h, table in tables.items()}
+    matrix = RatingsMatrix()
+    while queues:
+        h = rng.choice(sorted(queues))
+        item, row = queues[h].pop(0)
+        if not queues[h]:
+            del queues[h]
+        for j, value in enumerate(row):
+            matrix.add(item, h, f"rater{j}", value)
+    return matrix
+
+
+class TestReportMatchesOracles:
+    def test_every_field_equals_the_oracle(self):
+        rng = random.Random(91)
+        kinds = {"no percent": 0, "no kappa": 0, "degenerate kappa": 0, "no alpha": 0,
+                 "degenerate alpha": 0}
+        for _ in range(150):
+            width = rng.randrange(2, 5)
+            tables = {f"H{k}": scored_table(rng, width) for k in range(rng.randrange(1, 5))}
+            matrix = matrix_of(tables, rng)
+            assert matrix.annotators == [f"rater{j}" for j in range(width)]
+            report = build_report(matrix)
+            assert report.annotators == matrix.annotators
+            assert sorted(s.heuristic for s in report.heuristics) == sorted(tables)
+            for stats in report.heuristics:
+                table = tables[stats.heuristic]
+                assert matrix.rows(stats.heuristic) == table
+                mean, sd = direct_mean_sd(table)
+                kappas = [k for k in expected_kappas(table).values() if k is not None]
+                alpha = krippendorff_oracle(table)
+                pairable = {v for row in table if sum(v is not None for v in row) >= 2
+                            for v in row if v is not None}
+                assert stats.items == len(table)
+                assert stats.mean == pytest.approx(mean, abs=1e-9)
+                assert stats.sd == pytest.approx(sd, abs=1e-9)
+                assert_equal_or_none(stats.percent_agreement, percent_agreement_oracle(table))
+                assert_equal_or_none(stats.mean_kappa,
+                                     sum(kappas) / len(kappas) if kappas else None)
+                assert_equal_or_none(stats.krippendorff_alpha, alpha)
+                assert stats.alpha_degenerate == (len(pairable) == 1)
+                columns = {f"rater{j}": [row[j] for row in table if row[j] is not None]
+                           for j in range(width)}
+                assert stats.annotator_means == pytest.approx(
+                    {a: sum(v) / len(v) for a, v in columns.items() if v}, abs=1e-9)
+                kinds["no percent"] += stats.percent_agreement is None
+                kinds["no kappa"] += not expected_kappas(table)
+                kinds["degenerate kappa"] += None in expected_kappas(table).values()
+                kinds["no alpha"] += alpha is None
+                kinds["degenerate alpha"] += stats.alpha_degenerate
+        assert all(kinds.values()), kinds
+
+    def test_all_blank_heuristic_raises_no_data(self):
+        rng = random.Random(93)
+        for _ in range(20):
+            width = rng.randrange(2, 5)
+            tables = {"H0": scored_table(rng, width),
+                      "Blank": [[None] * width for _ in range(rng.randrange(1, 4))],
+                      "H1": scored_table(rng, width)}
+            with pytest.raises(NoDataError) as caught:
+                build_report(matrix_of(tables, rng))
+            assert caught.value.heuristic == "Blank"

@@ -480,6 +480,70 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, argv):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, resource, name, content", [
+    ("base", "rolesets", "rolesets.json", b"{not JSON"),
+    ("base", "rolesets", "rolesets.json", b"[]"),
+    ("base", "rolesets", "rolesets.json", b'{"wear-01": ["wearer"]}'),
+    ("base", "rolesets", "rolesets.json", b'{"wear-01": {"0": 7}}'),
+    ("base", "rolesets", "rolesets.json", b'{"wear-01": {"0": "the wearer"}}'),
+    ("base", "alignments", "alignments.json", b'{"athlete": {"dolce": "dul:Person"}}'),
+    ("base", "alignments", "alignments.json", b'{"athlete": {"synset": 1}}'),
+    ("base", "links", "links.json", b'{"America": 30}'),
+    ("base", "links", "links.json", b"\xff not UTF-8"),
+    ("enrich", "prompts_dir", "system.txt", b"\xff not UTF-8"),
+    ("enrich", "prompts_dir", HEURISTICS[0].prompt_template, b"\xff not UTF-8"),
+    ("enrich", "mock_dir", f"{HEURISTICS[0].name}.ttl", b"\xff not UTF-8"),
+], ids=["rolesets-not-json", "rolesets-array", "roles-array", "role-number", "role-with-space",
+        "dolce-string", "synset-number", "link-number", "links-not-utf8",
+        "system-template-not-utf8", "heuristic-template-not-utf8", "mock-response-not-utf8"])
+def test_bad_resource_file_is_config_error(tmp_path, capsys, command, resource, name, content):
+    bundled = getattr(default_config().resources, resource)
+    if bundled.is_dir():
+        shutil.copytree(bundled, tmp_path / resource)
+        path = tmp_path / resource / name
+        setting = resource
+    else:
+        path = tmp_path / name
+        setting = name
+    path.write_bytes(content)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"resources": {resource: setting}}), encoding="utf-8")
+    base = str(Path(__file__).parent / "golden" / "base-graph.ttl")
+    argv = (["base", "--amr", SCENE_AMR] if command == "base" else
+            ["enrich", "--mock", "--base", base])
+    code = main([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_stdout_that_cannot_encode_the_output_is_escaped(tmp_path):
+    """A diagnostic or heuristic name that stdout's encoding cannot hold is
+    printed with backslash escapes; the files are UTF-8 as always."""
+    graph = tmp_path / "clash.ttl"
+    graph.write_text("@prefix dul: <http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#> .\n"
+                     "<http://example.org/Zoë> a dul:Event, dul:Object .\n", encoding="utf-8")
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("item_id,heuristic,annotator,score\n"
+                       "i1,Métaphore,a,3\ni1,Métaphore,b,4\ni2,Métaphore,a,5\n",
+                       encoding="utf-8")
+    commands = {"validate": (["validate", "--graph", str(graph)], EXIT_DIAGNOSTICS, "Zo"),
+                "agree": (["agree", "--ratings", str(ratings)], EXIT_OK, "M")}
+    for name, (argv, expected, prefix) in commands.items():
+        runs = {}
+        for encoding in ("ascii", "utf-8"):
+            out = tmp_path / f"{name}-{encoding}"
+            code, stdout, stderr = _xkg_fresh([*argv, "--out", str(out)],
+                                              PYTHONIOENCODING=encoding)
+            assert (code, stderr) == (expected, ""), (name, encoding)
+            runs[encoding] = stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        (ascii_out, ascii_files), (utf8_out, utf8_files) = runs["ascii"], runs["utf-8"]
+        assert prefix + ("\\xeb" if name == "validate" else "\\xe9") in ascii_out
+        assert ascii_out == utf8_out.encode("ascii", "backslashreplace").decode("ascii")
+        assert ascii_files == utf8_files
+
+
 @pytest.mark.parametrize("backend, message", [
     ({"max_tokens": 0}, "'max_tokens' must be positive"),
     ({"max_tokens_cap": 0}, "'max_tokens_cap' must be positive"),
@@ -505,11 +569,12 @@ def test_backend_setting_out_of_range_is_config_error(tmp_path, capsys, backend,
     assert not (tmp_path / "out").exists()
 
 
-def _xkg_fresh(argv):
-    """``xkg *argv`` in a new interpreter: the exit code, stdout and stderr."""
+def _xkg_fresh(argv, **environ):
+    """``xkg *argv`` in a new interpreter, with ``environ`` added to its
+    environment: the exit code, stdout and stderr."""
     src = str(Path(xkg.cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **environ)
     done = subprocess.run([sys.executable, "-m", "xkg.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
