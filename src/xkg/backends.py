@@ -3,9 +3,10 @@
 The enrichment stage is model-agnostic; a backend is anything with a
 ``complete(request) -> str`` method (and ``describe(image_path) -> str`` for
 the multimodal description step). The HTTP backend posts an OpenAI-style
-chat payload and retries transport failures with exponential backoff; mocks
-replay canned responses keyed by the request tag so the whole pipeline runs
-offline and byte-stable.
+chat payload, retries transport failures with capped exponential back-off,
+and keeps at most ``max_concurrent`` requests in flight however many threads
+call it; mocks replay canned responses keyed by the request tag so the whole
+pipeline runs offline and byte-stable.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import base64
 import json
 import logging
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Union
@@ -43,7 +45,25 @@ class UnsupportedImageFormatError(BackendError):
     pass
 
 
+#: The most retries a config may ask for (``load_config`` rejects more).
+MAX_RETRIES = 10
+#: The first back-off, in seconds; each retry doubles it up to the ceiling.
+FIRST_BACKOFF_S = 0.5
+#: The ceiling of one back-off, in seconds.
+MAX_BACKOFF_S = 30.0
+
+
 class BackendConfig(NamedTuple):
+    """How to reach a live model.
+
+    ``retries`` is the number of retries after a first failed attempt (at
+    most ``MAX_RETRIES`` in a loaded config), each after a back-off of
+    ``FIRST_BACKOFF_S`` doubled per retry up to ``MAX_BACKOFF_S``.
+    ``max_concurrent`` bounds the requests one ``HttpBackend`` has in flight
+    at once, whoever calls it; a back-off or the decoding of a response
+    holds no slot.
+    """
+
     endpoint: str = ""
     model: str = ""
     credential_env: str = "XKG_API_KEY"
@@ -56,6 +76,15 @@ class BackendConfig(NamedTuple):
 
 
 class Backend(Protocol):
+    """What the pipeline calls: ``complete`` for a heuristic's prompt,
+    ``describe`` for an image.
+
+    ``run_all`` may call ``complete`` from as many threads as there are
+    heuristics at once, so a backend that waits on a remote service bounds
+    its own requests in flight, as ``HttpBackend`` does with
+    ``BackendConfig.max_concurrent``.
+    """
+
     def complete(self, request) -> str: ...
 
     def describe(self, image_path: Path) -> str: ...
@@ -130,16 +159,25 @@ def _extract_text(body: dict) -> str:
 
 
 class HttpBackend:
-    """Minimal JSON-over-HTTP chat-completion client with retry."""
+    """Minimal JSON-over-HTTP chat-completion client with retry.
+
+    Safe to call from many threads: a bounded semaphore of
+    ``config.max_concurrent`` slots is held around each ``post`` alone, so
+    at most that many requests are in flight, and a thread in back-off or
+    decoding a response leaves its slot to the next request.
+    """
 
     def __init__(self, config: BackendConfig,
                  post: Optional[Callable] = None,
                  sleep: Callable[[float], None] = time.sleep):
         if not config.endpoint:
             raise ValueError("backend endpoint is not configured")
+        if config.max_concurrent < 1:
+            raise ValueError(f"max_concurrent must be positive, found {config.max_concurrent!r}")
         self.config = config
         self._post = post or _default_post
         self._sleep = sleep
+        self._slots = threading.BoundedSemaphore(config.max_concurrent)
 
     def _credential(self) -> str:
         value = os.environ.get(self.config.credential_env, "")
@@ -153,21 +191,32 @@ class HttpBackend:
             "Content-Type": "application/json",
         }
         last_error: Optional[BackendError] = None
-        for attempt in range(self.config.retries + 1):
-            if attempt:
-                delay = 0.5 * (2 ** (attempt - 1))
-                logger.debug("retrying in %.1fs (attempt %d)", delay, attempt + 1)
+        attempts = self.config.retries + 1
+        delay = FIRST_BACKOFF_S
+        for attempt in range(1, attempts + 1):
+            if attempt > 1:
+                logger.debug("attempt %d of %d failed (%s); retrying in %.1fs",
+                             attempt - 1, attempts, reason, delay)
                 self._sleep(delay)
+                delay = min(2 * delay, MAX_BACKOFF_S)
             try:
-                response = self._post(self.config.endpoint, payload, headers, self.config.timeout)
+                with self._slots:
+                    response = self._post(self.config.endpoint, payload, headers,
+                                          self.config.timeout)
             except Exception as exc:  # transport-level failure
+                reason = f"{type(exc).__name__}: {exc}"
                 last_error = TransportError(str(exc))
                 continue
+            # Yield the interpreter lock, so that the thread woken for the
+            # slot sends its request now rather than after this one has
+            # decoded and parsed its response (up to the switch interval).
+            time.sleep(0)
             status = getattr(response, "status_code", 0)
             if status in (401, 403):
                 raise AuthError(f"credential rejected (HTTP {status})")
             if status == 429 or status >= 500:
-                last_error = TransportError(f"HTTP {status}")
+                reason = f"HTTP {status}"
+                last_error = TransportError(reason)
                 continue
             if status >= 400:
                 raise TransportError(f"HTTP {status}: {getattr(response, 'text', '')[:200]}")

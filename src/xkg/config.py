@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
-from .backends import BackendConfig
+from .backends import MAX_RETRIES, BackendConfig
 
 
 class ConfigError(Exception):
@@ -93,8 +93,9 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     sections and keys, with values of the types of the defaults, raises
     ConfigError. So does a backend setting out of range: ``timeout``,
     ``max_concurrent``, ``max_tokens`` and ``max_tokens_cap`` must be positive,
-    ``retries`` and ``temperature`` non-negative, all of them finite, and
-    ``max_tokens`` at most ``max_tokens_cap``.
+    ``retries`` and ``temperature`` non-negative, all of them finite,
+    ``retries`` at most ``backends.MAX_RETRIES`` and ``max_tokens`` at most
+    ``max_tokens_cap``.
     """
     path = Path(path)
     try:
@@ -126,6 +127,9 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
         if not 0 <= value < math.inf:
             raise ConfigError(
                 f"backend setting {name!r} must be non-negative and finite, found {value!r}")
+    if backend.retries > MAX_RETRIES:
+        raise ConfigError(f"backend setting 'retries' must be at most {MAX_RETRIES}, "
+                          f"found {backend.retries!r}")
     if backend.max_tokens > backend.max_tokens_cap:
         raise ConfigError(f"backend setting 'max_tokens' ({backend.max_tokens}) exceeds "
                           f"'max_tokens_cap' ({backend.max_tokens_cap})")

@@ -11,6 +11,11 @@ heuristic whose result carries an ERROR diagnostic unless ``force_merge`` is
 set. A result whose prefixes clash with an earlier merged one's gets a
 PREFIX_CONFLICT error and stays out, even with ``force_merge``.
 
+With ``max_concurrent`` above 1, ``run_all`` starts every heuristic at once,
+each on its own thread, and leaves it to the backend to bound its requests
+in flight (``HttpBackend`` holds a slot for each HTTP attempt alone), so a
+heuristic in retry back-off or parsing its response keeps no other waiting.
+
 Templates are data, not code: plain text files with a ``{{graph}}``
 placeholder, shipped under the package resources and freely editable.
 """
@@ -272,6 +277,10 @@ def run_all(base: RdfGraph, backend: Backend,
             force_merge: bool = False) -> tuple[list[EnrichmentResult], RdfGraph]:
     """Run every heuristic and merge the additions onto the base.
 
+    With ``max_concurrent`` at most 1 the heuristics run one after another
+    on the calling thread. Above 1, every heuristic starts at once on its
+    own thread, and the backend bounds its requests in flight (see
+    ``Backend``); a custom backend that waits must bound its own.
     Results come back in the order of ``heuristics`` (registry order by
     default) regardless of completion order, so output is deterministic even
     with concurrent backend calls. A result carrying an ERROR diagnostic
@@ -287,7 +296,7 @@ def run_all(base: RdfGraph, backend: Backend,
                              max_tokens, temperature)
 
     if max_concurrent > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=max_concurrent) as pool:
+        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
             results = list(pool.map(run_one, specs))
     else:
         results = [run_one(spec) for spec in specs]

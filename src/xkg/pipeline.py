@@ -101,7 +101,13 @@ def build_base(penman: str, resources: ResourcePaths) -> RdfGraph:
 def enrich(base: RdfGraph, backend: Backend, config: PipelineConfig,
            heuristics: Optional[Sequence[HeuristicSpec]],
            force_merge: bool) -> tuple[list[EnrichmentResult], RdfGraph]:
-    """Run the heuristics (all of them for None) with the configured budget."""
+    """Run the heuristics (all of them for None) with the configured budget.
+
+    A live ``HttpBackend`` runs every heuristic at once and keeps at most
+    ``config.backend.max_concurrent`` requests in flight; back-off and
+    response parsing hold no slot. Any other backend runs them one after
+    another.
+    """
     # Only a live backend waits on the network; a mock answers at once, so
     # threads would add cost and nothing else.
     live = isinstance(backend, HttpBackend)

@@ -557,6 +557,7 @@ def test_stdout_that_cannot_encode_the_output_is_escaped(tmp_path):
     ({"temperature": float("inf")}, "'temperature' must be non-negative and finite"),
     ({"max_tokens": 9000}, "'max_tokens' (9000) exceeds 'max_tokens_cap' (8192)"),
     ({"max_tokens": 64, "max_tokens_cap": 32}, "'max_tokens' (64) exceeds 'max_tokens_cap' (32)"),
+    ({"retries": 11}, "'retries' must be at most 10, found 11"),
 ])
 def test_backend_setting_out_of_range_is_config_error(tmp_path, capsys, backend, message):
     config = tmp_path / "config.json"
@@ -566,6 +567,22 @@ def test_backend_setting_out_of_range_is_config_error(tmp_path, capsys, backend,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_unbounded_retries_is_config_error(tmp_path, capsys):
+    # A back-off doubling 1100 times would overflow a float; the config
+    # never gets that far.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": {"endpoint": "http://127.0.0.1:9/chat",
+                                              "retries": 1100}}), encoding="utf-8")
+    image = tmp_path / "scene.png"
+    image.write_bytes(b"\x89PNG fake")
+    code = main(["describe", "--image", str(image), "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: backend setting 'retries' must be at most 10, found 1100\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -83,6 +83,7 @@ class TestLoadConfig:
         ({"resources": {"mock_dir": 5}}, "'mock_dir' must be a path"),
         ({"resources": {"mock_dir": "a\u0000b"}}, "'mock_dir' must be a path"),
         ({"force_merge": "false"}, "force_merge"),
+        ({"backend": {"retries": 11}}, "'retries' must be at most 10"),
     ])
     def test_malformed_config_rejected(self, tmp_path, raw, message):
         config_path = tmp_path / "config.json"

@@ -1,9 +1,16 @@
+import logging
+import random
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xkg.backends import (
     AuthError,
+    MAX_BACKOFF_S,
     BackendConfig,
     BudgetExceededError,
     HttpBackend,
@@ -460,6 +467,50 @@ class TestHttpBackend:
         assert backend.complete(self.request()) == "ok"
         assert delays == [0.5, 1.0]
 
+    def test_backoff_doubles_up_to_a_ceiling(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        delays = []
+        backend = HttpBackend(self.config(retries=9), post=lambda *a, **k: FakeResponse(503),
+                              sleep=delays.append)
+        with pytest.raises(TransportError):
+            backend.complete(self.request())
+        assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] + [MAX_BACKOFF_S] * 3
+
+    def test_a_thousand_retries_end_in_transport_error(self, monkeypatch):
+        # 0.5 * 2 ** 1024 does not fit a float; the capped back-off never
+        # computes it.
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        delays = []
+        backend = HttpBackend(self.config(retries=1100), post=lambda *a, **k: FakeResponse(503),
+                              sleep=delays.append)
+        with pytest.raises(TransportError, match="HTTP 503"):
+            backend.complete(self.request())
+        assert len(delays) == 1100 and max(delays) == MAX_BACKOFF_S
+
+    @pytest.mark.parametrize("failure, cause", [
+        (FakeResponse(503), "HTTP 503"),
+        (ConnectionError("refused"), "ConnectionError: refused"),
+    ])
+    def test_retry_logged_with_its_cause(self, monkeypatch, caplog, failure, cause):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        outcomes = [failure, FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})]
+
+        def post(*args):
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        backend = HttpBackend(self.config(), post=post, sleep=lambda s: None)
+        with caplog.at_level(logging.DEBUG, logger="xkg.backends"):
+            assert backend.complete(self.request()) == "ok"
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, f"attempt 1 of 3 failed ({cause}); retrying in 0.5s")]
+
+    def test_zero_slots_rejected(self):
+        with pytest.raises(ValueError, match="max_concurrent"):
+            HttpBackend(self.config(max_concurrent=0))
+
     def test_retries_exhausted(self, monkeypatch):
         monkeypatch.setenv("XKG_TEST_KEY", "k")
         backend = HttpBackend(self.config(retries=1), post=lambda *a, **k: FakeResponse(503),
@@ -507,3 +558,133 @@ class TestHttpBackend:
         backend = HttpBackend(self.config(), post=lambda *a, **k: FakeResponse(200))
         with pytest.raises(UnsupportedImageFormatError):
             backend.describe(bad)
+
+
+class Endpoint:
+    """An injected ``post`` for ``HttpBackend``: answers each heuristic with
+    its bundled mock response and records the most calls in flight at once.
+
+    ``statuses`` maps a heuristic to the statuses its first attempts get
+    before a 200. A call waits (at most 5 s) until ``gate`` calls have been
+    in flight at once, so a cap of ``gate`` is reached, then stays in flight
+    2 ms, so calls past a cap would overlap.
+
+    The first ``fail_first`` calls get 503 whoever makes them. A call from a
+    heuristic that got none of those waits until that many back-offs
+    (``sleep``) have begun, and each back-off lasts until such a call is
+    made after it began; ``backoffs`` records whether it was.
+    """
+
+    def __init__(self, statuses=None, gate=1, fail_first=0):
+        self.responses = MockBackend(MOCKS).responses
+        self.statuses = {name: list(codes) for name, codes in (statuses or {}).items()}
+        self.gate = gate
+        self.fail_first = fail_first
+        self.failed = set()
+        self.backoffs = []
+        self.cond = threading.Condition()
+        self.in_flight = self.peak = self.calls = self.fresh_calls = 0
+
+    def __call__(self, url, payload, headers, timeout):
+        system = payload["messages"][0]["content"]
+        name = next(spec.name for spec in HEURISTICS if f"<{spec.namespace}>" in system)
+        with self.cond:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.cond.notify_all()
+            self.cond.wait_for(lambda: self.peak >= self.gate, timeout=5)
+            codes = self.statuses.get(name)
+            if self.calls <= self.fail_first:
+                status = 503
+                self.failed.add(name)
+            else:
+                status = codes.pop(0) if codes else 200
+                if name not in self.failed:
+                    self.cond.wait_for(lambda: len(self.backoffs) >= self.fail_first, timeout=5)
+                    self.fresh_calls += 1
+                    self.cond.notify_all()
+        time.sleep(0.002)
+        with self.cond:
+            self.in_flight -= 1
+        return FakeResponse(status, {"choices": [{"message": {"content": self.responses[name]}}]})
+
+    def sleep(self, delay):
+        with self.cond:
+            index, seen = len(self.backoffs), self.fresh_calls
+            self.backoffs.append(False)
+            self.cond.notify_all()
+            self.backoffs[index] = self.cond.wait_for(lambda: self.fresh_calls > seen, timeout=5)
+
+
+class TestRequestsInFlight:
+    """``max_concurrent`` bounds the HTTP attempts one backend has in flight,
+    not the heuristics ``run_all`` has in progress."""
+
+    @pytest.fixture(autouse=True)
+    def credential(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+
+    def backend(self, endpoint, max_concurrent, sleep=lambda s: None):
+        config = BackendConfig(endpoint="https://api.example/v1/chat", model="test-model",
+                               credential_env="XKG_TEST_KEY", retries=2,
+                               max_concurrent=max_concurrent)
+        return HttpBackend(config, post=endpoint, sleep=sleep)
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_in_flight_reaches_the_cap_and_never_passes_it(self, cap):
+        endpoint = Endpoint(gate=cap)
+        results, _ = run_all(SCENE_BASE, self.backend(endpoint, cap), PROMPTS, max_concurrent=cap)
+        assert endpoint.peak == cap
+        assert endpoint.calls == len(HEURISTICS) == len(results)
+
+    def test_backoff_holds_no_slot(self):
+        # One request in flight at most; the first two requests get 503, and
+        # each back-off lasts until a heuristic that got no 503 sends one. A
+        # back-off that held the slot, or a worker of a two-thread pool,
+        # would leave no one to send it.
+        endpoint = Endpoint(fail_first=2)
+        backend = self.backend(endpoint, 1, sleep=endpoint.sleep)
+        results, _ = run_all(SCENE_BASE, backend, PROMPTS, max_concurrent=2)
+        assert endpoint.backoffs == [True, True]
+        assert endpoint.peak == 1 and endpoint.calls == len(HEURISTICS) + 2
+        assert all(r.raw_response for r in results)
+
+    def test_two_runs_sharing_a_backend_stay_within_its_cap(self):
+        endpoint = Endpoint(gate=3)
+        backend = self.backend(endpoint, 3)
+        outcomes = []
+        runs = [threading.Thread(target=lambda: outcomes.append(
+                    run_all(SCENE_BASE, backend, PROMPTS, max_concurrent=3)))
+                for _ in range(2)]
+        # 22 heuristic threads switching every 10 us, so a slot taken or
+        # given back without the semaphore's lock would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs) and len(outcomes) == 2
+        assert endpoint.peak == 3 and endpoint.calls == 2 * len(HEURISTICS)
+        assert serialize_turtle(outcomes[0][1]) == serialize_turtle(outcomes[1][1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_outcome_at_any_concurrency_under_retries(self, seed):
+        # Up to three 503/429 answers per heuristic; three exhaust retries=2,
+        # which quarantines the heuristic for RESPONSE_INVALID.
+        rng = random.Random(seed)
+        statuses = {spec.name: [rng.choice([503, 429]) for _ in range(rng.randrange(4))]
+                    for spec in HEURISTICS}
+        outcomes = []
+        for cap in (1, 4):
+            endpoint = Endpoint(statuses)
+            results, merged = run_all(SCENE_BASE, self.backend(endpoint, cap), PROMPTS,
+                                      max_concurrent=cap)
+            assert endpoint.calls == sum(min(len(codes) + 1, 3) for codes in statuses.values())
+            outcomes.append(([(r.heuristic, r.added, r.quarantined, r.diagnostics,
+                               r.raw_response) for r in results], serialize_turtle(merged)))
+        assert outcomes[0] == outcomes[1]
