@@ -2,9 +2,11 @@
 
 The enrichment stage is model-agnostic; a backend is anything with a
 ``complete(request) -> str`` method (and ``describe(image_path) -> str`` for
-the multimodal description step). The HTTP backend posts an OpenAI-style
-chat payload, retries transport failures with capped exponential back-off,
-and keeps at most ``max_concurrent`` requests in flight however many threads
+the multimodal description step). A request carries only the prompt texts
+and a tag; the backend's own config sets the model, token budget and
+temperature of every call. The HTTP backend posts an OpenAI-style chat
+payload, retries transport failures with capped exponential back-off, and
+keeps at most ``max_concurrent`` requests in flight however many threads
 call it; mocks replay canned responses keyed by the request tag so the whole
 pipeline runs offline and byte-stable.
 """
@@ -37,10 +39,6 @@ class AuthError(BackendError):
     """Credential rejected; never retried."""
 
 
-class BudgetExceededError(BackendError):
-    """The request asked for more tokens than the configured cap."""
-
-
 class UnsupportedImageFormatError(BackendError):
     pass
 
@@ -61,7 +59,8 @@ class BackendConfig(NamedTuple):
     ``FIRST_BACKOFF_S`` doubled per retry up to ``MAX_BACKOFF_S``.
     ``max_concurrent`` bounds the requests one ``HttpBackend`` has in flight
     at once, whoever calls it; a back-off or the decoding of a response
-    holds no slot.
+    holds no slot. ``model``, ``temperature`` and ``max_tokens`` go into
+    every request ``HttpBackend`` posts.
     """
 
     endpoint: str = ""
@@ -72,7 +71,6 @@ class BackendConfig(NamedTuple):
     max_concurrent: int = 4
     temperature: float = 0.0
     max_tokens: int = 2048
-    max_tokens_cap: int = 8192
 
 
 class Backend(Protocol):
@@ -185,7 +183,15 @@ class HttpBackend:
             raise AuthError(f"environment variable {self.config.credential_env} is not set")
         return value
 
-    def _send(self, payload: dict) -> str:
+    def _send(self, messages: list) -> str:
+        """Post ``messages`` under the configured model, budget and
+        temperature, with retries; the completion text."""
+        payload = {
+            "model": self.config.model,
+            "max_tokens": self.config.max_tokens,
+            "temperature": self.config.temperature,
+            "messages": messages,
+        }
         headers = {
             "Authorization": f"Bearer {self._credential()}",
             "Content-Type": "application/json",
@@ -229,20 +235,10 @@ class HttpBackend:
         raise last_error or TransportError("request failed")
 
     def complete(self, request) -> str:
-        if request.max_tokens > self.config.max_tokens_cap:
-            raise BudgetExceededError(
-                f"max_tokens {request.max_tokens} exceeds the configured cap "
-                f"{self.config.max_tokens_cap}")
-        payload = {
-            "model": self.config.model,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-            "messages": [
-                {"role": "system", "content": request.system_text},
-                {"role": "user", "content": request.user_text},
-            ],
-        }
-        return self._send(payload)
+        return self._send([
+            {"role": "system", "content": request.system_text},
+            {"role": "user", "content": request.user_text},
+        ])
 
     def describe(self, image_path: Path) -> str:
         suffix = image_path.suffix.lower()
@@ -253,20 +249,14 @@ class HttpBackend:
         except OSError as exc:
             raise BackendError(f"cannot read image {image_path}: {exc}")
         mime = "image/jpeg" if suffix in (".jpg", ".jpeg") else f"image/{suffix[1:]}"
-        payload = {
-            "model": self.config.model,
-            "max_tokens": self.config.max_tokens,
-            "temperature": self.config.temperature,
-            "messages": [
-                {
-                    "role": "user",
-                    "content": [
-                        {"type": "text",
-                         "text": "Describe this picture in natural language, in one dense paragraph."},
-                        {"type": "image_url",
-                         "image_url": {"url": f"data:{mime};base64,{encoded}"}},
-                    ],
-                },
-            ],
-        }
-        return self._send(payload)
+        return self._send([
+            {
+                "role": "user",
+                "content": [
+                    {"type": "text",
+                     "text": "Describe this picture in natural language, in one dense paragraph."},
+                    {"type": "image_url",
+                     "image_url": {"url": f"data:{mime};base64,{encoded}"}},
+                ],
+            },
+        ])

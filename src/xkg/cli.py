@@ -44,6 +44,7 @@ from .enrichment import HEURISTICS, HEURISTIC_BY_NAME, EnrichmentError
 from .pipeline import ValidationReport, build_base, describe, enrich, run_pipeline, validate
 from .rdf import (BlankNode, RdfError, RdfGraph, parse_turtle, serialize_extensions,
                   serialize_turtle)
+from .translate import TranslateError
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -54,8 +55,11 @@ class CliError(Exception):
     """Fatal configuration or input problem (exit code 2)."""
 
 
-def _load_pipeline_config(path: Optional[str]) -> PipelineConfig:
-    return load_config(path) if path else default_config()
+def _load_pipeline_config(path: Optional[str], force_merge: bool = False) -> PipelineConfig:
+    """The config at ``path`` (the bundled one for None); ``--force-merge``
+    sets its ``force_merge``."""
+    config = load_config(path) if path else default_config()
+    return config._replace(force_merge=True) if force_merge else config
 
 
 def _make_backend(config: PipelineConfig, mock: bool):
@@ -206,12 +210,10 @@ def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) 
 
 
 def cmd_enrich(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
+    config = _load_pipeline_config(args.config, args.force_merge)
     base = _read_graph(args.base)
     backend = _make_backend(config, args.mock)
-    force_merge = args.force_merge or config.force_merge
-    results, merged = enrich(base, backend, config, _select_heuristics(args.heuristic),
-                             force_merge)
+    results, merged = enrich(base, backend, config, _select_heuristics(args.heuristic))
     return _write_enrichment(Path(args.out), base, results, merged)
 
 
@@ -266,13 +268,12 @@ def cmd_agree(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args.config)
+    config = _load_pipeline_config(args.config, args.force_merge)
     source = _read_input(args.text) if args.text else Path(args.image)
     penman = _read_input(args.amr)
     backend = _make_backend(config, args.mock)
-    force_merge = args.force_merge or config.force_merge
     try:
-        result = run_pipeline(source, penman, config, backend, force_merge)
+        result = run_pipeline(source, penman, config, backend)
     except BackendError as exc:
         raise CliError(f"description backend failed: {exc}")
     except AmrError as exc:
@@ -344,8 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amr", required=True, help="pre-parsed PENMAN file for the text")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--mock", action="store_true")
-    p.add_argument("--force-merge", action="store_true")
+    p.add_argument("--mock", action="store_true",
+                   help="use the canned description and replay canned responses")
+    p.add_argument("--force-merge", action="store_true",
+                   help="merge additions even from heuristics with ERROR diagnostics")
     p.set_defaults(func=cmd_run)
 
     return parser
@@ -359,7 +362,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (CliError, ConfigError, RdfError, AmrError, EnrichmentError, BackendError) as exc:
+    except (CliError, ConfigError, RdfError, AmrError, TranslateError, EnrichmentError,
+            BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

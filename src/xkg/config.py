@@ -92,10 +92,9 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     The file is untrusted input: anything but an object of the known
     sections and keys, with values of the types of the defaults, raises
     ConfigError. So does a backend setting out of range: ``timeout``,
-    ``max_concurrent``, ``max_tokens`` and ``max_tokens_cap`` must be positive,
-    ``retries`` and ``temperature`` non-negative, all of them finite,
-    ``retries`` at most ``backends.MAX_RETRIES`` and ``max_tokens`` at most
-    ``max_tokens_cap``.
+    ``max_concurrent`` and ``max_tokens`` must be positive, ``retries`` and
+    ``temperature`` non-negative, all of them finite, and ``retries`` at most
+    ``backends.MAX_RETRIES``.
     """
     path = Path(path)
     try:
@@ -117,7 +116,7 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
             raise ConfigError(
                 f"backend setting {name!r} must be of type {kind.__name__}, found {value!r}")
     backend = BackendConfig(**backend_raw)
-    for name in ("timeout", "max_concurrent", "max_tokens", "max_tokens_cap"):
+    for name in ("timeout", "max_concurrent", "max_tokens"):
         value = getattr(backend, name)
         if not 0 < value < math.inf:
             raise ConfigError(
@@ -130,9 +129,6 @@ def load_config(path: Union[str, Path]) -> PipelineConfig:
     if backend.retries > MAX_RETRIES:
         raise ConfigError(f"backend setting 'retries' must be at most {MAX_RETRIES}, "
                           f"found {backend.retries!r}")
-    if backend.max_tokens > backend.max_tokens_cap:
-        raise ConfigError(f"backend setting 'max_tokens' ({backend.max_tokens}) exceeds "
-                          f"'max_tokens_cap' ({backend.max_tokens_cap})")
 
     base_dir = path.parent
     defaults = default_resource_paths()

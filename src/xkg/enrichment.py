@@ -3,7 +3,8 @@
 Each heuristic turns the base graph into a prompt (the shared system
 template, its own template and the graph's Turtle text; ``run_all`` reads
 the system template and serializes the graph once), sends it to a
-completion backend, extracts the Turtle from the response, and validates
+completion backend, which sets the model, token budget and temperature of
+the call, extracts the Turtle from the response, and validates
 the additions: anchoring to base nodes and the pitfall lints. The
 per-heuristic result is an extended graph (base plus additions) with
 diagnostics; ``run_all`` merges everything into one graph, quarantining any
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -41,7 +41,7 @@ from .rdf import (
     parse_turtle,
     serialize_turtle,
 )
-from .records import Record, checked_make
+from .records import Record
 from .validation import Diagnostic, check_anchoring, has_errors, lint
 
 logger = logging.getLogger(__name__)
@@ -110,20 +110,13 @@ HEURISTICS: tuple[HeuristicSpec, ...] = (
 HEURISTIC_BY_NAME = {spec.name: spec for spec in HEURISTICS}
 
 
-class PromptRequest(namedtuple("PromptRequest",
-                               "system_text user_text max_tokens temperature tag")):
-    """One completion request; ``tag``, the heuristic name, keys mock backends."""
+class PromptRequest(NamedTuple):
+    """One completion request; ``tag``, the heuristic name, keys mock backends.
+    The backend's config sets the model, token budget and temperature."""
 
-    __slots__ = ()
-    _make = checked_make
-
-    def __new__(cls, system_text: str, user_text: str, max_tokens: int, temperature: float,
-                tag: Optional[str] = None) -> "PromptRequest":
-        if max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        if temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        return tuple.__new__(cls, (system_text, user_text, max_tokens, temperature, tag))
+    system_text: str
+    user_text: str
+    tag: Optional[str] = None
 
 
 class EnrichmentResult(Record):
@@ -165,9 +158,7 @@ def read_system_template(prompts_dir: Union[str, Path]) -> str:
 
 
 def assemble_prompt(base_turtle: str, system_template: str, spec: HeuristicSpec,
-                    prompts_dir: Union[str, Path],
-                    max_tokens: int = 2048,
-                    temperature: float = 0.0) -> PromptRequest:
+                    prompts_dir: Union[str, Path]) -> PromptRequest:
     """Substitute the base graph's Turtle text into the heuristic's template.
 
     ``base_turtle`` is ``serialize_turtle(base)`` and ``system_template`` is
@@ -182,7 +173,7 @@ def assemble_prompt(base_turtle: str, system_template: str, spec: HeuristicSpec,
     system_text = system_template.replace("{{namespace}}", spec.namespace)
     system_text = system_text.replace("{{prefix}}", spec.prefix)
     user_text = template.replace(GRAPH_PLACEHOLDER, base_turtle)
-    return PromptRequest(system_text, user_text, max_tokens, temperature, tag=spec.name)
+    return PromptRequest(system_text, user_text, spec.name)
 
 
 _FENCE = re.compile(r"```(?:turtle|ttl)?\s*\n(.*?)```", re.DOTALL)
@@ -228,9 +219,8 @@ def extract_turtle(response: str, base_prefixes: PrefixTable) -> RdfGraph:
 
 
 def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
-                  spec: HeuristicSpec, backend: Backend, prompts_dir: Union[str, Path],
-                  max_tokens: int = 2048,
-                  temperature: float = 0.0) -> EnrichmentResult:
+                  spec: HeuristicSpec, backend: Backend,
+                  prompts_dir: Union[str, Path]) -> EnrichmentResult:
     """Prompt, complete, extract, and validate one heuristic.
 
     ``base_turtle`` is ``serialize_turtle(base)``, the text the prompt
@@ -241,8 +231,7 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
     if not base.triples:
         raise EnrichmentError("base graph is empty")
     prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
-    request = assemble_prompt(base_turtle, system_template, spec, prompts_dir,
-                              max_tokens, temperature)
+    request = assemble_prompt(base_turtle, system_template, spec, prompts_dir)
     response, unexpected = "", None
     try:
         response = backend.complete(request)
@@ -271,8 +260,6 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
 def run_all(base: RdfGraph, backend: Backend,
             prompts_dir: Union[str, Path],
             heuristics: Optional[Sequence[HeuristicSpec]] = None,
-            max_tokens: int = 2048,
-            temperature: float = 0.0,
             max_concurrent: int = 1,
             force_merge: bool = False) -> tuple[list[EnrichmentResult], RdfGraph]:
     """Run every heuristic and merge the additions onto the base.
@@ -292,8 +279,7 @@ def run_all(base: RdfGraph, backend: Backend,
     system_template = read_system_template(prompts_dir)
 
     def run_one(spec: HeuristicSpec) -> EnrichmentResult:
-        return run_heuristic(base, base_turtle, system_template, spec, backend, prompts_dir,
-                             max_tokens, temperature)
+        return run_heuristic(base, base_turtle, system_template, spec, backend, prompts_dir)
 
     if max_concurrent > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=len(specs)) as pool:

@@ -4,7 +4,9 @@
 base graph, the eleven heuristic results, the merged graph and its
 validation report. It is built from the stage functions below, which the
 ``xkg`` subcommands also call one at a time, so the chain and the separate
-stages produce the same graphs.
+stages produce the same graphs. Each setting has one owner, the
+``PipelineConfig``: its backend config sets the model, token budget and
+temperature of every request, and its ``force_merge`` the merge policy.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def build_base(penman: str, resources: ResourcePaths) -> RdfGraph:
 
 
 def enrich(base: RdfGraph, backend: Backend, config: PipelineConfig,
-           heuristics: Optional[Sequence[HeuristicSpec]],
-           force_merge: bool) -> tuple[list[EnrichmentResult], RdfGraph]:
-    """Run the heuristics (all of them for None) with the configured budget.
+           heuristics: Optional[Sequence[HeuristicSpec]]
+           ) -> tuple[list[EnrichmentResult], RdfGraph]:
+    """Run the heuristics (all of them for None) and merge them under
+    ``config.force_merge``.
 
     A live ``HttpBackend`` runs every heuristic at once and keeps at most
     ``config.backend.max_concurrent`` requests in flight; back-off and
@@ -114,10 +117,8 @@ def enrich(base: RdfGraph, backend: Backend, config: PipelineConfig,
     return run_all(
         base, backend, config.require_resources().prompts_dir,
         heuristics=heuristics,
-        max_tokens=config.backend.max_tokens,
-        temperature=config.backend.temperature,
         max_concurrent=config.backend.max_concurrent if live else 1,
-        force_merge=force_merge,
+        force_merge=config.force_merge,
     )
 
 
@@ -134,17 +135,17 @@ def validate(graph: RdfGraph, base: Optional[RdfGraph],
 
 
 def run_pipeline(source: Union[str, Path], penman: str, config: PipelineConfig,
-                 backend: Backend, force_merge: bool) -> PipelineResult:
+                 backend: Backend) -> PipelineResult:
     """Describe, build the base graph, enrich it with every heuristic and
     validate the merged graph against the base.
 
     ``source`` is the description text, or the Path of an image for the
-    backend to describe. ``force_merge`` is the merge policy of this run;
-    the ``xkg`` command passes its flag or ``config.force_merge``.
+    backend to describe. ``config.force_merge`` is the merge policy; the
+    ``xkg`` command sets it for ``--force-merge``.
     """
     resources = config.require_resources()
     description = describe(source, backend)
     base = build_base(penman, resources)
-    results, merged = enrich(base, backend, config, None, force_merge)
+    results, merged = enrich(base, backend, config, None)
     return PipelineResult(description, base, results, merged,
                           validate(merged, base, resources))

@@ -221,7 +221,9 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
     """Translate an AMR graph into its RDF base form.
 
     Deterministic: identical inputs serialize identically. Unknown frames are
-    logged and fall back to positional ``pblr:F.argN`` predicates.
+    logged and fall back to positional ``pblr:F.argN`` predicates. Raises
+    InvalidAmrError for an empty graph, an edge to a variable no node
+    declares, or a concept with a character that no IRI may hold.
     """
     if not amr.nodes:
         raise InvalidAmrError("empty AMR graph")
@@ -249,12 +251,15 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
         counters[node.concept] = counters.get(node.concept, 0) + 1
         k = counters[node.concept]
         match = FRAME_CONCEPT.match(node.concept)
-        if match:
-            individual = Iri(FRED_NS + f"{_local_token(match.group('lemma'))}_{k}")
-            klass = Iri(PBRS_NS + node.concept)
-        else:
-            individual = Iri(FRED_NS + f"{_local_token(node.concept)}_{k}")
-            klass = Iri(FRED_NS + _class_name(node.concept))
+        try:
+            if match:
+                individual = Iri(FRED_NS + f"{_local_token(match.group('lemma'))}_{k}")
+                klass = Iri(PBRS_NS + node.concept)
+            else:
+                individual = Iri(FRED_NS + f"{_local_token(node.concept)}_{k}")
+                klass = Iri(FRED_NS + _class_name(node.concept))
+        except ValueError:  # a character no IRI may hold, such as '<' or '"'
+            raise InvalidAmrError(f"concept {node.concept!r} cannot be part of an IRI")
         individuals[node.variable] = individual
         triples.add(Triple(individual, RDF_TYPE, klass))
 

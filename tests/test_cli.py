@@ -4,18 +4,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import xkg.cli
 from xkg import run_pipeline
-from xkg.backends import MappingBackend, MockBackend
+from xkg.backends import BackendConfig, MappingBackend, MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from corpus import build_corpus
-from xkg.config import bundled_resources_root, default_config
+from xkg.config import (ResourcePaths, bundled_resources_root, default_config,
+                        default_resource_paths)
 from xkg.enrichment import HEURISTICS
 from xkg.pipeline import enrich, validate
 from xkg.rdf import (FRED_NS, XSD_INTEGER, BlankNode, Iri, Literal, RdfGraph, parse_turtle,
@@ -130,6 +132,18 @@ class TestBase:
         amr.write_text("(x / athlete) (y / athlete)\n", encoding="utf-8")
         assert main(["base", "--amr", str(amr), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "expected one PENMAN graph, found 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["base", "run"])
+    @pytest.mark.parametrize("concept", [f"cat{c}x" for c in '<>"{}|\\^`'] + ['"big"'])
+    def test_concept_no_iri_can_hold_is_input_error(self, tmp_path, capsys, command, concept):
+        amr = tmp_path / "scene.amr"
+        amr.write_text(f"(a / {concept} :mod (b / big))", encoding="utf-8")
+        extra = ["--mock", "--text", SCENE_TXT] if command == "run" else []
+        code = main([command, *extra, "--amr", str(amr), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: concept {concept!r} cannot be part of an IRI"]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture()
@@ -329,7 +343,7 @@ class TestReportTemplates:
     def test_diagnostics_file(self, tmp_path, responses):
         base = parse_turtle(read(Path(__file__).parent / "golden" / "base-graph.ttl"))
         specs = [spec for spec in HEURISTICS if spec.name in responses]
-        results, merged = enrich(base, MappingBackend(responses), default_config(), specs, False)
+        results, merged = enrich(base, MappingBackend(responses), default_config(), specs)
         assert [r.quarantined for r in results] == [True] * len(responses)
         code = xkg.cli._write_enrichment(tmp_path, base, results, merged)
         assert code == (EXIT_DIAGNOSTICS if responses else EXIT_OK)
@@ -546,7 +560,7 @@ def test_stdout_that_cannot_encode_the_output_is_escaped(tmp_path):
 
 @pytest.mark.parametrize("backend, message", [
     ({"max_tokens": 0}, "'max_tokens' must be positive"),
-    ({"max_tokens_cap": 0}, "'max_tokens_cap' must be positive"),
+    ({"max_tokens_cap": 8192}, "unknown backend settings: ['max_tokens_cap']"),
     ({"timeout": 0}, "'timeout' must be positive"),
     ({"timeout": -1.5}, "'timeout' must be positive"),
     ({"timeout": float("inf")}, "'timeout' must be positive and finite"),
@@ -555,8 +569,8 @@ def test_stdout_that_cannot_encode_the_output_is_escaped(tmp_path):
     ({"temperature": -0.5}, "'temperature' must be non-negative"),
     ({"temperature": float("nan")}, "'temperature' must be non-negative and finite"),
     ({"temperature": float("inf")}, "'temperature' must be non-negative and finite"),
-    ({"max_tokens": 9000}, "'max_tokens' (9000) exceeds 'max_tokens_cap' (8192)"),
-    ({"max_tokens": 64, "max_tokens_cap": 32}, "'max_tokens' (64) exceeds 'max_tokens_cap' (32)"),
+    ({"max_concurrent": -2}, "'max_concurrent' must be positive and finite, found -2"),
+    ({"timeout": float("nan")}, "'timeout' must be positive and finite, found nan"),
     ({"retries": 11}, "'retries' must be at most 10, found 11"),
 ])
 def test_backend_setting_out_of_range_is_config_error(tmp_path, capsys, backend, message):
@@ -584,6 +598,94 @@ def test_unbounded_retries_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: backend setting 'retries' must be at most 10, found 1100\n")
     assert not (tmp_path / "out").exists()
+
+
+# PENMAN concepts, among them words with each character that no IRI may hold.
+_CONCEPTS = st.one_of(st.sampled_from(["athlete", "win-01", "name", "gold-medal"]),
+                      st.text('ab-01\u00e9<>"{}|\\^`', min_size=1, max_size=5))
+_ROLES = st.sampled_from([":ARG0", ":ARG1", ":mod", ":name", ":op1", ":ARG0-of", ":polarity"])
+_TARGETS = st.sampled_from(['"Saint Lucia"', "5", "-", "v0", "v9"])
+_NOISE = st.sampled_from(["(", ")", "/", ":ARG0", "\n#", "~e.1", '"', "x"])
+
+
+@st.composite
+def _penman_documents(draw) -> str:
+    """One AMR graph in PENMAN; two in five have one or two words inserted
+    anywhere."""
+    words = ["(v0", "/", draw(_CONCEPTS)]
+    for i in range(1, draw(st.integers(0, 3)) + 1):
+        child = f"(v{i} / {draw(_CONCEPTS)})" if draw(st.booleans()) else draw(_TARGETS)
+        words += [draw(_ROLES), child]
+    words.append(")")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        words.insert(draw(st.integers(0, len(words))), draw(_NOISE))
+    return " ".join(words)
+
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-1, 12), st.floats(),
+                         st.sampled_from(["", "x", "http://127.0.0.1:9/chat"]))
+# The bundled resource paths, any of them under any resource key.
+_RESOURCE_VALUES = st.one_of(_JSON_VALUES,
+                             st.sampled_from([str(path) for path in default_resource_paths()]))
+_SECTIONS = {
+    "backend": st.dictionaries(
+        st.sampled_from([*BackendConfig._fields, "max_tokens_cap", "api_key"]), _JSON_VALUES,
+        max_size=2),
+    "resources": st.dictionaries(
+        st.sampled_from([*ResourcePaths._fields, "mockdir"]), _RESOURCE_VALUES, max_size=2),
+    "force_merge": st.booleans(),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A config file's JSON value: mostly an object of the known sections,
+    now and then with any value in a section's place or an unknown key such
+    as the removed ``max_tokens_cap``, and one time in ten no object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=2)))
+    raw = {}
+    for key, section in _SECTIONS.items():
+        roll = draw(st.integers(0, 9))
+        if roll < 5:
+            raw[key] = draw(section)
+        elif roll == 9:
+            raw[key] = draw(_JSON_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        raw[draw(st.sampled_from(["max_tokens_cap", "force-merge"]))] = draw(_JSON_VALUES)
+    return raw
+
+
+class TestExitCodeContract:
+    """Any input: exit 0, 1 or 2, never an exception, and exit 2 (alone) with
+    exactly one ``error:`` line."""
+
+    @staticmethod
+    def check(capsys, argv) -> None:
+        capsys.readouterr()  # what an earlier example wrote
+        with tempfile.TemporaryDirectory() as out:
+            code = main([*argv, "--out", out])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code in (EXIT_OK, EXIT_DIAGNOSTICS, EXIT_CONFIG)
+        assert len(errors) == (code == EXIT_CONFIG), errors
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_penman_documents())
+    def test_penman_for_base(self, tmp_path, capsys, penman):
+        amr = tmp_path / "scene.amr"
+        amr.write_text(penman, encoding="utf-8")
+        self.check(capsys, ["base", "--amr", str(amr)])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_configs())
+    def test_config_for_run_mock(self, tmp_path, capsys, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")  # NaN, Infinity
+        self.check(capsys, ["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR,
+                            "--config", str(config)])
 
 
 def _xkg_fresh(argv, **environ):
@@ -724,7 +826,7 @@ class TestRun:
 
         config = default_config()
         result = run_pipeline(read(Path(SCENE_TXT)), read(Path(SCENE_AMR)), config,
-                              MockBackend(config.require_resources().mock_dir), False)
+                              MockBackend(config.require_resources().mock_dir))
         assert result.description == read(run_dir / "description.txt")
         assert serialize_turtle(result.base) == read(run_dir / "base-graph.ttl")
         assert serialize_turtle(result.merged) == read(run_dir / "xkg-merged.ttl")

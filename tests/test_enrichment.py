@@ -12,7 +12,6 @@ from xkg.backends import (
     AuthError,
     MAX_BACKOFF_S,
     BackendConfig,
-    BudgetExceededError,
     HttpBackend,
     MappingBackend,
     MockBackend,
@@ -135,12 +134,6 @@ class TestAssemblePrompt:
         (tmp_path / FACTUAL.prompt_template).write_text("no slot here", encoding="utf-8")
         with pytest.raises(MissingPlaceholderError):
             assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)
-
-    def test_request_validation(self):
-        with pytest.raises(ValueError):
-            PromptRequest("s", "u", max_tokens=0, temperature=0.0)
-        with pytest.raises(ValueError):
-            PromptRequest("s", "u", max_tokens=10, temperature=-1.0)
 
 
 class TestExtractTurtle:
@@ -435,8 +428,8 @@ class TestHttpBackend:
         settings.update(overrides)
         return BackendConfig(**settings)
 
-    def request(self, max_tokens=64):
-        return PromptRequest("sys", "user", max_tokens=max_tokens, temperature=0.0, tag="T")
+    def request(self):
+        return PromptRequest("sys", "user", "T")
 
     def test_missing_credential_is_auth_error(self, monkeypatch):
         monkeypatch.delenv("XKG_TEST_KEY", raising=False)
@@ -518,19 +511,31 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             backend.complete(self.request())
 
-    def test_budget_cap(self, monkeypatch):
-        monkeypatch.setenv("XKG_TEST_KEY", "k")
-        backend = HttpBackend(self.config(max_tokens_cap=32),
-                              post=lambda *a, **k: FakeResponse(200))
-        with pytest.raises(BudgetExceededError):
-            backend.complete(self.request(max_tokens=64))
-
     def test_anthropic_style_content_shape(self, monkeypatch):
         monkeypatch.setenv("XKG_TEST_KEY", "k")
         backend = HttpBackend(
             self.config(),
             post=lambda *a, **k: FakeResponse(200, {"content": [{"type": "text", "text": "hi"}]}))
         assert backend.complete(self.request()) == "hi"
+
+    def test_payload_settings_come_from_the_config(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        image = tmp_path / "scene.png"
+        image.write_bytes(b"\x89PNG fake")
+        payloads = []
+
+        def post(url, payload, headers, timeout):
+            payloads.append(payload)
+            return FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+
+        backend = HttpBackend(self.config(max_tokens=77, temperature=0.25), post=post)
+        assert backend.complete(self.request()) == "ok"
+        assert backend.describe(image) == "ok"
+        for payload in payloads:
+            assert {key: payload[key] for key in payload if key != "messages"} == {
+                "model": "test-model", "max_tokens": 77, "temperature": 0.25}
+        assert payloads[0]["messages"] == [{"role": "system", "content": "sys"},
+                                           {"role": "user", "content": "user"}]
 
     def test_describe_sends_image_payload(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XKG_TEST_KEY", "k")

@@ -44,13 +44,12 @@ RECORDS = [
     (RdfGraph, [GRAPH.triples, GRAPH.prefixes],
      {"triples": frozenset(), "prefixes": standard_prefixes()}, True),
     (HeuristicSpec, ["H", "h", FRED_NS, "h.txt"], {}, True),
-    (PromptRequest, ["system", "user", 16, 0.5, "H"], {"tag": None}, True),
+    (PromptRequest, ["system", "user", "H"], {"tag": None}, True),
     (EnrichmentResult, ["H", frozenset(), GRAPH, [], "response", True],
      {"quarantined": False}, False),
-    (BackendConfig, ["http://x.example/", "m", "KEY", 1.5, 2, 3, 0.5, 10, 20],
+    (BackendConfig, ["http://x.example/", "m", "KEY", 1.5, 2, 3, 0.5, 10],
      {"endpoint": "", "model": "", "credential_env": "XKG_API_KEY", "timeout": 60.0,
-      "retries": 3, "max_concurrent": 4, "temperature": 0.0, "max_tokens": 2048,
-      "max_tokens_cap": 8192}, True),
+      "retries": 3, "max_concurrent": 4, "temperature": 0.0, "max_tokens": 2048}, True),
     (ResourcePaths, list(PATHS), {}, True),
     (PipelineConfig, [BackendConfig(model="m"), PATHS, True],
      {"backend": BackendConfig(), "resources": None, "force_merge": False}, True),
@@ -133,14 +132,8 @@ class TestRecords:
 
 @pytest.mark.parametrize("make, message", [
     (lambda: AmrEdge("a", "ARG0", "b"), "role must begin with ':': 'ARG0'"),
-    (lambda: PromptRequest("s", "u", 0, 0.0), "max_tokens must be positive"),
-    (lambda: PromptRequest("s", "u", 16, -0.5), "temperature must be non-negative"),
-    (lambda: PromptRequest(system_text="s", user_text="u", max_tokens=-1, temperature=-1.0),
-     "max_tokens must be positive"),
     # _replace builds through _make, which a checked tuple routes through __new__.
     (lambda: AmrEdge("a", ":r", "b")._replace(role="r"), "role must begin with ':': 'r'"),
-    (lambda: PromptRequest("s", "u", 5, 0.0)._replace(max_tokens=0),
-     "max_tokens must be positive"),
     (lambda: Diagnostic._make(["BAD", "NOPE", "m", None]), "unknown diagnostic code 'NOPE'"),
     (lambda: Diagnostic(INFO, MISSING_COMMENT, "m")._replace(severity="BAD"),
      "unknown severity 'BAD'"),
