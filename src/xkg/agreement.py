@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -68,7 +68,8 @@ class NoDataError(AgreementError):
 class RatingsMatrix(Record):
     """Items x annotators ordinal scores; each item belongs to one heuristic."""
 
-    __slots__ = _fields = ("item_heuristic", "annotators", "scores", "heuristic_items")
+    _fields = ("item_heuristic", "annotators", "scores", "heuristic_items")
+    __slots__ = (*_fields, "_seen")
 
     def __init__(self, item_heuristic: Optional[dict[str, str]] = None,
                  annotators: Optional[list[str]] = None,
@@ -78,6 +79,7 @@ class RatingsMatrix(Record):
         self.annotators = [] if annotators is None else annotators
         self.scores = {} if scores is None else scores
         self.heuristic_items = {} if heuristic_items is None else heuristic_items
+        self._seen = set(self.annotators)
 
     def add(self, item_id: str, heuristic: str, annotator: str, score: Optional[int]) -> None:
         known = self.item_heuristic.get(item_id)
@@ -87,7 +89,8 @@ class RatingsMatrix(Record):
         elif known != heuristic:
             raise AgreementError(
                 f"item {item_id!r} assigned to both {known!r} and {heuristic!r}")
-        if annotator not in self.annotators:
+        if annotator not in self._seen:
+            self._seen.add(annotator)
             self.annotators.append(annotator)
         if score is None:
             return
@@ -109,25 +112,37 @@ class RatingsMatrix(Record):
 def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
     """Load the ratings CSV; raises AgreementError for malformed input. The
     header names item_id, heuristic, annotator and score once each, and maybe
-    other columns, which are ignored; a UTF-8 BOM is skipped. Every row has
-    as many fields as the header."""
+    other columns, which are ignored; a UTF-8 BOM and blank lines are skipped.
+    Every row has as many fields as the header; a score is blank or an
+    integer in 1..5 as ``int()`` reads it."""
     matrix = RatingsMatrix()
+    add = matrix.add
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
+        # Lines and rows as csv.DictReader numbered them: its line_num is the
+        # last row's line or the first blank one after it.
+        line = blank = 0
         try:
-            header = reader.fieldnames
+            header = next(reader, None)
+            line = reader.line_num
             if header is None or not set(COLUMNS).issubset(header):
                 raise AgreementError(
                     f"ratings CSV must have header item_id,heuristic,annotator,score, found {header}")
             for name in COLUMNS:
                 if header.count(name) > 1:
                     raise AgreementError(f"ratings CSV header names column {name!r} more than once")
-            last = header[-1]
-            for row_number, row in enumerate(reader, start=2):
-                # DictReader gives a short row None values, a long row a None key.
-                if row[last] is None or None in row:
+            width = len(header)
+            item_at, heuristic_at, annotator_at, score_at = map(header.index, COLUMNS)
+            row_number = 1
+            for row in reader:
+                if not row:
+                    blank = blank or reader.line_num
+                    continue
+                line, blank = reader.line_num, 0
+                row_number += 1
+                if len(row) != width:
                     raise AgreementError(f"row {row_number}: not as many fields as the header")
-                raw = row["score"].strip()
+                raw = row[score_at].strip()
                 if raw == "":
                     score: Optional[int] = None
                 else:
@@ -137,10 +152,10 @@ def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
                         raise BadScoreError(row_number, raw)
                     if score not in SCORES:
                         raise BadScoreError(row_number, raw)
-                matrix.add(row["item_id"].strip(), row["heuristic"].strip(),
-                           row["annotator"].strip(), score)
+                add(row[item_at].strip(), row[heuristic_at].strip(), row[annotator_at].strip(),
+                    score)
         except csv.Error as exc:
-            raise AgreementError(f"ratings CSV after line {reader.line_num}: {exc}")
+            raise AgreementError(f"ratings CSV after line {blank or line}: {exc}")
     return matrix
 
 
@@ -270,23 +285,22 @@ def krippendorff_alpha(table: Table) -> Optional[AlphaResult]:
     n = sum(len(u) for u in units)
 
     # Coincidence matrix: each ordered pair within a unit contributes
-    # 1/(m_u - 1) to o[c][k].
+    # 1/(m_u - 1) to o[c][k], added in the order of an i != j double loop.
     coincidence: dict[tuple[int, int], float] = {}
+    get = coincidence.get
     for unit in units:
-        m = len(unit)
-        for idx, c in enumerate(unit):
-            for jdx, k in enumerate(unit):
-                if idx == jdx:
-                    continue
-                coincidence[(c, k)] = coincidence.get((c, k), 0.0) + 1.0 / (m - 1)
+        weight = 1.0 / (len(unit) - 1)
+        for pair in permutations(unit, 2):
+            coincidence[pair] = get(pair, 0.0) + weight
 
     marginals: dict[int, float] = {}
     for (c, _k), weight in coincidence.items():
         marginals[c] = marginals.get(c, 0.0) + weight
 
-    observed = _sum(weight * _ordinal_delta_squared(c, k, marginals)
-                    for (c, k), weight in coincidence.items())
-    expected = _sum(marginals[c] * marginals[k] * _ordinal_delta_squared(c, k, marginals)
+    # o is symmetric, so delta covers every cell (c, k) of it.
+    delta = {(c, k): _ordinal_delta_squared(c, k, marginals) for c in marginals for k in marginals}
+    observed = _sum(weight * delta[pair] for pair, weight in coincidence.items())
+    expected = _sum(marginals[c] * marginals[k] * delta[(c, k)]
                     for c in marginals for k in marginals) / (n - 1)
     if expected == 0.0:
         return AlphaResult(1.0, degenerate=True)

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_ratings
 from generators import random_ratings_table
 from oracles import kappa_oracle, krippendorff_oracle, percent_agreement_oracle
+from strategies import ratings_csv_texts
 from xkg.agreement import (
     AgreementError,
     BadScoreError,
@@ -126,6 +130,96 @@ class TestLoadRatings:
         for _ in range(20):
             table = random_ratings_table(rng)
             assert matrix_from_table(table).rows(H) == table
+
+    @pytest.mark.parametrize("text", ["+4", "04", " 4 ", "\u0664"])
+    def test_scores_are_integers_as_int_reads_them(self, tmp_path, text):
+        assert load_ratings(self.write(tmp_path, f"i1,H,a1,{text}\n")).rows("H") == [[4]]
+
+    @pytest.mark.parametrize("text", ["4.0", "four"])
+    def test_other_score_forms_are_bad(self, tmp_path, text):
+        with pytest.raises(BadScoreError, match=f"row 2: score {text!r} is not an integer"):
+            load_ratings(self.write(tmp_path, f"i1,H,a1,{text}\n"))
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        path = self.write(tmp_path, "\ni1,H,a1,4\n\n\ni2,H,a1,x\n\n")
+        with pytest.raises(BadScoreError, match="row 3: score 'x'"):
+            load_ratings(path)
+
+    def test_csv_error_names_the_line_dict_reader_named(self, tmp_path):
+        # DictReader.line_num, not csv.reader's count: the line of the last
+        # row, or of the first blank line after it.
+        for body, line in [("i1,H,a1,4\n\n\ni2,H,a2,4\n", 5), ("i1,H,a1,4\n\n\n", 3),
+                           ("\n", 2), ("", 1)]:
+            path = self.write(tmp_path, body + "x" * 200_000 + "\n")
+            with pytest.raises(AgreementError, match=f"after line {line}: field larger than"):
+                load_ratings(path)
+
+    def test_many_annotators_keep_first_appearance_order(self, tmp_path):
+        names = [f"rater{(n * 7919) % 300:03d}" for n in range(300)]
+        body = "".join(f"i{k},H,{name},{k % 5 + 1}\n" for k in (0, 1) for name in names)
+        matrix = load_ratings(self.write(tmp_path, body))
+        assert matrix.annotators == names
+        assert matrix.rows("H") == [[1] * 300, [2] * 300]
+
+    def test_add_knows_the_annotators_the_matrix_was_built_with(self):
+        matrix = RatingsMatrix(annotators=["a", "b"])
+        matrix.add("i1", H, "b", 3)
+        matrix.add("i1", H, "c", 4)
+        assert matrix.annotators == ["a", "b", "c"]
+        assert matrix.rows(H) == [[None, 3, 4]]
+
+
+def _loaded(load, path):
+    """What a loader gives: the matrix's repr, which also shows the order
+    of every dict, or the error's type and message."""
+    try:
+        return repr(load(path))
+    except AgreementError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoaderAgreesWithReference:
+    """``load_ratings`` gives what the ``csv.DictReader`` loader it replaced
+    (tests/reference_ratings.py) gives: an equal matrix, or an error of the
+    same type with the same message."""
+
+    def check(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        assert _loaded(load_ratings, path) == _loaded(reference_ratings.load_ratings, path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ratings_csv_texts())
+    def test_generated_files(self, tmp_path, text):
+        self.check(tmp_path / "ratings.csv", text)
+
+    HEADER = "item_id,heuristic,annotator,score"
+    CASES = {
+        "empty file": "",
+        "BOM and CRLF": f"\ufeff{HEADER}\r\ni1,H,a,4\r\ni1,H,b,5\r\n",
+        "blank lines before, between and after rows":
+            f"{HEADER}\n\ni1,H,a,4\n\n\ni1,H,b,3\n\n\n",
+        "blank line before the header": f"\n{HEADER}\ni1,H,a,4\n",
+        "quoted comma and line end": f'{HEADER}\n"i,1",H,"a\nb",4\n',
+        "unclosed quote": f'{HEADER}\ni1,H,"a,4\ni2,H,b,5\n',
+        "extra columns in any order": "note,score,annotator,x,heuristic,item_id\nn,4,a,,H,i1\n",
+        "header names a column twice": "item_id,heuristic,annotator,score,annotator\ni1,H,a,4,b\n",
+        "header without score": "item_id,heuristic,annotator\ni1,H,a\n",
+        "short row": f"{HEADER}\ni1,H,a,4\n\ni1,H\n",
+        "long row": f"{HEADER}\ni1,H,a,4,5\n",
+        "scores int() reads": f"{HEADER}\ni1,H,a,+4\ni1,H,b,04\ni1,H,c, 4 \ni1,H,d,\u0664\n",
+        "score 4.0": f"{HEADER}\ni1,H,a,4.0\n",
+        "score x": f"{HEADER}\ni1,H,a,x\n",
+        "score 6": f"{HEADER}\ni1,H,a,6\n",
+        "blank score": f"{HEADER}\ni1,H,a,\ni1,H,b, \n",
+        "oversized field after blank lines":
+            f"{HEADER}\ni1,H,a,4\n\n\ni1,H,b,4\n{'x' * 200_000}\n",
+        "oversized header field": "x" * 200_000 + "\n",
+    }
+
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_listed_forms(self, tmp_path, text):
+        self.check(tmp_path / "ratings.csv", text)
 
 
 def raters(table) -> list[str]:
@@ -429,3 +523,25 @@ class TestReportMatchesOracles:
             with pytest.raises(NoDataError) as caught:
                 build_report(matrix_of(tables, rng))
             assert caught.value.heuristic == "Blank"
+
+
+def random_reports_digest(count: int) -> str:
+    """The SHA-256 of ``count`` reports' ``json.dumps(indent=2)`` bytes, on
+    seeded matrices of 2 to 9 annotators with missing scores. Over three
+    annotators, unit weights such as 1/3 and 1/5 are not exact in binary, so
+    the bytes pin the order in which each sum adds its terms."""
+    rng = random.Random(1709)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        width = rng.randrange(2, 10)
+        tables = {f"H{k}": scored_table(rng, width) for k in range(rng.randrange(1, 4))}
+        report = build_report(matrix_of(tables, rng))
+        digest.update(json.dumps(report.to_dict(), indent=2).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_report_bytes_on_random_matrices_are_pinned():
+    # Recorded with the implementation before krippendorff_alpha iterated
+    # itertools.permutations (the index double loop).
+    assert random_reports_digest(400) == (
+        "950f07921740f244d8fc376e2165692bb62efd776d0a27b95a776b60b13dec8e")

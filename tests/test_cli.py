@@ -16,6 +16,7 @@ from xkg import run_pipeline
 from xkg.backends import BackendConfig, MappingBackend, MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from corpus import build_corpus
+from strategies import ratings_csv_texts, turtle_documents
 from xkg.config import (ResourcePaths, bundled_resources_root, default_config,
                         default_resource_paths)
 from xkg.enrichment import HEURISTICS
@@ -686,6 +687,24 @@ class TestExitCodeContract:
         config.write_text(json.dumps(raw), encoding="utf-8")  # NaN, Infinity
         self.check(capsys, ["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR,
                             "--config", str(config)])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ratings_csv_texts())
+    def test_ratings_for_agree(self, tmp_path, capsys, text):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_bytes(text.encode("utf-8"))
+        self.check(capsys, ["agree", "--ratings", str(ratings)])
+
+    # A lone surrogate in the text is written as bytes that are not UTF-8.
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(turtle_documents())
+    def test_turtle_for_validate_and_enrich_mock(self, tmp_path, capsys, text):
+        graph = tmp_path / "graph.ttl"
+        graph.write_bytes(text.encode("utf-8", "surrogatepass"))
+        self.check(capsys, ["validate", "--graph", str(graph)])
+        self.check(capsys, ["enrich", "--mock", "--base", str(graph)])
 
 
 def _xkg_fresh(argv, **environ):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from generators import EX_NS, graph_of, random_rdf_graph
 from isomorphism import isomorphic
+from strategies import turtle_documents
 from xkg.rdf import (
     FRED_NS,
     PBLR_NS,
@@ -518,90 +519,11 @@ def _read(parse, text, base, bind_undeclared):
     return (graph.triples, list(graph.prefixes.items()), graph.prefixes._aliases)
 
 
-_NAMES = (["ex:a", "ex:b", "ex:", "fred:x", "f:y", "ex:a.b", "ex:d-e", "ex:1"],
-          ["nope:z", ":c", "a:b", "ex:a..", "PREFIX ex: <http://e/>", "base <http://e/>",
-           "@base <http://e/> ."])
-_NODES = (["<http://e/x>", "<urn:x>", "_:b1", "_:n"],
-          ["<nocolon>", "_:x.y", "<a b>", "( ex:b )", "()"])
-_STRING_PARTS = (["x", " ", "\\t", "\\n", "\\r", '\\"', "\\\\", "\\u00e9", "\\uFFFD", "é"],
-                 ["\\u12", "\\uD800", "\\uZZZZ", "\\q", "\\", "\ud800", '"', "\n"])
-_LITERAL_TAILS = (["", "@en", "@en-US", "^^xsd:integer", "^^<http://e/dt>", "^^ex:dt"],
-                  ["@1", "@en-", "^^xsd:boolean", "^^<http://www.w3.org/2001/XMLSchema#boolean>",
-                   "^^<x>", "^^", "^^_:b"])
-_OTHER_LITERALS = (["42", "-3.5", "+7", "true", "false"],
-                   ["1.", "3.5a", "1:a", "1.5.3", "1e5", "truex", "true.x", "a", "'x'",
-                    "'''x'''", '"""x"""', '"""x\ny"""', '""""""', '"""a\\q"""@en'])
-_PREDICATES = (["a", *_NAMES[0]], ["_:b1", "a.p", "true", '"x"', "<nocolon>"])
-# "f" aliases fred's namespace; the bad ones rebind fred or are no label.
-_PREFIXES = ([("ex", "http://e/"), ("f", FRED_NS), ("fred", FRED_NS),
-              ("xsd", "http://www.w3.org/2001/XMLSchema#")],
-             [("fred", "http://e/"), ("1x", "urn:x:")])
-_gaps = st.sampled_from([" ", " ", "\n", "\r\n", "\t", "", " # note\n", "#c\n  "])
-
-
-@st.composite
-def _documents(draw):
-    """Turtle documents with escapes, comments, dangling ';' and nesting near
-    MAX_NESTING. A clean one holds only valid tokens; a dirty one also bad
-    tokens, and may then be edited at a few places."""
-    dirty = draw(st.booleans())
-
-    def pick(choices):
-        valid, bad = choices
-        # A few bad tokens at most, so that the first error is not always
-        # the scanner's.
-        return draw(st.sampled_from(bad if dirty and draw(st.integers(0, 7)) == 0 else valid))
-
-    def gap():
-        return draw(_gaps)
-
-    def literal():
-        if draw(st.integers(0, 2)):
-            return pick(_OTHER_LITERALS)
-        body = "".join(pick(_STRING_PARTS) for _ in range(draw(st.integers(0, 3))))
-        return f'"{body}"{pick(_LITERAL_TAILS)}'
-
-    def objects(depth):
-        out = []
-        for _ in range(draw(st.integers(1, 2))):
-            roll = draw(st.integers(0, 3))
-            if depth and roll == 0:
-                out.append(f"[{gap()}{predicate_objects(depth - 1)}{gap()}]")
-            else:
-                out.append(literal() if roll == 1 else pick(_NAMES if roll == 2 else _NODES))
-        return f"{gap()},{gap()}".join(out)
-
-    def predicate_objects(depth):
-        pairs = [f"{pick(_PREDICATES)} {objects(depth)}"
-                 for _ in range(draw(st.integers(1, 2)))]
-        return f"{gap()};{gap()}".join(pairs) + draw(st.sampled_from(["", "", " ;", ";"]))
-
-    parts = [f"@prefix {label}: <{ns}> .{gap()}"
-             for label, ns in [*_PREFIXES[0][:2], *(pick(_PREFIXES)
-                                                    for _ in range(draw(st.integers(0, 2))))]]
-    for _ in range(draw(st.integers(0, 3))):
-        if draw(st.integers(0, 5)) == 0:  # a chain of '[ ]' around MAX_NESTING deep
-            depth = draw(st.sampled_from([1, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]))
-            parts.append("ex:s " + "ex:p [ " * depth + "ex:q ex:o" + " ]" * depth + " .")
-            continue
-        subject = (f"[{gap()}{predicate_objects(1)}{gap()}]" if draw(st.integers(0, 4)) == 0
-                   else pick(_NODES) if draw(st.booleans()) else pick(_NAMES))
-        parts.append(f"{subject} {predicate_objects(2)}{gap()}.{gap()}")
-    text = "".join(parts)
-    for _ in range(draw(st.sampled_from([0, 1, 2])) if dirty else 0):
-        at = draw(st.integers(0, len(text)))
-        edit = draw(st.one_of(st.sampled_from(
-            ["", ".", ";", ",", "[", "]", "<", '"', "\\", "@", "#", "\n", " ", "_:", ":", "^^",
-             "1", "a", "\ud800", "!"]), st.characters()))
-        text = text[:at] + edit + text[at + draw(st.integers(0, 2)):]
-    return text
-
-
 class TestReaderAgreesWithReference:
     """The reader gives what the earlier one-token-object reader gives."""
 
     @settings(max_examples=600, deadline=None)
-    @given(_documents(), st.booleans(), st.booleans())
+    @given(turtle_documents(), st.booleans(), st.booleans())
     def test_generated_documents(self, text, with_base, bind_undeclared):
         base = standard_prefixes() if with_base else None
         assert (_read(parse_turtle, text, base, bind_undeclared)
