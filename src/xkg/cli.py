@@ -21,7 +21,7 @@ once per process.
 
 Exit codes: 0 on success, 1 when a heuristic was quarantined or validation
 produced ERROR diagnostics, 2 on configuration or input failures, including
-an input file that cannot be read.
+an input file that cannot be read and an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import functools
 import json
 import logging
 import sys
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Optional
@@ -77,8 +78,13 @@ def _echo(text: str) -> None:
 
 
 def _write(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    """Write ``content`` to ``path``; an output that cannot be written is an
+    input error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _diagnostics_json(diagnostics, outer: str) -> str:
@@ -193,10 +199,19 @@ def _select_heuristics(selector: str):
 
 
 def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) -> int:
-    # Every extended graph and the merge contain the base; each text is
+    # Every extended graph and the merge are the base plus additions, each
+    # set disjoint from the base. Each result's additions are sorted once.
+    # The merge's are the runs of the results that run_all kept in it (those
+    # not quarantined), merged by one sort (timsort merges sorted runs), with
+    # a triple two results share dropped where its copies meet. Each text is
     # written as soon as it is rendered.
+    runs = [sorted(result.added) for result in results]
+    merged_added = [t for t, _ in groupby(sorted(chain.from_iterable(
+        run for run, result in zip(runs, results) if not result.quarantined)))]
     names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]
-    texts = serialize_extensions(base, [result.xkg for result in results] + [merged])
+    texts = serialize_extensions(base, [
+        *((result.xkg.prefixes, run) for result, run in zip(results, runs)),
+        (merged.prefixes, merged_added)])
     for name, text in zip(names, texts):
         _write(out_dir / name, text)
     entries = [_DIAGNOSTICS_ENTRY % (_encode(result.heuristic), len(result.added),

@@ -33,16 +33,17 @@ A document is the prefix declarations, sorted by label, then one statement
 per subject, which ``_statements`` renders from term texts in dicts filled
 beforehand. A graph keeps its sorted triples, term texts and statements
 (``RdfGraph.rendering``), so it is rendered once however often it is
-serialized or extended. ``serialize_extensions`` writes graphs
-that extend one base graph (the per-heuristic graphs and their merge). It
-takes the base's rendering and keeps each subject's sorted triples;
-per graph it sorts only the additions, merges them into their subjects'
-base triples (two sorted runs) and splices the rendered statements in by
-subject. A graph whose table could render a base IRI differently, or that
-lacks a base triple, gets a full ``serialize_turtle``: its table lacks a
-base label or binds it elsewhere, or binds a new namespace that is some
-base IRI's namespace (one ending in ``#`` or ``/``) or a prefix of one (any
-other). Either way the bytes are those of ``serialize_turtle``.
+serialized or extended. ``serialize_extensions`` writes graphs that extend
+one base graph (the per-heuristic graphs and their merge), each given as a
+prefix table and its additions, sorted, without duplicates and disjoint from
+the base. It takes the base's rendering and keeps each subject's sorted
+triples; per graph it merges the additions into their subjects' base triples
+(two sorted runs) and splices the rendered statements in by subject. A graph
+whose table could render a base IRI differently gets a full
+``serialize_turtle``: its table lacks a base label or binds it elsewhere, or
+binds a new namespace that is some base IRI's namespace (one ending in ``#``
+or ``/``) or a prefix of one (any other). Either way the bytes are those of
+``serialize_turtle``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import chain, count, groupby, repeat
+from itertools import chain, count, groupby, repeat, starmap
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -873,9 +874,13 @@ def serialize_turtle(graph: RdfGraph) -> str:
     return _document(graph.prefixes, graph.rendering()[3])
 
 
-def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator[str]:
-    """Yield ``serialize_turtle(graph)`` for each of ``graphs``, which extend
-    ``base``, by splicing (see the module docstring)."""
+def serialize_extensions(base: RdfGraph,
+                         extensions: Iterable[tuple[PrefixTable, list[Triple]]]) -> Iterator[str]:
+    """Yield ``serialize_turtle`` of each extension of ``base``, by splicing
+    (see the module docstring). An extension is a prefix table and its
+    additions: sorted, free of duplicates and disjoint from the base's
+    triples. Each text is that of the base's triples plus the additions
+    under the table."""
     ordered, nodes, predicates, texts = base.rendering()
     runs = {s: list(run) for s, run in groupby(ordered, itemgetter(0))}
     subjects = list(runs)
@@ -892,13 +897,10 @@ def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator
             return ns in iri_namespaces
         return any(value.startswith(ns) for value in iris)
 
-    def splice(graph: RdfGraph) -> str:
-        table = graph.prefixes
-        if (not base.triples <= graph.triples
-                or any(table.namespace(label) != ns for label, ns in base_ns.items())
+    def splice(table: PrefixTable, added: list[Triple]) -> str:
+        if (any(table.namespace(label) != ns for label, ns in base_ns.items())
                 or any(label not in base_ns and captures(ns) for label, ns in table.items())):
-            return serialize_turtle(graph)
-        added = sorted(graph.triples - base.triples)
+            return serialize_turtle(RdfGraph(base.triples.union(added), table))
         touched = list(dict.fromkeys(map(itemgetter(0), added)))
         # Two sorted runs, which the sort merges.
         redone = sorted([*added, *chain.from_iterable(map(runs.get, touched, repeat(())))])
@@ -916,4 +918,4 @@ def serialize_extensions(base: RdfGraph, graphs: Iterable[RdfGraph]) -> Iterator
         return _document(table, statements)
 
     # One call per graph, so its temporaries are freed before the next.
-    yield from map(splice, graphs)
+    yield from starmap(splice, extensions)

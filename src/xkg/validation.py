@@ -140,11 +140,39 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
 
     Nodes are subjects and non-literal objects; a component is anchored when
     at least one of its IRI nodes occurs as a node in the base graph.
-    Insensitive to triple order.
+    Insensitive to triple order and to repeated triples.
+
+    One flood fill over the additions, from the nodes that occur in the base,
+    finds every anchored triple; a triple is floating when its subject is not
+    reached (a non-literal object lies in its subject's component). Only the
+    floating triples are sorted and joined by a union-find, one component per
+    diagnostic: its steps on one component never touch another, so the
+    roots, their order and the listings are those of a union-find over all of
+    ``added``.
     """
-    added = sorted(set(added))
-    if not added:
+    base_nodes = base.node_iris()  # IRIs only, so no literal or blank node is in it
+    reached: set[Term] = set()
+    rest = []
+    for t in added:
+        if t[0] in base_nodes or t[2] in base_nodes:
+            reached.add(t[0])
+            reached.add(t[2])  # a literal here links nothing
+        else:
+            rest.append(t)
+    if not rest:
         return []
+    links: dict[Term, list[Term]] = defaultdict(list)
+    for s, _, o in rest:
+        if not isinstance(o, Literal):
+            links[s].append(o)
+            links[o].append(s)
+    frontier = [node for node in links if node in reached]
+    while frontier:
+        for node in links[frontier.pop()]:
+            if node not in reached:
+                reached.add(node)
+                frontier.append(node)
+    floating = sorted({t for t in rest if t[0] not in reached})
 
     parent: dict[Term, Term] = {}
 
@@ -159,25 +187,18 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
         if ra != rb:
             parent[ra] = rb
 
-    for s, _, o in added:
+    for s, _, o in floating:
         parent.setdefault(s, s)
         if not isinstance(o, Literal):
             parent.setdefault(o, o)
             union(s, o)
 
-    base_nodes = base.node_iris()  # IRIs only, so no literal or blank node is in it
     members: dict[Term, list[Triple]] = defaultdict(list)
-    anchored: dict[Term, bool] = defaultdict(bool)
-    for t in added:
-        root = find(t.subject)
-        members[root].append(t)
-        if t.subject in base_nodes or t.object in base_nodes:
-            anchored[root] = True
+    for t in floating:
+        members[find(t.subject)].append(t)
 
     diagnostics = []
     for root in sorted(members, key=lambda term: repr(term)):
-        if anchored[root]:
-            continue
         listing = "; ".join(
             f"{t.subject} {t.predicate.local_name()} {t.object}" for t in members[root][:5]
         )

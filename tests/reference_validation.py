@@ -10,12 +10,16 @@ collects every IRI of the graph in a separate pass (the former
 diagnostics, so only the checking is compared. One change since: a class
 disjoint with itself is a clash pair ``(A, A)``; the copy used to raise
 ValueError unpacking it.
+
+``check_anchoring`` is the union-find over all of the sorted additions, as it
+was before the flood fill; ``xkg.validation.check_anchoring`` must return the
+same diagnostics in the same order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from xkg.rdf import (
     DUL_ASSOCIATED_WITH,
@@ -29,8 +33,11 @@ from xkg.rdf import (
     Iri,
     Literal,
     RdfGraph,
+    Term,
+    Triple,
 )
 from xkg.validation import (
+    ANCHOR_FLOAT,
     DISJOINT_CLASH,
     ERROR,
     FALLBACK_ROLE,
@@ -49,6 +56,57 @@ from xkg.validation import (
     PrecedenceInference,
     is_structural,
 )
+
+
+def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]:
+    added = sorted(set(added))
+    if not added:
+        return []
+
+    parent: dict[Term, Term] = {}
+
+    def find(x: Term) -> Term:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: Term, b: Term) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for s, _, o in added:
+        parent.setdefault(s, s)
+        if not isinstance(o, Literal):
+            parent.setdefault(o, o)
+            union(s, o)
+
+    base_nodes = base.node_iris()
+    members: dict[Term, list[Triple]] = defaultdict(list)
+    anchored: dict[Term, bool] = defaultdict(bool)
+    for t in added:
+        root = find(t.subject)
+        members[root].append(t)
+        if t.subject in base_nodes or t.object in base_nodes:
+            anchored[root] = True
+
+    diagnostics = []
+    for root in sorted(members, key=lambda term: repr(term)):
+        if anchored[root]:
+            continue
+        listing = "; ".join(
+            f"{t.subject} {t.predicate.local_name()} {t.object}" for t in members[root][:5]
+        )
+        extra = len(members[root]) - 5
+        if extra > 0:
+            listing += f" (+{extra} more)"
+        diagnostics.append(Diagnostic(
+            ERROR, ANCHOR_FLOAT,
+            f"component with {len(members[root])} triple(s) has no node from the base graph: {listing}",
+            subject=members[root][0].subject,
+        ))
+    return diagnostics
 
 
 def find_cycle(edges: dict[Iri, set[Iri]]) -> Optional[list[Iri]]:

@@ -350,6 +350,22 @@ class TestReportTemplates:
         assert code == (EXIT_DIAGNOSTICS if responses else EXIT_OK)
         assert read(tmp_path / "diagnostics.json") == _diagnostics_reference(results)
 
+    def test_extension_files_equal_serialize_turtle(self, tmp_path):
+        # Two merged results share a triple; a floating one is quarantined.
+        base = parse_turtle(read(Path(__file__).parent / "golden" / "base-graph.ttl"))
+        shared = f"@prefix fred: <{FRED_NS}> . fred:athlete_1 fred:p fred:x . "
+        responses = {"FactualImpact": shared + "fred:x fred:q fred:y .",
+                     "CausalRelations": shared + "fred:athlete_1 fred:r 3 .",
+                     "EventSequences": "@prefix x: <http://x.example/> . x:a x:p x:b ."}
+        specs = [spec for spec in HEURISTICS if spec.name in responses]
+        results, merged = enrich(base, MappingBackend(responses), default_config(), specs)
+        assert {r.heuristic: r.quarantined for r in results} == {
+            "FactualImpact": False, "CausalRelations": False, "EventSequences": True}
+        assert xkg.cli._write_enrichment(tmp_path, base, results, merged) == EXIT_DIAGNOSTICS
+        for result in results:
+            assert read(tmp_path / f"xkg-{result.heuristic}.ttl") == serialize_turtle(result.xkg)
+        assert read(tmp_path / "xkg-merged.ttl") == serialize_turtle(merged)
+
     @pytest.mark.parametrize("name", ["empty", "corpus"])
     def test_validation_report(self, tmp_path, name):
         corpus = build_corpus()
@@ -493,6 +509,22 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, argv):
     argv = [arg.format(**names) for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "--text", SCENE_TXT],
+    ["base", "--amr", SCENE_AMR],
+    ["enrich", "--mock", "--base", str(Path(__file__).parent / "golden" / "base-graph.ttl")],
+    ["validate", "--graph", str(Path(__file__).parent / "golden" / "base-graph.ttl")],
+    ["agree", "--ratings", str(Path(__file__).parent / "golden" / "ratings.csv")],
+    ["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR],
+], ids=["describe", "base", "enrich", "validate", "agree", "run"])
+@pytest.mark.parametrize("out", ["{file}", "{file}/out"], ids=["file", "under-file"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv, out):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert main([*argv, "--out", out.format(file=tmp_path / "file")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, resource, name, content", [

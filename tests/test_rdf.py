@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import chain, groupby
 
 import pytest
 
@@ -343,8 +344,17 @@ _ext_tables = st.dictionaries(st.sampled_from(["ex", "b", "u", "o"]),
                               st.sampled_from(_EXT_BIND_NS), max_size=4)
 
 
+def _extended(base: RdfGraph, table: PrefixTable, added) -> str:
+    """``serialize_turtle`` of the base's triples plus ``added`` under ``table``."""
+    return serialize_turtle(RdfGraph(base.triples.union(added), table))
+
+
 @st.composite
 def _base_and_extensions(draw):
+    """A base graph and ``(table, additions)`` pairs as the writer takes them:
+    each run sorted, without duplicates and disjoint from the base. The runs
+    draw on one pool, so extensions share additions, and a last extension may
+    be the merge of some of them built from their runs, as the CLI does."""
     base_table = PrefixTable(draw(_ext_tables))
     base = graph_of(draw(st.lists(st.builds(Triple, st.one_of(_ext_iris, _ext_blanks),
                                             _ext_iris, _ext_objects), max_size=12)),
@@ -353,16 +363,15 @@ def _base_and_extensions(draw):
     base_groups = sorted({t[:2] for t in base.triples}, key=repr)
     subjects = st.one_of(_ext_iris, _ext_blanks, *([st.sampled_from(base_subjects)]
                                                     if base_subjects else []))
-    graphs = []
+    pool = set(draw(st.lists(st.builds(Triple, subjects, _ext_iris, _ext_objects),
+                             max_size=8)))
+    if base_groups:  # into a base subject's existing predicate group
+        pool |= {Triple(*group, o) for group, o in draw(st.lists(
+            st.tuples(st.sampled_from(base_groups), _ext_objects), max_size=3))}
+    pool = sorted(pool - base.triples)
+    extensions = []
     for _ in range(draw(st.integers(0, 4))):
-        triples = set(base.triples)
-        if triples and draw(st.integers(0, 9)) == 0:  # not an extension of the base
-            triples.remove(min(triples, key=repr))
-        triples |= set(draw(st.lists(st.builds(Triple, subjects, _ext_iris, _ext_objects),
-                                     max_size=5)))
-        if base_groups:  # into a base subject's existing predicate group
-            triples |= {Triple(*group, o) for group, o in draw(st.lists(
-                st.tuples(st.sampled_from(base_groups), _ext_objects), max_size=3))}
+        added = draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
         extra = draw(_ext_tables)
         if draw(st.booleans()):  # the base's table plus new labels
             table = base_table
@@ -371,40 +380,46 @@ def _base_and_extensions(draw):
                     table = table.with_binding(label, ns)
         else:  # an unrelated table: base labels may be missing or rebound
             table = PrefixTable(extra)
-        graphs.append(RdfGraph(frozenset(triples), table))
-    return base, graphs
+        extensions.append((table, sorted(set(added))))
+    if extensions and draw(st.booleans()):
+        kept = [run for _, run in extensions if draw(st.booleans())]
+        merged = [t for t, _ in groupby(sorted(chain.from_iterable(kept)))]
+        extensions.append((draw(st.sampled_from([table for table, _ in extensions])), merged))
+    return base, extensions
 
 
 class TestSerializeExtensions:
     @settings(max_examples=200, deadline=None)
     @given(_base_and_extensions())
     def test_equals_serialize_turtle(self, case):
-        base, graphs = case
-        assert list(serialize_extensions(base, graphs)) == [serialize_turtle(g) for g in graphs]
+        base, extensions = case
+        assert list(serialize_extensions(base, extensions)) == [
+            _extended(base, table, added) for table, added in extensions]
 
     BASE = graph_of(
         [Triple(Iri("http://ex.org/b/s"), Iri("http://ex.org/a#p"), Iri("urn:ex:yo")),
          Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#p"), Literal("1", XSD_INTEGER))],
         PrefixTable({"ex": "http://ex.org/a#"}))
-    ADDED = Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#q"), BlankNode("n1"))
 
-    @pytest.mark.parametrize("table,keep_base,fallbacks", [
+    @pytest.mark.parametrize("table,into_base_subject,fallbacks", [
         ({"ex": "http://ex.org/a#", "n": "http://other.org/"}, True, 0),
         ({"ex": "http://ex.org/a#", "n": "http://ex.org/b/"}, True, 1),  # a base IRI's namespace
         ({"ex": "http://ex.org/a#", "n": "urn:ex:"}, True, 1),  # an unsplit prefix of one
         ({"ex": "http://ex.org/a#", "n": "urn:ex:yx"}, True, 0),  # an unsplit prefix of none
         ({"ex": "http://other.org/"}, True, 1),  # a rebound base label
         ({"n": "http://ex.org/a#"}, True, 1),  # the base namespace under another label
-        ({"ex": "http://ex.org/a#"}, False, 1),  # base triples missing
+        ({"ex": "http://ex.org/a#"}, False, 0),  # a new subject under the base's table
     ])
     def test_falls_back_where_base_statements_could_change(self, monkeypatch, table,
-                                                            keep_base, fallbacks):
+                                                            into_base_subject, fallbacks):
         calls = []
         monkeypatch.setattr(xkg.rdf, "serialize_turtle",
                             lambda g: calls.append(g) or serialize_turtle(g))
-        triples = (self.BASE.triples if keep_base else frozenset()) | {self.ADDED}
-        graph = RdfGraph(triples, PrefixTable(table))
-        assert list(serialize_extensions(self.BASE, [graph])) == [serialize_turtle(graph)]
+        subject = Iri("http://ex.org/a#t" if into_base_subject else "http://ex.org/a#u")
+        added = [Triple(subject, Iri("http://ex.org/a#q"), BlankNode("n1"))]
+        table = PrefixTable(table)
+        assert list(serialize_extensions(self.BASE, [(table, added)])) == [
+            _extended(self.BASE, table, added)]
         assert len(calls) == fallbacks
 
 

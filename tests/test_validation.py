@@ -33,6 +33,7 @@ from xkg.rdf import (
     TRUE,
     UNDECLARED_NS_BASE,
     WN30_NS,
+    XSD_INTEGER,
     BlankNode,
     Iri,
     Literal,
@@ -129,6 +130,64 @@ class TestAnchoring:
             expected_floats = sum(1 for comp in components if not comp & base_set)
             got = [d for d in check_anchoring(BASE, added) if d.code == ANCHOR_FLOAT]
             assert len(got) == expected_floats
+
+    def test_base_node_as_object_anchors_its_component(self):
+        # athlete_1 occurs in the base only as an object.
+        added = {Triple(ex("n1"), ex("p"), fred("athlete_1")),
+                 Triple(ex("n2"), ex("q"), ex("n1")),
+                 Triple(ex("n2"), RDFS_LABEL, Literal("two"))}
+        assert check_anchoring(BASE, added) == []
+
+    def test_literal_objects_follow_their_subject(self):
+        added = [Triple(fred("win_1"), ex("p"), ex("n1")),
+                 Triple(ex("n1"), RDFS_LABEL, Literal("one")),
+                 Triple(ex("m"), RDFS_LABEL, Literal("one"))]
+        diagnostics = check_anchoring(BASE, added)
+        assert [d.subject for d in diagnostics] == [ex("m")]
+
+
+# Base nodes: subjects, a node that occurs only as an object, and a blank
+# node, which anchors nothing; additions join them to a few fresh IRIs and
+# blank nodes, so several floating components, some of more than five
+# triples, are common.
+_ANCHOR_BASE = graph_of([
+    Triple(fred("s0"), ex("p"), fred("o0")),
+    Triple(fred("s1"), ex("q"), BlankNode("b0")),
+    Triple(fred("s1"), RDFS_LABEL, Literal("one")),
+])
+_anchor_nodes = st.sampled_from(
+    [fred("s0"), fred("s1"), fred("o0")] + [ex(f"n{i}") for i in range(8)]
+    + [BlankNode("b0"), BlankNode("b1"), BlankNode("b2")])
+_anchor_objects = st.one_of(_anchor_nodes, st.sampled_from(
+    [Literal("one"), Literal("7", XSD_INTEGER),
+     Literal("hi", language="en")]))
+_anchor_predicates = st.sampled_from([ex("p"), ex("q"), RDF_TYPE])
+
+
+@st.composite
+def _anchoring_additions(draw):
+    added = draw(st.lists(st.builds(Triple, _anchor_nodes, _anchor_predicates, _anchor_objects),
+                          max_size=24))
+    # A chain or a star of fresh nodes: one component of many triples.
+    fresh = draw(st.lists(st.sampled_from([ex(f"n{i}") for i in range(8)]
+                                          + [BlankNode("b1"), BlankNode("b2")]),
+                          max_size=9))
+    star = draw(st.booleans())
+    added += [Triple(fresh[0] if star else a, draw(_anchor_predicates), b)
+              for a, b in zip(fresh, fresh[1:])]
+    return added
+
+
+class TestAnchoringReference:
+    """The flood fill returns what the union-find over all of the additions
+    returned: the same diagnostics, messages, subjects and order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_anchoring_additions())
+    def test_equals_reference(self, added):
+        expected = reference_validation.check_anchoring(_ANCHOR_BASE, added)
+        assert check_anchoring(_ANCHOR_BASE, added) == expected
+        assert check_anchoring(_ANCHOR_BASE, frozenset(added)) == expected
 
 
 class TestLint:
