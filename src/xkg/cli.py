@@ -210,7 +210,7 @@ def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) 
         run for run, result in zip(runs, results) if not result.quarantined)))]
     names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]
     texts = serialize_extensions(base, [
-        *((result.xkg.prefixes, run) for result, run in zip(results, runs)),
+        *((result.prefixes, run) for result, run in zip(results, runs)),
         (merged.prefixes, merged_added)])
     for name, text in zip(names, texts):
         _write(out_dir / name, text)

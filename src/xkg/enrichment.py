@@ -5,12 +5,14 @@ template, its own template and the graph's Turtle text; ``run_all`` reads
 the system template and serializes the graph once), sends it to a
 completion backend, which sets the model, token budget and temperature of
 the call, extracts the Turtle from the response, and validates
-the additions: anchoring to base nodes and the pitfall lints. The
-per-heuristic result is an extended graph (base plus additions) with
-diagnostics; ``run_all`` merges everything into one graph, quarantining any
-heuristic whose result carries an ERROR diagnostic unless ``force_merge`` is
-set. A result whose prefixes clash with an earlier merged one's gets a
-PREFIX_CONFLICT error and stays out, even with ``force_merge``.
+the additions: anchoring to base nodes and the pitfall lints. A response is
+read against the base's ``terms_by_text``, so only the terms it introduces
+are resolved. The per-heuristic result is the additions, their prefix table
+and diagnostics, with no copy of the base; ``run_all`` merges everything into
+one graph, quarantining any heuristic whose result carries an ERROR
+diagnostic unless ``force_merge`` is set. A result whose prefixes clash with
+an earlier merged one's gets a PREFIX_CONFLICT error and stays out, even
+with ``force_merge``.
 
 With ``max_concurrent`` above 1, ``run_all`` starts every heuristic at once,
 each on its own thread, and leaves it to the backend to bound its requests
@@ -27,11 +29,13 @@ import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import validation
 from .backends import Backend, BackendError
 from .rdf import (
+    BlankNode,
+    Iri,
     PrefixConflictError,
     PrefixTable,
     RdfGraph,
@@ -120,17 +124,19 @@ class PromptRequest(NamedTuple):
 
 
 class EnrichmentResult(Record):
-    """One heuristic's outcome; ``quarantined`` keeps it out of the merge,
-    and ``run_all`` decides it."""
+    """One heuristic's outcome: its additions to ``base`` and their prefix
+    table; ``quarantined`` keeps it out of the merge, and ``run_all`` decides it."""
 
-    __slots__ = _fields = ("heuristic", "added", "xkg", "diagnostics", "raw_response",
-                           "quarantined")
+    __slots__ = _fields = ("heuristic", "base", "added", "prefixes", "diagnostics",
+                           "raw_response", "quarantined")
 
-    def __init__(self, heuristic: str, added: frozenset[Triple], xkg: RdfGraph,
-                 diagnostics: list[Diagnostic], raw_response: str, quarantined: bool = False):
+    def __init__(self, heuristic: str, base: RdfGraph, added: frozenset[Triple],
+                 prefixes: PrefixTable, diagnostics: list[Diagnostic], raw_response: str,
+                 quarantined: bool = False):
         self.heuristic = heuristic
+        self.base = base
         self.added = added
-        self.xkg = xkg
+        self.prefixes = prefixes
         self.diagnostics = diagnostics
         self.raw_response = raw_response
         self.quarantined = quarantined
@@ -139,15 +145,20 @@ class EnrichmentResult(Record):
     def failed(self) -> bool:
         return has_errors(self.diagnostics)
 
+    @property
+    def xkg(self) -> RdfGraph:
+        """The extended graph (base plus additions), built on each read."""
+        return RdfGraph(self.base.triples | self.added, self.prefixes)
+
 
 def _read_template(prompts_dir: Union[str, Path], name: str) -> str:
     """The text of template ``name``. Raises MissingTemplateError, or
     EnrichmentError for a template that cannot be read as UTF-8."""
     path = Path(prompts_dir) / name
-    if not path.exists():
-        raise MissingTemplateError(name)
     try:
         return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingTemplateError(name) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise EnrichmentError(f"cannot read prompt template {path}: {exc}")
 
@@ -194,12 +205,14 @@ def _strip_prose(text: str) -> str:
     return "\n".join(kept)
 
 
-def extract_turtle(response: str, base_prefixes: PrefixTable) -> RdfGraph:
+def extract_turtle(response: str, base_prefixes: PrefixTable,
+                   terms: Mapping[str, Union[Iri, BlankNode]] = {}) -> RdfGraph:
     """Parse the Turtle content of a model response.
 
     Fenced blocks win over bare text; one repair pass strips prose lines from
     unparseable input; prefixes used without declaration are bound under a
-    placeholder namespace that lint reports as UNDECLARED_PREFIX. Raises
+    placeholder namespace that lint reports as UNDECLARED_PREFIX; ``terms``
+    is ``parse_turtle``'s. Raises
     NoTurtleFoundError when nothing statement-like remains, or RdfError when
     candidate Turtle still fails to parse after the repair pass.
     """
@@ -209,13 +222,13 @@ def extract_turtle(response: str, base_prefixes: PrefixTable) -> RdfGraph:
                for line in candidate.splitlines()):
         raise NoTurtleFoundError()
     try:
-        return parse_turtle(candidate, base_prefixes, bind_undeclared=True)
+        return parse_turtle(candidate, base_prefixes, bind_undeclared=True, terms=terms)
     except RdfError:
         repaired = _strip_prose(candidate)
         if not any(line.strip() and not line.lstrip().startswith("#")
                    for line in repaired.splitlines()):
             raise NoTurtleFoundError()
-        return parse_turtle(repaired, base_prefixes, bind_undeclared=True)
+        return parse_turtle(repaired, base_prefixes, bind_undeclared=True, terms=terms)
 
 
 def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
@@ -225,8 +238,9 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
 
     ``base_turtle`` is ``serialize_turtle(base)``, the text the prompt
     embeds, and ``system_template`` the text of ``read_system_template``.
-    Failures never propagate: a backend or parse failure yields a
-    result with no additions and a RESPONSE_INVALID error diagnostic.
+    The result's table is the reader's without its aliases. Failures never
+    propagate: a backend or parse failure yields a result with no additions
+    and a RESPONSE_INVALID error diagnostic.
     """
     if not base.triples:
         raise EnrichmentError("base graph is empty")
@@ -241,18 +255,17 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
         problem, unexpected = f"backend failure: {type(exc).__name__}: {exc}", exc
     else:
         try:
-            extracted = extract_turtle(response, prefixes)
+            extracted = extract_turtle(response, prefixes, base.terms_by_text())
         except (EnrichmentError, RdfError) as exc:
             problem = f"unusable response: {exc}"
         else:
             added = extracted.triples - base.triples
-            prefixes = prefixes.merged(extracted.prefixes)
+            prefixes = extracted.prefixes.declared()  # extends ``prefixes``
             diagnostics = list(check_anchoring(base, added))
             diagnostics.extend(lint(RdfGraph(added, prefixes)))
-            xkg = RdfGraph(base.triples | added, prefixes)
-            return EnrichmentResult(spec.name, added, xkg, diagnostics, response)
+            return EnrichmentResult(spec.name, base, added, prefixes, diagnostics, response)
     logger.warning("%s: %s", spec.name, problem, exc_info=unexpected)
-    return EnrichmentResult(spec.name, frozenset(), RdfGraph(base.triples, prefixes),
+    return EnrichmentResult(spec.name, base, frozenset(), prefixes,
                             [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem)],
                             response)
 
@@ -276,6 +289,7 @@ def run_all(base: RdfGraph, backend: Backend,
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
     base_turtle = serialize_turtle(base)
+    base.terms_by_text()  # built once, before the threads read it
     system_template = read_system_template(prompts_dir)
 
     def run_one(spec: HeuristicSpec) -> EnrichmentResult:
@@ -295,11 +309,11 @@ def run_all(base: RdfGraph, backend: Backend,
         if r.quarantined:
             continue
         try:
-            table = table.merged(r.xkg.prefixes)
+            table = table.merged(r.prefixes)
         except PrefixConflictError as exc:
             r.diagnostics.append(Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
                                             f"not merged: {exc}"))
             r.quarantined = True
             continue
-        mergeable.append(RdfGraph(r.added, r.xkg.prefixes))
+        mergeable.append(RdfGraph(r.added, r.prefixes))
     return results, merge([RdfGraph(base.triples, base.prefixes), *mergeable])

@@ -18,9 +18,12 @@ from the text only if the token is not yet resolved. Offsets, and a line and
 column, are found by scanning again only for an error. The parser walks the
 tokens with a local index, recursing only into ``[ ]``, resolves each
 distinct IRI, prefixed name and blank node label once per document and
-checks each namespace once. A prefix table may hold a second label for a
-namespace, which expands but is neither declared nor used for contraction,
-which looks the namespace up by the IRI's last ``#`` or ``/``.
+checks each namespace once; a parse may start from a copy of texts resolved
+before (``terms``, e.g. a graph's ``terms_by_text``), which mean the same on
+top of that graph's prefix table, as a bound label cannot be rebound. A
+prefix table may hold a second label for a namespace, which expands but is
+neither declared nor used for contraction, which looks the namespace up by
+the IRI's last ``#`` or ``/``.
 
 Terms are tuples laid out so that tuple order is serialization order, and
 hashing, equality and sorting run in C: ``Iri`` is ``(0, value)``,
@@ -302,10 +305,15 @@ class PrefixTable:
         out._bind(label, ns)
         return out
 
-    def merged(self, other: "PrefixTable") -> "PrefixTable":
-        """Both tables' declared labels; aliases matter only to a parse."""
+    def declared(self) -> "PrefixTable":
+        """The table without its aliases: the labels it declares."""
         out = self._copy()
         out._aliases = {}
+        return out
+
+    def merged(self, other: "PrefixTable") -> "PrefixTable":
+        """Both tables' declared labels; aliases matter only to a parse."""
+        out = self.declared()
         for label, ns in other.items():
             out._bind(label, ns)
         return out
@@ -372,7 +380,8 @@ class RdfGraph(Record):
     """An immutable set of triples plus the prefix table used to render it
     (the standard prefixes by default)."""
 
-    __slots__ = ("triples", "prefixes", "_node_iris", "_by_predicate", "_rendering")
+    __slots__ = ("triples", "prefixes", "_node_iris", "_by_predicate", "_rendering",
+                 "_terms_by_text")
     _fields = ("triples", "prefixes")
 
     def __init__(self, triples: frozenset[Triple] = frozenset(),
@@ -442,6 +451,19 @@ class RdfGraph(Record):
             nodes, predicates = _term_texts(ordered, self.prefixes)
             cached = ordered, nodes, predicates, _statements(ordered, nodes, predicates)
             _set(self, "_rendering", cached)
+            return cached
+
+    def terms_by_text(self) -> dict[str, Union[Iri, BlankNode]]:
+        """The graph's IRIs and blank nodes by their texts in ``rendering``;
+        kept like ``node_iris``. Not literals or ``a``, whose texts the reader
+        takes for them only in some positions. Callers must not change it."""
+        try:
+            return self._terms_by_text
+        except AttributeError:
+            _, nodes, predicates, _ = self.rendering()
+            cached = {text: term for term, text in chain(nodes.items(), predicates.items())
+                      if not isinstance(term, Literal) and text != "a"}
+            _set(self, "_terms_by_text", cached)
             return cached
 
 
@@ -614,7 +636,7 @@ class _Reader:
     """One parse: the tokens, the prefix table and the terms read so far."""
 
     def __init__(self, text: str, base_prefixes: Optional[PrefixTable],
-                 bind_undeclared: bool):
+                 bind_undeclared: bool, terms: Mapping[str, Union[Iri, BlankNode]]):
         self.text = text
         self.tokens = _tokenize(text)
         self.prefixes = base_prefixes._copy() if base_prefixes else PrefixTable()
@@ -622,7 +644,7 @@ class _Reader:
         self.triples: list[Triple] = []
         # Node terms by token text. A bound label keeps its namespace
         # (rebinding it raises PrefixConflictError), so reuse is safe.
-        self.terms: dict[str, Union[Iri, BlankNode]] = {}
+        self.terms: dict[str, Union[Iri, BlankNode]] = dict(terms)
         # Whether a namespace makes a valid IRI with any local part, which
         # holds no character that Iri forbids.
         self.sound: dict[str, bool] = {}
@@ -765,15 +787,18 @@ class _Reader:
 
 
 def parse_turtle(text: str, base_prefixes: Optional[PrefixTable] = None,
-                 bind_undeclared: bool = False) -> RdfGraph:
+                 bind_undeclared: bool = False,
+                 terms: Mapping[str, Union[Iri, BlankNode]] = {}) -> RdfGraph:
     """Parse a Turtle document into an RdfGraph.
 
     ``base_prefixes`` pre-loads prefix bindings on top of which the document's
     own ``@prefix`` declarations apply. With ``bind_undeclared`` every unknown
     prefix label is bound under a recognizable placeholder namespace instead
-    of raising, so lint can flag it downstream.
+    of raising, so lint can flag it downstream. ``terms`` maps texts to their
+    terms under ``base_prefixes`` (see ``RdfGraph.terms_by_text``); the parse
+    resolves only other texts, with the same outcome.
     """
-    return _Reader(text, base_prefixes, bind_undeclared).parse()
+    return _Reader(text, base_prefixes, bind_undeclared, terms).parse()
 
 
 # ---------------------------------------------------------------------------

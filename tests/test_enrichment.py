@@ -21,6 +21,7 @@ from xkg.config import default_resource_paths
 from xkg.enrichment import (
     HEURISTIC_BY_NAME,
     HEURISTICS,
+    EnrichmentError,
     MissingPlaceholderError,
     MissingTemplateError,
     NoTurtleFoundError,
@@ -128,6 +129,19 @@ class TestAssemblePrompt:
             read_system_template(tmp_path)
         with pytest.raises(MissingTemplateError):
             assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)
+        with pytest.raises(MissingTemplateError) as raised:
+            read_system_template(tmp_path / "no-such-dir")
+        assert str(raised.value) == "prompt template not found: system.txt"
+
+    def test_unreadable_template_is_not_a_missing_one(self, tmp_path):
+        (tmp_path / "system.txt").mkdir()
+        (tmp_path / FACTUAL.prompt_template).write_bytes(b"\xff {{graph}}")
+        for read in (lambda: read_system_template(tmp_path),
+                     lambda: assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)):
+            with pytest.raises(EnrichmentError) as raised:
+                read()
+            assert type(raised.value) is EnrichmentError
+            assert str(raised.value).startswith("cannot read prompt template")
 
     def test_missing_placeholder(self, tmp_path):
         (tmp_path / "system.txt").write_text("sys", encoding="utf-8")
@@ -227,6 +241,24 @@ class TestRunHeuristic:
         result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         assert result.added == frozenset()
         assert result.failed
+        assert result.prefixes == SCENE_BASE.prefixes.with_binding(FACTUAL.prefix,
+                                                                   FACTUAL.namespace)
+        assert result.xkg.triples == SCENE_BASE.triples
+
+    def test_result_table_is_the_readers_without_its_aliases(self):
+        response = (f"@prefix f: <{FRED_NS}> .\n@prefix ex: <http://e/> .\n"
+                    "f:athlete_1 ex:p f:win_1, undeclared:x .")
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL,
+                               MappingBackend({"FactualImpact": response}), PROMPTS)
+        prefixes = SCENE_BASE.prefixes.with_binding(FACTUAL.prefix, FACTUAL.namespace)
+        expected = prefixes.merged(extract_turtle(response, prefixes).prefixes)
+        assert list(result.prefixes.items()) == list(expected.items())
+        assert "ex" in result.prefixes and "undeclared" in result.prefixes
+        assert "f" not in result.prefixes  # an alias matters only to the parse
+        assert result.added == {
+            Triple(Iri(FRED_NS + "athlete_1"), Iri("http://e/p"), Iri(FRED_NS + "win_1")),
+            Triple(Iri(FRED_NS + "athlete_1"), Iri("http://e/p"),
+                   Iri("http://example.org/undeclared/undeclared#x"))}
 
 
 class TestRunAll:
@@ -313,11 +345,33 @@ class TestRunAll:
             assert "'ex:' bound to both <http://a/> and <http://b/>" in causal.diagnostics[-1].message
             assert merged.triples == SCENE_BASE.triples | impact.added
             assert merged.prefixes.namespace("ex") == "http://a/"
-            # Its own extended graph still holds its additions.
+            # Its own extended graph still holds its additions, read under its
+            # own binding of ex: though the other response's parse met ex:p first.
+            assert causal.added == {Triple(Iri(FRED_NS + "athlete_1"), Iri("http://b/p"),
+                                           Iri("http://b/x"))}
             assert causal.xkg.triples == SCENE_BASE.triples | causal.added
             outcomes.append((serialize_turtle(merged),
                              [(r.heuristic, r.quarantined, r.diagnostics) for r in results]))
         assert outcomes[0] == outcomes[1]
+
+    def test_response_rebinding_a_base_label_is_quarantined(self):
+        # A response's texts read as base terms only while base labels keep
+        # their namespaces, which the reader's table enforces.
+        responses = {spec.name: "" for spec in HEURISTICS}
+        responses["FactualImpact"] = IMPACT_RESPONSE
+        responses["MoralValueCoercion"] = (
+            "@prefix fred: <http://other/> .\nfred:athlete_1 fred:p fred:win_1 .")
+        for max_concurrent in (1, 4):
+            results, merged = run_all(SCENE_BASE, MappingBackend(responses), PROMPTS,
+                                      max_concurrent=max_concurrent)
+            by_name = {r.heuristic: r for r in results}
+            moral = by_name["MoralValueCoercion"]
+            assert moral.quarantined and moral.added == frozenset()
+            assert [(d.code, d.message) for d in moral.diagnostics] == [(
+                RESPONSE_INVALID,
+                f"unusable response: prefix 'fred:' bound to both <{FRED_NS}> and <http://other/>")]
+            assert not by_name["FactualImpact"].quarantined
+            assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
 
     def test_unexpected_backend_exception_fails_only_its_heuristic(self):
         class Flaky(MappingBackend):

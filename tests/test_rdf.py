@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from itertools import chain, groupby
+from operator import itemgetter
 
 import pytest
 
@@ -20,6 +21,7 @@ from xkg.rdf import (
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
+    XSD_NS,
     XSD_STRING,
     BlankNode,
     Iri,
@@ -27,6 +29,7 @@ from xkg.rdf import (
     Literal,
     PrefixConflictError,
     PrefixTable,
+    RDF_TYPE,
     RdfError,
     RdfGraph,
     Triple,
@@ -241,6 +244,8 @@ SYNTAX_ERRORS = {
     "@ and a non-tag word": ('ex:a ex:p "x"@en- .', 1, 14, "unexpected @en-"),
     "@ and a digit": ("@123 ex:a ex:p ex:b .", 1, 1, "unexpected @123"),
     "lone '.'": (".", 1, 1, "expected subject, found '.'"),
+    "prefix label with a local part": ("@prefix ex:a <http://e/> .", 1, 9,
+                                       "expected prefix label in @prefix"),
     "bare word": ("ex:a ex:p foo .", 1, 11, "unexpected token 'foo'"),
     "number run into a name": ("ex:a ex:p 3.5a .", 1, 11, "unexpected token '3.5a'"),
     "stray character": ("ex:a ex:p ! .", 1, 11, "unexpected character '!'"),
@@ -257,6 +262,7 @@ SYNTAX_ERRORS = {
                          1, 11, "bad boolean lexical form: 'yes'"),
     "datatype IRI without a scheme": ('ex:a ex:p "x"^^<a> .', 1, 16,
                                       "not an absolute IRI: 'a'"),
+    "blank node as datatype": ('ex:a ex:p "x"^^_:b .', 1, 16, "expected datatype IRI after ^^"),
     "lone surrogate in a string": ('ex:a ex:p "x\ud800y" .', 1, 13, "lone surrogate U+D800"),
     "lone surrogate in an IRI on line 2": (
         "ex:a ex:p ex:b .\n  ex:c ex:p <http://e/\udfff> .", 2, 23, "lone surrogate U+DFFF"),
@@ -398,7 +404,8 @@ class TestSerializeExtensions:
 
     BASE = graph_of(
         [Triple(Iri("http://ex.org/b/s"), Iri("http://ex.org/a#p"), Iri("urn:ex:yo")),
-         Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#p"), Literal("1", XSD_INTEGER))],
+         Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#p"), Literal("1", XSD_INTEGER)),
+         Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#p"), Literal("x", Iri("urn:dt#d")))],
         PrefixTable({"ex": "http://ex.org/a#"}))
 
     @pytest.mark.parametrize("table,into_base_subject,fallbacks", [
@@ -409,6 +416,7 @@ class TestSerializeExtensions:
         ({"ex": "http://other.org/"}, True, 1),  # a rebound base label
         ({"n": "http://ex.org/a#"}, True, 1),  # the base namespace under another label
         ({"ex": "http://ex.org/a#"}, False, 0),  # a new subject under the base's table
+        ({"ex": "http://ex.org/a#", "n": "urn:dt#"}, True, 1),  # a base datatype's namespace
     ])
     def test_falls_back_where_base_statements_could_change(self, monkeypatch, table,
                                                             into_base_subject, fallbacks):
@@ -421,6 +429,15 @@ class TestSerializeExtensions:
         assert list(serialize_extensions(self.BASE, [(table, added)])) == [
             _extended(self.BASE, table, added)]
         assert len(calls) == fallbacks
+
+    def test_each_graph_renders_its_new_terms_under_its_own_table(self):
+        added = [Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#q"),
+                        Iri("http://other.org/x"))]
+        tables = [PrefixTable({"ex": "http://ex.org/a#", "n": "http://other.org/"}),
+                  PrefixTable({"ex": "http://ex.org/a#"})]
+        texts = list(serialize_extensions(self.BASE, [(table, added) for table in tables]))
+        assert texts == [_extended(self.BASE, table, added) for table in tables]
+        assert "ex:q n:x" in texts[0] and "ex:q <http://other.org/x>" in texts[1]
 
 
 class TestRoundTrip:
@@ -585,6 +602,91 @@ class TestReaderAgreesWithReference:
         got = _read(parse_turtle, text, None, False)
         assert got == _read(reference_turtle.parse_turtle, text, None, False)
         assert got[2:] == (head.count("\n") + 1, column)
+
+
+# ---------------------------------------------------------------------------
+# The reader given a base graph's resolved terms
+# ---------------------------------------------------------------------------
+
+# Base terms in the namespaces and labels of ``turtle_documents``, so that its
+# names (``ex:a``, ``fred:x``, ``<http://e/x>``, ``_:b1``, ...) hit them.
+_KNOWN_IRIS = st.builds(lambda ns, local: Iri(ns + local),
+                        st.sampled_from(["http://e/", FRED_NS, "http://o.org/#", "urn:"]),
+                        st.sampled_from(["a", "b", "x", "y", "a.b", "d-e", "1", "dt", ""]))
+_KNOWN_NODES = st.one_of(_KNOWN_IRIS, st.sampled_from([BlankNode("b1"), BlankNode("n"),
+                                                       BlankNode("b2")]))
+_KNOWN_OBJECTS = st.one_of(_KNOWN_NODES, st.sampled_from([
+    Literal("x"), Literal("42", XSD_INTEGER), TRUE, Literal("-3.5", XSD_DECIMAL),
+    Literal("x", language="en"), Literal("d", Iri("http://e/dt"))]))
+# "f" is an alias when "fred" is bound too; the last "ex" clashes with the documents'.
+_KNOWN_BINDINGS = [("ex", "http://e/"), ("fred", FRED_NS), ("f", FRED_NS),
+                   ("o", "http://o.org/#"), ("xsd", XSD_NS), ("ex", "http://x/")]
+
+
+@st.composite
+def _base_and_response(draw):
+    """A base graph, the table a response is read with (the base's, maybe
+    plus a heuristic's label) and a response: a document of the reader's
+    strategy around statements written with the texts of the base's
+    rendering, literals and ``a`` included, in any position."""
+    bindings = draw(st.lists(st.sampled_from(_KNOWN_BINDINGS), max_size=5,
+                             unique_by=itemgetter(0)))
+    triples = draw(st.lists(st.builds(Triple, _KNOWN_NODES,
+                                      st.one_of(_KNOWN_IRIS, st.just(RDF_TYPE)),
+                                      _KNOWN_OBJECTS), max_size=10))
+    base = RdfGraph(frozenset(triples), PrefixTable(dict(bindings)))
+    table = base.prefixes
+    if draw(st.booleans()):
+        table = table.with_binding("presup", "https://w3id.org/xkg/presupposition#")
+    _, nodes, predicates, _ = base.rendering()
+    # Texts by the position they fit; now and then any text goes anywhere.
+    fits = [sorted({text for term, text in nodes.items() if not isinstance(term, Literal)}
+                   | {"ex:z", "_:new"}),
+            sorted({*predicates.values(), "ex:z"}),
+            sorted({*nodes.values(), "ex:z"})]
+    anywhere = sorted({text for texts in fits for text in texts})
+
+    def pick(position):
+        return draw(st.sampled_from(anywhere if draw(st.integers(0, 5)) == 0
+                                    else fits[position]))
+
+    statements = []
+    for _ in range(draw(st.integers(0, 4))):
+        pairs = [f"{pick(1)} {pick(2)}" for _ in range(draw(st.integers(1, 2)))]
+        subject = f"[ {pick(1)} {pick(2)} ]" if draw(st.integers(0, 5)) == 0 else pick(0)
+        statements.append(f"{subject} {' ; '.join(pairs)} .")
+    around = draw(turtle_documents())
+    at = draw(st.integers(0, len(statements)))
+    response = "\n".join([*statements[:at], around, *statements[at:]])
+    return base, table, response
+
+
+class TestReaderWithKnownTerms:
+    """Reading with a base graph's ``terms_by_text`` gives what reading
+    without them gives: the texts it resolves mean the same under any table
+    that extends the base's, since no document can rebind a base label."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_base_and_response(), st.booleans())
+    def test_same_as_without_them(self, case, bind_undeclared):
+        base, table, response = case
+        known = base.terms_by_text()
+        before = dict(known)
+
+        def with_terms(text, prefixes, undeclared):
+            return parse_turtle(text, prefixes, undeclared, terms=known)
+
+        assert (_read(with_terms, response, table, bind_undeclared)
+                == _read(parse_turtle, response, table, bind_undeclared))
+        assert known == before  # each parse reads a copy
+
+    def test_only_nodes_and_predicates_by_their_texts(self):
+        base = parse_turtle('@prefix ex: <http://e/> .\n'
+                            'ex:s a ex:C ; ex:p 42, true, "x", _:b1, <urn:x>, ex:C .')
+        assert base.terms_by_text() == {
+            "ex:s": Iri("http://e/s"), "ex:C": Iri("http://e/C"), "ex:p": Iri("http://e/p"),
+            "_:b1": BlankNode("b1"), "<urn:x>": Iri("urn:x")}
+        assert base.terms_by_text() is base.terms_by_text()
 
 
 def _term_sort_key(term) -> tuple:

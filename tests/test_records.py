@@ -45,7 +45,8 @@ RECORDS = [
      {"triples": frozenset(), "prefixes": standard_prefixes()}, True),
     (HeuristicSpec, ["H", "h", FRED_NS, "h.txt"], {}, True),
     (PromptRequest, ["system", "user", "H"], {"tag": None}, True),
-    (EnrichmentResult, ["H", frozenset(), GRAPH, [], "response", True],
+    (EnrichmentResult, ["H", GRAPH, frozenset({Triple(B, A, B)}), GRAPH.prefixes, [], "response",
+                        True],
      {"quarantined": False}, False),
     (BackendConfig, ["http://x.example/", "m", "KEY", 1.5, 2, 3, 0.5, 10],
      {"endpoint": "", "model": "", "credential_env": "XKG_API_KEY", "timeout": 60.0,
@@ -146,9 +147,18 @@ def test_checked_records_reject_bad_fields(make, message):
 
 def test_rdf_graph_caches_are_not_fields():
     graph = RdfGraph(GRAPH.triples, GRAPH.prefixes)
-    graph.node_iris(), graph.by_predicate(), graph.rendering()
+    graph.node_iris(), graph.by_predicate(), graph.rendering(), graph.terms_by_text()
     assert graph == GRAPH and repr(graph) == repr(GRAPH)
     assert pickle.loads(pickle.dumps(graph)) == GRAPH
+
+
+def test_enrichment_result_builds_its_extended_graph_from_its_fields():
+    added = frozenset({Triple(B, A, B)})
+    result = EnrichmentResult("H", GRAPH, added, PrefixTable({"fred": FRED_NS, "x": "urn:x:"}),
+                              [], "response")
+    assert result.xkg == RdfGraph(GRAPH.triples | added, result.prefixes)
+    result.added = frozenset()
+    assert result.xkg == RdfGraph(GRAPH.triples, result.prefixes)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
