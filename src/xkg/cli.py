@@ -12,12 +12,13 @@ write the results. Every stage that would call a live model accepts
 Every JSON file is the text of ``json.dumps(indent=2)``. The profiles and
 the agreement report are written by ``json.dumps`` itself.
 ``validation-report.json`` and ``diagnostics.json`` hold one entry per
-diagnostic, so they are rendered from a format string per diagnostic (and
-per precedence pair) instead, with the same bytes and no dict built;
-``json.dumps`` over ``Diagnostic.to_dict`` and ``ValidationReport.to_dict``
-stays the reference the tests compare them with. Files are UTF-8; stdout
-escapes what its encoding cannot hold. ``main`` builds the argument parser
-once per process.
+diagnostic, so they are rendered from text pieces instead, with the same
+bytes and no dict built: one head per (severity, code) pair and one JSON
+text per subject and per precedence node. ``json.dumps`` over
+``Diagnostic.to_dict`` and ``ValidationReport.to_dict`` stays the reference
+the tests compare them with. A command creates its ``--out`` once. Files are
+UTF-8; stdout escapes what its encoding cannot hold. ``main`` builds the
+argument parser once per process.
 
 Exit codes: 0 on success, 1 when a heuristic was quarantined or validation
 produced ERROR diagnostics, 2 on configuration or input failures, including
@@ -77,11 +78,21 @@ def _echo(text: str) -> None:
     sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
+def _out_dir(path: str) -> Path:
+    """``--out``, created with its parents before a command's first file; one
+    that cannot be created is an input error."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_dir}: {exc}")
+    return out_dir
+
+
 def _write(path: Path, content: str) -> None:
     """Write ``content`` to ``path``; an output that cannot be written is an
     input error."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
@@ -90,31 +101,41 @@ def _write(path: Path, content: str) -> None:
 def _diagnostics_json(diagnostics, outer: str) -> str:
     """``json.dumps([d.to_dict() for d in diagnostics], indent=2)`` with each
     ``"\\n"`` replaced by ``outer``, which nests it where ``outer`` starts a
-    line. Each diagnostic is rendered from one format string, with no dict
-    built."""
+    line. No dict is built, and each (severity, code) pair's head and each
+    subject's text are rendered once."""
     if not diagnostics:
         return "[]"
     inner = outer + "  "
     key = inner + "  "
-    template = ("{" + key + '"severity": %s,' + key + '"code": %s,' + key + '"subject": %s,'
-                + key + '"message": %s' + inner + "}")
-    return "[" + inner + ("," + inner).join([
-        template % (_encode(severity), _encode(code),
-                    "null" if s is None else _encode("_:" + s[1] if isinstance(s, BlankNode)
-                                                     else s[1]),
-                    _encode(message))
-        for severity, code, message, s in diagnostics]) + outer + "]"
+    head = "{" + key + '"severity": %s,' + key + '"code": %s,' + key + '"subject": '
+    middle = "," + key + '"message": '
+    end = inner + "}"
+    # Keyed by the term, not its value: a blank node renders its label with
+    # "_:", an IRI or a literal with the same value without.
+    heads: dict[tuple[str, str], str] = {}
+    subjects: dict = {None: "null"}
+    entries = []
+    for severity, code, message, s in diagnostics:
+        start = heads.get((severity, code))
+        if start is None:
+            start = heads[severity, code] = head % (_encode(severity), _encode(code))
+        subject = subjects.get(s)
+        if subject is None:
+            subject = subjects[s] = _encode("_:" + s[1] if isinstance(s, BlankNode) else s[1])
+        entries.append(start + subject + middle + _encode(message) + end)
+    return "[" + inner + ("," + inner).join(entries) + outer + "]"
 
 
 def _pairs_json(pairs, outer: str) -> str:
     """``json.dumps([[a.value, b.value] for a, b in pairs], indent=2)``, nested
-    as in ``_diagnostics_json``."""
+    as in ``_diagnostics_json``; each node's text is encoded once."""
     if not pairs:
         return "[]"
     inner = outer + "  "
     template = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+    texts = {node: _encode(node.value) for node in set(chain.from_iterable(pairs))}
     return "[" + inner + ("," + inner).join([
-        template % (_encode(a.value), _encode(b.value)) for a, b in pairs]) + outer + "]"
+        template % (texts[a], texts[b]) for a, b in pairs]) + outer + "]"
 
 
 #: One result's entry in ``diagnostics.json``, and ``validation-report.json``
@@ -163,7 +184,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
             description = describe(Path(args.image), _make_backend(config, args.mock))
         except BackendError as exc:
             raise CliError(f"description backend failed: {exc}")
-    _write_description(Path(args.out), description)
+    _write_description(_out_dir(args.out), description)
     return EXIT_OK
 
 
@@ -179,7 +200,7 @@ def cmd_base(args: argparse.Namespace) -> int:
         base = build_base(penman, config.require_resources())
     except AmrError as exc:
         raise CliError(f"cannot parse {args.amr}: {exc}")
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     _write_base(out_dir, base)
     _echo(f"{out_dir / 'base-graph.ttl'}\n")
     return EXIT_OK
@@ -229,7 +250,7 @@ def cmd_enrich(args: argparse.Namespace) -> int:
     base = _read_graph(args.base)
     backend = _make_backend(config, args.mock)
     results, merged = enrich(base, backend, config, _select_heuristics(args.heuristic))
-    return _write_enrichment(Path(args.out), base, results, merged)
+    return _write_enrichment(_out_dir(args.out), base, results, merged)
 
 
 def _write_validation(out_dir: Path, report: ValidationReport) -> int:
@@ -242,8 +263,9 @@ def _write_validation(out_dir: Path, report: ValidationReport) -> int:
         _pairs_json(report.precedence.inferred, "\n    ")))
     table = _profile_table(report.profile)
     _write(out_dir / "validation-report.txt", table)
-    _echo(table + "".join(f"{d.severity} {d.code}: {d.message}\n" for d in report.errors))
-    return EXIT_DIAGNOSTICS if report.errors else EXIT_OK
+    errors = report.errors  # built on each read
+    _echo(table + "".join(f"{d.severity} {d.code}: {d.message}\n" for d in errors))
+    return EXIT_DIAGNOSTICS if errors else EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -251,7 +273,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     base = _read_graph(args.base) if args.base else None
     report = validate(graph, base, config.require_resources())
-    return _write_validation(Path(args.out), report)
+    return _write_validation(_out_dir(args.out), report)
 
 
 def _profile_table(p: validation.GraphProfile) -> str:
@@ -274,7 +296,7 @@ def cmd_agree(args: argparse.Namespace) -> int:
             matrix, heuristic_order=[spec.name for spec in HEURISTICS])
     except agreement_mod.AgreementError as exc:
         raise CliError(str(exc))
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     _write_json(out_dir / "agreement-report.json", report.to_dict())
     table = report.format_table()
     _write(out_dir / "agreement-report.txt", table)
@@ -293,7 +315,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise CliError(f"description backend failed: {exc}")
     except AmrError as exc:
         raise CliError(f"cannot parse {args.amr}: {exc}")
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     _write_description(out_dir, result.description)
     _write_base(out_dir, result.base)
     enrich_code = _write_enrichment(out_dir, result.base, result.results, result.merged)

@@ -125,7 +125,7 @@ class PromptRequest(NamedTuple):
 
 class EnrichmentResult(Record):
     """One heuristic's outcome: its additions to ``base`` and their prefix
-    table; ``quarantined`` keeps it out of the merge, and ``run_all`` decides it."""
+    table; ``quarantined`` keeps it out of the merge."""
 
     __slots__ = _fields = ("heuristic", "base", "added", "prefixes", "diagnostics",
                            "raw_response", "quarantined")
@@ -240,12 +240,19 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
     embeds, and ``system_template`` the text of ``read_system_template``.
     The result's table is the reader's without its aliases. Failures never
     propagate: a backend or parse failure yields a result with no additions
-    and a RESPONSE_INVALID error diagnostic.
+    and a RESPONSE_INVALID error diagnostic; a base binding the heuristic's
+    label elsewhere, with no request sent, a quarantined PREFIX_CONFLICT one.
     """
     if not base.triples:
         raise EnrichmentError("base graph is empty")
-    prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
     request = assemble_prompt(base_turtle, system_template, spec, prompts_dir)
+    try:
+        prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
+    except PrefixConflictError as exc:
+        logger.warning("%s: not run: %s", spec.name, exc)
+        return EnrichmentResult(spec.name, base, frozenset(), base.prefixes,
+                                [Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
+                                            f"not run: {exc}")], "", quarantined=True)
     response, unexpected = "", None
     try:
         response = backend.complete(request)
@@ -305,7 +312,7 @@ def run_all(base: RdfGraph, backend: Backend,
     mergeable = []
     table = base.prefixes
     for r in results:
-        r.quarantined = r.failed and not force_merge
+        r.quarantined = r.quarantined or (r.failed and not force_merge)
         if r.quarantined:
             continue
         try:

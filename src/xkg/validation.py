@@ -73,8 +73,8 @@ INFO = "INFO"
 
 # Closed diagnostic code registry. RESPONSE_INVALID and PRECEDES_CYCLE cover
 # failed backend responses and cyclic orderings, which still need codes;
-# PREFIX_CONFLICT a result whose prefixes clash with an earlier merged one;
-# PRECEDES_TRUNCATED a closure too large to list in full.
+# PREFIX_CONFLICT a result whose prefixes clash with the base's or an earlier
+# merged one's; PRECEDES_TRUNCATED a closure too large to list in full.
 ANCHOR_FLOAT = "ANCHOR_FLOAT"
 PREFIX_MISUSE = "PREFIX_MISUSE"
 DISJOINT_CLASH = "DISJOINT_CLASH"
@@ -247,7 +247,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
     where only classes belong. MISSING_COMMENT (INFO): a newly minted class
     or property without ``rdfs:comment``. UNDECLARED_PREFIX (WARN): terms
     parsed under a placeholder namespace. FALLBACK_ROLE (INFO): each
-    ``dul:associatedWith`` occurrence.
+    ``dul:associatedWith`` occurrence, naming its terms by their reprs.
     """
     index = graph.by_predicate()
     diagnostics = [_new(Diagnostic, (
@@ -274,8 +274,17 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
     commented = {t[0] for t in index.get(RDFS_COMMENT, ())}
     diagnostics += [_new(Diagnostic, (INFO, MISSING_COMMENT, f"{term.local_name()} has no rdfs:comment", term))
                     for term in sorted(_minted_terms(graph) - commented)]
-    diagnostics += [_new(Diagnostic, (INFO, FALLBACK_ROLE, f"fallback association between {s!r} and {o!r}", s))
-                    for s, _, o in sorted(index.get(DUL_ASSOCIATED_WITH, ()))]
+    # Keyed by the term, not its text: an IRI and a literal can share a text.
+    names: dict[Term, str] = {}
+    for s, _, o in sorted(index.get(DUL_ASSOCIATED_WITH, ())):
+        subject = names.get(s)
+        if subject is None:
+            subject = names[s] = repr(s)
+        obj = names.get(o)
+        if obj is None:
+            obj = names[o] = repr(o)
+        diagnostics.append(_new(Diagnostic, (
+            INFO, FALLBACK_ROLE, f"fallback association between {subject} and {obj}", s)))
     return diagnostics
 
 

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 _RDF = "tests/test_rdf.py::"
 _ENRICHMENT = "tests/test_enrichment.py::"
+_VALIDATION = "tests/test_validation.py::"
+_CLI = "tests/test_cli.py::"
 
 MUTANTS = [
     Mutant(
@@ -76,10 +78,17 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/cli.py",
-        "    except OSError as exc:\n        raise CliError(f\"cannot write",
-        "    except () as exc:\n        raise CliError(f\"cannot write",
+        "    except OSError as exc:\n        raise CliError(f\"cannot write {out_dir}",
+        "    except () as exc:\n        raise CliError(f\"cannot write {out_dir}",
         ("tests/test_cli.py::test_unwritable_output_is_input_error",),
-        "an output that cannot be written ends the command with a traceback, not exit 2",
+        "an --out that cannot be created ends the command with a traceback, not exit 2",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "    except OSError as exc:\n        raise CliError(f\"cannot write {path}",
+        "    except () as exc:\n        raise CliError(f\"cannot write {path}",
+        ("tests/test_cli.py::test_output_file_that_is_a_directory_is_input_error",),
+        "an output file that cannot be written ends the command with a traceback, not exit 2",
     ),
     # The Turtle reader, each against the reference reader and the error table.
     Mutant(
@@ -142,7 +151,8 @@ MUTANTS = [
         "xkg/rdf.py",
         "elif (predicate := terms.get(raw)) is None or predicate[0]:",
         "elif (predicate := terms.get(raw)) is None:",
-        (_RDF + "TestReaderAgreesWithReference::test_generated_documents",
+        (_RDF + "test_syntax_error_position_and_message",
+         _RDF + "TestReaderAgreesWithReference::test_generated_documents",
          _RDF + "TestReaderWithKnownTerms::test_same_as_without_them"),
         "a blank node read before is accepted as a predicate",
     ),
@@ -277,6 +287,201 @@ MUTANTS = [
         "    except OSError:\n        raise MissingTemplateError",
         (_ENRICHMENT + "TestAssemblePrompt::test_unreadable_template_is_not_a_missing_one",),
         "a template that cannot be read is reported as missing",
+    ),
+    # Each distinct text of the validation report built once per call.
+    Mutant(
+        "xkg/validation.py",
+        "        subject = names.get(s)\n"
+        "        if subject is None:\n"
+        "            subject = names[s] = repr(s)\n"
+        "        obj = names.get(o)\n"
+        "        if obj is None:\n"
+        "            obj = names[o] = repr(o)\n",
+        "        subject = names.get(s[1])\n"
+        "        if subject is None:\n"
+        "            subject = names[s[1]] = repr(s)\n"
+        "        obj = names.get(o[1])\n"
+        "        if obj is None:\n"
+        "            obj = names[o[1]] = repr(o)\n",
+        (_VALIDATION + "TestLint::test_fallback_role_names_each_term_by_its_own_repr",
+         _VALIDATION + "TestAgreesWithFullScans::test_same_results_as_the_reference"),
+        "lint's reprs are keyed by a term's text, so a literal is named as the IRI or blank "
+        "node that shares it",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "        start = heads.get((severity, code))\n"
+        "        if start is None:\n"
+        "            start = heads[severity, code] = ",
+        "        start = heads.get(code)\n"
+        "        if start is None:\n"
+        "            start = heads[code] = ",
+        (_CLI + "TestReportTemplates::test_repeated_heads_and_subjects",
+         _CLI + "TestReportTemplates::test_diagnostics_equal_json_of_to_dict"),
+        "the report's heads are keyed by code alone, so a code's first severity stands for all",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "        subject = subjects.get(s)\n"
+        "        if subject is None:\n"
+        "            subject = subjects[s] = ",
+        "        subject = subjects.get(s and s[1])\n"
+        "        if subject is None:\n"
+        "            subject = subjects[s and s[1]] = ",
+        (_CLI + "TestReportTemplates::test_repeated_heads_and_subjects",
+         _CLI + "TestReportTemplates::test_diagnostics_equal_json_of_to_dict"),
+        "the report's subject texts are keyed by a term's text, so a blank node and an IRI "
+        "with its label share one",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "    try:\n"
+        "        prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)\n"
+        "    except PrefixConflictError as exc:\n",
+        "    prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)\n"
+        "    try:\n"
+        "        pass\n"
+        "    except PrefixConflictError as exc:\n",
+        (_ENRICHMENT + "TestRunAll::test_base_binding_a_heuristic_label_elsewhere_quarantines_it",
+         _CLI + "TestEnrich::test_base_binding_a_heuristic_label_elsewhere_quarantines_it"),
+        "a base that binds a heuristic's label elsewhere ends the whole enrichment",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "r.quarantined = r.quarantined or (r.failed and not force_merge)",
+        "r.quarantined = r.failed and not force_merge",
+        (_ENRICHMENT + "TestRunAll::test_base_binding_a_heuristic_label_elsewhere_quarantines_it",),
+        "force_merge merges a heuristic that was not run for its base prefix conflict",
+    ),
+    # Validation from one per-predicate index, tuple diagnostics and a bitset
+    # closure.
+    Mutant(
+        "xkg/validation.py",
+        "        if severity not in (ERROR, WARN, INFO):\n",
+        "        if False:\n",
+        (_VALIDATION + "TestDiagnostic::test_unknown_severity_rejected",),
+        "a diagnostic takes any severity",
+    ),
+    Mutant(
+        "xkg/validation.py",
+        "    undeclared = sorted({iri for iri in chain(index, graph.node_iris())",
+        "    undeclared = sorted({iri for iri in chain(index)",
+        (_VALIDATION + "TestLint::test_undeclared_prefix_on_nodes_alone",
+         _VALIDATION + "TestAgreesWithFullScans::test_same_results_as_the_reference"),
+        "an undeclared prefix used only on nodes is not reported",
+    ),
+    Mutant(
+        "xkg/validation.py",
+        "            if isinstance(s, Iri):\n                minted.add(s)\n",
+        "            minted.add(s)\n",
+        (_VALIDATION + "TestDiagnostic::test_lint_builds_only_registered_codes",
+         _VALIDATION + "TestAgreesWithFullScans::test_same_results_as_the_reference"),
+        "a blank node declared a class is a minted term, and lint fails on its local name",
+    ),
+    Mutant(
+        "xkg/validation.py",
+        "    pairs = sorted((min(pair), max(pair)) for pair in disjoint)",
+        "    pairs = sorted(tuple(pair) for pair in disjoint if len(pair) == 2)",
+        (_VALIDATION + "TestConsistency::test_class_disjoint_with_itself_clashes",),
+        "a class disjoint with itself clashes with nothing",
+    ),
+    Mutant(
+        "xkg/validation.py",
+        "                        if len(members) > 1 or node in successors[node]:",
+        "                        if len(members) > 1:",
+        (_VALIDATION + "TestPrecedence::test_self_loop_precedes_itself",
+         _VALIDATION + "TestPrecedence::test_cycles_match_reachability_oracle"),
+        "a node that precedes itself alone does not reach itself",
+    ),
+    Mutant(
+        "xkg/validation.py",
+        "    closure = list(islice(_pairs(nodes, reach), MAX_PRECEDENCE_PAIRS))",
+        "    closure = list(islice(_pairs(nodes, reach), MAX_PRECEDENCE_PAIRS - 1))",
+        (_VALIDATION + "TestPrecedenceCap::test_long_chain_lists_the_cap_and_warns_with_the_total",),
+        "the closure lists one pair fewer than the cap",
+    ),
+    Mutant(
+        "xkg/validation.py",
+        "    if total > MAX_PRECEDENCE_PAIRS:",
+        "    if total >= MAX_PRECEDENCE_PAIRS:",
+        (_VALIDATION + "TestPrecedenceCap::test_at_the_cap_nothing_is_cut",),
+        "a closure of exactly the cap is reported as truncated",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        "                if (concept, index) not in unmapped:  # warn once per call\n",
+        "                if True:\n",
+        ("tests/test_translate.py::TestTranslate::"
+         "test_missing_roleset_entry_warned_once_per_frame_and_index",),
+        "a missing roleset entry is warned once per use, not once per frame and index",
+    ),
+    # The report templates and the config's range checks.
+    Mutant(
+        "xkg/cli.py",
+        '_encode("_:" + s[1] if isinstance(s, BlankNode) else s[1])',
+        "_encode(s[1])",
+        (_CLI + "TestReportTemplates::test_repeated_heads_and_subjects",
+         _CLI + "TestReportTemplates::test_diagnostics_equal_json_of_to_dict"),
+        "a blank-node subject is written without its '_:'",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "start + subject + middle + _encode(message) + end",
+        "start + subject + middle + '\"' + message + '\"' + end",
+        (_CLI + "TestReportTemplates::test_repeated_heads_and_subjects",
+         _CLI + "TestReportTemplates::test_diagnostics_equal_json_of_to_dict"),
+        "a message is written unescaped",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        'template = "[" + inner + "  %s," + inner + "  %s" + inner + "]"',
+        'template = "[" + inner + "  %s, %s" + inner + "]"',
+        (_CLI + "TestReportTemplates::test_validation_report",
+         _CLI + "TestReportTemplates::test_pairs_equal_json_of_values"),
+        "a precedence pair is written on one line",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        '    if not pairs:\n        return "[]"\n',
+        '    if not pairs:\n        return "[" + outer + "]"\n',
+        (_CLI + "TestReportTemplates::test_validation_report",),
+        "an empty pair list is written over two lines",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        'if entries else "{}\\n")',
+        'if entries else "{\\n}\\n")',
+        (_CLI + "TestReportTemplates::test_diagnostics_file",),
+        "diagnostics.json with no results is written over two lines",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "@functools.cache\ndef build_parser()",
+        "def build_parser()",
+        (_CLI + "test_successive_calls_equal_fresh_processes",),
+        "the argument parser is built on every call",
+    ),
+    Mutant(
+        "xkg/config.py",
+        "        if not 0 < value < math.inf:\n",
+        "        if not 0 < value:\n",
+        (_CLI + "test_backend_setting_out_of_range_is_config_error",),
+        "an infinite timeout is accepted",
+    ),
+    Mutant(
+        "xkg/config.py",
+        "    if backend.retries > MAX_RETRIES:\n",
+        "    if backend.retries < 0:\n",
+        (_CLI + "test_unbounded_retries_is_config_error",
+         _CLI + "test_backend_setting_out_of_range_is_config_error"),
+        "retries have no upper limit",
+    ),
+    Mutant(
+        "xkg/config.py",
+        "        if not 0 < value < math.inf:\n",
+        "        if not 0 <= value < math.inf:\n",
+        (_CLI + "test_backend_setting_out_of_range_is_config_error",),
+        "a zero timeout, max_concurrent or max_tokens is accepted",
     ),
 ]
 

@@ -23,7 +23,8 @@ from xkg.enrichment import HEURISTICS
 from xkg.pipeline import enrich, validate
 from xkg.rdf import (FRED_NS, XSD_INTEGER, BlankNode, Iri, Literal, RdfGraph, parse_turtle,
                      serialize_turtle)
-from xkg.validation import DIAGNOSTIC_CODES, ERROR, INFO, WARN, Diagnostic
+from xkg.validation import (ANCHOR_FLOAT, DIAGNOSTIC_CODES, ERROR, FALLBACK_ROLE, INFO, WARN,
+                            Diagnostic)
 
 FIXTURES = bundled_resources_root() / "fixtures"
 SCENE_TXT = str(FIXTURES / "athlete-scene.txt")
@@ -275,6 +276,27 @@ class TestEnrich:
         assert list(diagnostics) == ["FactualImpact", "CausalRelations"]
         assert diagnostics["CausalRelations"]["quarantined"] is True
 
+    def test_base_binding_a_heuristic_label_elsewhere_quarantines_it(self, base_graph_dir,
+                                                                      tmp_path, capsys):
+        base = tmp_path / "base.ttl"
+        base.write_text("@prefix presup: <http://other.example/> .\n"
+                        + read(base_graph_dir / "base-graph.ttl"), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["enrich", "--base", str(base), "--mock", "--out", str(out)])
+        assert code == EXIT_DIAGNOSTICS
+        assert "error:" not in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["diagnostics.json", "xkg-merged.ttl", *(f"xkg-{s.name}.ttl" for s in HEURISTICS)])
+        diagnostics = json.loads(read(out / "diagnostics.json"))
+        assert diagnostics["Presuppositions"] == {"added": 0, "quarantined": True, "diagnostics": [{
+            "severity": "ERROR", "code": "PREFIX_CONFLICT", "subject": None,
+            "message": "not run: prefix 'presup:' bound to both <http://other.example/> and "
+                       "<https://w3id.org/xkg/presupposition#>"}]}
+        assert parse_turtle(read(out / "xkg-Presuppositions.ttl")).triples == parse_turtle(
+            read(base)).triples
+        assert [name for name, entry in diagnostics.items() if entry["quarantined"]] == [
+            "Presuppositions"]
+
     def test_duplicated_heuristic_runs_once(self, base_graph_dir, tmp_path, monkeypatch):
         backend = MockBackend(default_config().require_resources().mock_dir)
         monkeypatch.setattr(xkg.cli, "_make_backend", lambda config, mock: backend)
@@ -306,9 +328,20 @@ _subjects = st.one_of(
     st.none(), _iris, st.builds(BlankNode, _texts),
     st.builds(Literal, _texts, st.sampled_from([None, XSD_INTEGER])),
     st.builds(Literal, _texts, st.none(), st.just("en")))
+# Small pools, so that a list repeats (severity, code) pairs and subjects:
+# one code under two severities, and an IRI, a blank node and a literal whose
+# texts coincide ("_:urn:x"), beside an IRI and a literal that share the
+# blank node's label.
+_HEADS = [(INFO, FALLBACK_ROLE), (WARN, FALLBACK_ROLE), (ERROR, ANCHOR_FLOAT)]
+_SUBJECT_POOL = [None, Iri("_:urn:x"), BlankNode("urn:x"), Literal("_:urn:x"), Iri("urn:x"),
+                 Literal("urn:x", language="en")]
 _diagnostics = st.lists(st.builds(
-    Diagnostic, st.sampled_from([ERROR, WARN, INFO]), st.sampled_from(sorted(DIAGNOSTIC_CODES)),
-    _texts, _subjects), max_size=4)
+    lambda head, message, subject: Diagnostic(*head, message, subject),
+    st.one_of(st.sampled_from(_HEADS), st.tuples(st.sampled_from([ERROR, WARN, INFO]),
+                                                 st.sampled_from(sorted(DIAGNOSTIC_CODES)))),
+    st.one_of(st.sampled_from(["m", "\u00e9"]), _texts),
+    st.one_of(st.sampled_from(_SUBJECT_POOL), _subjects)), max_size=20)
+_nodes = st.one_of(st.sampled_from([Iri("http://x.example/a"), Iri("urn:x")]), _iris)
 _indents = st.sampled_from(["\n", "\n  ", "\n    ", "\n      "])
 
 
@@ -324,6 +357,15 @@ class TestReportTemplates:
     """The per-diagnostic templates write the bytes of ``json.dumps(indent=2)``
     over ``to_dict``."""
 
+    def test_repeated_heads_and_subjects(self):
+        # Every pooled (severity, code) pair with every pooled subject: each
+        # head comes six times and each subject three.
+        diagnostics = [Diagnostic(severity, code, 'a "m\u00e9"\n', subject)
+                       for severity, code in _HEADS for subject in _SUBJECT_POOL]
+        expected = json.dumps([d.to_dict() for d in diagnostics], indent=2)
+        for outer in ("\n", "\n    "):
+            assert xkg.cli._diagnostics_json(diagnostics, outer) == expected.replace("\n", outer)
+
     @settings(max_examples=300, deadline=None)
     @given(_diagnostics, _indents)
     def test_diagnostics_equal_json_of_to_dict(self, diagnostics, outer):
@@ -331,7 +373,7 @@ class TestReportTemplates:
         assert xkg.cli._diagnostics_json(diagnostics, outer) == expected.replace("\n", outer)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(_iris, _iris), max_size=4), _indents)
+    @given(st.lists(st.tuples(_nodes, _nodes), max_size=20), _indents)
     def test_pairs_equal_json_of_values(self, pairs, outer):
         expected = json.dumps([[a.value, b.value] for a, b in pairs], indent=2)
         assert xkg.cli._pairs_json(pairs, outer) == expected.replace("\n", outer)
@@ -525,6 +567,45 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, argv, out):
     assert main([*argv, "--out", out.format(file=tmp_path / "file")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+# Each subcommand, the exit it gives here and the files it writes, the first
+# one first.
+_WRITERS = {
+    "describe": (["describe", "--text", SCENE_TXT], EXIT_OK, ["description.txt"]),
+    "base": (["base", "--amr", SCENE_AMR], EXIT_OK, ["base-graph.ttl", "base-profile.json"]),
+    "enrich": (["enrich", "--mock", "--base",
+                str(Path(__file__).parent / "golden" / "base-graph.ttl")], EXIT_OK,
+               [*(f"xkg-{spec.name}.ttl" for spec in HEURISTICS), "xkg-merged.ttl",
+                "diagnostics.json"]),
+    "validate": (["validate", "--graph", str(Path(__file__).parent / "golden" / "base-graph.ttl")],
+                 EXIT_OK, ["validation-report.json", "validation-report.txt"]),
+    "agree": (["agree", "--ratings", str(Path(__file__).parent / "golden" / "ratings.csv")],
+              EXIT_OK, ["agreement-report.json", "agreement-report.txt"]),
+    "run": (["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR], EXIT_DIAGNOSTICS,
+            ["description.txt", "base-graph.ttl", "base-profile.json",
+             *(f"xkg-{spec.name}.ttl" for spec in HEURISTICS), "xkg-merged.ttl",
+             "diagnostics.json", "validation-report.json", "validation-report.txt"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_every_subcommand_creates_a_missing_nested_out(tmp_path, capsys, command):
+    argv, expected, names = _WRITERS[command]
+    out = tmp_path / "a" / "b" / "c"
+    assert main([*argv, "--out", str(out)]) == expected
+    assert "error:" not in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_output_file_that_is_a_directory_is_input_error(tmp_path, capsys, command):
+    argv, _, names = _WRITERS[command]
+    (tmp_path / names[0]).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / names[0]}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, resource, name, content", [

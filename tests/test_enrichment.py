@@ -373,6 +373,35 @@ class TestRunAll:
             assert not by_name["FactualImpact"].quarantined
             assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
 
+    @pytest.mark.parametrize("force_merge", [False, True])
+    def test_base_binding_a_heuristic_label_elsewhere_quarantines_it(self, force_merge):
+        # The base binds presup: elsewhere, so Presuppositions cannot bind its
+        # own namespace: it is not run, and the others are.
+        base = parse_turtle("@prefix presup: <http://other.example/> .\n" + SCENE_TURTLE)
+        responses = {spec.name: "" for spec in HEURISTICS}
+        responses["FactualImpact"] = IMPACT_RESPONSE
+        responses["Presuppositions"] = IMPACT_RESPONSE
+        outcomes = []
+        for max_concurrent in (1, 4):
+            backend = MappingBackend(responses)
+            results, merged = run_all(base, backend, PROMPTS, max_concurrent=max_concurrent,
+                                      force_merge=force_merge)
+            by_name = {r.heuristic: r for r in results}
+            presup = by_name["Presuppositions"]
+            assert presup.quarantined and presup.added == frozenset()
+            assert presup.prefixes == base.prefixes and presup.raw_response == ""
+            assert [(d.severity, d.code, d.message) for d in presup.diagnostics] == [(
+                ERROR, PREFIX_CONFLICT, "not run: prefix 'presup:' bound to both "
+                "<http://other.example/> and <https://w3id.org/xkg/presupposition#>")]
+            assert sorted(r.tag for r in backend.requests) == sorted(
+                spec.name for spec in HEURISTICS if spec.name != "Presuppositions")
+            assert not by_name["FactualImpact"].quarantined
+            assert merged.triples == base.triples | by_name["FactualImpact"].added
+            assert merged.prefixes.namespace("presup") == "http://other.example/"
+            outcomes.append((serialize_turtle(merged),
+                             [(r.heuristic, r.quarantined, r.diagnostics) for r in results]))
+        assert outcomes[0] == outcomes[1]
+
     def test_unexpected_backend_exception_fails_only_its_heuristic(self):
         class Flaky(MappingBackend):
             def complete(self, request):

@@ -263,6 +263,8 @@ SYNTAX_ERRORS = {
     "datatype IRI without a scheme": ('ex:a ex:p "x"^^<a> .', 1, 16,
                                       "not an absolute IRI: 'a'"),
     "blank node as datatype": ('ex:a ex:p "x"^^_:b .', 1, 16, "expected datatype IRI after ^^"),
+    "blank node read before as predicate": ("_:b ex:p ex:c .\nex:a _:b ex:c .", 2, 6,
+                                            "expected predicate, found 'b'"),
     "lone surrogate in a string": ('ex:a ex:p "x\ud800y" .', 1, 13, "lone surrogate U+D800"),
     "lone surrogate in an IRI on line 2": (
         "ex:a ex:p ex:b .\n  ex:c ex:p <http://e/\udfff> .", 2, 23, "lone surrogate U+DFFF"),

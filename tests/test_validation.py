@@ -238,6 +238,25 @@ class TestLint:
         ])
         assert len([d for d in lint(graph) if d.code == FALLBACK_ROLE]) == 2
 
+    def test_undeclared_prefix_on_nodes_alone(self):
+        graph = parse_turtle("@prefix ex: <http://example.org/> .\nmystery:a ex:p mystery:b .",
+                             bind_undeclared=True)
+        assert [(d.code, d.message, d.subject) for d in lint(graph)
+                if d.code == UNDECLARED_PREFIX] == [
+            (UNDECLARED_PREFIX, "prefix 'mystery:' was used without a declaration",
+             Iri(UNDECLARED_NS_BASE + "mystery#a"))]
+
+    def test_fallback_role_names_each_term_by_its_own_repr(self):
+        # Objects that share a text with a subject or with each other: an IRI
+        # and a literal, a blank node and a literal, two literals.
+        subjects = [ex("a"), BlankNode("b0")]
+        objects = [*subjects, Literal(EX_NS + "a"), Literal("b0"), Literal("x"),
+                   Literal("x", language="en")]
+        graph = graph_of([Triple(s, DUL_ASSOCIATED_WITH, o) for s in subjects for o in objects])
+        assert [(d.message, d.subject) for d in lint(graph) if d.code == FALLBACK_ROLE] == [
+            (f"fallback association between {t.subject!r} and {t.object!r}", t.subject)
+            for t in sorted(graph.triples)]
+
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError):
             Diagnostic(ERROR, "NOT_A_CODE", "nope")
@@ -443,6 +462,14 @@ class TestPrecedence:
             expected = reachability_pairs([(ex(a), ex(b)) for a, b in dag])
             assert set(result.closure) == expected
 
+    def test_self_loop_precedes_itself(self):
+        result = infer_precedence(self.graph_of([("a", "a"), ("a", "b"), ("b", "c")]))
+        assert result.closure == [(ex("a"), ex("a")), (ex("a"), ex("b")), (ex("a"), ex("c")),
+                                  (ex("b"), ex("c"))]
+        assert result.inferred == [(ex("a"), ex("c"))]
+        assert [d.message for d in result.diagnostics] == [
+            "precedes assertions form a cycle: a -> a"]
+
     def test_cycle_partial_result(self):
         result = infer_precedence(self.graph_of([("a", "b"), ("b", "a")]))
         assert [d.code for d in result.diagnostics] == [PRECEDES_CYCLE]
@@ -584,8 +611,11 @@ _PREDICATES = [RDF_TYPE, RDFS_COMMENT, RDFS_LABEL, RDFS_SUBCLASSOF, OWL_DISJOINT
                DUL_ASSOCIATED_WITH, DUL_PRECEDES, DUL_HAS_QUALITY, ex("p"),
                Iri(PBRS_NS + "run-01.agent"), Iri(PBLR_NS + "run-01.runner"), _PLACEHOLDERS[1]]
 _SUBJECTS = st.sampled_from(_IRIS + [BlankNode("b0"), BlankNode("b1")])
+# Among them literals whose texts are an IRI's value and a blank node's label.
 _OBJECTS = st.one_of(_SUBJECTS, st.sampled_from(
-    [Literal("x"), Literal("x", language="en"), TRUE, Literal("Event")]))
+    [Literal("x"), Literal("x", language="en"), TRUE, Literal("Event"), Literal(EX_NS + "a"),
+     Literal("b0")]))
+_ASSOCIATED = [ex("a"), BlankNode("b0")]
 
 
 def _among(predicate, nodes):
@@ -596,13 +626,16 @@ def _among(predicate, nodes):
 # Any subject, predicate and object (so blank nodes and literals under every
 # indexed predicate, placeholder IRIs in each position, pbrs predicates),
 # plus dense typings, subclass links and precedes links, where cycles and
-# clashes are common.
+# clashes are common, and fallback associations where one term is the subject
+# and the object of several, beside terms that share its text.
 _graphs = st.tuples(
     st.lists(st.builds(Triple, _SUBJECTS, st.sampled_from(_PREDICATES), _OBJECTS), max_size=30),
     st.lists(st.builds(Triple, st.sampled_from([ex(c) for c in "abc"]), st.just(RDF_TYPE),
                        st.sampled_from(_CLASSES)), max_size=6),
     st.lists(_among(RDFS_SUBCLASSOF, _CLASSES), max_size=4),
     st.lists(_among(DUL_PRECEDES, [ex(c) for c in "abcdef"]), max_size=14),
+    st.lists(st.builds(Triple, st.sampled_from(_ASSOCIATED), st.just(DUL_ASSOCIATED_WITH),
+                       st.one_of(st.sampled_from(_ASSOCIATED), _OBJECTS)), max_size=8),
 ).map(lambda parts: graph_of(set().union(*parts)))
 
 
