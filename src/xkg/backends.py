@@ -5,7 +5,8 @@ The enrichment stage is model-agnostic; a backend is anything with a
 the multimodal description step). A request carries only the prompt texts
 and a tag; the backend's own config sets the model, token budget and
 temperature of every call. The HTTP backend posts an OpenAI-style chat
-payload, retries transport failures with capped exponential back-off, and
+payload, retries transport failures with capped exponential back-off (or
+after the seconds a 429 or 503 response's ``Retry-After`` asks for), and
 keeps at most ``max_concurrent`` requests in flight however many threads
 call it; mocks replay canned responses keyed by the request tag so the whole
 pipeline runs offline and byte-stable.
@@ -56,7 +57,9 @@ class BackendConfig(NamedTuple):
 
     ``retries`` is the number of retries after a first failed attempt (at
     most ``MAX_RETRIES`` in a loaded config), each after a back-off of
-    ``FIRST_BACKOFF_S`` doubled per retry up to ``MAX_BACKOFF_S``.
+    ``FIRST_BACKOFF_S`` doubled per retry up to ``MAX_BACKOFF_S``, or after
+    the seconds that a 429 or 503 response's ``Retry-After`` gives, capped at
+    ``MAX_BACKOFF_S``.
     ``max_concurrent`` bounds the requests one ``HttpBackend`` has in flight
     at once, whoever calls it; a back-off or the decoding of a response
     holds no slot. ``model``, ``temperature`` and ``max_tokens`` go into
@@ -140,6 +143,17 @@ def _default_post(url: str, payload: dict, headers: dict, timeout: float):
     return requests.post(url, json=payload, headers=headers, timeout=timeout)
 
 
+def _retry_after(response) -> Optional[float]:
+    """The delay a response's ``Retry-After`` header gives in seconds, capped
+    at ``MAX_BACKOFF_S``; None without one in seconds (an HTTP-date, say).
+    A response without ``headers`` has none."""
+    headers = getattr(response, "headers", None)
+    value = headers.get("Retry-After") if headers is not None else None
+    if isinstance(value, str) and value.strip().isdigit() and value.isascii():
+        return min(float(value), MAX_BACKOFF_S)
+    return None
+
+
 def _extract_text(body: dict) -> str:
     """Pull the completion text out of the common response shapes."""
     choices = body.get("choices")
@@ -199,12 +213,15 @@ class HttpBackend:
         last_error: Optional[BackendError] = None
         attempts = self.config.retries + 1
         delay = FIRST_BACKOFF_S
+        asked: Optional[float] = None  # the last attempt's Retry-After
         for attempt in range(1, attempts + 1):
             if attempt > 1:
+                wait = delay if asked is None else asked
                 logger.debug("attempt %d of %d failed (%s); retrying in %.1fs",
-                             attempt - 1, attempts, reason, delay)
-                self._sleep(delay)
+                             attempt - 1, attempts, reason, wait)
+                self._sleep(wait)
                 delay = min(2 * delay, MAX_BACKOFF_S)
+                asked = None
             try:
                 with self._slots:
                     response = self._post(self.config.endpoint, payload, headers,
@@ -223,6 +240,8 @@ class HttpBackend:
             if status == 429 or status >= 500:
                 reason = f"HTTP {status}"
                 last_error = TransportError(reason)
+                if status == 429 or status == 503:
+                    asked = _retry_after(response)
                 continue
             if status >= 400:
                 raise TransportError(f"HTTP {status}: {getattr(response, 'text', '')[:200]}")

@@ -221,12 +221,12 @@ def _select_heuristics(selector: str):
 
 def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) -> int:
     # Every extended graph and the merge are the base plus additions, each
-    # set disjoint from the base. Each result's additions are sorted once.
-    # The merge's are the runs of the results that run_all kept in it (those
-    # not quarantined), merged by one sort (timsort merges sorted runs), with
-    # a triple two results share dropped where its copies meet. Each text is
+    # set disjoint from the base. Each result's additions come sorted. The
+    # merge's are the runs of the results that run_all kept in it (those not
+    # quarantined), merged by one sort (timsort merges sorted runs), with a
+    # triple two results share dropped where its copies meet. Each text is
     # written as soon as it is rendered.
-    runs = [sorted(result.added) for result in results]
+    runs = [result.sorted_added() for result in results]
     merged_added = [t for t, _ in groupby(sorted(chain.from_iterable(
         run for run, result in zip(runs, results) if not result.quarantined)))]
     names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]

@@ -124,31 +124,31 @@ class PromptRequest(NamedTuple):
 
 
 class EnrichmentResult(Record):
-    """One heuristic's outcome: its additions to ``base`` and their prefix
-    table; ``quarantined`` keeps it out of the merge."""
+    """One heuristic's outcome: its additions to the base graph (none of them
+    a base triple) and their prefix table; ``quarantined`` keeps it out of
+    the merge."""
 
-    __slots__ = _fields = ("heuristic", "base", "added", "prefixes", "diagnostics",
-                           "raw_response", "quarantined")
+    _fields = ("heuristic", "added", "prefixes", "diagnostics", "raw_response", "quarantined")
+    __slots__ = (*_fields, "_sorted_added")
 
-    def __init__(self, heuristic: str, base: RdfGraph, added: frozenset[Triple],
-                 prefixes: PrefixTable, diagnostics: list[Diagnostic], raw_response: str,
-                 quarantined: bool = False):
+    def __init__(self, heuristic: str, added: frozenset[Triple], prefixes: PrefixTable,
+                 diagnostics: list[Diagnostic], raw_response: str, quarantined: bool = False):
         self.heuristic = heuristic
-        self.base = base
         self.added = added
         self.prefixes = prefixes
         self.diagnostics = diagnostics
         self.raw_response = raw_response
         self.quarantined = quarantined
+        self._sorted_added: Optional[list[Triple]] = None  # set with ``added``
 
     @property
     def failed(self) -> bool:
         return has_errors(self.diagnostics)
 
-    @property
-    def xkg(self) -> RdfGraph:
-        """The extended graph (base plus additions), built on each read."""
-        return RdfGraph(self.base.triples | self.added, self.prefixes)
+    def sorted_added(self) -> list[Triple]:
+        """``sorted(self.added)``. ``run_heuristic`` sorts the additions once,
+        from the order the response gave them in. Callers must not change it."""
+        return sorted(self.added) if self._sorted_added is None else self._sorted_added
 
 
 def _read_template(prompts_dir: Union[str, Path], name: str) -> str:
@@ -250,7 +250,7 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
         prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
     except PrefixConflictError as exc:
         logger.warning("%s: not run: %s", spec.name, exc)
-        return EnrichmentResult(spec.name, base, frozenset(), base.prefixes,
+        return EnrichmentResult(spec.name, frozenset(), base.prefixes,
                                 [Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
                                             f"not run: {exc}")], "", quarantined=True)
     response, unexpected = "", None
@@ -266,13 +266,18 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
         except (EnrichmentError, RdfError) as exc:
             problem = f"unusable response: {exc}"
         else:
-            added = extracted.triples - base.triples
             prefixes = extracted.prefixes.declared()  # extends ``prefixes``
-            diagnostics = list(check_anchoring(base, added))
-            diagnostics.extend(lint(RdfGraph(added, prefixes)))
-            return EnrichmentResult(spec.name, base, added, prefixes, diagnostics, response)
+            # Sorted from the response's own order: one pass for a sorted one.
+            ordered = [t for t in extracted if t not in base.triples]
+            additions = RdfGraph.from_list(ordered, prefixes)
+            diagnostics = list(check_anchoring(base, additions.triples))
+            diagnostics.extend(lint(additions))
+            result = EnrichmentResult(spec.name, additions.triples, prefixes, diagnostics,
+                                      response)
+            result._sorted_added = ordered
+            return result
     logger.warning("%s: %s", spec.name, problem, exc_info=unexpected)
-    return EnrichmentResult(spec.name, base, frozenset(), prefixes,
+    return EnrichmentResult(spec.name, frozenset(), prefixes,
                             [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem)],
                             response)
 

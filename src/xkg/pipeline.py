@@ -58,17 +58,31 @@ class PipelineResult(NamedTuple):
     report: ValidationReport
 
 
+#: The largest image file ``describe`` accepts, in bytes (20 MiB). A backend
+#: reads the whole file and sends it base64-encoded in one request.
+MAX_IMAGE_BYTES = 20 * 1024 * 1024
+
+
 def describe(source: Union[str, Path], backend: Backend) -> str:
     """The scene description: ``source`` itself when it is text, else the
     backend's description of the image file it names.
 
-    Raises BackendError for a description that UTF-8 cannot encode (a JSON
-    body can decode to a lone surrogate), which could not be written.
+    Raises BackendError, with nothing sent, for an image file that cannot be
+    read or is larger than ``MAX_IMAGE_BYTES``; and for a description that
+    UTF-8 cannot encode (a JSON body can decode to a lone surrogate), which
+    could not be written.
     """
     if isinstance(source, str):
         return source
     if source.suffix.lower() not in SUPPORTED_IMAGE_SUFFIXES:
         raise UnsupportedImageFormatError(f"unsupported image format {source.suffix!r}")
+    try:
+        size = source.stat().st_size
+    except OSError as exc:
+        raise BackendError(f"cannot read image {source}: {exc}")
+    if size > MAX_IMAGE_BYTES:
+        raise BackendError(f"image {source} is {size} bytes, more than MAX_IMAGE_BYTES "
+                           f"({MAX_IMAGE_BYTES})")
     description = backend.describe(source)
     try:
         description.encode("utf-8")

@@ -47,6 +47,16 @@ whose table could render a base IRI differently gets a full
 binds a new namespace that is some base IRI's namespace (one ending in ``#``
 or ``/``) or a prefix of one (any other). Either way the bytes are those of
 ``serialize_turtle``.
+
+A graph that ``parse_turtle`` reads keeps the reader's list of its triples,
+in the order the document gives them, as a private order hint, unless a
+triple occurs in it twice; ``RdfGraph.from_list`` builds such a graph from
+any list. ``rendering`` and iteration sort the hint in place, and
+``by_predicate`` fills its buckets in its order. The pipeline writes every
+Turtle file sorted, so sorting a file it wrote takes one pass (timsort
+finds one run) instead of n log n. No output depends on the hint: each
+reader sorts what it takes from it or keeps it in a set, as for a graph
+without one, and equality, copies and pickles see only the set.
 """
 
 from __future__ import annotations
@@ -381,13 +391,24 @@ class RdfGraph(Record):
     (the standard prefixes by default)."""
 
     __slots__ = ("triples", "prefixes", "_node_iris", "_by_predicate", "_rendering",
-                 "_terms_by_text")
+                 "_terms_by_text", "_order")
     _fields = ("triples", "prefixes")
 
     def __init__(self, triples: frozenset[Triple] = frozenset(),
                  prefixes: Optional[PrefixTable] = None):
         _set(self, "triples", triples)
         _set(self, "prefixes", standard_prefixes() if prefixes is None else prefixes)
+
+    @classmethod
+    def from_list(cls, triples: list[Triple],
+                  prefixes: Optional[PrefixTable] = None) -> "RdfGraph":
+        """The graph of ``triples``, which keeps the list as its order hint
+        (see the module docstring) when no triple occurs in it twice; the
+        list is the graph's from then on."""
+        graph = cls(frozenset(triples), prefixes)
+        if len(graph.triples) == len(triples):
+            _set(graph, "_order", triples)
+        return graph
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -405,7 +426,18 @@ class RdfGraph(Record):
         return triple in self.triples
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples))
+        """The triples, sorted."""
+        return iter(self._sorted())
+
+    def _sorted(self) -> list[Triple]:
+        """The triples, sorted: the order hint sorted in place, which takes
+        one pass when it is sorted already, or else a sorted copy of the set."""
+        try:
+            order = self._order
+        except AttributeError:
+            return sorted(self.triples)
+        order.sort()
+        return order
 
     def with_triples(self, extra: Iterable[Triple]) -> "RdfGraph":
         return RdfGraph(self.triples | frozenset(extra), self.prefixes)
@@ -426,13 +458,14 @@ class RdfGraph(Record):
             return cached
 
     def by_predicate(self) -> dict[Iri, list[Triple]]:
-        """Each predicate's triples, in no fixed order; computed on the first
-        call and kept like ``node_iris``. Callers must not change it."""
+        """Each predicate's triples, in no fixed order (that of the order hint
+        when the graph has one); computed on the first call and kept like
+        ``node_iris``. Callers must not change it."""
         try:
             return self._by_predicate
         except AttributeError:
             buckets = defaultdict(list)
-            for t in self.triples:
+            for t in getattr(self, "_order", self.triples):
                 buckets[t[1]].append(t)
             cached = dict(buckets)
             _set(self, "_by_predicate", cached)
@@ -447,7 +480,7 @@ class RdfGraph(Record):
         try:
             return self._rendering
         except AttributeError:
-            ordered = sorted(self.triples)
+            ordered = self._sorted()
             nodes, predicates = _term_texts(ordered, self.prefixes)
             cached = ordered, nodes, predicates, _statements(ordered, nodes, predicates)
             _set(self, "_rendering", cached)
@@ -676,7 +709,7 @@ class _Reader:
             i = self.predicate_object_list(i, subject, 0)
             self.expect(i, ".")
             i += 1
-        return RdfGraph(frozenset(self.triples), self.prefixes)
+        return RdfGraph.from_list(self.triples, self.prefixes)
 
     def resolve(self, i: int, role: str) -> Union[Iri, BlankNode]:
         """The term of token ``i``, which ``terms`` lacks, in a ``role`` position."""

@@ -27,6 +27,12 @@ def graph_of(triples: Iterable[Triple], prefixes: Optional[PrefixTable] = None) 
     return RdfGraph(frozenset(triples), prefixes or standard_prefixes())
 
 
+def extended_graph(base: RdfGraph, result) -> RdfGraph:
+    """A heuristic's extended graph: the base's triples and an
+    ``EnrichmentResult``'s additions, under the result's prefix table."""
+    return RdfGraph(base.triples | result.added, result.prefixes)
+
+
 def random_rdf_graph(rng: random.Random, max_triples: int = 12) -> RdfGraph:
     prefixes = standard_prefixes().with_binding("ex", EX_NS)
     iris = [Iri(EX_NS + w) for w in "abcdefgh"]

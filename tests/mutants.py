@@ -11,8 +11,11 @@ there). A mutant is killed only when pytest exits 1: tests ran and one
 failed. Exit 0 means it survived; any other exit (4 or 5: an id that does
 not exist, nothing collected) is an error of the runner, not a kill.
 
-It prints one line per mutant and ends with ``{"killed": k, "total": n}``;
-it exits 0 only when every mutant is killed. The list only grows, except
+Each mutant's pytest run has its own ``--basetemp`` under the mutant's
+temporary directory, so runners on one host share no pytest directory. It
+prints one line per mutant, followed for any outcome but ``killed`` by the
+last lines pytest printed, and ends with ``{"killed": k, "total": n}``; it
+exits 0 only when every mutant is killed. The list only grows, except
 that a mutant whose code is gone is removed; a change that adds a check also
 adds a mutant that the check kills.
 """
@@ -274,6 +277,31 @@ MUTANTS = [
         (_ENRICHMENT + "TestRunAll::test_response_rebinding_a_base_label_is_quarantined",),
         "a response may rebind a base label, and its names then mix base terms and its own",
     ),
+    # The order hint: sorting a sorted graph takes one pass.
+    Mutant(
+        "xkg/rdf.py",
+        "        order.sort()\n        return order\n",
+        "        return order\n",
+        (_RDF + "TestOrderHint::test_unsorted_document_renders_sorted",
+         _VALIDATION + "TestOrderHint::test_same_results_from_every_text"),
+        "a read graph renders and iterates its triples in the document's order, unsorted",
+    ),
+    Mutant(
+        "xkg/rdf.py",
+        "        if len(graph.triples) == len(triples):\n",
+        "        if True:\n",
+        (_RDF + "TestOrderHint::test_a_repeated_triple_leaves_the_set_order",
+         _VALIDATION + "TestOrderHint::test_same_results_from_every_text"),
+        "a document that states a triple twice keeps its order hint, so the triple is "
+        "rendered twice",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "ordered = [t for t in extracted if t not in base.triples]",
+        "ordered = list(extracted)",
+        (_ENRICHMENT + "TestRunHeuristic::test_additions_are_sorted_and_hold_no_base_triple",),
+        "a response's additions keep the base triples it restates",
+    ),
     Mutant(
         "xkg/enrichment.py",
         "prefixes = extracted.prefixes.declared()",
@@ -486,36 +514,45 @@ MUTANTS = [
 ]
 
 
-def run(mutant: Mutant, scratch: Path) -> str:
-    """``killed``, ``survived`` or ``error: ...`` for one mutant."""
+#: How many of the last lines of pytest's output a mutant not killed shows.
+TAIL_LINES = 20
+
+
+def run(mutant: Mutant, scratch: Path) -> tuple[str, list[str]]:
+    """``killed``, ``survived`` or ``error: ...`` for one mutant, and the last
+    ``TAIL_LINES`` lines that pytest printed, if it ran."""
     src = scratch / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     path = src / mutant.file
     text = path.read_text(encoding="utf-8")
     found = text.count(mutant.old)
     if found != 1:
-        return f"error: the old text occurs {found} times in {mutant.file}"
+        return f"error: the old text occurs {found} times in {mutant.file}", []
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     where = subprocess.run([sys.executable, "-c", "import xkg; print(xkg.__file__)"],
                            cwd=ROOT, env=env, capture_output=True, text=True)
     if not where.stdout.strip().startswith(str(src)):
-        return f"error: xkg is imported from {where.stdout.strip() or where.stderr.strip()}"
-    code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           *mutant.tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
-    if code == 1:
-        return "killed"
-    return "survived" if code == 0 else f"error: pytest exited {code}"
+        return f"error: xkg is imported from {where.stdout.strip() or where.stderr.strip()}", []
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           "--basetemp", str(scratch / "pytest"), *mutant.tests],
+                          cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, errors="replace")
+    tail = done.stdout.splitlines()[-TAIL_LINES:]
+    if done.returncode == 1:
+        return "killed", tail
+    return "survived" if done.returncode == 0 else f"error: pytest exited {done.returncode}", tail
 
 
 def main() -> int:
     killed = 0
     for mutant in MUTANTS:
         with tempfile.TemporaryDirectory(prefix="xkg-mutant-") as scratch:
-            outcome = run(mutant, Path(scratch))
+            outcome, tail = run(mutant, Path(scratch))
         killed += outcome == "killed"
         print(f"{outcome:<8}  {mutant.file}: {mutant.why}", flush=True)
+        if outcome != "killed":
+            print("".join(f"    | {line}\n" for line in tail), end="", flush=True)
     print(json.dumps({"killed": killed, "total": len(MUTANTS)}))
     return 0 if killed == len(MUTANTS) else 1
 

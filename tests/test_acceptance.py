@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from corpus import build_corpus
-from generators import (graph_of, random_amr_graph, random_dag, random_ratings_table,
-                        random_rdf_graph, serialize_penman)
+from generators import (extended_graph, graph_of, random_amr_graph, random_dag,
+                        random_ratings_table, random_rdf_graph, serialize_penman)
 from isomorphism import amr_isomorphic, isomorphic
 from oracles import (
     connected_components,
@@ -192,7 +192,7 @@ def test_criterion_5_consistency():
                            HEURISTIC_BY_NAME["MetonymicCoercion"],
                            MappingBackend({"MetonymicCoercion": metonymic}),
                            RESOURCES.prompts_dir)
-    clashes = check_consistency(result.xkg, onto)
+    clashes = check_consistency(extended_graph(base, result), onto)
     assert len(clashes) == 1
     assert clashes[0].code == DISJOINT_CLASH
     assert "athlete_1 -> Athlete -> Person -> Agent -> Object" in clashes[0].message
@@ -211,7 +211,7 @@ def test_criterion_6_precedence():
                            HEURISTIC_BY_NAME["EventSequences"],
                            MappingBackend({"EventSequences": sequences}),
                            RESOURCES.prompts_dir)
-    inference = infer_precedence(result.xkg)
+    inference = infer_precedence(extended_graph(base, result))
     inferred = set(inference.inferred)
     for earlier in ("wear_1", "race_1", "competition_1", "win_1"):
         assert (fred(earlier), fred("celebrate_1")) in inferred

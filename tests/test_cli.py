@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 
 import xkg.cli
 from xkg import run_pipeline
-from xkg.backends import BackendConfig, MappingBackend, MockBackend
+from xkg.backends import BackendConfig, HttpBackend, MappingBackend, MockBackend
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
 from corpus import build_corpus
+from generators import extended_graph
 from strategies import ratings_csv_texts, turtle_documents
 from xkg.config import (ResourcePaths, bundled_resources_root, default_config,
                         default_resource_paths)
 from xkg.enrichment import HEURISTICS
-from xkg.pipeline import enrich, validate
+from xkg.pipeline import MAX_IMAGE_BYTES, enrich, validate
 from xkg.rdf import (FRED_NS, XSD_INTEGER, BlankNode, Iri, Literal, RdfGraph, parse_turtle,
                      serialize_turtle)
 from xkg.validation import (ANCHOR_FLOAT, DIAGNOSTIC_CODES, ERROR, FALLBACK_ROLE, INFO, WARN,
@@ -53,6 +54,34 @@ class TestDescribe:
         image.write_bytes(b"\x89PNG fake")
         code = main(["describe", "--image", str(image), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_image_over_the_size_cap_is_input_error_and_sends_nothing(
+            self, tmp_path, monkeypatch, capsys, live):
+        image = tmp_path / "scene.png"
+        image.touch()
+        os.truncate(image, MAX_IMAGE_BYTES + 1)  # sparse: no data is written
+        sent = []
+
+        class Recording(MappingBackend):
+            def describe(self, image_path):
+                sent.append(image_path)
+                return super().describe(image_path)
+
+        backend = (HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/chat"),
+                               post=lambda *args: sent.append(args))
+                   if live else Recording({}, description="a scene"))
+        monkeypatch.setattr(xkg.cli, "_make_backend", lambda config, mock: backend)
+        argv = ["describe", "--image", str(image), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: description backend failed: image {image} is {MAX_IMAGE_BYTES + 1} "
+            f"bytes, more than MAX_IMAGE_BYTES ({MAX_IMAGE_BYTES})\n")
+        assert sent == [] and not (tmp_path / "out").exists()
+        if not live:  # at the cap the image is described
+            os.truncate(image, MAX_IMAGE_BYTES)
+            assert main(argv) == EXIT_OK
+            assert sent == [image]
 
     def test_unsupported_image_format(self, tmp_path):
         bad = tmp_path / "scene.tiff"
@@ -405,7 +434,8 @@ class TestReportTemplates:
             "FactualImpact": False, "CausalRelations": False, "EventSequences": True}
         assert xkg.cli._write_enrichment(tmp_path, base, results, merged) == EXIT_DIAGNOSTICS
         for result in results:
-            assert read(tmp_path / f"xkg-{result.heuristic}.ttl") == serialize_turtle(result.xkg)
+            assert (read(tmp_path / f"xkg-{result.heuristic}.ttl")
+                    == serialize_turtle(extended_graph(base, result)))
         assert read(tmp_path / "xkg-merged.ttl") == serialize_turtle(merged)
 
     @pytest.mark.parametrize("name", ["empty", "corpus"])
@@ -531,6 +561,7 @@ class TestAgree:
     ["describe", "--text", "{missing}"],
     ["describe", "--text", "{directory}"],
     ["describe", "--image", "{missing}.png", "--config", "{live_config}"],
+    ["describe", "--image", "{missing}.png", "--mock"],
     ["base", "--amr", "{binary}"],
     ["enrich", "--mock", "--base", "{missing}"],
     ["validate", "--graph", "{binary}"],
@@ -964,5 +995,6 @@ class TestRun:
         assert serialize_turtle(result.merged) == read(run_dir / "xkg-merged.ttl")
         assert len(result.results) == 11
         for r in result.results:
-            assert serialize_turtle(r.xkg) == read(run_dir / f"xkg-{r.heuristic}.ttl")
+            assert (serialize_turtle(extended_graph(result.base, r))
+                    == read(run_dir / f"xkg-{r.heuristic}.ttl"))
         assert json.loads(read(run_dir / "validation-report.json")) == result.report.to_dict()

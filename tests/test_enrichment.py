@@ -33,6 +33,7 @@ from xkg.enrichment import (
     run_heuristic,
 )
 from xkg.rdf import (
+    DUL_NS,
     FRED_NS,
     Iri,
     RdfGraph,
@@ -41,6 +42,7 @@ from xkg.rdf import (
     serialize_turtle,
     standard_prefixes,
 )
+from generators import extended_graph
 from xkg.validation import (
     ANCHOR_FLOAT,
     DIAGNOSTIC_CODES,
@@ -200,7 +202,26 @@ class TestRunHeuristic:
         assert len(result.added) == 5
         assert not result.failed
         assert [d for d in result.diagnostics if d.code == ANCHOR_FLOAT] == []
-        assert result.xkg.triples == SCENE_BASE.triples | result.added
+        assert extended_graph(SCENE_BASE, result).triples == SCENE_BASE.triples | result.added
+
+    def test_additions_are_sorted_and_hold_no_base_triple(self):
+        # Out of order, restating two base triples, and with a DUL fallback
+        # association for lint's sorted bucket.
+        response = (f"@prefix fred: <{FRED_NS}> .\n"
+                    f"@prefix dul: <{DUL_NS}> .\n"
+                    "fred:win_1 dul:associatedWith fred:track_1 ; a pbrs:win-01 .\n"
+                    "fred:celebrate_1 vn.role:Location fred:track_1 ;\n"
+                    "    dul:associatedWith fred:win_1, fred:athlete_1 .\n")
+        backend = MappingBackend({"FactualImpact": response})
+        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        fred, associated = lambda local: Iri(FRED_NS + local), Iri(DUL_NS + "associatedWith")
+        new = [Triple(fred("celebrate_1"), associated, fred("athlete_1")),
+               Triple(fred("celebrate_1"), associated, fred("win_1")),
+               Triple(fred("win_1"), associated, fred("track_1"))]
+        assert result.added == frozenset(new)
+        assert result.sorted_added() == new
+        assert [d.subject for d in result.diagnostics if d.code == "FALLBACK_ROLE"] == [
+            t.subject for t in new]
 
     def test_floating_triples_flagged(self):
         backend = MappingBackend({
@@ -243,7 +264,7 @@ class TestRunHeuristic:
         assert result.failed
         assert result.prefixes == SCENE_BASE.prefixes.with_binding(FACTUAL.prefix,
                                                                    FACTUAL.namespace)
-        assert result.xkg.triples == SCENE_BASE.triples
+        assert extended_graph(SCENE_BASE, result).triples == SCENE_BASE.triples
 
     def test_result_table_is_the_readers_without_its_aliases(self):
         response = (f"@prefix f: <{FRED_NS}> .\n@prefix ex: <http://e/> .\n"
@@ -318,7 +339,7 @@ class TestRunAll:
         assert "lone surrogate" in moral.diagnostics[0].message
         assert not by_name["FactualImpact"].failed
         assert merged.triples == SCENE_BASE.triples | by_name["FactualImpact"].added
-        for graph in [merged] + [r.xkg for r in results]:
+        for graph in [merged] + [extended_graph(SCENE_BASE, r) for r in results]:
             serialize_turtle(graph).encode("utf-8")
 
     def clashing_responses(self):
@@ -349,7 +370,7 @@ class TestRunAll:
             # own binding of ex: though the other response's parse met ex:p first.
             assert causal.added == {Triple(Iri(FRED_NS + "athlete_1"), Iri("http://b/p"),
                                            Iri("http://b/x"))}
-            assert causal.xkg.triples == SCENE_BASE.triples | causal.added
+            assert extended_graph(SCENE_BASE, causal).triples == SCENE_BASE.triples | causal.added
             outcomes.append((serialize_turtle(merged),
                              [(r.heuristic, r.quarantined, r.diagnostics) for r in results]))
         assert outcomes[0] == outcomes[1]
@@ -551,6 +572,30 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             backend.complete(self.request())
         assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] + [MAX_BACKOFF_S] * 3
+
+    @pytest.mark.parametrize("status, retry_after, delays", [
+        (503, "2", [2.0, 1.0]),
+        (429, " 2 ", [2.0, 1.0]),
+        (503, "600", [MAX_BACKOFF_S, 1.0]),
+        (503, "Wed, 21 Oct 2026 07:28:00 GMT", [0.5, 1.0]),
+        (503, "1.5", [0.5, 1.0]),
+        (503, "\u0662", [0.5, 1.0]),  # a digit, but not an ASCII one
+        (500, "2", [0.5, 1.0]),  # only a 429 or 503 is read
+        (503, None, [0.5, 1.0]),  # a response without headers
+    ])
+    def test_retry_after_in_seconds_sets_the_delay(self, monkeypatch, status, retry_after,
+                                                   delays):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        first = FakeResponse(status)
+        if retry_after is not None:
+            first.headers = {"Retry-After": retry_after}
+        responses = [first, FakeResponse(503),
+                     FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})]
+        waited = []
+        backend = HttpBackend(self.config(), post=lambda *a, **k: responses.pop(0),
+                              sleep=waited.append)
+        assert backend.complete(self.request()) == "ok"
+        assert waited == delays
 
     def test_a_thousand_retries_end_in_transport_error(self, monkeypatch):
         # 0.5 * 2 ** 1024 does not fit a float; the capped back-off never

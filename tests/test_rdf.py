@@ -502,6 +502,49 @@ class TestGraphIndexes:
         assert graph.by_predicate() == {} and graph.node_iris() == frozenset()
 
 
+# Out of order, with a '[ ]' node, whose triples the reader meets before the
+# one that holds it.
+UNSORTED_TTL = """@prefix ex: <http://example.org/x#> .
+ex:c ex:p ex:a .
+ex:a ex:q "2", "1" ; ex:p ex:b .
+ex:b ex:p [ ex:q ex:a ] .
+"""
+
+
+class TestOrderHint:
+    """A graph read from Turtle keeps the reader's order of its triples when
+    none repeats; sorting uses it, and no output depends on it."""
+
+    def test_unsorted_document_renders_sorted(self):
+        unordered = parse_turtle(UNSORTED_TTL)
+        plain = graph_of(unordered.triples, unordered.prefixes)  # the same set, no order
+        assert serialize_turtle(unordered) == serialize_turtle(plain)
+        assert list(parse_turtle(UNSORTED_TTL)) == sorted(plain.triples)
+        assert parse_turtle(UNSORTED_TTL).rendering() == plain.rendering()
+
+    def test_a_repeated_triple_leaves_the_set_order(self):
+        text = ("@prefix ex: <http://example.org/x#> .\n"
+                "ex:a ex:p ex:b .\nex:a ex:p ex:c, ex:b .\n")
+        graph = parse_turtle(text)
+        assert len(graph) == 2
+        assert serialize_turtle(graph).endswith("\nex:a ex:p ex:b, ex:c .\n")
+        bucket = parse_turtle(text).by_predicate()[Iri(EX_NS + "p")]
+        assert sorted(bucket) == sorted(graph.triples)
+
+    def test_from_list_orders_buckets_and_sorts_in_place(self):
+        a, p, q = Iri(EX_NS + "a"), Iri(EX_NS + "p"), Iri(EX_NS + "q")
+        order = [Triple(a, q, a), Triple(a, p, Literal("2")), Triple(a, p, Literal("1"))]
+        graph = RdfGraph.from_list(order)
+        assert graph == graph_of(order) and repr(graph) == repr(graph_of(order))
+        assert graph.by_predicate() == {q: order[:1], p: order[1:]}
+        assert list(graph) == sorted(graph.triples) == order  # the list, sorted in place
+        for copied in (copy.copy(graph), pickle.loads(pickle.dumps(graph))):
+            assert copied == graph
+        repeated = RdfGraph.from_list(order + order[:1])
+        assert repeated == graph
+        assert {k: len(b) for k, b in repeated.by_predicate().items()} == {q: 1, p: 2}
+
+
 class TestMergeDiff:
     def setup_method(self):
         self.rng = random.Random(11)

@@ -45,8 +45,7 @@ RECORDS = [
      {"triples": frozenset(), "prefixes": standard_prefixes()}, True),
     (HeuristicSpec, ["H", "h", FRED_NS, "h.txt"], {}, True),
     (PromptRequest, ["system", "user", "H"], {"tag": None}, True),
-    (EnrichmentResult, ["H", GRAPH, frozenset({Triple(B, A, B)}), GRAPH.prefixes, [], "response",
-                        True],
+    (EnrichmentResult, ["H", frozenset({Triple(B, A, B)}), GRAPH.prefixes, [], "response", True],
      {"quarantined": False}, False),
     (BackendConfig, ["http://x.example/", "m", "KEY", 1.5, 2, 3, 0.5, 10],
      {"endpoint": "", "model": "", "credential_env": "XKG_API_KEY", "timeout": 60.0,
@@ -152,13 +151,13 @@ def test_rdf_graph_caches_are_not_fields():
     assert pickle.loads(pickle.dumps(graph)) == GRAPH
 
 
-def test_enrichment_result_builds_its_extended_graph_from_its_fields():
-    added = frozenset({Triple(B, A, B)})
-    result = EnrichmentResult("H", GRAPH, added, PrefixTable({"fred": FRED_NS, "x": "urn:x:"}),
-                              [], "response")
-    assert result.xkg == RdfGraph(GRAPH.triples | added, result.prefixes)
-    result.added = frozenset()
-    assert result.xkg == RdfGraph(GRAPH.triples, result.prefixes)
+def test_enrichment_result_sorts_its_additions_and_keeps_no_base():
+    added = frozenset({Triple(B, A, B), Triple(A, B, A), Triple(A, A, B)})
+    result = EnrichmentResult("H", added, PrefixTable({"fred": FRED_NS, "x": "urn:x:"}), [],
+                              "response")
+    assert result.sorted_added() == sorted(added)
+    assert "base" not in EnrichmentResult.__slots__ and not hasattr(result, "xkg")
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

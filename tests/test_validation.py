@@ -1,12 +1,16 @@
+import contextlib
 import copy
+import io
 import json
 import pickle
 import random
+import tempfile
 from collections import defaultdict
 from itertools import islice
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_validation
@@ -39,6 +43,7 @@ from xkg.rdf import (
     Literal,
     Triple,
     parse_turtle,
+    serialize_extensions,
     serialize_turtle,
     standard_prefixes,
 )
@@ -666,3 +671,90 @@ class TestAgreesWithFullScans:
                 == reference_validation.check_consistency(merged, MINI_ONTO))
         assert infer_precedence(merged) == reference_validation.infer_precedence(merged)
         assert profile(merged, corpus.base) == reference_validation.profile(merged, corpus.base)
+
+
+# ---------------------------------------------------------------------------
+# The order hint: a graph read from any of its texts gives the same results
+# ---------------------------------------------------------------------------
+
+
+def _texts(graph, rng: random.Random) -> list[str]:
+    """``graph`` as Turtle three ways: as ``serialize_turtle`` writes it
+    (sorted); with its statements, predicates and objects shuffled; and
+    written so with one triple stated once more, so that the reader keeps
+    no order for it."""
+    canonical = serialize_turtle(graph)
+    _, nodes, predicates, _ = graph.rendering()
+    objects = defaultdict(lambda: defaultdict(list))
+    for s, p, o in sorted(graph.triples):
+        objects[s][p].append(nodes[o])
+    statements = []
+    for s, by_predicate in objects.items():
+        groups = [f"{predicates[p]} {', '.join(rng.sample(texts, len(texts)))}"
+                  for p, texts in by_predicate.items()]
+        statements.append(nodes[s] + " " + " ;\n    ".join(rng.sample(groups, len(groups))) + " .")
+    rng.shuffle(statements)
+    head = "".join(line + "\n" for line in canonical.splitlines() if line.startswith("@prefix"))
+    shuffled = head + "\n".join(statements) + "\n"
+    again = ""
+    if graph.triples:
+        s, p, o = rng.choice(sorted(graph.triples))
+        again = f"{nodes[s]} {predicates[p]} {nodes[o]} .\n"
+    return [canonical, shuffled, shuffled + again]
+
+
+class TestOrderHint:
+    """Every output is the same whichever of ``_texts`` a graph is read from:
+    sorted, shuffled (the reader keeps that order) or with a repeated triple
+    (it keeps none)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_graphs, _graphs, st.integers(0, 2**32))
+    def test_same_results_from_every_text(self, graph, other, seed):
+        rng = random.Random(seed)
+        base = graph_of(other.triples | set(sorted(graph.triples)[::2]))
+        outcomes = set()
+        for text, base_text in zip(_texts(graph, rng), _texts(base, rng)):
+            read, read_base = parse_turtle(text), parse_turtle(base_text)
+            assert read == graph and read_base == base
+            # Validation first, so that its indexes take the text's order.
+            outcome = [lint(read), check_consistency(read, MINI_ONTO), infer_precedence(read),
+                       profile(read, read_base), profile(read)]
+            outcome += [serialize_turtle(read), serialize_turtle(read_base), *serialize_extensions(
+                read_base, [(read.prefixes, sorted(read.triples - read_base.triples))])]
+            outcomes.add(repr(outcome))
+        assert len(outcomes) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs, _graphs, st.integers(0, 2**32))
+    def test_same_files_from_every_text(self, graph, response, seed):
+        rng = random.Random(seed)
+        assume(graph.triples)
+        # The responses restate some base triples, which are no additions.
+        responses = {"FactualImpact": graph_of(response.triples | set(sorted(graph)[::2])),
+                     "CausalRelations": graph_of(set(sorted(response)[::2]))}
+        texts = {name: _texts(g, rng) for name, g in responses.items()}
+        bases, wholes = _texts(graph, rng), _texts(graph_of(graph.triples | response.triples), rng)
+        outcomes = set()
+        for form in range(3):
+            with tempfile.TemporaryDirectory() as scratch:
+                root = Path(scratch)
+                (root / "mocks").mkdir()
+                for name, forms in texts.items():
+                    (root / "mocks" / f"{name}.ttl").write_text(forms[form], encoding="utf-8")
+                (root / "config.json").write_text('{"resources": {"mock_dir": "mocks"}}',
+                                                  encoding="utf-8")
+                (root / "base.ttl").write_text(bases[form], encoding="utf-8")
+                (root / "graph.ttl").write_text(wholes[form], encoding="utf-8")
+                common = ["--config", str(root / "config.json"), "--out", str(root / "out")]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes = (main(["enrich", "--mock", "--heuristic", ",".join(responses),
+                                   "--base", str(root / "base.ttl"), *common]),
+                             main(["validate", "--graph", str(root / "graph.ttl"),
+                                   "--base", str(root / "base.ttl"), *common]))
+                files = {path.name: path.read_bytes() for path in (root / "out").iterdir()}
+            assert set(files) == {"xkg-FactualImpact.ttl", "xkg-CausalRelations.ttl",
+                                  "xkg-merged.ttl", "diagnostics.json",
+                                  "validation-report.json", "validation-report.txt"}
+            outcomes.add(repr((codes, sorted(files.items()))))
+        assert len(outcomes) == 1
