@@ -193,22 +193,17 @@ def annotator_means(annotators: list[str], table: Table) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _shared_scores(table: Table):
-    """Each column pair ``(i, j)``, ``i < j``, with the score pairs of the
-    rows that hold both."""
-    columns = list(zip(*table))
-    for i, j in combinations(range(len(columns)), 2):
-        yield i, j, [(a, b) for a, b in zip(columns[i], columns[j])
-                     if a is not None and b is not None]
-
-
 def percent_agreement(table: Table) -> Optional[float]:
-    """Fraction of annotator pairs with exactly equal scores, over all items."""
+    """Fraction of annotator pairs with exactly equal scores, over all items.
+    An item with ``n`` scores holds C(n, 2) pairs; a score given ``k`` times, C(k, 2)."""
     equal = 0
     total = 0
-    for _, _, shared in _shared_scores(table):
-        total += len(shared)
-        equal += sum(a == b for a, b in shared)
+    for row in table:
+        scores = [score for score in row if score is not None]
+        n = len(scores)
+        total += n * (n - 1) // 2
+        for k in map(scores.count, set(scores)):
+            equal += k * (k - 1) // 2
     return equal / total if total else None
 
 
@@ -242,8 +237,14 @@ def cohen_kappa_pairwise(annotators: list[str], table: Table) -> Optional[KappaR
     Pairs with zero expected disagreement are reported with ``kappa=None``
     (degenerate) and excluded from the mean.
     """
-    pairs = [KappaPair(annotators[i], annotators[j], _pair_kappa(shared), len(shared))
-             for i, j, shared in _shared_scores(table) if len(shared) >= 2]
+    columns = list(zip(*table))
+    pairs = []
+    for i, j in combinations(range(len(columns)), 2):
+        shared = [(a, b) for a, b in zip(columns[i], columns[j])
+                  if a is not None and b is not None]
+        if len(shared) >= 2:
+            pairs.append(KappaPair(annotators[i], annotators[j], _pair_kappa(shared),
+                                   len(shared)))
     if not pairs:
         return None
     defined = [p.kappa for p in pairs if p.kappa is not None]

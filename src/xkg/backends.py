@@ -92,15 +92,14 @@ class Backend(Protocol):
 
 
 class MappingBackend:
-    """Deterministic mock keyed by the request tag (the heuristic name)."""
+    """Deterministic mock keyed by the request tag (the heuristic name); it
+    keeps no request, as each prompt embeds the whole base graph's text."""
 
     def __init__(self, responses: Mapping[str, str], description: str = ""):
         self.responses = dict(responses)
         self.description = description
-        self.requests: list = []  # kept for assertions in tests
 
     def complete(self, request) -> str:
-        self.requests.append(request)
         tag = getattr(request, "tag", None)
         if tag not in self.responses:
             raise TransportError(f"no canned response for {tag!r}")

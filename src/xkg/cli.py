@@ -221,21 +221,22 @@ def _select_heuristics(selector: str):
 
 def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) -> int:
     # Every extended graph and the merge are the base plus additions, each
-    # set disjoint from the base. Each result's additions come sorted. The
-    # merge's are the runs of the results that run_all kept in it (those not
-    # quarantined), merged by one sort (timsort merges sorted runs), with a
-    # triple two results share dropped where its copies meet. Each text is
-    # written as soon as it is rendered.
-    runs = [result.sorted_added() for result in results]
-    merged_added = [t for t, _ in groupby(sorted(chain.from_iterable(
-        run for run, result in zip(runs, results) if not result.quarantined)))]
+    # set disjoint from the base. Each result's additions iterate sorted. The
+    # merge's are the results' additions that the merged graph holds, merged
+    # by one sort (timsort merges sorted runs), with a triple two results
+    # share dropped where its copies meet. Each text is written as soon as it
+    # is rendered.
+    runs = [list(result.additions) for result in results]
+    held = merged.triples
+    merged_added = [t for t, _ in groupby(sorted(
+        [t for run in runs for t in run if t in held]))]
     names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]
     texts = serialize_extensions(base, [
-        *((result.prefixes, run) for result, run in zip(results, runs)),
+        *((result.additions.prefixes, run) for result, run in zip(results, runs)),
         (merged.prefixes, merged_added)])
     for name, text in zip(names, texts):
         _write(out_dir / name, text)
-    entries = [_DIAGNOSTICS_ENTRY % (_encode(result.heuristic), len(result.added),
+    entries = [_DIAGNOSTICS_ENTRY % (_encode(result.heuristic), len(result.additions),
                                      "true" if result.quarantined else "false",
                                      _diagnostics_json(result.diagnostics, "\n    "))
                for result in results]

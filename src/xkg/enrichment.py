@@ -7,12 +7,12 @@ completion backend, which sets the model, token budget and temperature of
 the call, extracts the Turtle from the response, and validates
 the additions: anchoring to base nodes and the pitfall lints. A response is
 read against the base's ``terms_by_text``, so only the terms it introduces
-are resolved. The per-heuristic result is the additions, their prefix table
-and diagnostics, with no copy of the base; ``run_all`` merges everything into
-one graph, quarantining any heuristic whose result carries an ERROR
-diagnostic unless ``force_merge`` is set. A result whose prefixes clash with
-an earlier merged one's gets a PREFIX_CONFLICT error and stays out, even
-with ``force_merge``.
+are resolved. The per-heuristic result is its additions, one graph under
+their prefix table, and diagnostics, with no copy of the base; ``run_all``
+alone merges the base and the kept additions into one graph, quarantining
+any heuristic whose result carries an ERROR diagnostic unless ``force_merge``
+is set. A result whose prefixes clash with an earlier merged one's gets a
+PREFIX_CONFLICT error and stays out, even with ``force_merge``.
 
 With ``max_concurrent`` above 1, ``run_all`` starts every heuristic at once,
 each on its own thread, and leaves it to the backend to bound its requests
@@ -124,31 +124,29 @@ class PromptRequest(NamedTuple):
 
 
 class EnrichmentResult(Record):
-    """One heuristic's outcome: its additions to the base graph (none of them
-    a base triple) and their prefix table; ``quarantined`` keeps it out of
-    the merge."""
+    """One heuristic's outcome: ``additions``, the graph of what it adds to the
+    base (no base triple) under its prefix table, which iterates sorted in one
+    pass; ``quarantined`` keeps it out of the merge."""
 
-    _fields = ("heuristic", "added", "prefixes", "diagnostics", "raw_response", "quarantined")
-    __slots__ = (*_fields, "_sorted_added")
+    _fields = ("heuristic", "additions", "diagnostics", "raw_response", "quarantined")
+    __slots__ = _fields
 
-    def __init__(self, heuristic: str, added: frozenset[Triple], prefixes: PrefixTable,
-                 diagnostics: list[Diagnostic], raw_response: str, quarantined: bool = False):
+    def __init__(self, heuristic: str, additions: RdfGraph, diagnostics: list[Diagnostic],
+                 raw_response: str, quarantined: bool = False):
         self.heuristic = heuristic
-        self.added = added
-        self.prefixes = prefixes
+        self.additions = additions
         self.diagnostics = diagnostics
         self.raw_response = raw_response
         self.quarantined = quarantined
-        self._sorted_added: Optional[list[Triple]] = None  # set with ``added``
+
+    @property
+    def added(self) -> frozenset[Triple]:
+        """The triples of ``additions``."""
+        return self.additions.triples
 
     @property
     def failed(self) -> bool:
         return has_errors(self.diagnostics)
-
-    def sorted_added(self) -> list[Triple]:
-        """``sorted(self.added)``. ``run_heuristic`` sorts the additions once,
-        from the order the response gave them in. Callers must not change it."""
-        return sorted(self.added) if self._sorted_added is None else self._sorted_added
 
 
 def _read_template(prompts_dir: Union[str, Path], name: str) -> str:
@@ -238,7 +236,7 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
 
     ``base_turtle`` is ``serialize_turtle(base)``, the text the prompt
     embeds, and ``system_template`` the text of ``read_system_template``.
-    The result's table is the reader's without its aliases. Failures never
+    The additions' table is the reader's without its aliases. Failures never
     propagate: a backend or parse failure yields a result with no additions
     and a RESPONSE_INVALID error diagnostic; a base binding the heuristic's
     label elsewhere, with no request sent, a quarantined PREFIX_CONFLICT one.
@@ -250,7 +248,7 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
         prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
     except PrefixConflictError as exc:
         logger.warning("%s: not run: %s", spec.name, exc)
-        return EnrichmentResult(spec.name, frozenset(), base.prefixes,
+        return EnrichmentResult(spec.name, RdfGraph(frozenset(), base.prefixes),
                                 [Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
                                             f"not run: {exc}")], "", quarantined=True)
     response, unexpected = "", None
@@ -267,17 +265,14 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
             problem = f"unusable response: {exc}"
         else:
             prefixes = extracted.prefixes.declared()  # extends ``prefixes``
-            # Sorted from the response's own order: one pass for a sorted one.
+            # Sorted from the response's order; the additions keep it as their hint.
             ordered = [t for t in extracted if t not in base.triples]
             additions = RdfGraph.from_list(ordered, prefixes)
             diagnostics = list(check_anchoring(base, additions.triples))
             diagnostics.extend(lint(additions))
-            result = EnrichmentResult(spec.name, additions.triples, prefixes, diagnostics,
-                                      response)
-            result._sorted_added = ordered
-            return result
+            return EnrichmentResult(spec.name, additions, diagnostics, response)
     logger.warning("%s: %s", spec.name, problem, exc_info=unexpected)
-    return EnrichmentResult(spec.name, frozenset(), prefixes,
+    return EnrichmentResult(spec.name, RdfGraph(frozenset(), prefixes),
                             [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem)],
                             response)
 
@@ -295,9 +290,10 @@ def run_all(base: RdfGraph, backend: Backend,
     ``Backend``); a custom backend that waits must bound its own.
     Results come back in the order of ``heuristics`` (registry order by
     default) regardless of completion order, so output is deterministic even
-    with concurrent backend calls. A result carrying an ERROR diagnostic
-    contributes nothing to the merged graph unless ``force_merge``; one with
-    PREFIX_CONFLICT never does.
+    with concurrent backend calls. The merged graph is the base and the
+    ``additions`` of the results not quarantined: a result carrying an ERROR
+    diagnostic is quarantined unless ``force_merge``, one with
+    PREFIX_CONFLICT always.
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
     base_turtle = serialize_turtle(base)
@@ -314,18 +310,18 @@ def run_all(base: RdfGraph, backend: Backend,
         results = [run_one(spec) for spec in specs]
 
     # In run order, so completion order cannot decide a clash.
-    mergeable = []
+    kept = [base]
     table = base.prefixes
     for r in results:
         r.quarantined = r.quarantined or (r.failed and not force_merge)
         if r.quarantined:
             continue
         try:
-            table = table.merged(r.prefixes)
+            table = table.merged(r.additions.prefixes)
         except PrefixConflictError as exc:
             r.diagnostics.append(Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
                                             f"not merged: {exc}"))
             r.quarantined = True
             continue
-        mergeable.append(RdfGraph(r.added, r.prefixes))
-    return results, merge([RdfGraph(base.triples, base.prefixes), *mergeable])
+        kept.append(r.additions)
+    return results, merge(kept)

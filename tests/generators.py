@@ -30,7 +30,7 @@ def graph_of(triples: Iterable[Triple], prefixes: Optional[PrefixTable] = None) 
 def extended_graph(base: RdfGraph, result) -> RdfGraph:
     """A heuristic's extended graph: the base's triples and an
     ``EnrichmentResult``'s additions, under the result's prefix table."""
-    return RdfGraph(base.triples | result.added, result.prefixes)
+    return RdfGraph(base.triples | result.added, result.additions.prefixes)
 
 
 def random_rdf_graph(rng: random.Random, max_triples: int = 12) -> RdfGraph:

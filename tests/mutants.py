@@ -11,9 +11,11 @@ there). A mutant is killed only when pytest exits 1: tests ran and one
 failed. Exit 0 means it survived; any other exit (4 or 5: an id that does
 not exist, nothing collected) is an error of the runner, not a kill.
 
-Each mutant's pytest run has its own ``--basetemp`` under the mutant's
-temporary directory, so runners on one host share no pytest directory. It
-prints one line per mutant, followed for any outcome but ``killed`` by the
+``WORKERS`` mutants run at once. Each mutant's pytest run has its own
+``--basetemp`` and hypothesis database under the mutant's temporary
+directory, so mutants and runners on one host share no pytest or hypothesis
+directory, and a property starts from no saved example. It prints one line
+per mutant, in list order, followed for any outcome but ``killed`` by the
 last lines pytest printed, and ends with ``{"killed": k, "total": n}``; it
 exits 0 only when every mutant is killed. The list only grows, except
 that a mutant whose code is gone is removed; a change that adds a check also
@@ -28,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,17 +70,20 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/cli.py",
-        "run for run, result in zip(runs, results) if not result.quarantined",
-        "run for run, result in zip(runs, results)",
-        ("tests/test_cli.py::TestReportTemplates::test_extension_files_equal_serialize_turtle",),
-        "a quarantined result's additions are written into xkg-merged.ttl",
+        "[t for run in runs for t in run if t in held]",
+        "[t for run in runs for t in run]",
+        ("tests/test_cli.py::TestReportTemplates::test_extension_files_equal_serialize_turtle",
+         "tests/test_cli.py::TestReportTemplates::test_merged_file_holds_what_the_merge_holds"),
+        "xkg-merged.ttl is not read from the merge, so a quarantined result's additions are "
+        "written into it",
     ),
     Mutant(
         "xkg/cli.py",
         "merged_added = [t for t, _ in groupby(sorted(",
         "merged_added = [t for t in (sorted(",
-        ("tests/test_cli.py::TestReportTemplates::test_extension_files_equal_serialize_turtle",),
-        "a triple two merged results share is written twice into xkg-merged.ttl",
+        ("tests/test_cli.py::TestReportTemplates::test_extension_files_equal_serialize_turtle",
+         "tests/test_cli.py::TestReportTemplates::test_merged_file_holds_what_the_merge_holds"),
+        "a triple two results share is written twice into xkg-merged.ttl",
     ),
     Mutant(
         "xkg/cli.py",
@@ -112,7 +118,8 @@ MUTANTS = [
         "xkg/rdf.py",
         'if tokens[i] == "." or tokens[i] == "]":',
         'if tokens[i] == ".":',
-        (_RDF + "TestReaderAgreesWithReference::test_generated_documents",),
+        (_RDF + "TestParse::test_blank_nodes",
+         _RDF + "TestReaderAgreesWithReference::test_generated_documents"),
         "a dangling ';' may not end a '[ ]' node's list",
     ),
     Mutant(
@@ -133,14 +140,16 @@ MUTANTS = [
         "xkg/rdf.py",
         r"(?:a|true|false)(?!\.*[A-Za-z0-9_\-:])",
         r"(?:a|true|false)(?![A-Za-z0-9_\-:])",
-        (_RDF + "TestReaderAgreesWithReference::test_generated_documents",),
+        (_RDF + "test_syntax_error_position_and_message",
+         _RDF + "TestReaderAgreesWithReference::test_generated_documents"),
         "a keyword may run into dots and a name, so 'true.x' reads as 'true' and '.x'",
     ),
     Mutant(
         "xkg/rdf.py",
         "return _new(cls, (1, label))",
         "return _new(cls, (3, label))",
-        (_RDF + "TestSortOrder::test_triples",),
+        (_RDF + "TestSortOrder::test_iris_then_blank_nodes_then_literals",
+         _RDF + "TestSortOrder::test_triples"),
         "blank nodes sort after literals",
     ),
     Mutant(
@@ -163,7 +172,8 @@ MUTANTS = [
         "xkg/rdf.py",
         r'"r": "\r"',
         r'"r": "\n"',
-        (_RDF + "TestReaderAgreesWithReference::test_generated_documents",),
+        (_RDF + "TestParse::test_escapes",
+         _RDF + "TestReaderAgreesWithReference::test_generated_documents"),
         "the escape \\r reads as a line feed",
     ),
     Mutant(
@@ -381,6 +391,14 @@ MUTANTS = [
         (_ENRICHMENT + "TestRunAll::test_base_binding_a_heuristic_label_elsewhere_quarantines_it",),
         "force_merge merges a heuristic that was not run for its base prefix conflict",
     ),
+    Mutant(
+        "xkg/enrichment.py",
+        "        if r.quarantined:\n            continue\n",
+        "        if r.quarantined:\n            kept.append(r.additions)\n            continue\n",
+        (_ENRICHMENT + "TestRunAll::test_quarantine_drops_error_results",
+         _CLI + "TestReportTemplates::test_merged_file_holds_what_the_merge_holds"),
+        "run_all merges a quarantined result's additions",
+    ),
     # Validation from one per-predicate index, tuple diagnostics and a bitset
     # closure.
     Mutant(
@@ -516,6 +534,8 @@ MUTANTS = [
 
 #: How many of the last lines of pytest's output a mutant not killed shows.
 TAIL_LINES = 20
+#: How many mutants run at once, each in its own pytest process.
+WORKERS = 2
 
 
 def run(mutant: Mutant, scratch: Path) -> tuple[str, list[str]]:
@@ -529,7 +549,8 @@ def run(mutant: Mutant, scratch: Path) -> tuple[str, list[str]]:
     if found != 1:
         return f"error: the old text occurs {found} times in {mutant.file}", []
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+           "HYPOTHESIS_STORAGE_DIRECTORY": str(scratch / "hypothesis")}
     where = subprocess.run([sys.executable, "-c", "import xkg; print(xkg.__file__)"],
                            cwd=ROOT, env=env, capture_output=True, text=True)
     if not where.stdout.strip().startswith(str(src)):
@@ -544,15 +565,20 @@ def run(mutant: Mutant, scratch: Path) -> tuple[str, list[str]]:
     return "survived" if done.returncode == 0 else f"error: pytest exited {done.returncode}", tail
 
 
+def run_in_scratch(mutant: Mutant) -> tuple[str, list[str]]:
+    """``run`` in a temporary directory of its own, removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix="xkg-mutant-") as scratch:
+        return run(mutant, Path(scratch))
+
+
 def main() -> int:
     killed = 0
-    for mutant in MUTANTS:
-        with tempfile.TemporaryDirectory(prefix="xkg-mutant-") as scratch:
-            outcome, tail = run(mutant, Path(scratch))
-        killed += outcome == "killed"
-        print(f"{outcome:<8}  {mutant.file}: {mutant.why}", flush=True)
-        if outcome != "killed":
-            print("".join(f"    | {line}\n" for line in tail), end="", flush=True)
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, (outcome, tail) in zip(MUTANTS, pool.map(run_in_scratch, MUTANTS)):
+            killed += outcome == "killed"
+            print(f"{outcome:<8}  {mutant.file}: {mutant.why}", flush=True)
+            if outcome != "killed":
+                print("".join(f"    | {line}\n" for line in tail), end="", flush=True)
     print(json.dumps({"killed": killed, "total": len(MUTANTS)}))
     return 0 if killed == len(MUTANTS) else 1
 

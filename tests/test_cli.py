@@ -327,13 +327,20 @@ class TestEnrich:
             "Presuppositions"]
 
     def test_duplicated_heuristic_runs_once(self, base_graph_dir, tmp_path, monkeypatch):
-        backend = MockBackend(default_config().require_resources().mock_dir)
+        tags = []
+
+        class Recording(MockBackend):
+            def complete(self, request):
+                tags.append(request.tag)
+                return super().complete(request)
+
+        backend = Recording(default_config().require_resources().mock_dir)
         monkeypatch.setattr(xkg.cli, "_make_backend", lambda config, mock: backend)
         code = main(["enrich", "--base", str(base_graph_dir / "base-graph.ttl"),
                      "--heuristic", "FactualImpact, FactualImpact", "--mock",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert [request.tag for request in backend.requests] == ["FactualImpact"]
+        assert tags == ["FactualImpact"]
         assert list(json.loads(read(tmp_path / "diagnostics.json"))) == ["FactualImpact"]
 
 
@@ -372,6 +379,22 @@ _diagnostics = st.lists(st.builds(
     st.one_of(st.sampled_from(_SUBJECT_POOL), _subjects)), max_size=20)
 _nodes = st.one_of(st.sampled_from([Iri("http://x.example/a"), Iri("urn:x")]), _iris)
 _indents = st.sampled_from(["\n", "\n  ", "\n    ", "\n      "])
+
+
+# Triples that each meet a node of the golden base graph, one that meets
+# none, and the namespaces a response may bind ex: to.
+_EX, _OTHER_EX = "http://example.org/ns/", "http://example.org/other/"
+_ANCHORED = [f"<{FRED_NS}athlete_1> <{_EX}p> <{FRED_NS}x> .",
+             f'<{FRED_NS}athlete_1> <{_EX}p> "three" .',
+             f"<{FRED_NS}win_1> <{FRED_NS}q> <{FRED_NS}athlete_1> .",
+             f"<{FRED_NS}track_1> <{_EX}r> <{FRED_NS}x> .",
+             f"<{FRED_NS}x> <{_EX}p> <{FRED_NS}win_1> ."]
+_FLOATING = "<http://x.example/a> <http://x.example/p> <http://x.example/b> ."
+# Per heuristic: the pool triples it adds, whether it adds the floating one,
+# and its binding of ex:, if any.
+_POOL_RESPONSES = st.lists(st.tuples(st.sets(st.sampled_from(range(len(_ANCHORED))), min_size=1),
+                                     st.booleans(), st.sampled_from([None, _EX, _OTHER_EX])),
+                           min_size=3, max_size=5)
 
 
 def _diagnostics_reference(results) -> str:
@@ -437,6 +460,36 @@ class TestReportTemplates:
             assert (read(tmp_path / f"xkg-{result.heuristic}.ttl")
                     == serialize_turtle(extended_graph(base, result)))
         assert read(tmp_path / "xkg-merged.ttl") == serialize_turtle(merged)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_POOL_RESPONSES, st.booleans())
+    def test_merged_file_holds_what_the_merge_holds(self, drawn, force_merge):
+        # Kept and quarantined results share triples: a floating response is
+        # quarantined unless force_merge, and one binding ex: elsewhere than a
+        # kept one before it is quarantined by PREFIX_CONFLICT either way.
+        base = parse_turtle(read(Path(__file__).parent / "golden" / "base-graph.ttl"))
+        specs = HEURISTICS[:len(drawn)]
+        responses, expected, bound = {}, [], None
+        for spec, (picks, floating, ns) in zip(specs, drawn):
+            lines = [f"@prefix ex: <{ns}> ."] if ns else []
+            lines += [_ANCHORED[i] for i in sorted(picks)] + [_FLOATING] * floating
+            responses[spec.name] = "\n".join(lines)
+            clash = ns is not None and bound not in (None, ns)
+            quarantined = (floating and not force_merge) or clash
+            if not quarantined:
+                bound = bound or ns
+            expected.append(quarantined)
+        config = default_config()._replace(force_merge=force_merge)
+        results, merged = enrich(base, MappingBackend(responses), config, specs)
+        assert [r.quarantined for r in results] == expected
+        assert merged.triples == base.triples.union(
+            *(r.added for r in results if not r.quarantined))
+        with tempfile.TemporaryDirectory() as out:
+            xkg.cli._write_enrichment(Path(out), base, results, merged)
+            for result in results:
+                assert (read(Path(out) / f"xkg-{result.heuristic}.ttl")
+                        == serialize_turtle(extended_graph(base, result)))
+            assert read(Path(out) / "xkg-merged.ttl") == serialize_turtle(merged)
 
     @pytest.mark.parametrize("name", ["empty", "corpus"])
     def test_validation_report(self, tmp_path, name):

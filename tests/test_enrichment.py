@@ -1,8 +1,10 @@
+import gc
 import logging
 import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,7 @@ from xkg.rdf import (
     serialize_turtle,
     standard_prefixes,
 )
+from corpus import build_corpus
 from generators import extended_graph
 from xkg.validation import (
     ANCHOR_FLOAT,
@@ -219,7 +222,7 @@ class TestRunHeuristic:
                Triple(fred("celebrate_1"), associated, fred("win_1")),
                Triple(fred("win_1"), associated, fred("track_1"))]
         assert result.added == frozenset(new)
-        assert result.sorted_added() == new
+        assert list(result.additions) == new
         assert [d.subject for d in result.diagnostics if d.code == "FALLBACK_ROLE"] == [
             t.subject for t in new]
 
@@ -262,8 +265,8 @@ class TestRunHeuristic:
         result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
         assert result.added == frozenset()
         assert result.failed
-        assert result.prefixes == SCENE_BASE.prefixes.with_binding(FACTUAL.prefix,
-                                                                   FACTUAL.namespace)
+        assert result.additions.prefixes == SCENE_BASE.prefixes.with_binding(
+            FACTUAL.prefix, FACTUAL.namespace)
         assert extended_graph(SCENE_BASE, result).triples == SCENE_BASE.triples
 
     def test_result_table_is_the_readers_without_its_aliases(self):
@@ -273,9 +276,10 @@ class TestRunHeuristic:
                                MappingBackend({"FactualImpact": response}), PROMPTS)
         prefixes = SCENE_BASE.prefixes.with_binding(FACTUAL.prefix, FACTUAL.namespace)
         expected = prefixes.merged(extract_turtle(response, prefixes).prefixes)
-        assert list(result.prefixes.items()) == list(expected.items())
-        assert "ex" in result.prefixes and "undeclared" in result.prefixes
-        assert "f" not in result.prefixes  # an alias matters only to the parse
+        table = result.additions.prefixes
+        assert list(table.items()) == list(expected.items())
+        assert "ex" in table and "undeclared" in table
+        assert "f" not in table  # an alias matters only to the parse
         assert result.added == {
             Triple(Iri(FRED_NS + "athlete_1"), Iri("http://e/p"), Iri(FRED_NS + "win_1")),
             Triple(Iri(FRED_NS + "athlete_1"), Iri("http://e/p"),
@@ -404,17 +408,23 @@ class TestRunAll:
         responses["Presuppositions"] = IMPACT_RESPONSE
         outcomes = []
         for max_concurrent in (1, 4):
-            backend = MappingBackend(responses)
-            results, merged = run_all(base, backend, PROMPTS, max_concurrent=max_concurrent,
-                                      force_merge=force_merge)
+            tags = []
+
+            class Recording(MappingBackend):
+                def complete(self, request):
+                    tags.append(request.tag)
+                    return super().complete(request)
+
+            results, merged = run_all(base, Recording(responses), PROMPTS,
+                                      max_concurrent=max_concurrent, force_merge=force_merge)
             by_name = {r.heuristic: r for r in results}
             presup = by_name["Presuppositions"]
             assert presup.quarantined and presup.added == frozenset()
-            assert presup.prefixes == base.prefixes and presup.raw_response == ""
+            assert presup.additions.prefixes == base.prefixes and presup.raw_response == ""
             assert [(d.severity, d.code, d.message) for d in presup.diagnostics] == [(
                 ERROR, PREFIX_CONFLICT, "not run: prefix 'presup:' bound to both "
                 "<http://other.example/> and <https://w3id.org/xkg/presupposition#>")]
-            assert sorted(r.tag for r in backend.requests) == sorted(
+            assert sorted(tags) == sorted(
                 spec.name for spec in HEURISTICS if spec.name != "Presuppositions")
             assert not by_name["FactualImpact"].quarantined
             assert merged.triples == base.triples | by_name["FactualImpact"].added
@@ -457,6 +467,36 @@ class TestRunAll:
         par_results, par = run_all(SCENE_BASE, backend, PROMPTS, max_concurrent=4)
         assert serialize_turtle(seq) == serialize_turtle(par)
         assert [r.heuristic for r in seq_results] == [r.heuristic for r in par_results]
+
+    def test_keeps_no_prompt_alive(self):
+        # Four renamed copies of the corpus's base graph, the size of the
+        # benchmark's large graph. Each prompt embeds the base's text, so a
+        # backend or a result that kept its request would hold a copy of the
+        # text per heuristic.
+        corpus = build_corpus()
+
+        def renamed(term, copy):
+            if isinstance(term, Iri) and term.value.startswith(FRED_NS):
+                return Iri(f"{term.value}_{copy}")
+            return term
+
+        base = RdfGraph(frozenset(Triple(renamed(s, copy), p, renamed(o, copy))
+                                  for copy in range(4) for s, p, o in corpus.base.triples),
+                        corpus.base.prefixes)
+        text = serialize_turtle(base)  # builds the base's caches, which outlive run_all
+        base.terms_by_text()
+        backend = MappingBackend({spec.name: "" for spec in HEURISTICS})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results, merged = run_all(base, backend, PROMPTS)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(HEURISTICS) and merged.triples == base.triples
+        assert held < 4 * len(text), (held, len(text))
 
 
 def _statement(subject: str, predicate: str, obj: str) -> str:

@@ -149,6 +149,9 @@ class TestParse:
         assert len(graph) == 3
         labels = {t.subject.label for t in graph.triples if isinstance(t.subject, BlankNode)}
         assert "x" in labels and len(labels) == 2
+        # A dangling ';' may end a '[ ]' node's list, as it may a statement's.
+        dangling = parse_turtle("@prefix ex: <http://e/> . _:x ex:p [ ex:q ex:b ; ] ; .")
+        assert len(dangling) == 2
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(TurtleSyntaxError) as err:
@@ -193,6 +196,11 @@ class TestParse:
         with pytest.raises(TurtleSyntaxError) as err:
             parse_turtle(f'@prefix ex: <http://e/> .\nex:a ex:p "x{escape}" .')
         assert (err.value.line, err.value.column, err.value.message) == (2, 13, "bad \\u escape")
+
+    def test_escapes(self):
+        graph = parse_turtle('@prefix ex: <http://e/> . ex:a ex:p "t\\tn\\nr\\rq\\"b\\\\" .')
+        (triple,) = graph.triples
+        assert triple.object == Literal('t\tn\nr\rq"b\\')
 
     def test_u_escape(self):
         graph = parse_turtle('@prefix ex: <http://e/> . ex:a ex:p "caf\\u00e9\\uFFFD" .')
@@ -248,6 +256,8 @@ SYNTAX_ERRORS = {
                                        "expected prefix label in @prefix"),
     "bare word": ("ex:a ex:p foo .", 1, 11, "unexpected token 'foo'"),
     "number run into a name": ("ex:a ex:p 3.5a .", 1, 11, "unexpected token '3.5a'"),
+    "keyword run into dots and a name": ("ex:a ex:p true..x .", 1, 11,
+                                         "unexpected token 'true..x'"),
     "stray character": ("ex:a ex:p ! .", 1, 11, "unexpected character '!'"),
     "lone '^'": ('ex:a ex:p "x"^xsd:string .', 1, 14, "unexpected character '^'"),
     "line 3 after a comment and CRLF": (
@@ -774,6 +784,11 @@ class TestSortOrder:
     @given(st.lists(_sort_terms, max_size=30))
     def test_terms(self, terms):
         assert sorted(terms) == sorted(terms, key=_term_sort_key)
+
+    def test_iris_then_blank_nodes_then_literals(self):
+        terms = [Literal("a"), BlankNode("a"), Iri("urn:z"), Literal("0", XSD_INTEGER)]
+        assert sorted(terms) == [Iri("urn:z"), BlankNode("a"), Literal("0", XSD_INTEGER),
+                                 Literal("a")]
 
     def test_keys_are_distinct_for_distinct_terms(self):
         literals = [Literal("x"), Literal("x", XSD_STRING), Literal("x", language="en"),

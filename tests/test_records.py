@@ -45,7 +45,8 @@ RECORDS = [
      {"triples": frozenset(), "prefixes": standard_prefixes()}, True),
     (HeuristicSpec, ["H", "h", FRED_NS, "h.txt"], {}, True),
     (PromptRequest, ["system", "user", "H"], {"tag": None}, True),
-    (EnrichmentResult, ["H", frozenset({Triple(B, A, B)}), GRAPH.prefixes, [], "response", True],
+    (EnrichmentResult, ["H", RdfGraph(frozenset({Triple(B, A, B)}), GRAPH.prefixes), [],
+                         "response", True],
      {"quarantined": False}, False),
     (BackendConfig, ["http://x.example/", "m", "KEY", 1.5, 2, 3, 0.5, 10],
      {"endpoint": "", "model": "", "credential_env": "XKG_API_KEY", "timeout": 60.0,
@@ -152,12 +153,13 @@ def test_rdf_graph_caches_are_not_fields():
 
 
 def test_enrichment_result_sorts_its_additions_and_keeps_no_base():
-    added = frozenset({Triple(B, A, B), Triple(A, B, A), Triple(A, A, B)})
-    result = EnrichmentResult("H", added, PrefixTable({"fred": FRED_NS, "x": "urn:x:"}), [],
-                              "response")
-    assert result.sorted_added() == sorted(added)
+    added = [Triple(B, A, B), Triple(A, B, A), Triple(A, A, B)]
+    result = EnrichmentResult("H", RdfGraph.from_list(list(added), PrefixTable(
+        {"fred": FRED_NS, "x": "urn:x:"})), [], "response")
+    assert list(result.additions) == sorted(added) and result.added == frozenset(added)
     assert "base" not in EnrichmentResult.__slots__ and not hasattr(result, "xkg")
-    assert pickle.loads(pickle.dumps(result)) == result
+    again = pickle.loads(pickle.dumps(result))  # the order hint is not pickled
+    assert again == result and list(again.additions) == sorted(added)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
