@@ -133,7 +133,6 @@ class MockBackend(MappingBackend):
         description_file = directory / "description.txt"
         description = _read_text(description_file) if description_file.exists() else ""
         super().__init__(responses, description)
-        self.directory = directory
 
 
 def _default_post(url: str, payload: dict, headers: dict, timeout: float):

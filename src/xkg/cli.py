@@ -330,7 +330,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing does not change it."""
+    """The argument parser, built once per process; parsing does not change it.
+    An option that several subcommands take is declared once, as a parent."""
     parser = argparse.ArgumentParser(
         prog="xkg",
         description="Build, enrich, and validate extended knowledge graphs from AMR.",
@@ -338,55 +339,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("describe", help="produce the scene description text")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--text", help="text file passed through unchanged")
-    source.add_argument("--image", help="image file sent to the multimodal endpoint")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mock", action="store_true", help="use the canned description")
-    p.set_defaults(func=cmd_describe)
+    def shared(*args, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
 
-    p = sub.add_parser("base", help="translate a PENMAN file into the base graph")
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--text", help="scene description text file, passed through unchanged")
+    group.add_argument("--image", help="scene image file, sent to the multimodal endpoint")
+    config = shared("--config", help="pipeline config JSON")
+    out = shared("--out", required=True, help="output directory")
+    mock = shared("--mock", action="store_true",
+                  help="use the canned description and responses instead of a live model")
+    force_merge = shared("--force-merge", action="store_true",
+                         help="merge additions even from heuristics with ERROR diagnostics")
+
+    sub.add_parser("describe", parents=[source, config, out, mock],
+                   help="produce the scene description text").set_defaults(func=cmd_describe)
+
+    p = sub.add_parser("base", parents=[config, out],
+                       help="translate a PENMAN file into the base graph")
     p.add_argument("--amr", required=True, help="PENMAN file")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_base)
 
-    p = sub.add_parser("enrich", help="run enrichment heuristics over a base graph")
+    p = sub.add_parser("enrich", parents=[config, out, mock, force_merge],
+                       help="run enrichment heuristics over a base graph")
     p.add_argument("--base", required=True, help="base graph Turtle file")
     p.add_argument("--heuristic", default="all",
                    help="comma-separated heuristic names, or 'all'")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--mock", action="store_true", help="replay canned responses")
-    p.add_argument("--force-merge", action="store_true",
-                   help="merge additions even from heuristics with ERROR diagnostics")
     p.set_defaults(func=cmd_enrich)
 
-    p = sub.add_parser("validate", help="lints, consistency, precedence, profile")
+    p = sub.add_parser("validate", parents=[config, out],
+                       help="lints, consistency, precedence, profile")
     p.add_argument("--graph", required=True, help="graph Turtle file")
     p.add_argument("--base", help="base graph for addition statistics")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("agree", help="rater-agreement statistics from a ratings CSV")
+    p = sub.add_parser("agree", parents=[out],
+                       help="rater-agreement statistics from a ratings CSV")
     p.add_argument("--ratings", required=True, help="CSV: item_id,heuristic,annotator,score")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_agree)
 
-    p = sub.add_parser("run", help="full pipeline: describe, base, enrich, validate")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--text", help="scene description text file")
-    source.add_argument("--image", help="scene image file")
+    p = sub.add_parser("run", parents=[source, config, out, mock, force_merge],
+                       help="full pipeline: describe, base, enrich, validate")
     p.add_argument("--amr", required=True, help="pre-parsed PENMAN file for the text")
-    p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--mock", action="store_true",
-                   help="use the canned description and replay canned responses")
-    p.add_argument("--force-merge", action="store_true",
-                   help="merge additions even from heuristics with ERROR diagnostics")
     p.set_defaults(func=cmd_run)
 
     return parser

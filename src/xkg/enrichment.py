@@ -269,7 +269,8 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
             ordered = [t for t in extracted if t not in base.triples]
             additions = RdfGraph.from_list(ordered, prefixes)
             diagnostics = list(check_anchoring(base, additions.triples))
-            diagnostics.extend(lint(additions))
+            # Linted as a graph of its own, so the result keeps no lint index.
+            diagnostics.extend(lint(RdfGraph(additions.triples, prefixes)))
             return EnrichmentResult(spec.name, additions, diagnostics, response)
     logger.warning("%s: %s", spec.name, problem, exc_info=unexpected)
     return EnrichmentResult(spec.name, RdfGraph(frozenset(), prefixes),

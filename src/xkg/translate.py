@@ -318,10 +318,6 @@ def _typed_classes(graph: RdfGraph) -> dict[Iri, list[Iri]]:
     return out
 
 
-def _alignment_key(klass: Iri) -> str:
-    return klass.local_name().lower()
-
-
 def align(graph: RdfGraph, alignments: AlignmentMap) -> RdfGraph:
     """Attach WordNet and DOLCE axioms to classes found in the graph.
 
@@ -331,7 +327,7 @@ def align(graph: RdfGraph, alignments: AlignmentMap) -> RdfGraph:
     """
     added: set[Triple] = set()
     for klass in _typed_classes(graph):
-        entry = alignments.get(_alignment_key(klass))
+        entry = alignments.get(klass.local_name())
         if entry is None:
             continue
         if entry.synset is not None:

@@ -16,10 +16,11 @@ not exist, nothing collected) is an error of the runner, not a kill.
 directory, so mutants and runners on one host share no pytest or hypothesis
 directory, and a property starts from no saved example. It prints one line
 per mutant, in list order, followed for any outcome but ``killed`` by the
-last lines pytest printed, and ends with ``{"killed": k, "total": n}``; it
-exits 0 only when every mutant is killed. The list only grows, except
-that a mutant whose code is gone is removed; a change that adds a check also
-adds a mutant that the check kills.
+last lines pytest printed, and ends with ``{"killed": k, "total": n,
+"seconds": s}``, where ``s`` is the run's wall time; it exits 0 only when
+every mutant is killed. The list only grows, except that a mutant whose code
+is gone is removed; a change that adds a check also adds a mutant that the
+check kills.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
@@ -49,6 +51,8 @@ _RDF = "tests/test_rdf.py::"
 _ENRICHMENT = "tests/test_enrichment.py::"
 _VALIDATION = "tests/test_validation.py::"
 _CLI = "tests/test_cli.py::"
+_AGREEMENT = "tests/test_agreement.py::"
+_PACKAGE = "tests/test_package.py::"
 
 MUTANTS = [
     Mutant(
@@ -529,6 +533,153 @@ MUTANTS = [
         (_CLI + "test_backend_setting_out_of_range_is_config_error",),
         "a zero timeout, max_concurrent or max_tokens is accepted",
     ),
+    # Backend concurrency: a slot per HTTP attempt, capped back-off, logged causes.
+    Mutant(
+        "xkg/backends.py",
+        "                with self._slots:\n",
+        "                if True:\n",
+        (_ENRICHMENT + "TestRequestsInFlight::test_backoff_holds_no_slot",
+         _ENRICHMENT + "TestRequestsInFlight::test_in_flight_reaches_the_cap_and_never_passes_it"),
+        "no semaphore, so more than max_concurrent requests are in flight",
+    ),
+    Mutant(
+        "xkg/backends.py",
+        "                self._sleep(wait)\n",
+        "                with self._slots:\n                    self._sleep(wait)\n",
+        (_ENRICHMENT + "TestRequestsInFlight::test_a_request_goes_out_while_another_backs_off",),
+        "a retry's back-off holds a slot, so no other request goes out meanwhile",
+    ),
+    Mutant(
+        "xkg/backends.py",
+        "delay = min(2 * delay, MAX_BACKOFF_S)",
+        "delay = 2 * delay",
+        (_ENRICHMENT + "TestHttpBackend::test_backoff_doubles_up_to_a_ceiling",
+         _ENRICHMENT + "TestHttpBackend::test_a_thousand_retries_end_in_transport_error"),
+        "the back-off doubles without a ceiling",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "ThreadPoolExecutor(max_workers=len(specs))",
+        "ThreadPoolExecutor(max_workers=max_concurrent)",
+        (_ENRICHMENT + "TestRequestsInFlight::test_backoff_holds_no_slot",),
+        "run_all's pool has max_concurrent threads, so heuristics in back-off keep others "
+        "waiting",
+    ),
+    Mutant(
+        "xkg/backends.py",
+        '"attempt %d of %d failed (%s); retrying in %.1fs",\n'
+        "                             attempt - 1, attempts, reason, wait)",
+        '"attempt %d of %d failed; retrying in %.1fs",\n'
+        "                             attempt - 1, attempts, wait)",
+        (_ENRICHMENT + "TestHttpBackend::test_retry_logged_with_its_cause",),
+        "a retry is logged without the status or exception that caused it",
+    ),
+    # Agreement statistics, None where a table does not define them.
+    Mutant(
+        "xkg/agreement.py",
+        "    return equal / total if total else None\n",
+        "    return equal / total if total else 0.0\n",
+        (_AGREEMENT + "TestPercentAgreement::test_no_overlap",),
+        "percent agreement without a pair of scores is 0.0, not undefined",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "        if len(shared) >= 2:\n",
+        "        if len(shared) >= 1:\n",
+        (_AGREEMENT + "TestKappa::test_pairs_with_few_shared_items_dropped",),
+        "kappa is computed for an annotator pair that shares one item",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "    if not units:\n        return None\n",
+        "    if not units:\n        return AlphaResult(1.0, degenerate=True)\n",
+        (_AGREEMENT + "TestAlpha::test_requires_pairable_values",),
+        "alpha is 1.0 for a table without an item of two scores",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "        if moments is None:\n            raise NoDataError(heuristic)\n",
+        "        if moments is None:\n            continue\n",
+        (_AGREEMENT + "TestReportMatchesOracles::test_all_blank_heuristic_raises_no_data",),
+        "a heuristic without any score is left out of the report, not an error",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "mean = _sum(defined) / len(defined) if defined else None",
+        "mean = defined[0] if defined else None",
+        (_AGREEMENT + "TestKappa::test_matches_confusion_matrix_oracle",),
+        "the first pair's kappa stands for the mean",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "        if values:\n            out[annotator] = sum(values) / len(values)\n",
+        "        out[annotator] = sum(values) / len(values) if values else None\n",
+        (_AGREEMENT + "TestAnnotatorMeans::test_annotators_without_a_score_are_left_out",),
+        "an annotator without a score gets a mean of None",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        '    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))\n',
+        "    sys.stdout.write(text)\n",
+        (_CLI + "test_stdout_that_cannot_encode_the_output_is_escaped",),
+        "stdout is written strictly, so a name its encoding cannot hold raises",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        '_typed(role, str, f"role {idx} of {frame!r}")',
+        "str(role)",
+        (_CLI + "test_bad_resource_file_is_config_error[role-number]",),
+        "a numeric role in the roleset file is read as its text",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "    except (OSError, UnicodeDecodeError) as exc:\n",
+        "    except OSError as exc:\n",
+        (_CLI + "test_bad_resource_file_is_config_error[system-template-not-utf8]",),
+        "a prompt template that is not UTF-8 ends the command with a traceback",
+    ),
+    Mutant(
+        "xkg/backends.py",
+        "    except (OSError, UnicodeDecodeError) as exc:\n",
+        "    except OSError as exc:\n",
+        (_CLI + "test_bad_resource_file_is_config_error[mock-response-not-utf8]",),
+        "a mock response that is not UTF-8 ends the command with a traceback",
+    ),
+    # The two front doors: package exports and shared CLI options.
+    Mutant(
+        "xkg/__init__.py",
+        '    "pipeline": ("PipelineResult", "run_pipeline"),\n'
+        '    "translate": ("AlignmentMap", "LinkTable", "RolesetMap", "align", "link_entities"),\n',
+        '    "pipeline": ("PipelineResult", "run_pipeline", "align"),\n'
+        '    "translate": ("AlignmentMap", "LinkTable", "RolesetMap", "link_entities"),\n',
+        (_PACKAGE + "test_an_export_loads_what_its_module_does",
+         _PACKAGE + "test_all_lists_every_export_once"),
+        "an export is filed under a module that only imports it, so reading it loads the "
+        "whole pipeline",
+    ),
+    Mutant(
+        "xkg/__init__.py",
+        "        return getattr(import_module(f\"{__name__}.{module}\"), name)\n",
+        "        value = globals()[name] = getattr(import_module(f\"{__name__}.{module}\"), name)\n"
+        "        return value\n",
+        (_PACKAGE + "test_an_export_follows_its_module",),
+        "an export is kept in the package on first use, so a wrapper read then outlives its "
+        "removal",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        'sub.add_parser("enrich", parents=[config, out, mock, force_merge],',
+        'sub.add_parser("enrich", parents=[config, out, mock],',
+        (_CLI + "test_parser_surface_is_pinned",),
+        "xkg enrich loses the shared --force-merge",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "diagnostics.extend(lint(RdfGraph(additions.triples, prefixes)))",
+        "diagnostics.extend(lint(additions))",
+        (_ENRICHMENT + "TestRunAll::test_results_keep_no_lint_index",),
+        "each result keeps the per-predicate index and node IRIs that lint built",
+    ),
 ]
 
 
@@ -572,6 +723,7 @@ def run_in_scratch(mutant: Mutant) -> tuple[str, list[str]]:
 
 
 def main() -> int:
+    start = time.perf_counter()
     killed = 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         for mutant, (outcome, tail) in zip(MUTANTS, pool.map(run_in_scratch, MUTANTS)):
@@ -579,7 +731,8 @@ def main() -> int:
             print(f"{outcome:<8}  {mutant.file}: {mutant.why}", flush=True)
             if outcome != "killed":
                 print("".join(f"    | {line}\n" for line in tail), end="", flush=True)
-    print(json.dumps({"killed": killed, "total": len(MUTANTS)}))
+    print(json.dumps({"killed": killed, "total": len(MUTANTS),
+                      "seconds": round(time.perf_counter() - start, 1)}))
     return 0 if killed == len(MUTANTS) else 1
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -1051,3 +1052,65 @@ class TestRun:
             assert (serialize_turtle(extended_graph(result.base, r))
                     == read(run_dir / f"xkg-{r.heuristic}.ttl"))
         assert json.loads(read(run_dir / "validation-report.json")) == result.report.to_dict()
+
+
+def _parser_surface(parser):
+    """What a parser accepts, leaving out help texts and option order: per
+    option its strings, dest, whether it is required, its default and its
+    action class; its mutually exclusive groups with whether each is
+    required; and the command function it sets."""
+    def options(p):
+        return sorted((tuple(a.option_strings), a.dest, a.required, a.default, type(a).__name__)
+                      for a in p._actions if a.option_strings)
+
+    def groups(p):
+        return sorted((tuple(sorted(a.dest for a in g._group_actions)), g.required)
+                      for g in p._mutually_exclusive_groups)
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return ({"options": options(parser), "command": (sub.dest, sub.required)},
+            {name: {"options": options(p), "groups": groups(p), "func": p.get_default("func")}
+             for name, p in sub.choices.items()})
+
+
+def _option(*strings, dest=None, required=False, default=None, action="_StoreAction"):
+    return (strings, dest or strings[-1][2:].replace("-", "_"), required, default, action)
+
+
+def test_parser_surface_is_pinned():
+    """Each subcommand's options, defaults, required flags, action classes,
+    exclusive group and command function; an option shared by several
+    subcommands means the same in each."""
+    help_ = _option("-h", "--help", dest="help", default=argparse.SUPPRESS, action="_HelpAction")
+    flag = {"default": False, "action": "_StoreTrueAction"}
+    source = [(("image", "text"), True)]
+    config, out = _option("--config"), _option("--out", required=True)
+    mock, force = _option("--mock", **flag), _option("--force-merge", **flag)
+    text, image = _option("--text"), _option("--image")
+    top, commands = _parser_surface(xkg.cli.build_parser())
+    assert top == {"options": sorted([help_, _option("-v", "--verbose", **flag)]),
+                   "command": ("command", True)}
+    expected = {
+        "describe": ([text, image, config, out, mock], source, xkg.cli.cmd_describe),
+        "base": ([_option("--amr", required=True), config, out], [], xkg.cli.cmd_base),
+        "enrich": ([_option("--base", required=True), _option("--heuristic", default="all"),
+                    config, out, mock, force], [], xkg.cli.cmd_enrich),
+        "validate": ([_option("--graph", required=True), _option("--base"), config, out], [],
+                     xkg.cli.cmd_validate),
+        "agree": ([_option("--ratings", required=True), out], [], xkg.cli.cmd_agree),
+        "run": ([text, image, _option("--amr", required=True), config, out, mock, force],
+                source, xkg.cli.cmd_run),
+    }
+    assert list(commands) == list(expected)
+    for name, (options, groups, func) in expected.items():
+        assert commands[name] == {"options": sorted([help_, *options]), "groups": groups,
+                                  "func": func}, name
+
+
+@pytest.mark.parametrize("argv", [[], ["describe"], ["base"], ["enrich"], ["validate"],
+                                  ["agree"], ["run"]], ids=lambda argv: " ".join(["xkg", *argv]))
+def test_every_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--help"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['xkg', *argv])} ")

@@ -468,6 +468,17 @@ class TestRunAll:
         assert serialize_turtle(seq) == serialize_turtle(par)
         assert [r.heuristic for r in seq_results] == [r.heuristic for r in par_results]
 
+    def test_results_keep_no_lint_index(self):
+        # lint builds the per-predicate index and the node IRIs of the graph
+        # it reads, and a graph keeps both for its life. Nothing reads a
+        # result's after run_all, so lint reads a graph of its own. The
+        # private slots are checked because the public methods build them.
+        results, _ = run_all(SCENE_BASE, MockBackend(MOCKS), PROMPTS)
+        assert sum(len(r.additions) for r in results) > 0
+        for r in results:
+            for slot in ("_by_predicate", "_node_iris"):
+                assert not hasattr(r.additions, slot), (r.heuristic, slot)
+
     def test_keeps_no_prompt_alive(self):
         # Four renamed copies of the corpus's base graph, the size of the
         # benchmark's large graph. Each prompt embeds the base's text, so a
@@ -822,6 +833,30 @@ class TestRequestsInFlight:
         assert endpoint.backoffs == [True, True]
         assert endpoint.peak == 1 and endpoint.calls == len(HEURISTICS) + 2
         assert all(r.raw_response for r in results)
+
+    def test_a_request_goes_out_while_another_backs_off(self):
+        # One slot. The first request gets a 503, and during its back-off a
+        # second request, sent from another thread, must be answered. A
+        # back-off that held the slot would keep it waiting past the join.
+        statuses = [503]
+
+        def post(url, payload, headers, timeout):
+            text = payload["messages"][1]["content"]
+            return FakeResponse(statuses.pop() if statuses else 200,
+                                {"choices": [{"message": {"content": text}}]})
+
+        answered = []
+
+        def sleep(delay):
+            other = threading.Thread(target=lambda: answered.append(
+                backend.complete(PromptRequest("system", "second"))))
+            other.start()
+            other.join(timeout=5)
+            answered.append(not other.is_alive())
+
+        backend = self.backend(post, 1, sleep=sleep)
+        assert backend.complete(PromptRequest("system", "first")) == "first"
+        assert answered == ["second", True]
 
     def test_two_runs_sharing_a_backend_stay_within_its_cap(self):
         endpoint = Endpoint(gate=3)
