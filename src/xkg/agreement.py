@@ -114,17 +114,14 @@ def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
     header names item_id, heuristic, annotator and score once each, and maybe
     other columns, which are ignored; a UTF-8 BOM and blank lines are skipped.
     Every row has as many fields as the header; a score is blank or an
-    integer in 1..5 as ``int()`` reads it."""
+    integer in 1..5 as ``int()`` reads it. An error of the CSV reader names
+    the line where it failed."""
     matrix = RatingsMatrix()
     add = matrix.add
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        # Lines and rows as csv.DictReader numbered them: its line_num is the
-        # last row's line or the first blank one after it.
-        line = blank = 0
         try:
             header = next(reader, None)
-            line = reader.line_num
             if header is None or not set(COLUMNS).issubset(header):
                 raise AgreementError(
                     f"ratings CSV must have header item_id,heuristic,annotator,score, found {header}")
@@ -136,9 +133,7 @@ def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
             row_number = 1
             for row in reader:
                 if not row:
-                    blank = blank or reader.line_num
                     continue
-                line, blank = reader.line_num, 0
                 row_number += 1
                 if len(row) != width:
                     raise AgreementError(f"row {row_number}: not as many fields as the header")
@@ -155,7 +150,7 @@ def load_ratings(path: Union[str, Path]) -> RatingsMatrix:
                 add(row[item_at].strip(), row[heuristic_at].strip(), row[annotator_at].strip(),
                     score)
         except csv.Error as exc:
-            raise AgreementError(f"ratings CSV after line {blank or line}: {exc}")
+            raise AgreementError(f"ratings CSV line {reader.line_num}: {exc}")
     return matrix
 
 

@@ -1,18 +1,18 @@
 """Orchestration of the 11 knowledge-enrichment heuristics.
 
-Each heuristic turns the base graph into a prompt (the shared system
-template, its own template and the graph's Turtle text; ``run_all`` reads
-the system template and serializes the graph once), sends it to a
-completion backend, which sets the model, token budget and temperature of
-the call, extracts the Turtle from the response, and validates
-the additions: anchoring to base nodes and the pitfall lints. A response is
-read against the base's ``terms_by_text``, so only the terms it introduces
-are resolved. The per-heuristic result is its additions, one graph under
-their prefix table, and diagnostics, with no copy of the base; ``run_all``
-alone merges the base and the kept additions into one graph, quarantining
-any heuristic whose result carries an ERROR diagnostic unless ``force_merge``
-is set. A result whose prefixes clash with an earlier merged one's gets a
-PREFIX_CONFLICT error and stays out, even with ``force_merge``.
+``run_all`` makes every check that needs no model (a non-empty base; each
+template readable and holding ``{{graph}}``) before its first request. Each
+heuristic's prompt embeds the base's Turtle text, serialized once;
+``run_heuristic`` sends it to a completion backend, which sets the model,
+token budget and temperature of the call, extracts the Turtle from the
+response, and validates the additions: anchoring to base nodes and the
+pitfall lints. A response is read against the base's ``terms_by_text``, so
+only the terms it introduces are resolved. A result is its additions, one
+graph under their prefix table, and diagnostics, with no copy of the base.
+``run_all`` alone decides each result's fate and merges the base and the
+kept additions into one graph, quarantining any result that carries an
+ERROR diagnostic unless ``force_merge`` is set, and any whose prefixes clash
+with an earlier merged one's (PREFIX_CONFLICT) even then.
 
 With ``max_concurrent`` above 1, ``run_all`` starts every heuristic at once,
 each on its own thread, and leaves it to the backend to bound its requests
@@ -45,7 +45,6 @@ from .rdf import (
     parse_turtle,
     serialize_turtle,
 )
-from .records import Record
 from .validation import Diagnostic, check_anchoring, has_errors, lint
 
 logger = logging.getLogger(__name__)
@@ -123,21 +122,17 @@ class PromptRequest(NamedTuple):
     tag: Optional[str] = None
 
 
-class EnrichmentResult(Record):
+class EnrichmentResult(NamedTuple):
     """One heuristic's outcome: ``additions``, the graph of what it adds to the
     base (no base triple) under its prefix table, which iterates sorted in one
-    pass; ``quarantined`` keeps it out of the merge."""
+    pass; ``quarantined``, which only ``run_all`` sets, keeps it out of the
+    merge."""
 
-    _fields = ("heuristic", "additions", "diagnostics", "raw_response", "quarantined")
-    __slots__ = _fields
-
-    def __init__(self, heuristic: str, additions: RdfGraph, diagnostics: list[Diagnostic],
-                 raw_response: str, quarantined: bool = False):
-        self.heuristic = heuristic
-        self.additions = additions
-        self.diagnostics = diagnostics
-        self.raw_response = raw_response
-        self.quarantined = quarantined
+    heuristic: str
+    additions: RdfGraph
+    diagnostics: list[Diagnostic]
+    raw_response: str
+    quarantined: bool = False
 
     @property
     def added(self) -> frozenset[Triple]:
@@ -161,24 +156,15 @@ def _read_template(prompts_dir: Union[str, Path], name: str) -> str:
         raise EnrichmentError(f"cannot read prompt template {path}: {exc}")
 
 
-def read_system_template(prompts_dir: Union[str, Path]) -> str:
-    """The system prompt template shared by every heuristic; raises as ``_read_template``."""
-    return _read_template(prompts_dir, SYSTEM_TEMPLATE)
-
-
 def assemble_prompt(base_turtle: str, system_template: str, spec: HeuristicSpec,
-                    prompts_dir: Union[str, Path]) -> PromptRequest:
+                    template: str) -> PromptRequest:
     """Substitute the base graph's Turtle text into the heuristic's template.
 
-    ``base_turtle`` is ``serialize_turtle(base)`` and ``system_template`` is
-    ``read_system_template(prompts_dir)``; ``run_all`` computes both once and
-    passes them to every heuristic. Deterministic: the same texts and
-    template produce a byte-identical request. Raises MissingTemplateError /
-    MissingPlaceholderError, or EnrichmentError for an unreadable template.
+    ``base_turtle`` is ``serialize_turtle(base)``; ``system_template`` and
+    ``template``, the texts of the shared and the heuristic's template, are
+    read, and the latter checked for ``{{graph}}``, by ``run_all``. Reads no
+    file. Deterministic: the same texts give a byte-identical request.
     """
-    template = _read_template(prompts_dir, spec.prompt_template)
-    if GRAPH_PLACEHOLDER not in template:
-        raise MissingPlaceholderError(spec.prompt_template)
     system_text = system_template.replace("{{namespace}}", spec.namespace)
     system_text = system_text.replace("{{prefix}}", spec.prefix)
     user_text = template.replace(GRAPH_PLACEHOLDER, base_turtle)
@@ -229,28 +215,17 @@ def extract_turtle(response: str, base_prefixes: PrefixTable,
         return parse_turtle(repaired, base_prefixes, bind_undeclared=True, terms=terms)
 
 
-def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
-                  spec: HeuristicSpec, backend: Backend,
-                  prompts_dir: Union[str, Path]) -> EnrichmentResult:
-    """Prompt, complete, extract, and validate one heuristic.
+def run_heuristic(base: RdfGraph, request: PromptRequest, prefixes: PrefixTable,
+                  backend: Backend) -> EnrichmentResult:
+    """Send one heuristic's request, then extract and validate the answer.
 
-    ``base_turtle`` is ``serialize_turtle(base)``, the text the prompt
-    embeds, and ``system_template`` the text of ``read_system_template``.
-    The additions' table is the reader's without its aliases. Failures never
-    propagate: a backend or parse failure yields a result with no additions
-    and a RESPONSE_INVALID error diagnostic; a base binding the heuristic's
-    label elsewhere, with no request sent, a quarantined PREFIX_CONFLICT one.
+    ``request`` is ``assemble_prompt``'s, whose ``tag`` names the heuristic,
+    and ``prefixes`` the base's table with the heuristic's own label bound,
+    which the response is read under. The additions' table is the reader's
+    without its aliases. Reads no file and leaves ``quarantined`` to
+    ``run_all``. Failures never propagate: a backend or parse failure yields
+    a result with no additions and a RESPONSE_INVALID error diagnostic.
     """
-    if not base.triples:
-        raise EnrichmentError("base graph is empty")
-    request = assemble_prompt(base_turtle, system_template, spec, prompts_dir)
-    try:
-        prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
-    except PrefixConflictError as exc:
-        logger.warning("%s: not run: %s", spec.name, exc)
-        return EnrichmentResult(spec.name, RdfGraph(frozenset(), base.prefixes),
-                                [Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
-                                            f"not run: {exc}")], "", quarantined=True)
     response, unexpected = "", None
     try:
         response = backend.complete(request)
@@ -271,9 +246,9 @@ def run_heuristic(base: RdfGraph, base_turtle: str, system_template: str,
             diagnostics = list(check_anchoring(base, additions.triples))
             # Linted as a graph of its own, so the result keeps no lint index.
             diagnostics.extend(lint(RdfGraph(additions.triples, prefixes)))
-            return EnrichmentResult(spec.name, additions, diagnostics, response)
-    logger.warning("%s: %s", spec.name, problem, exc_info=unexpected)
-    return EnrichmentResult(spec.name, RdfGraph(frozenset(), prefixes),
+            return EnrichmentResult(request.tag, additions, diagnostics, response)
+    logger.warning("%s: %s", request.tag, problem, exc_info=unexpected)
+    return EnrichmentResult(request.tag, RdfGraph(frozenset(), prefixes),
                             [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem)],
                             response)
 
@@ -285,6 +260,13 @@ def run_all(base: RdfGraph, backend: Backend,
             force_merge: bool = False) -> tuple[list[EnrichmentResult], RdfGraph]:
     """Run every heuristic and merge the additions onto the base.
 
+    Before any request it reads the system template, checks that the base
+    is not empty, and reads each heuristic's template and checks that it
+    holds ``{{graph}}``, raising EnrichmentError (MissingTemplateError,
+    MissingPlaceholderError) with nothing sent. A step builds its prompt as
+    it sends it, so only prompts in flight are held. A heuristic whose label
+    the base binds elsewhere is not run.
+
     With ``max_concurrent`` at most 1 the heuristics run one after another
     on the calling thread. Above 1, every heuristic starts at once on its
     own thread, and the backend bounds its requests in flight (see
@@ -294,35 +276,51 @@ def run_all(base: RdfGraph, backend: Backend,
     with concurrent backend calls. The merged graph is the base and the
     ``additions`` of the results not quarantined: a result carrying an ERROR
     diagnostic is quarantined unless ``force_merge``, one with
-    PREFIX_CONFLICT always.
+    PREFIX_CONFLICT always. Only this function sets ``quarantined``.
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
+    system_template = _read_template(prompts_dir, SYSTEM_TEMPLATE)
+    if not base.triples:
+        raise EnrichmentError("base graph is empty")
+    templates = []
+    for spec in specs:
+        template = _read_template(prompts_dir, spec.prompt_template)
+        if GRAPH_PLACEHOLDER not in template:
+            raise MissingPlaceholderError(spec.prompt_template)
+        templates.append(template)
     base_turtle = serialize_turtle(base)
     base.terms_by_text()  # built once, before the threads read it
-    system_template = read_system_template(prompts_dir)
 
-    def run_one(spec: HeuristicSpec) -> EnrichmentResult:
-        return run_heuristic(base, base_turtle, system_template, spec, backend, prompts_dir)
+    def run_one(spec: HeuristicSpec, template: str) -> EnrichmentResult:
+        try:
+            prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)
+        except PrefixConflictError as exc:
+            logger.warning("%s: not run: %s", spec.name, exc)
+            return EnrichmentResult(spec.name, RdfGraph(frozenset(), base.prefixes),
+                                    [Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
+                                                f"not run: {exc}")], "", quarantined=True)
+        request = assemble_prompt(base_turtle, system_template, spec, template)
+        return run_heuristic(base, request, prefixes, backend)
 
     if max_concurrent > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-            results = list(pool.map(run_one, specs))
+            outcomes = list(pool.map(run_one, specs, templates))
     else:
-        results = [run_one(spec) for spec in specs]
+        outcomes = [run_one(spec, template) for spec, template in zip(specs, templates)]
 
     # In run order, so completion order cannot decide a clash.
-    kept = [base]
-    table = base.prefixes
-    for r in results:
-        r.quarantined = r.quarantined or (r.failed and not force_merge)
-        if r.quarantined:
-            continue
-        try:
-            table = table.merged(r.additions.prefixes)
-        except PrefixConflictError as exc:
-            r.diagnostics.append(Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
-                                            f"not merged: {exc}"))
-            r.quarantined = True
-            continue
-        kept.append(r.additions)
+    results, kept, table = [], [base], base.prefixes
+    for r in outcomes:
+        if r.failed and not force_merge:
+            r = r._replace(quarantined=True)
+        if not r.quarantined:
+            try:
+                table = table.merged(r.additions.prefixes)
+            except PrefixConflictError as exc:
+                r = r._replace(diagnostics=[*r.diagnostics, Diagnostic(
+                    validation.ERROR, validation.PREFIX_CONFLICT, f"not merged: {exc}")],
+                    quarantined=True)
+            else:
+                kept.append(r.additions)
+        results.append(r)
     return results, merge(kept)

@@ -150,16 +150,18 @@ def validate(graph: RdfGraph, base: Optional[RdfGraph],
 
 def run_pipeline(source: Union[str, Path], penman: str, config: PipelineConfig,
                  backend: Backend) -> PipelineResult:
-    """Describe, build the base graph, enrich it with every heuristic and
-    validate the merged graph against the base.
+    """Build the base graph, describe, enrich the base with every heuristic
+    and validate the merged graph against the base.
 
     ``source`` is the description text, or the Path of an image for the
-    backend to describe. ``config.force_merge`` is the merge policy; the
-    ``xkg`` command sets it for ``--force-merge``.
+    backend to describe. The base needs no model, so it is built first: a
+    PENMAN document it rejects ends the run before any request is sent.
+    ``config.force_merge`` is the merge policy; the ``xkg`` command sets it
+    for ``--force-merge``.
     """
     resources = config.require_resources()
-    description = describe(source, backend)
     base = build_base(penman, resources)
+    description = describe(source, backend)
     results, merged = enrich(base, backend, config, None)
     return PipelineResult(description, base, results, merged,
                           validate(merged, base, resources))

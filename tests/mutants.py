@@ -15,9 +15,10 @@ not exist, nothing collected) is an error of the runner, not a kill.
 ``--basetemp`` and hypothesis database under the mutant's temporary
 directory, so mutants and runners on one host share no pytest or hypothesis
 directory, and a property starts from no saved example. It prints one line
-per mutant, in list order, followed for any outcome but ``killed`` by the
-last lines pytest printed, and ends with ``{"killed": k, "total": n,
-"seconds": s}``, where ``s`` is the run's wall time; it exits 0 only when
+per mutant, in list order, with its wall seconds (so a mutant that only a
+slow or hung test kills stands out), followed for any outcome but
+``killed`` by the last lines pytest printed, and ends with ``{"killed": k,
+"total": n, "seconds": s}``, where ``s`` is the run's wall time; it exits 0 only when
 every mutant is killed. The list only grows, except that a mutant whose code
 is gone is removed; a change that adds a check also adds a mutant that the
 check kills.
@@ -377,28 +378,28 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/enrichment.py",
-        "    try:\n"
+        "        try:\n"
+        "            prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)\n"
+        "        except PrefixConflictError as exc:\n",
         "        prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)\n"
-        "    except PrefixConflictError as exc:\n",
-        "    prefixes = base.prefixes.with_binding(spec.prefix, spec.namespace)\n"
-        "    try:\n"
-        "        pass\n"
-        "    except PrefixConflictError as exc:\n",
+        "        try:\n"
+        "            pass\n"
+        "        except PrefixConflictError as exc:\n",
         (_ENRICHMENT + "TestRunAll::test_base_binding_a_heuristic_label_elsewhere_quarantines_it",
          _CLI + "TestEnrich::test_base_binding_a_heuristic_label_elsewhere_quarantines_it"),
         "a base that binds a heuristic's label elsewhere ends the whole enrichment",
     ),
     Mutant(
         "xkg/enrichment.py",
-        "r.quarantined = r.quarantined or (r.failed and not force_merge)",
-        "r.quarantined = r.failed and not force_merge",
+        'f"not run: {exc}")], "", quarantined=True)',
+        'f"not run: {exc}")], "")',
         (_ENRICHMENT + "TestRunAll::test_base_binding_a_heuristic_label_elsewhere_quarantines_it",),
         "force_merge merges a heuristic that was not run for its base prefix conflict",
     ),
     Mutant(
         "xkg/enrichment.py",
-        "        if r.quarantined:\n            continue\n",
-        "        if r.quarantined:\n            kept.append(r.additions)\n            continue\n",
+        "        if not r.quarantined:\n            try:\n",
+        "        if True:\n            try:\n",
         (_ENRICHMENT + "TestRunAll::test_quarantine_drops_error_results",
          _CLI + "TestReportTemplates::test_merged_file_holds_what_the_merge_holds"),
         "run_all merges a quarantined result's additions",
@@ -680,6 +681,62 @@ MUTANTS = [
         (_ENRICHMENT + "TestRunAll::test_results_keep_no_lint_index",),
         "each result keeps the per-predicate index and node IRIs that lint built",
     ),
+    # Every check that needs no model comes before the first request, and
+    # run_all alone decides each quarantine.
+    Mutant(
+        "xkg/enrichment.py",
+        "    templates = []\n"
+        "    for spec in specs:\n"
+        "        template = _read_template(prompts_dir, spec.prompt_template)\n"
+        "        if GRAPH_PLACEHOLDER not in template:\n"
+        "            raise MissingPlaceholderError(spec.prompt_template)\n"
+        "        templates.append(template)\n"
+        "    base_turtle = serialize_turtle(base)\n"
+        "    base.terms_by_text()  # built once, before the threads read it\n"
+        "\n"
+        "    def run_one(spec: HeuristicSpec, template: str) -> EnrichmentResult:\n",
+        "    templates = [None] * len(specs)\n"
+        "    base_turtle = serialize_turtle(base)\n"
+        "    base.terms_by_text()  # built once, before the threads read it\n"
+        "\n"
+        "    def run_one(spec: HeuristicSpec, template: str) -> EnrichmentResult:\n"
+        "        template = _read_template(prompts_dir, spec.prompt_template)\n"
+        "        if GRAPH_PLACEHOLDER not in template:\n"
+        "            raise MissingPlaceholderError(spec.prompt_template)\n",
+        (_ENRICHMENT + "TestNoRequestBeforeALocalFault::test_bad_last_template",),
+        "each heuristic's step reads its own template, so a bad last template is found after "
+        "the other requests went out",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "            r = r._replace(quarantined=True)\n",
+        "            r._replace(quarantined=True)\n",
+        (_ENRICHMENT + "TestRunAll::test_quarantine_drops_error_results",),
+        "the quarantined copy of a failed result is thrown away, so the result is merged "
+        "unquarantined",
+    ),
+    Mutant(
+        "xkg/pipeline.py",
+        "    base = build_base(penman, resources)\n    description = describe(source, backend)\n",
+        "    description = describe(source, backend)\n    base = build_base(penman, resources)\n",
+        (_ENRICHMENT + "TestNoRequestBeforeALocalFault::test_two_graph_penman_sends_no_image",),
+        "run_pipeline describes the image before it builds the base, so a bad PENMAN file "
+        "still sends the image",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "ratings CSV line {reader.line_num}",
+        "ratings CSV line {reader.line_num - 1}",
+        (_AGREEMENT + "TestLoadRatings::test_csv_error_names_the_line_dict_reader_named",),
+        "a CSV reader error names the line before the one the reader failed on",
+    ),
+    Mutant(
+        "xkg/backends.py",
+        "                raise TransportError(f\"HTTP {status}: {getattr(response, 'text', '')[:200]}\")\n",
+        "                last_error = TransportError(f\"HTTP {status}\")\n                continue\n",
+        (_ENRICHMENT + "TestHttpBackend::test_client_error_is_raised_at_once",),
+        "a 4xx answer other than 401/403 is retried",
+    ),
 ]
 
 
@@ -716,19 +773,22 @@ def run(mutant: Mutant, scratch: Path) -> tuple[str, list[str]]:
     return "survived" if done.returncode == 0 else f"error: pytest exited {done.returncode}", tail
 
 
-def run_in_scratch(mutant: Mutant) -> tuple[str, list[str]]:
-    """``run`` in a temporary directory of its own, removed afterwards."""
+def run_in_scratch(mutant: Mutant) -> tuple[str, list[str], float]:
+    """``run`` in a temporary directory of its own, removed afterwards, and
+    its wall time in seconds."""
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="xkg-mutant-") as scratch:
-        return run(mutant, Path(scratch))
+        outcome, tail = run(mutant, Path(scratch))
+    return outcome, tail, time.perf_counter() - start
 
 
 def main() -> int:
     start = time.perf_counter()
     killed = 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        for mutant, (outcome, tail) in zip(MUTANTS, pool.map(run_in_scratch, MUTANTS)):
+        for mutant, (outcome, tail, seconds) in zip(MUTANTS, pool.map(run_in_scratch, MUTANTS)):
             killed += outcome == "killed"
-            print(f"{outcome:<8}  {mutant.file}: {mutant.why}", flush=True)
+            print(f"{outcome:<8} {seconds:5.1f}s  {mutant.file}: {mutant.why}", flush=True)
             if outcome != "killed":
                 print("".join(f"    | {line}\n" for line in tail), end="", flush=True)
     print(json.dumps({"killed": killed, "total": len(MUTANTS),

@@ -32,7 +32,7 @@ from xkg.backends import MappingBackend
 import xkg
 from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, main
 from xkg.config import bundled_resources_root, default_resource_paths
-from xkg.enrichment import HEURISTIC_BY_NAME, read_system_template, run_all, run_heuristic
+from xkg.enrichment import HEURISTIC_BY_NAME, run_all
 from xkg.rdf import (
     DUL_NS,
     FRED_NS,
@@ -70,10 +70,16 @@ from xkg.agreement import (
 )
 
 RESOURCES = default_resource_paths()
-SYSTEM = read_system_template(RESOURCES.prompts_dir)
 FIXTURES = bundled_resources_root() / "fixtures"
 
 BASE_PROFILE_ROW = (293, 33, 23, 20, 1, 4, 10)
+
+
+def run_one(base, name: str, response: str):
+    """The result of heuristic ``name`` answering ``response``, run alone."""
+    (result,), _ = run_all(base, MappingBackend({name: response}), RESOURCES.prompts_dir,
+                           heuristics=[HEURISTIC_BY_NAME[name]])
+    return result
 
 
 def profile_row(p) -> tuple:
@@ -159,9 +165,7 @@ def test_criterion_3_profile_calibration():
 def test_criterion_4_anchoring():
     base = scene_base_graph()
     impact_mock = (RESOURCES.mock_dir / "FactualImpact.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, serialize_turtle(base), SYSTEM,
-                           HEURISTIC_BY_NAME["FactualImpact"],
-                           MappingBackend({"FactualImpact": impact_mock}), RESOURCES.prompts_dir)
+    result = run_one(base, "FactualImpact", impact_mock)
     assert [d for d in result.diagnostics if d.code == ANCHOR_FLOAT] == []
 
     floating = {Triple(Iri("http://x.example/a"), Iri("http://x.example/p"),
@@ -188,10 +192,7 @@ def test_criterion_5_consistency():
     onto = MiniOntology.from_turtle_file(RESOURCES.mini_ontology)
 
     metonymic = (RESOURCES.mock_dir / "MetonymicCoercion.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, serialize_turtle(base), SYSTEM,
-                           HEURISTIC_BY_NAME["MetonymicCoercion"],
-                           MappingBackend({"MetonymicCoercion": metonymic}),
-                           RESOURCES.prompts_dir)
+    result = run_one(base, "MetonymicCoercion", metonymic)
     clashes = check_consistency(extended_graph(base, result), onto)
     assert len(clashes) == 1
     assert clashes[0].code == DISJOINT_CLASH
@@ -207,10 +208,7 @@ def test_criterion_6_precedence():
     started = time.monotonic()
     base = scene_base_graph()
     sequences = (RESOURCES.mock_dir / "EventSequences.ttl").read_text(encoding="utf-8")
-    result = run_heuristic(base, serialize_turtle(base), SYSTEM,
-                           HEURISTIC_BY_NAME["EventSequences"],
-                           MappingBackend({"EventSequences": sequences}),
-                           RESOURCES.prompts_dir)
+    result = run_one(base, "EventSequences", sequences)
     inference = infer_precedence(extended_graph(base, result))
     inferred = set(inference.inferred)
     for earlier in ("wear_1", "race_1", "competition_1", "win_1"):

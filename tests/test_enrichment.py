@@ -1,6 +1,7 @@
 import gc
 import logging
 import random
+import shutil
 import sys
 import threading
 import time
@@ -19,7 +20,8 @@ from xkg.backends import (
     MockBackend,
     TransportError,
 )
-from xkg.config import default_resource_paths
+from xkg.amr import AmrError
+from xkg.config import default_config, default_resource_paths
 from xkg.enrichment import (
     HEURISTIC_BY_NAME,
     HEURISTICS,
@@ -30,7 +32,6 @@ from xkg.enrichment import (
     PromptRequest,
     assemble_prompt,
     extract_turtle,
-    read_system_template,
     run_all,
     run_heuristic,
 )
@@ -44,6 +45,7 @@ from xkg.rdf import (
     serialize_turtle,
     standard_prefixes,
 )
+from xkg.pipeline import run_pipeline
 from corpus import build_corpus
 from generators import extended_graph
 from xkg.validation import (
@@ -73,7 +75,7 @@ fred:celebrate_1 a pbrs:celebrate-01 ;
 fred:win_1 a pbrs:win-01 .
 """, standard_prefixes())
 SCENE_TURTLE = serialize_turtle(SCENE_BASE)
-SYSTEM = read_system_template(PROMPTS)
+SYSTEM = (PROMPTS / "system.txt").read_text(encoding="utf-8")
 
 IMPACT_RESPONSE = """```turtle
 @prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .
@@ -88,6 +90,14 @@ fred:win_1 impact:hasExpectedSocialImpact impact:MedalCeremony .
 ```"""
 
 FACTUAL = HEURISTIC_BY_NAME["FactualImpact"]
+FACTUAL_TEMPLATE = (PROMPTS / FACTUAL.prompt_template).read_text(encoding="utf-8")
+FACTUAL_PREFIXES = SCENE_BASE.prefixes.with_binding(FACTUAL.prefix, FACTUAL.namespace)
+
+
+def run_factual(backend):
+    """``run_heuristic`` for FactualImpact over the scene, as ``run_all`` calls it."""
+    request = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, FACTUAL_TEMPLATE)
+    return run_heuristic(SCENE_BASE, request, FACTUAL_PREFIXES, backend)
 
 
 class TestRegistry:
@@ -110,49 +120,58 @@ class TestRegistry:
 
 
 class TestAssemblePrompt:
+    """The prompt of one heuristic; ``run_all`` reads and checks its
+    templates before any request."""
+
     def test_empty_base_gives_prefix_only_graph_slot(self):
-        request = assemble_prompt(serialize_turtle(RdfGraph()), SYSTEM,
-                                  FACTUAL, PROMPTS)
+        request = assemble_prompt(serialize_turtle(RdfGraph()), SYSTEM, FACTUAL,
+                                  FACTUAL_TEMPLATE)
         graph_lines = [l for l in request.user_text.splitlines() if l.startswith("@prefix")]
         assert graph_lines
         assert "fred:" not in request.user_text.replace(
             "@prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .", "")
 
     def test_base_graph_embedded(self):
-        request = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, PROMPTS)
+        request = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, FACTUAL_TEMPLATE)
         assert "fred:athlete_1" in request.user_text
         assert SCENE_TURTLE in request.user_text
         assert request.tag == "FactualImpact"
 
     def test_byte_identical_requests(self):
-        first = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, PROMPTS)
-        second = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, PROMPTS)
+        first = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, FACTUAL_TEMPLATE)
+        second = assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, FACTUAL_TEMPLATE)
         assert first == second
 
     def test_missing_template(self, tmp_path):
-        with pytest.raises(MissingTemplateError):
-            read_system_template(tmp_path)
-        with pytest.raises(MissingTemplateError):
-            assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)
+        backend = MappingBackend({})
+        for prompts in (tmp_path, tmp_path / "no-such-dir"):
+            with pytest.raises(MissingTemplateError) as raised:
+                run_all(SCENE_BASE, backend, prompts)
+            assert str(raised.value) == "prompt template not found: system.txt"
+        (tmp_path / "system.txt").write_text("sys", encoding="utf-8")
         with pytest.raises(MissingTemplateError) as raised:
-            read_system_template(tmp_path / "no-such-dir")
-        assert str(raised.value) == "prompt template not found: system.txt"
+            run_all(SCENE_BASE, backend, tmp_path, heuristics=[FACTUAL])
+        assert str(raised.value) == "prompt template not found: factual-impact.txt"
 
     def test_unreadable_template_is_not_a_missing_one(self, tmp_path):
         (tmp_path / "system.txt").mkdir()
         (tmp_path / FACTUAL.prompt_template).write_bytes(b"\xff {{graph}}")
-        for read in (lambda: read_system_template(tmp_path),
-                     lambda: assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)):
+        sound_system = tmp_path / "sound-system"
+        sound_system.mkdir()
+        (sound_system / "system.txt").write_text("sys", encoding="utf-8")
+        (sound_system / FACTUAL.prompt_template).write_bytes(b"\xff {{graph}}")
+        for prompts in (tmp_path, sound_system):
             with pytest.raises(EnrichmentError) as raised:
-                read()
+                run_all(SCENE_BASE, MappingBackend({}), prompts, heuristics=[FACTUAL])
             assert type(raised.value) is EnrichmentError
             assert str(raised.value).startswith("cannot read prompt template")
 
     def test_missing_placeholder(self, tmp_path):
         (tmp_path / "system.txt").write_text("sys", encoding="utf-8")
         (tmp_path / FACTUAL.prompt_template).write_text("no slot here", encoding="utf-8")
-        with pytest.raises(MissingPlaceholderError):
-            assemble_prompt(SCENE_TURTLE, SYSTEM, FACTUAL, tmp_path)
+        with pytest.raises(MissingPlaceholderError) as raised:
+            run_all(SCENE_BASE, MappingBackend({}), tmp_path, heuristics=[FACTUAL])
+        assert str(raised.value) == "template factual-impact.txt has no {{graph}} placeholder"
 
 
 class TestExtractTurtle:
@@ -201,7 +220,7 @@ fred:y_1 fred:q fred:z_1 .
 class TestRunHeuristic:
     def test_impact_mock_flow(self):
         backend = MappingBackend({"FactualImpact": IMPACT_RESPONSE})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        result = run_factual(backend)
         assert len(result.added) == 5
         assert not result.failed
         assert [d for d in result.diagnostics if d.code == ANCHOR_FLOAT] == []
@@ -216,7 +235,7 @@ class TestRunHeuristic:
                     "fred:celebrate_1 vn.role:Location fred:track_1 ;\n"
                     "    dul:associatedWith fred:win_1, fred:athlete_1 .\n")
         backend = MappingBackend({"FactualImpact": response})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        result = run_factual(backend)
         fred, associated = lambda local: Iri(FRED_NS + local), Iri(DUL_NS + "associatedWith")
         new = [Triple(fred("celebrate_1"), associated, fred("athlete_1")),
                Triple(fred("celebrate_1"), associated, fred("win_1")),
@@ -229,7 +248,7 @@ class TestRunHeuristic:
     def test_floating_triples_flagged(self):
         backend = MappingBackend({
             "FactualImpact": "@prefix x: <http://x.example/> . x:a x:p x:b ."})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        result = run_factual(backend)
         floats = [d for d in result.diagnostics if d.code == ANCHOR_FLOAT]
         assert len(floats) == 1
         assert result.failed
@@ -240,12 +259,12 @@ class TestRunHeuristic:
             "@prefix fred: <http://www.ontologydesignpatterns.org/ont/fred/domain.owl#> .\n"
             "@prefix pbrs: <https://w3id.org/framester/data/propbank-3.4.0/RoleSet/> .\n"
             "fred:spectator_1 pbrs:cheer-01.agent fred:athlete_1 ."})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        result = run_factual(backend)
         assert PREFIX_MISUSE in {d.code for d in result.diagnostics}
 
     def test_backend_failure_becomes_diagnostic(self):
         backend = MappingBackend({})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        result = run_factual(backend)
         assert result.added == frozenset()
         assert [d.code for d in result.diagnostics] == [RESPONSE_INVALID]
         assert result.failed
@@ -255,27 +274,28 @@ class TestRunHeuristic:
             def complete(self, request):
                 raise RuntimeError("boom")
 
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, Broken({}), PROMPTS)
+        result = run_factual(Broken({}))
         assert result.added == frozenset()
         assert [d.code for d in result.diagnostics] == [RESPONSE_INVALID]
         assert result.diagnostics[0].message == "backend failure: RuntimeError: boom"
 
     def test_unparseable_response_becomes_diagnostic(self):
         backend = MappingBackend({"FactualImpact": "I cannot help."})
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL, backend, PROMPTS)
+        result = run_factual(backend)
         assert result.added == frozenset()
         assert result.failed
-        assert result.additions.prefixes == SCENE_BASE.prefixes.with_binding(
-            FACTUAL.prefix, FACTUAL.namespace)
+        assert result.additions.prefixes == FACTUAL_PREFIXES
         assert extended_graph(SCENE_BASE, result).triples == SCENE_BASE.triples
+
+    def test_leaves_quarantine_to_run_all(self):
+        result = run_factual(MappingBackend({}))
+        assert result.failed and not result.quarantined
 
     def test_result_table_is_the_readers_without_its_aliases(self):
         response = (f"@prefix f: <{FRED_NS}> .\n@prefix ex: <http://e/> .\n"
                     "f:athlete_1 ex:p f:win_1, undeclared:x .")
-        result = run_heuristic(SCENE_BASE, SCENE_TURTLE, SYSTEM, FACTUAL,
-                               MappingBackend({"FactualImpact": response}), PROMPTS)
-        prefixes = SCENE_BASE.prefixes.with_binding(FACTUAL.prefix, FACTUAL.namespace)
-        expected = prefixes.merged(extract_turtle(response, prefixes).prefixes)
+        result = run_factual(MappingBackend({"FactualImpact": response}))
+        expected = FACTUAL_PREFIXES.merged(extract_turtle(response, FACTUAL_PREFIXES).prefixes)
         table = result.additions.prefixes
         assert list(table.items()) == list(expected.items())
         assert "ex" in table and "undeclared" in table
@@ -310,8 +330,11 @@ class TestRunAll:
         responses["FactualImpact"] = "@prefix x: <http://x.example/> . x:a x:p x:b ."
         results, merged = run_all(SCENE_BASE, MappingBackend(responses), PROMPTS)
         assert merged.triples == SCENE_BASE.triples
-        _, forced = run_all(SCENE_BASE, MappingBackend(responses), PROMPTS, force_merge=True)
+        assert all(r.failed and r.quarantined for r in results)
+        forced_results, forced = run_all(SCENE_BASE, MappingBackend(responses), PROMPTS,
+                                         force_merge=True)
         assert len(forced.triples) == len(SCENE_BASE.triples) + 1
+        assert not any(r.quarantined for r in forced_results)
 
     @pytest.mark.parametrize("escape", ["\\uZZZZ", "\\ud800"])
     def test_bad_u_escape_quarantines_only_its_heuristic(self, escape):
@@ -576,6 +599,11 @@ class FakeResponse:
         return self._body
 
 
+class NotJson(FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value")
+
+
 class TestHttpBackend:
     def config(self, **overrides):
         settings = dict(endpoint="https://api.example/v1/chat", model="test-model",
@@ -678,6 +706,62 @@ class TestHttpBackend:
             assert backend.complete(self.request()) == "ok"
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
             (logging.DEBUG, f"attempt 1 of 3 failed ({cause}); retrying in 0.5s")]
+
+    def test_client_error_is_raised_at_once(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        body = "no such model: " + "x" * 300
+        calls, delays = [], []
+
+        def post(*args):
+            calls.append(args)
+            return FakeResponse(404, text=body)
+
+        backend = HttpBackend(self.config(), post=post, sleep=delays.append)
+        with pytest.raises(TransportError) as raised:
+            backend.complete(self.request())
+        assert str(raised.value) == "HTTP 404: " + body[:200]
+        assert len(calls) == 1 and delays == []
+
+    def test_completion_shape(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        backend = HttpBackend(self.config(),
+                              post=lambda *a: FakeResponse(200, {"completion": "x"}))
+        assert backend.complete(self.request()) == "x"
+
+    def test_unrecognized_shape_is_named(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        backend = HttpBackend(self.config(), post=lambda *a: FakeResponse(200, {"foo": 1}))
+        with pytest.raises(TransportError) as raised:
+            backend.complete(self.request())
+        assert str(raised.value) == 'unrecognized response shape: {"foo": 1}'
+
+    def test_body_that_is_not_json_is_bad(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        backend = HttpBackend(self.config(), post=lambda *a: NotJson(200))
+        with pytest.raises(TransportError) as raised:
+            backend.complete(self.request())
+        assert str(raised.value) == "bad response body: Expecting value"
+
+    @pytest.mark.parametrize("response, message", [
+        (FakeResponse(404, text="gone"), "HTTP 404: gone"),
+        (FakeResponse(200, {"foo": 1}), 'unrecognized response shape: {"foo": 1}'),
+        (NotJson(200), "bad response body: Expecting value"),
+    ], ids=["404", "unrecognized-shape", "not-json"])
+    @pytest.mark.parametrize("max_concurrent", [1, 4])
+    def test_failure_quarantines_each_heuristic(self, monkeypatch, response, message,
+                                                max_concurrent):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        backend = HttpBackend(self.config(max_concurrent=max_concurrent),
+                              post=lambda *a: response, sleep=lambda s: None)
+        results, merged = run_all(SCENE_BASE, backend, PROMPTS, max_concurrent=max_concurrent)
+        assert [(r.quarantined, [(d.code, d.message) for d in r.diagnostics])
+                for r in results] == [
+            (True, [(RESPONSE_INVALID, f"backend failure: {message}")])] * len(HEURISTICS)
+        assert merged.triples == SCENE_BASE.triples
+
+    def test_missing_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="^backend endpoint is not configured$"):
+            HttpBackend(self.config(endpoint=""))
 
     def test_zero_slots_rejected(self):
         with pytest.raises(ValueError, match="max_concurrent"):
@@ -896,3 +980,77 @@ class TestRequestsInFlight:
             outcomes.append(([(r.heuristic, r.added, r.quarantined, r.diagnostics,
                                r.raw_response) for r in results], serialize_turtle(merged)))
         assert outcomes[0] == outcomes[1]
+
+
+class CountingPost:
+    """An injected ``post`` for ``HttpBackend`` that counts the requests it
+    is sent and answers each with an empty completion."""
+
+    def __init__(self):
+        self.requests = []
+
+    def __call__(self, url, payload, headers, timeout):
+        self.requests.append(payload)
+        return FakeResponse(200, {"choices": [{"message": {"content": ""}}]})
+
+
+def _break_last_template(prompts, fault):
+    """Break the last heuristic's template: remove it, make it unreadable,
+    or drop its placeholder."""
+    path = prompts / HEURISTICS[-1].prompt_template
+    if fault == "missing":
+        path.unlink()
+    elif fault == "unreadable":
+        path.write_bytes(b"\xff {{graph}}")
+    else:
+        path.write_text("no slot here", encoding="utf-8")
+
+
+class TestNoRequestBeforeALocalFault:
+    """A fault that needs no model to find ends the run before any request,
+    at any concurrency."""
+
+    @pytest.fixture(autouse=True)
+    def credential(self, monkeypatch):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+
+    def backend(self, post, max_concurrent):
+        return HttpBackend(BackendConfig(endpoint="https://api.example/v1/chat", model="m",
+                                         credential_env="XKG_TEST_KEY",
+                                         max_concurrent=max_concurrent), post=post)
+
+    @pytest.mark.parametrize("max_concurrent", [1, 4])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("missing", MissingTemplateError, "prompt template not found: potential-non-events.txt"),
+        ("unreadable", EnrichmentError, "cannot read prompt template "),
+        ("no-placeholder", MissingPlaceholderError,
+         "template potential-non-events.txt has no {{graph}} placeholder"),
+    ], ids=["missing", "unreadable", "no-placeholder"])
+    def test_bad_last_template(self, tmp_path, max_concurrent, fault, error, message):
+        prompts = shutil.copytree(PROMPTS, tmp_path / "prompts")
+        _break_last_template(prompts, fault)
+        post = CountingPost()
+        with pytest.raises(error) as raised:
+            run_all(SCENE_BASE, self.backend(post, max_concurrent), prompts,
+                    max_concurrent=max_concurrent)
+        assert type(raised.value) is error and str(raised.value).startswith(message)
+        assert post.requests == []
+
+    @pytest.mark.parametrize("max_concurrent", [1, 4])
+    def test_empty_base(self, max_concurrent):
+        post = CountingPost()
+        with pytest.raises(EnrichmentError, match="^base graph is empty$"):
+            run_all(RdfGraph(), self.backend(post, max_concurrent), PROMPTS,
+                    max_concurrent=max_concurrent)
+        assert post.requests == []
+
+    @pytest.mark.parametrize("max_concurrent", [1, 4])
+    def test_two_graph_penman_sends_no_image(self, tmp_path, max_concurrent):
+        image = tmp_path / "scene.png"
+        image.write_bytes(b"\x89PNG fake")
+        post = CountingPost()
+        backend = self.backend(post, max_concurrent)
+        config = default_config()._replace(backend=backend.config)
+        with pytest.raises(AmrError, match="found 2"):
+            run_pipeline(image, "(a / cat)\n(b / dog)\n", config, backend)
+        assert post.requests == []

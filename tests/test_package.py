@@ -17,7 +17,7 @@ SRC = str(Path(xkg.__file__).resolve().parents[1])
 HOMES = {
     "amr": ["AmrEdge", "AmrGraph", "AmrNode", "parse_penman"],
     "enrichment": ["HEURISTICS", "EnrichmentResult", "HeuristicSpec", "assemble_prompt",
-                   "extract_turtle", "read_system_template", "run_all", "run_heuristic"],
+                   "extract_turtle", "run_all", "run_heuristic"],
     "rdf": ["BlankNode", "Iri", "Literal", "PrefixTable", "RdfGraph", "Triple", "merge",
             "parse_turtle", "serialize_extensions", "serialize_turtle"],
     "pipeline": ["PipelineResult", "run_pipeline"],

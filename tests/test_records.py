@@ -47,7 +47,7 @@ RECORDS = [
     (PromptRequest, ["system", "user", "H"], {"tag": None}, True),
     (EnrichmentResult, ["H", RdfGraph(frozenset({Triple(B, A, B)}), GRAPH.prefixes), [],
                          "response", True],
-     {"quarantined": False}, False),
+     {"quarantined": False}, True),
     (BackendConfig, ["http://x.example/", "m", "KEY", 1.5, 2, 3, 0.5, 10],
      {"endpoint": "", "model": "", "credential_env": "XKG_API_KEY", "timeout": 60.0,
       "retries": 3, "max_concurrent": 4, "temperature": 0.0, "max_tokens": 2048}, True),
