@@ -11,9 +11,12 @@ and do not create nodes. Unquoted targets are variable references and must be
 declared somewhere in their graph. A line whose first non-blank character is
 ``#`` outside a quoted string is a comment, wherever it stands. ISI-style
 alignment markers (``~e.4``) are stripped from the whole document first,
-with one logged warning; nothing downstream consumes them. Error offsets
-count from the start of the document so stripped, with each line end
-counted as one character.
+with one logged warning; nothing downstream consumes them.
+
+The tokens come from one split of the document, and a walk over them
+recurses only into nested nodes. Error offsets count from the start of the
+document so stripped, with each line end counted as one character; they are
+found only for an error, by scanning again, and do not change.
 """
 
 from __future__ import annotations
@@ -31,8 +34,21 @@ FRAME_CONCEPT = re.compile(r"^(?P<lemma>.+)-(?P<sense>\d{2,3})$")
 _VARIABLE = re.compile(r"^[a-zA-Z][a-zA-Z0-9]*$")
 _ALIGNMENT = re.compile(r"~(?:[a-z]\.)?\d+(?:,\d+)*")
 _NUMBER = re.compile(r"^[+-]?\d+(\.\d+)?$")
-# Whitespace, and lines whose first non-blank character is '#'.
-_SPACE = re.compile(r"(?:^[^\S\n]*#.*|\s)*", re.MULTILINE)
+# Whitespace, and lines whose first non-blank character is '#': the reader
+# splits "\n" + its text, so every line follows a "\n". A comment runs to
+# its line's end, so no match can stop inside one.
+_SKIP = r"[^\S\n]*(?:\n[^\S\n]*(?:\#[^\n]*(?![^\n]))?)*"
+# A token, in one of three groups: a word that starts with ':' and, if one
+# follows it, a quoted constant or a quote that opens none; or '(', ')', '/',
+# another word, or "" at the end. A word runs up to a space, tab, newline,
+# paren or slash, so a quote elsewhere is part of a word.
+_TOKEN = re.compile(rf"""{_SKIP}(?:
+    (:[^ \t\n()/]*) (?:{_SKIP}("[^"\\]*(?:\\[\s\S][^"\\]*)*"|"))?
+  | ([()/]|[^ \t\n()/]+|\Z))""", re.VERBOSE)
+_WORD = re.compile(r"[^ \t\n()/]*")
+_ESCAPE = re.compile(r"\\([\s\S])")
+_NO_WORD = ("(", ")", "/", "")
+_new = tuple.__new__
 
 #: Deepest nesting of nodes that ``parse_penman`` accepts. The parser recurses
 #: once per level, so without a limit a hostile file would exhaust the
@@ -111,53 +127,30 @@ class AmrGraph(NamedTuple):
 
 
 class _Reader:
-    """Reads a PENMAN document with its alignment markers removed and each
-    line end, as ``str.splitlines`` finds them, written as one ``\\n``: a
-    constant that spans lines holds ``\\n`` whatever the file's line ends."""
+    """A PENMAN document with its alignment markers removed and each line
+    end, as ``str.splitlines`` finds them, written as one ``\\n`` (a constant
+    that spans lines holds ``\\n`` whatever the file's line ends), and its
+    tokens, then "" for the end."""
 
     def __init__(self, text: str):
         self.text = "\n".join(_strip_alignments(text).splitlines())
-        self.pos = 0
+        # No gap between matches; unused groups are None.
+        self.tokens = [*filter(None, _TOKEN.split("\n" + self.text)), ""]
 
-    def skip_ws(self) -> None:
-        """Skip whitespace and ``#`` comment lines."""
-        self.pos = _SPACE.match(self.text, self.pos).end()
+    def offset(self, i: int) -> int:
+        """Where token ``i`` starts."""
+        starts = [m.start(group) - 1 for m in _TOKEN.finditer("\n" + self.text)
+                  for group in (1, 2, 3) if m[group]]
+        return (starts + [len(self.text)])[i]
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, i: int, message: str) -> PenmanSyntaxError:
+        return PenmanSyntaxError(self.offset(i), message)
 
-    def expect(self, char: str) -> None:
-        self.skip_ws()
-        if self.peek() != char:
-            raise PenmanSyntaxError(self.pos, f"expected {char!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def token(self) -> str:
-        """Read up to the next whitespace, paren, or slash."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in " \t\n()/":
-            self.pos += 1
-        if self.pos == start:
-            raise PenmanSyntaxError(start, "expected a token")
-        return self.text[start : self.pos]
-
-    def quoted(self) -> str:
-        start = self.pos
-        self.pos += 1
-        out = []
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "\\" and self.pos + 1 < len(self.text):
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if c == '"':
-                self.pos += 1
-                return "".join(out)
-            out.append(c)
-            self.pos += 1
-        raise PenmanSyntaxError(start, "unterminated string")
+    def expected(self, i: int, what: str) -> PenmanSyntaxError:
+        """``what`` and the word at token ``i``, read as any other word
+        even if it starts with a quote, at its end."""
+        m = _WORD.match(self.text, self.offset(i))
+        return PenmanSyntaxError(m.end(), f"{what} {m[0]!r}" if m[0] else "expected a token")
 
 
 def _strip_alignments(text: str) -> str:
@@ -167,68 +160,71 @@ def _strip_alignments(text: str) -> str:
     return stripped
 
 
-def _invert(edge: AmrEdge) -> AmrEdge:
-    if edge.role.endswith("-of") and isinstance(edge.target, str):
-        return AmrEdge(edge.target, edge.role[: -len("-of")], edge.source)
-    return edge
-
-
-def _read_graph(reader: _Reader) -> AmrGraph:
-    """Read one parenthesized expression into an AmrGraph, with inverse
-    ``-of`` edges between nodes flipped."""
+def _read_graph(reader: _Reader, i: int) -> tuple[AmrGraph, int]:
+    """The parenthesized expression at token ``i``, with inverse ``-of``
+    edges between nodes flipped, and the index after it."""
+    tokens = reader.tokens
     nodes: list[AmrNode] = []
     declared: dict[str, str] = {}
     edges: dict[AmrEdge, None] = {}  # insertion-ordered set
     referenced: list[str] = []
 
-    def parse_node(depth: int) -> str:
-        reader.expect("(")
+    def parse_node(i: int, depth: int) -> tuple[str, int]:
+        """The variable of the node opening at ``i``, and the index after it."""
         if depth > MAX_NESTING:
-            raise PenmanSyntaxError(reader.pos - 1, f"nodes nested deeper than {MAX_NESTING}")
-        var = reader.token()
+            raise reader.error(i, f"nodes nested deeper than {MAX_NESTING}")
+        var = tokens[i + 1]
         if not _VARIABLE.match(var):
-            raise PenmanSyntaxError(reader.pos, f"bad variable name {var!r}")
-        reader.skip_ws()
-        if reader.peek() != "/":
-            raise PenmanSyntaxError(reader.pos, f"expected '/' after variable {var!r}")
-        reader.pos += 1
-        concept = reader.token()
+            raise reader.expected(i + 1, "bad variable name")
+        if tokens[i + 2] != "/":
+            raise reader.error(i + 2, f"expected '/' after variable {var!r}")
+        concept = tokens[i + 3]
+        if concept in _NO_WORD:
+            raise reader.error(i + 3, "expected a token")
         if var in declared:
             raise DuplicateVariableError(var)
         declared[var] = concept
-        nodes.append(AmrNode(var, concept))
-
+        nodes.append(_new(AmrNode, (var, concept)))
+        i += 4
         while True:
-            reader.skip_ws()
-            c = reader.peek()
-            if c == ")":
-                reader.pos += 1
-                return var
-            if c == "":
-                raise PenmanSyntaxError(reader.pos, "unexpected end of input")
-            role = reader.token()
-            if not role.startswith(":"):
-                raise PenmanSyntaxError(reader.pos, f"expected a :role, found {role!r}")
-            reader.skip_ws()
-            c = reader.peek()
-            if c == "(":
-                target: Union[str, AmrConstant] = parse_node(depth + 1)
-            elif c == '"':
-                target = AmrConstant(reader.quoted(), quoted=True)
+            role = tokens[i]
+            if role == ")":
+                return var, i + 1
+            if not role:
+                raise reader.error(i, "unexpected end of input")
+            if role[0] != ":":
+                raise reader.expected(i, "expected a :role, found")
+            target = tokens[i + 1]
+            if target == "(":
+                target, i = parse_node(i + 1, depth + 1)
             else:
-                word = reader.token()
-                if _NUMBER.match(word) or word in ("-", "+"):
-                    target = AmrConstant(word)
+                if target in _NO_WORD:
+                    raise reader.error(i + 1, "expected a token")
+                if target[0] == '"':  # a quoted constant, or a quote opening none
+                    if target == '"':
+                        raise reader.error(i + 1, "unterminated string")
+                    target = target[1:-1]
+                    if "\\" in target:
+                        target = _ESCAPE.sub(r"\1", target)
+                    target = _new(AmrConstant, (target, True))
+                elif _NUMBER.match(target) or target == "-" or target == "+":
+                    target = _new(AmrConstant, (target, False))
                 else:
-                    target = word
-                    referenced.append(word)
-            edges[_invert(AmrEdge(var, role, target))] = None
+                    referenced.append(target)
+                i += 2
+            if role.endswith("-of") and target.__class__ is str:
+                edges[_new(AmrEdge, (target, role[:-3], var))] = None
+            else:
+                edges[_new(AmrEdge, (var, role, target))] = None
 
-    root = parse_node(1)
+    if tokens[i] != "(":
+        at = reader.offset(i)
+        raise PenmanSyntaxError(at, f"expected '(', found {reader.text[at : at + 1]!r}")
+    root, i = parse_node(i, 1)
     for var in referenced:
         if var not in declared:
             raise DanglingVariableError(var)
-    return AmrGraph(root, tuple(nodes), tuple(edges))
+    return AmrGraph(root, tuple(nodes), tuple(edges)), i
 
 
 def parse_penman_file(text: str) -> list[AmrGraph]:
@@ -239,10 +235,10 @@ def parse_penman_file(text: str) -> list[AmrGraph]:
     """
     reader = _Reader(text)
     graphs = []
-    reader.skip_ws()
-    while reader.pos < len(reader.text):
-        graphs.append(_read_graph(reader))
-        reader.skip_ws()
+    i = 0
+    while reader.tokens[i]:
+        graph, i = _read_graph(reader, i)
+        graphs.append(graph)
     return graphs
 
 

@@ -125,12 +125,13 @@ class PromptRequest(NamedTuple):
 class EnrichmentResult(NamedTuple):
     """One heuristic's outcome: ``additions``, the graph of what it adds to the
     base (no base triple) under its prefix table, which iterates sorted in one
-    pass; ``quarantined``, which only ``run_all`` sets, keeps it out of the
-    merge."""
+    pass; ``diagnostics``, a tuple, so that no result changes once
+    ``run_all`` returns it; ``quarantined``, which only ``run_all`` sets,
+    keeps it out of the merge."""
 
     heuristic: str
     additions: RdfGraph
-    diagnostics: list[Diagnostic]
+    diagnostics: tuple[Diagnostic, ...]
     raw_response: str
     quarantined: bool = False
 
@@ -243,13 +244,13 @@ def run_heuristic(base: RdfGraph, request: PromptRequest, prefixes: PrefixTable,
             # Sorted from the response's order; the additions keep it as their hint.
             ordered = [t for t in extracted if t not in base.triples]
             additions = RdfGraph.from_list(ordered, prefixes)
-            diagnostics = list(check_anchoring(base, additions.triples))
             # Linted as a graph of its own, so the result keeps no lint index.
-            diagnostics.extend(lint(RdfGraph(additions.triples, prefixes)))
+            diagnostics = (*check_anchoring(base, additions.triples),
+                           *lint(RdfGraph(additions.triples, prefixes)))
             return EnrichmentResult(request.tag, additions, diagnostics, response)
     logger.warning("%s: %s", request.tag, problem, exc_info=unexpected)
     return EnrichmentResult(request.tag, RdfGraph(frozenset(), prefixes),
-                            [Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem)],
+                            (Diagnostic(validation.ERROR, validation.RESPONSE_INVALID, problem),),
                             response)
 
 
@@ -297,8 +298,8 @@ def run_all(base: RdfGraph, backend: Backend,
         except PrefixConflictError as exc:
             logger.warning("%s: not run: %s", spec.name, exc)
             return EnrichmentResult(spec.name, RdfGraph(frozenset(), base.prefixes),
-                                    [Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
-                                                f"not run: {exc}")], "", quarantined=True)
+                                    (Diagnostic(validation.ERROR, validation.PREFIX_CONFLICT,
+                                                f"not run: {exc}"),), "", quarantined=True)
         request = assemble_prompt(base_turtle, system_template, spec, template)
         return run_heuristic(base, request, prefixes, backend)
 
@@ -317,8 +318,8 @@ def run_all(base: RdfGraph, backend: Backend,
             try:
                 table = table.merged(r.additions.prefixes)
             except PrefixConflictError as exc:
-                r = r._replace(diagnostics=[*r.diagnostics, Diagnostic(
-                    validation.ERROR, validation.PREFIX_CONFLICT, f"not merged: {exc}")],
+                r = r._replace(diagnostics=(*r.diagnostics, Diagnostic(
+                    validation.ERROR, validation.PREFIX_CONFLICT, f"not merged: {exc}")),
                     quarantined=True)
             else:
                 kept.append(r.additions)

@@ -45,11 +45,12 @@ from .rdf import (
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
+    _IRI_FORBIDDEN,
     _NUMBER,
+    _new,
     Iri,
     Literal,
     RdfGraph,
-    Term,
     Triple,
     standard_prefixes,
 )
@@ -241,30 +242,33 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
                   if v in concepts and _is_name_cluster(concepts[v], outgoing.get(v, []))}
 
     individuals: dict[str, Iri] = {}
-    counters: dict[str, int] = {}
     triples: set[Triple] = set()
+    add = triples.add
     unmapped: set[tuple[str, int]] = set()
 
+    # Concept -> [its individuals' IRI prefix, its class, individuals so far].
+    # A concept is checked once: the IRIs built from it add only '_' and digits.
+    kinds: dict[str, list] = {}
     for node in amr.nodes:  # declaration order is depth-first from the root
-        if node.variable in name_nodes:
+        variable, concept = node
+        if variable in name_nodes:
             continue
-        counters[node.concept] = counters.get(node.concept, 0) + 1
-        k = counters[node.concept]
-        match = FRAME_CONCEPT.match(node.concept)
-        try:
+        kind = kinds.get(concept)
+        if kind is None:
+            if _IRI_FORBIDDEN.search(concept):  # such as '<' or '"'
+                raise InvalidAmrError(f"concept {concept!r} cannot be part of an IRI")
+            match = FRAME_CONCEPT.match(concept)
             if match:
-                individual = Iri(FRED_NS + f"{_local_token(match.group('lemma'))}_{k}")
-                klass = Iri(PBRS_NS + node.concept)
+                kind = [FRED_NS + _local_token(match["lemma"]) + "_", PBRS_NS + concept, 0]
             else:
-                individual = Iri(FRED_NS + f"{_local_token(node.concept)}_{k}")
-                klass = Iri(FRED_NS + _class_name(node.concept))
-        except ValueError:  # a character no IRI may hold, such as '<' or '"'
-            raise InvalidAmrError(f"concept {node.concept!r} cannot be part of an IRI")
-        individuals[node.variable] = individual
-        triples.add(Triple(individual, RDF_TYPE, klass))
+                kind = [FRED_NS + _local_token(concept) + "_", FRED_NS + _class_name(concept), 0]
+            kind[1] = _new(Iri, (0, kind[1]))
+            kinds[concept] = kind
+        kind[2] += 1
+        individual = individuals[variable] = _new(Iri, (0, kind[0] + str(kind[2])))
+        add(_new(Triple, (individual, RDF_TYPE, kind[1])))
 
-    def role_predicate(source_var: str, role: str) -> Iri:
-        concept = concepts[source_var]
+    def role_predicate(concept: str, role: str) -> Iri:
         arg = _ARG_ROLE.match(role)
         if arg and FRAME_CONCEPT.match(concept):
             index = int(arg.group(1))
@@ -282,28 +286,30 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
             return DUL_HAS_QUALITY
         return DUL_ASSOCIATED_WITH
 
-    for edge in amr.edges:
-        if edge.source not in individuals and edge.source not in name_nodes:
-            raise InvalidAmrError(f"edge source {edge.source!r} is not a node of the graph")
-        if (isinstance(edge.target, str)
-                and edge.target not in individuals and edge.target not in name_nodes):
-            raise InvalidAmrError(f"edge target {edge.target!r} is not a node of the graph")
-        source = individuals.get(edge.source)
+    predicates: dict[tuple[str, str], Iri] = {}  # by (source concept, role)
+    for source_var, role, target_var in amr.edges:
+        if source_var not in individuals and source_var not in name_nodes:
+            raise InvalidAmrError(f"edge source {source_var!r} is not a node of the graph")
+        if (isinstance(target_var, str)
+                and target_var not in individuals and target_var not in name_nodes):
+            raise InvalidAmrError(f"edge target {target_var!r} is not a node of the graph")
+        source = individuals.get(source_var)
         if source is None:  # edge hanging off an absorbed name node
             continue
-        if edge.role == ":name" and isinstance(edge.target, str) and edge.target in name_nodes:
-            triples.add(Triple(source, RDFS_LABEL, Literal(_name_label(outgoing[edge.target]))))
+        if role == ":name" and isinstance(target_var, str) and target_var in name_nodes:
+            add(_new(Triple, (source, RDFS_LABEL, Literal(_name_label(outgoing[target_var])))))
             continue
-        predicate = role_predicate(edge.source, edge.role)
-        obj: Term
-        if isinstance(edge.target, AmrConstant):
-            obj = _constant_literal(edge.target)
+        key = (concepts[source_var], role)
+        predicate = predicates.get(key)
+        if predicate is None:
+            predicate = predicates[key] = role_predicate(*key)
+        if isinstance(target_var, AmrConstant):
+            obj = _constant_literal(target_var)
         else:
-            target = individuals.get(edge.target)
-            if target is None:  # non-:name edge into an absorbed name node
+            obj = individuals.get(target_var)
+            if obj is None:  # non-:name edge into an absorbed name node
                 continue
-            obj = target
-        triples.add(Triple(source, predicate, obj))
+        add(_new(Triple, (source, predicate, obj)))
 
     return RdfGraph(frozenset(triples), standard_prefixes())
 

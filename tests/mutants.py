@@ -54,6 +54,8 @@ _VALIDATION = "tests/test_validation.py::"
 _CLI = "tests/test_cli.py::"
 _AGREEMENT = "tests/test_agreement.py::"
 _PACKAGE = "tests/test_package.py::"
+_AMR = "tests/test_amr.py::"
+_TRANSLATE = "tests/test_translate.py::"
 
 MUTANTS = [
     Mutant(
@@ -391,8 +393,8 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/enrichment.py",
-        'f"not run: {exc}")], "", quarantined=True)',
-        'f"not run: {exc}")], "")',
+        'f"not run: {exc}"),), "", quarantined=True)',
+        'f"not run: {exc}"),), "")',
         (_ENRICHMENT + "TestRunAll::test_base_binding_a_heuristic_label_elsewhere_quarantines_it",),
         "force_merge merges a heuristic that was not run for its base prefix conflict",
     ),
@@ -463,8 +465,11 @@ MUTANTS = [
         "                if (concept, index) not in unmapped:  # warn once per call\n",
         "                if True:\n",
         ("tests/test_translate.py::TestTranslate::"
-         "test_missing_roleset_entry_warned_once_per_frame_and_index",),
-        "a missing roleset entry is warned once per use, not once per frame and index",
+         "test_missing_roleset_entry_warned_once_however_the_role_is_spelled",
+         "tests/test_translate.py::TestTranslate::"
+         "test_missing_roleset_entry_warned_once_per_frame_and_index"),
+        "a missing roleset entry is warned once per (frame, role) spelling, not once per "
+        "frame and index",
     ),
     # The report templates and the config's range checks.
     Mutant(
@@ -676,8 +681,8 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/enrichment.py",
-        "diagnostics.extend(lint(RdfGraph(additions.triples, prefixes)))",
-        "diagnostics.extend(lint(additions))",
+        "*lint(RdfGraph(additions.triples, prefixes)))",
+        "*lint(additions))",
         (_ENRICHMENT + "TestRunAll::test_results_keep_no_lint_index",),
         "each result keeps the per-predicate index and node IRIs that lint built",
     ),
@@ -736,6 +741,53 @@ MUTANTS = [
         "                last_error = TransportError(f\"HTTP {status}\")\n                continue\n",
         (_ENRICHMENT + "TestHttpBackend::test_client_error_is_raised_at_once",),
         "a 4xx answer other than 401/403 is retried",
+    ),
+    # The PENMAN reader's one split, and translate's per-concept and
+    # per-predicate resolution.
+    Mutant(
+        "xkg/amr.py",
+        "        starts = [m.start(group) - 1 for m",
+        "        starts = [m.start(group) for m",
+        (_AMR + "TestPenmanFile::test_error_offsets_count_in_the_stripped_document",),
+        "an error offset counts the newline the reader splits after, one past the character",
+    ),
+    Mutant(
+        "xkg/amr.py",
+        r'''  | ([()/]|[^ \t\n()/]+|\Z))"""''',
+        r'''  | ([()/]|"[^"]*"|[^ \t\n()/"]+|[^ \t\n()/]+|\Z))"""''',
+        (_AMR + "TestPenmanFile::test_a_quote_inside_a_word_opens_no_string",),
+        "a quote inside a word ends the word and opens a string",
+    ),
+    Mutant(
+        "xkg/amr.py",
+        "        if depth > MAX_NESTING:\n",
+        "        if depth >= MAX_NESTING:\n",
+        (_AMR + "TestParse::test_nesting_limit",),
+        "a graph nested exactly MAX_NESTING deep is rejected",
+    ),
+    Mutant(
+        "xkg/amr.py",
+        '            if role.endswith("-of") and target.__class__ is str:\n',
+        '            if role.endswith("-of"):\n',
+        (_AMR + "TestParse::test_an_inverse_role_to_a_constant_is_kept",),
+        "an -of role to a constant is inverted, so the constant becomes an edge source",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        "        predicate = predicates.get(key)\n        if predicate is None:\n"
+        "            predicate = predicates[key] = role_predicate(*key)\n",
+        "        predicate = predicates.get(role)\n        if predicate is None:\n"
+        "            predicate = predicates[role] = role_predicate(*key)\n",
+        (_TRANSLATE + "TestTranslate::test_a_core_role_maps_through_its_own_frame",),
+        "the predicate cache is keyed by the role alone, so a core role maps through the "
+        "first frame that used it",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        "            if _IRI_FORBIDDEN.search(concept):  # such as '<' or '\"'\n",
+        "            if False:\n",
+        (_TRANSLATE + "TestTranslate::test_a_concept_no_iri_can_hold_is_rejected",),
+        "a concept is not checked, so an IRI no Turtle writer can render is built",
     ),
 ]
 

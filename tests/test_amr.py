@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import reference_base
 import reference_penman
 from generators import random_amr_graph, random_penman_file, serialize_penman
 from isomorphism import amr_isomorphic
+from reference_base import _invert
 from xkg.amr import (
     MAX_NESTING,
     AmrConstant,
@@ -17,7 +19,6 @@ from xkg.amr import (
     DuplicateVariableError,
     FRAME_CONCEPT,
     PenmanSyntaxError,
-    _invert,
     parse_penman,
     parse_penman_file,
 )
@@ -63,6 +64,12 @@ class TestParse:
         graph = parse_penman("(a / athlete :ARG0-of (w / win-01))")
         (edge,) = graph.edges
         assert edge == AmrEdge("w", ":ARG0", "a")
+
+    def test_an_inverse_role_to_a_constant_is_kept(self):
+        graph = parse_penman('(a / athlete :ARG0-of "s" :quant-of 5 :mod-of (w / win-01))')
+        assert graph.edges == (AmrEdge("a", ":ARG0-of", AmrConstant("s", quoted=True)),
+                               AmrEdge("a", ":quant-of", AmrConstant("5")),
+                               AmrEdge("w", ":mod", "a"))
 
     def test_duplicate_edges_keep_first_occurrence_order(self):
         text = "(w / win-01 :ARG0 (a / athlete :ARG0-of w :mod (t / team)) :ARG0 a :mod t :ARG1 t)"
@@ -307,3 +314,86 @@ def test_reads_the_graphs_the_line_splitter_read(seed):
         widened += new is not AmrError and _outcome(
             reference_penman.parse_penman_file, text) is AmrError
     assert 100 < rejected < 500 and widened > 100
+
+
+# The reader and translation as they were before tokens came from one split
+# (tests/reference_base.py): every document must read the same.
+
+def _read(parse, text, caplog):
+    """``parse(text)``'s graphs, or the type and message of what it raised,
+    and the warnings it logged."""
+    caplog.clear()
+    try:
+        outcome = parse(text)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def _nested(depth):
+    return "".join(f"(v{i} / thing :mod " for i in range(depth - 1)) \
+        + f"(v{depth - 1} / thing" + ")" * depth
+
+
+_FULL = ('# ::snt x\n(w / win-01~e.1 :ARG0 (a / athlete :name (n / name :op1 "Saint\\" Lucia"))\n'
+         '   :ARG1-of (c / cheer-01 :ARG0 a :polarity - :quant 3.5) :mod "x(y)\n# z" :ARG2 w)')
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+_SHAPES = [
+    # a quote inside a word, or at the start of a concept with and without a
+    # delimiter inside it
+    '(a / b"c)\n(d / e)', '(a"b / c)', '(a / b :mo"d (c / d))', '(a / b :mod c"d)',
+    '(a / b :mod "x"y)', '(a / "big")', '(a / "b c")', '(a / "b(c)")', '(a / "b/c")',
+    '(a / "b\nc")', '(a / ""\n:mod "")', '(a / :b "x y")', '("x y" / z)', '(a / b "x")',
+    '(a / b) "x"', '(a / b :ARG0 :x "y z")', '(a / b :mod\xa0"x")', '(a / b\xa0c)',
+    # unterminated strings
+    '(a / b :mod "x', '(a / b :mod "x\\', '(a / b :mod "x\\"', '(a / b :mod "x) (c / d)',
+    '(a / b :mod ")', '(a / b :mod "x" :mod "y',
+    # '#' in mid-line and at a line start
+    '(a / b # c)', '(a / b\n# c\n)', '(a / b :mod\n  #c\n (d / e))', '#(a / b)\n(c / d)',
+    '(a / #b)', '(a / b :mod #c)', '(a / b :mod\n# say "hi"\n"x")', '(a / b :mod\n#"\n"x")',
+    '(a /\n#x\n)', '(a / b :mod "\n#c\n")', '(a / b)\n  # c',
+    # alignment markers
+    '(a / b~e.1 :mod~2 (c / d~e.3,4))', '(a /~e.1 b)', '(a / b :op1 "x~1")', '(a /\n~1#x)',
+    '~e.1', '(a / b)\n~e.3 (c / d)',
+    # '/' where a role should be
+    '(a / b / c)', '(a / b :mod /)', '(a / b :mod (c / d) / e)', '(a / / b)', '(a // b)',
+    # roles, targets and inverse roles
+    '(a/b:x(c/d))', '(a / b :x-of "s")', '(a / b :x-of 5 :y-of c :z-of (c / d))',
+    '(a / b :-of (c / d))', '(a / b : c)', '(a / b :mod (c / d) :mod (c / e))',
+    '(a / b :mod c)', '(a / b :polarity + :value -1.50 :quant ٣)', '(a :x b)', '(1a / b)',
+    # nesting at MAX_NESTING and one deeper
+    _nested(MAX_NESTING), _nested(MAX_NESTING + 1),
+    # empty, comment-only and truncated documents
+    "", "  \n\t", "# c", "# c\n  # d\n", "(", "(a", "(a /", "(a / b", "(a / b :", "(a / b :x",
+    *(f'(a / b{end}:mod "x{end}y"{end}# c{end}:ARG0 (c / d)){end}' for end in _LINE_ENDS),
+]
+_PIECES = ["(", ")", "/", ":", '"', "\\", "#", " ", "\t", "\n", "\r", "a", "b", "1", "-",
+           "~e.1", "\xa0", "-of", ":ARG0", "(v / c", ":mod", ' "x y" ', "\r\n", "# c\n", "+"]
+
+
+@pytest.mark.parametrize("text", _SHAPES)
+def test_reads_what_the_character_reader_read(text, caplog):
+    """The same graphs as the reader that walked the document a character at
+    a time, or the same exception type and message (offsets included), and
+    the same warnings."""
+    caplog.set_level(logging.WARNING, logger="xkg.amr")
+    assert _read(parse_penman_file, text, caplog) == _read(
+        reference_base.parse_penman_file, text, caplog)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_reads_generated_documents_as_the_character_reader_did(seed, caplog):
+    """As above, on generated documents (each ``random_penman_file`` and its
+    twin), on strings of PENMAN's significant characters, and on every
+    truncation of one document."""
+    caplog.set_level(logging.WARNING, logger="xkg.amr")
+    rng = random.Random(seed)
+    texts = [_FULL[:n] for n in range(len(_FULL) + 1)]
+    texts += [text for _ in range(300) for text in random_penman_file(rng)]
+    texts += ["".join(rng.choice(_PIECES) for _ in range(rng.randrange(25))) for _ in range(1500)]
+    errors = 0
+    for text in texts:
+        new = _read(parse_penman_file, text, caplog)
+        assert new == _read(reference_base.parse_penman_file, text, caplog), text
+        errors += isinstance(new[0], tuple)
+    assert 0.3 < errors / len(texts) < 0.95

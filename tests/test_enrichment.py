@@ -402,6 +402,25 @@ class TestRunAll:
                              [(r.heuristic, r.quarantined, r.diagnostics) for r in results]))
         assert outcomes[0] == outcomes[1]
 
+    def test_a_returned_result_cannot_be_changed(self):
+        # Each way run_all builds a result: anchored additions, an unusable
+        # response, a heuristic not run, and one not merged.
+        base = parse_turtle("@prefix presup: <http://other.example/> .\n" + SCENE_TURTLE)
+        responses = self.clashing_responses()
+        responses["MoralValueCoercion"] = "no turtle here"
+        results, _ = run_all(base, MappingBackend(responses), PROMPTS)
+        by_name = {r.heuristic: r for r in results}
+        messages = {name: by_name[name].diagnostics[-1].message for name in (
+            "MoralValueCoercion", "Presuppositions", "CausalRelations")}
+        assert messages["MoralValueCoercion"].startswith("unusable response: ")
+        assert messages["Presuppositions"].startswith("not run: ")
+        assert messages["CausalRelations"].startswith("not merged: ")
+        assert by_name["FactualImpact"].added
+        for result in results:
+            assert type(result.diagnostics) is tuple
+            with pytest.raises(AttributeError):
+                result.diagnostics.append(None)
+
     def test_response_rebinding_a_base_label_is_quarantined(self):
         # A response's texts read as base terms only while base labels keep
         # their namespaces, which the reader's table enforces.

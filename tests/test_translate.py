@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from generators import random_amr_graph
-from xkg.amr import parse_penman
+import reference_base
+from generators import AMR_CONCEPTS, AMR_ROLES, random_amr_graph
+from xkg.amr import AmrConstant, AmrEdge, AmrGraph, AmrNode, parse_penman
+from xkg.config import default_resource_paths
 from xkg.rdf import (
     DUL_ASSOCIATED_WITH,
     DUL_HAS_QUALITY,
@@ -90,6 +92,34 @@ class TestTranslate:
                 for frame, index in [("sprint-01", 0), ("sprint-01", 1), ("sprint-01", 2),
                                      ("wear-01", 2)]]
         assert Triple(fred("sprint_2"), Iri(PBLR_NS + "sprint-01.arg0"), fred("athlete_2")) in graph.triples
+
+    def test_missing_roleset_entry_warned_once_however_the_role_is_spelled(self, caplog):
+        amr = parse_penman("(s / sprint-01 :ARG2 (a / athlete) :arg2 (t / track)"
+                           " :ARG02 (u / track) :ARG0 a)")
+        caplog.set_level(logging.WARNING, logger="xkg.translate")
+        graph = translate(amr, ROLESETS)
+        assert [r.getMessage() for r in caplog.records] == [
+            "no roleset entry for sprint-01 ARG2, using positional role",
+            "no roleset entry for sprint-01 ARG0, using positional role"]
+        arg2 = Iri(PBLR_NS + "sprint-01.arg2")
+        assert {t.object for t in graph.triples if t.predicate == arg2} == {
+            fred("athlete_1"), fred("track_1"), fred("track_2")}
+
+    def test_a_core_role_maps_through_its_own_frame(self):
+        amr = parse_penman("(c / celebrate-01 :ARG0 (a / athlete)"
+                           " :ARG1 (w / wear-01 :ARG0 a :ARG1 (m / medal)))")
+        graph = translate(amr, ROLESETS)
+        assert {(t.subject, t.predicate) for t in graph.triples if t.object == fred("athlete_1")} == {
+            (fred("celebrate_1"), Iri(PBLR_NS + "celebrate-01.honorer")),
+            (fred("wear_1"), Iri(PBLR_NS + "wear-01.wearer"))}
+
+    @pytest.mark.parametrize("concept", ["cat<x", '"big"', "win{-01", "a\\b", "x`"])
+    def test_a_concept_no_iri_can_hold_is_rejected(self, concept):
+        amr = AmrGraph("a", (AmrNode("a", "athlete"), AmrNode("b", concept)),
+                       (AmrEdge("a", ":mod", "b"),))
+        with pytest.raises(InvalidAmrError) as raised:
+            translate(amr, ROLESETS)
+        assert str(raised.value) == f"concept {concept!r} cannot be part of an IRI"
 
     def test_mod_and_fallback_roles(self):
         amr = parse_penman("(a / athlete :mod (t / team) :topic (m / medal))")
@@ -179,6 +209,71 @@ class TestTranslate:
         assert len(graph) == 9001 + 9000 + 900
         assert Triple(fred("win_11"), RDFS_LABEL, Literal("E10")) in graph
         assert Triple(fred("win_1"), Iri(PBLR_NS + "win-01.winner"), fred("win_9001")) in graph
+
+
+
+# Concepts and roles that reach each rule of ``translate`` and its errors:
+# frames with and without roleset entries, hyphenated and non-ASCII lemmas,
+# name clusters, and concepts no IRI can hold.
+_CONCEPTS = AMR_CONCEPTS + ["celebrate-01", "wear-01", "sprint-01", "gold-medal", "ǆemal-01",
+                            "straße", "x-1", "run-999", "", "cat<x", '"big"']
+_ROLES = AMR_ROLES + [":ARG5", ":arg1", ":ARG01", ":Location", ":MOD", ":name", ":op1", ":op2",
+                      ":topic"]
+_CONSTANTS = [AmrConstant("5"), AmrConstant("-"), AmrConstant("+"), AmrConstant("3.14"),
+              AmrConstant("٣"), AmrConstant("x"), AmrConstant("Saint Lucia", quoted=True)]
+
+
+def _translatable_amr(rng):
+    """A random AMR graph with name clusters (and name nodes that are none),
+    constants, roles of every kind, a repeated variable now and then, and
+    rarely a concept no IRI can hold or an edge to an undeclared variable."""
+    base = random_amr_graph(rng, max_nodes=12)
+    good = _CONCEPTS[:-2] + (_CONCEPTS[-2:] if rng.random() < 0.1 else [])
+    nodes = [AmrNode(n.variable, rng.choice(good)) for n in base.nodes]
+    edges = [AmrEdge(e.source, rng.choice(_ROLES), e.target) for e in base.edges]
+    for i in range(rng.randrange(3)):
+        bearer, name = rng.choice(nodes).variable, f"n{i}"
+        nodes.append(AmrNode(name, "name"))
+        edges.append(AmrEdge(bearer, rng.choice([":name", ":name", ":mod"]), name))
+        for k in range(rng.randrange(3)):
+            edges.append(AmrEdge(name, rng.choice([f":op{k + 1}", ":op1", ":mod"]),
+                                 rng.choice(_CONSTANTS + [AmrConstant(f"N{k}", quoted=True)] * 3)))
+    for _ in range(rng.randrange(3)):
+        edges.append(AmrEdge(rng.choice(nodes).variable, rng.choice(_ROLES),
+                             rng.choice(_CONSTANTS)))
+    if rng.random() < 0.05:
+        nodes.append(AmrNode(rng.choice(nodes).variable, rng.choice(good)))
+    if rng.random() < 0.03:
+        edges.insert(rng.randrange(len(edges) + 1),
+                     rng.choice([AmrEdge("ghost", ":mod", "v0"), AmrEdge("v0", ":mod", "ghost")]))
+    return AmrGraph("v0", tuple(nodes), tuple(dict.fromkeys(edges)))
+
+
+def _translated(translate_fn, amr, rolesets, caplog):
+    caplog.clear()
+    try:
+        outcome = translate_fn(amr, rolesets)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_translates_as_each_node_on_its_own_did(seed, caplog):
+    """``translate`` against the copy that built and checked every IRI and
+    triple on its own (tests/reference_base.py): the same graph, or the same
+    exception type and message, and the same warnings in the same order."""
+    caplog.set_level(logging.WARNING, logger="xkg.translate")
+    rng = random.Random(seed)
+    rolesets = [None, ROLESETS, RolesetMap.from_json(default_resource_paths().rolesets)]
+    errors = warned = 0
+    for _ in range(400):
+        amr, maps = _translatable_amr(rng), rng.choice(rolesets)
+        new = _translated(translate, amr, maps, caplog)
+        assert new == _translated(reference_base.translate, amr, maps, caplog), amr
+        errors += isinstance(new[0], tuple)
+        warned += bool(new[1])
+    assert 10 < errors < 100 and warned > 100
 
 
 ALIGNMENTS = AlignmentMap({
