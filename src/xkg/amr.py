@@ -4,7 +4,8 @@
 parenthesized expression after another, and ``parse_penman`` the one graph
 of a document that must hold exactly one. Re-entrant variables (mentioned
 without ``/``) resolve to one node, and inverse ``-of`` roles are normalized
-by flipping the edge (``:ARG0-of`` on X->Y becomes ``:ARG0`` on Y->X).
+by flipping the edge (``:ARG0-of`` on X->Y becomes ``:ARG0`` on Y->X). A
+role needs a name: ``:`` and ``:-of`` alone are errors.
 
 Constants (quoted strings, numbers, ``-`` and ``+``) are legal edge targets
 and do not create nodes. Unquoted targets are variable references and must be
@@ -194,6 +195,8 @@ def _read_graph(reader: _Reader, i: int) -> tuple[AmrGraph, int]:
                 raise reader.error(i, "unexpected end of input")
             if role[0] != ":":
                 raise reader.expected(i, "expected a :role, found")
+            if role == ":" or role == ":-of":
+                raise reader.error(i, f"role {role!r} has no name")
             target = tokens[i + 1]
             if target == "(":
                 target, i = parse_node(i + 1, depth + 1)

@@ -236,7 +236,7 @@ def run_heuristic(base: RdfGraph, request: PromptRequest, prefixes: PrefixTable,
         problem, unexpected = f"backend failure: {type(exc).__name__}: {exc}", exc
     else:
         try:
-            extracted = extract_turtle(response, prefixes, base.terms_by_text())
+            extracted = extract_turtle(response, prefixes, base.terms_by_text)
         except (EnrichmentError, RdfError) as exc:
             problem = f"unusable response: {exc}"
         else:
@@ -290,7 +290,7 @@ def run_all(base: RdfGraph, backend: Backend,
             raise MissingPlaceholderError(spec.prompt_template)
         templates.append(template)
     base_turtle = serialize_turtle(base)
-    base.terms_by_text()  # built once, before the threads read it
+    base.terms_by_text  # built once, before the threads read it
 
     def run_one(spec: HeuristicSpec, template: str) -> EnrichmentResult:
         try:

@@ -5,12 +5,13 @@ with set semantics, and a prefix table. The Turtle dialect covers what the
 pipeline's artifacts actually use: prefix declarations, ``a``, predicate and
 object lists (``;`` / ``,``), blank nodes (``[]`` and ``_:label``), plain,
 language-tagged and datatyped literals, booleans, integers and decimals.
-Collections, named graphs, ``@base``, SPARQL-style ``PREFIX``/``BASE`` and
-single- or triple-quoted strings are not supported, and each raises an error
-naming it. A ``\\u`` escape takes exactly four hex digits and may not name a
-surrogate, a document may hold no lone surrogate character, and ``[ ]`` blank
-nodes nest at most ``MAX_NESTING`` deep; anything else raises
-``TurtleSyntaxError`` with its line and column.
+Collections, named graphs, ``@base``, SPARQL-style ``PREFIX``/``BASE``,
+single- or triple-quoted strings, doubles (``1.5e3``) and escaped or
+percent-encoded characters in local names are not supported, and each
+raises an error naming it. A ``\\u`` escape takes exactly four hex digits
+and may not name a surrogate, a document may hold no lone surrogate
+character, and ``[ ]`` blank nodes nest at most ``MAX_NESTING`` deep;
+anything else raises ``TurtleSyntaxError`` with its line and column.
 
 The reader splits the document with one regular expression (whitespace and
 comments, then one token), so a token is its text; its kind is worked out
@@ -36,13 +37,17 @@ A document is the prefix declarations, sorted by label, then one statement
 per subject, which ``_statements`` renders from term texts in dicts filled
 beforehand. A graph keeps its sorted triples, term texts and statements
 (``RdfGraph.rendering``), so it is rendered once however often it is
-serialized or extended. ``serialize_extensions`` writes graphs that extend
-one base graph (the per-heuristic graphs and their merge), each given as a
-prefix table and its additions, sorted, without duplicates and disjoint from
-the base. It takes the base's rendering and keeps each subject's sorted
-triples; per graph it merges the additions into their subjects' base triples
-(two sorted runs) and splices the rendered statements in by subject. A graph
-whose table could render a base IRI differently gets a full
+serialized or extended. That and the graph's other views (``node_iris``,
+``by_predicate``, ``terms_by_text``) are ``functools.cached_property``
+attributes: each is computed on its first read and kept in the instance
+dict, which equality, copies and pickles do not see.
+``serialize_extensions`` writes graphs that extend one base graph (the
+per-heuristic graphs and their merge), each given as a prefix table and its
+additions, sorted, without duplicates and disjoint from the base. It takes
+the base's rendering and keeps each subject's sorted triples; per graph it
+merges the additions into their subjects' base triples (two sorted runs)
+and splices the rendered statements in by subject. A graph whose table
+could render a base IRI differently gets a full
 ``serialize_turtle``: its table lacks a base label or binds it elsewhere, or
 binds a new namespace that is some base IRI's namespace (one ending in ``#``
 or ``/``) or a prefix of one (any other). Either way the bytes are those of
@@ -64,6 +69,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import defaultdict
+from functools import cached_property
 from itertools import chain, count, groupby, repeat, starmap
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -388,10 +394,14 @@ _set = object.__setattr__  # sets a field of a graph, which __setattr__ refuses
 
 class RdfGraph(Record):
     """An immutable set of triples plus the prefix table used to render it
-    (the standard prefixes by default)."""
+    (the standard prefixes by default).
 
-    __slots__ = ("triples", "prefixes", "_node_iris", "_by_predicate", "_rendering",
-                 "_terms_by_text", "_order")
+    Its views (``node_iris``, ``by_predicate``, ``rendering`` and
+    ``terms_by_text``) are computed on the first read and kept in the
+    instance dict, which holds nothing else. Callers must not change them.
+    """
+
+    __slots__ = ("triples", "prefixes", "_order", "__dict__")
     _fields = ("triples", "prefixes")
 
     def __init__(self, triples: frozenset[Triple] = frozenset(),
@@ -410,6 +420,7 @@ class RdfGraph(Record):
             _set(graph, "_order", triples)
         return graph
 
+    # cached_property writes to the instance dict directly, not through these.
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -442,62 +453,41 @@ class RdfGraph(Record):
     def with_triples(self, extra: Iterable[Triple]) -> "RdfGraph":
         return RdfGraph(self.triples | frozenset(extra), self.prefixes)
 
+    @cached_property
     def node_iris(self) -> frozenset[Iri]:
-        """IRIs occurring in a node position (subject or object).
+        """IRIs occurring in a node position (subject or object). ``run_all``
+        checks every heuristic's additions against the same base graph's."""
+        nodes = set(map(itemgetter(0), self.triples))
+        nodes.update(map(itemgetter(2), self.triples))
+        return frozenset(term for term in nodes if isinstance(term, Iri))
 
-        Computed on the first call and kept: ``run_all`` checks every
-        heuristic's additions against the same base graph.
-        """
-        try:
-            return self._node_iris
-        except AttributeError:
-            nodes = set(map(itemgetter(0), self.triples))
-            nodes.update(map(itemgetter(2), self.triples))
-            cached = frozenset(term for term in nodes if isinstance(term, Iri))
-            _set(self, "_node_iris", cached)
-            return cached
-
+    @cached_property
     def by_predicate(self) -> dict[Iri, list[Triple]]:
         """Each predicate's triples, in no fixed order (that of the order hint
-        when the graph has one); computed on the first call and kept like
-        ``node_iris``. Callers must not change it."""
-        try:
-            return self._by_predicate
-        except AttributeError:
-            buckets = defaultdict(list)
-            for t in getattr(self, "_order", self.triples):
-                buckets[t[1]].append(t)
-            cached = dict(buckets)
-            _set(self, "_by_predicate", cached)
-            return cached
+        when the graph has one)."""
+        buckets = defaultdict(list)
+        for t in getattr(self, "_order", self.triples):
+            buckets[t[1]].append(t)
+        return dict(buckets)
 
+    @cached_property
     def rendering(self) -> tuple[list[Triple], dict, dict, list[str]]:
         """The sorted triples, the texts of their subjects and objects and of
-        their predicates, and the statements ``serialize_turtle`` writes;
-        computed on the first call and kept like ``node_iris``, so the
-        prompts, the base graph's file and ``serialize_extensions`` share one
-        rendering. Callers must not change it."""
-        try:
-            return self._rendering
-        except AttributeError:
-            ordered = self._sorted()
-            nodes, predicates = _term_texts(ordered, self.prefixes)
-            cached = ordered, nodes, predicates, _statements(ordered, nodes, predicates)
-            _set(self, "_rendering", cached)
-            return cached
+        their predicates, and the statements ``serialize_turtle`` writes, so
+        the prompts, the base graph's file and ``serialize_extensions`` share
+        one rendering."""
+        ordered = self._sorted()
+        nodes, predicates = _term_texts(ordered, self.prefixes)
+        return ordered, nodes, predicates, _statements(ordered, nodes, predicates)
 
+    @cached_property
     def terms_by_text(self) -> dict[str, Union[Iri, BlankNode]]:
-        """The graph's IRIs and blank nodes by their texts in ``rendering``;
-        kept like ``node_iris``. Not literals or ``a``, whose texts the reader
-        takes for them only in some positions. Callers must not change it."""
-        try:
-            return self._terms_by_text
-        except AttributeError:
-            _, nodes, predicates, _ = self.rendering()
-            cached = {text: term for term, text in chain(nodes.items(), predicates.items())
-                      if not isinstance(term, Literal) and text != "a"}
-            _set(self, "_terms_by_text", cached)
-            return cached
+        """The graph's IRIs and blank nodes by their texts in ``rendering``.
+        Not literals or ``a``, whose texts the reader takes for them only in
+        some positions."""
+        _, nodes, predicates, _ = self.rendering
+        return {text: term for term, text in chain(nodes.items(), predicates.items())
+                if not isinstance(term, Literal) and text != "a"}
 
 
 def merge(graphs: Iterable[RdfGraph]) -> RdfGraph:
@@ -545,6 +535,13 @@ _STRING_RUN = re.compile(r'[^"\\\n]*')
 _AT_WORD = re.compile(r"(?:[^\W_]|-)*")
 _NAME_RUN = re.compile(r"[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:]")
 _SPARQL_DIRECTIVE = re.compile(r"(?i:(PREFIX)\s+[A-Za-z0-9_.\-]*:|(BASE)\s+<)")
+# Turtle 1.1 forms outside the subset that no token matches, and their names.
+_REFUSED_FORMS = (
+    (re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+(?![A-Za-z0-9_\-:])"),
+     "double literals"),
+    (re.compile(r"(?<=[A-Za-z0-9_\-:])\\[_~.\-!$&'()*+,;=/?#@%]"), "escapes in local names"),
+    (re.compile(r"(?<=[A-Za-z0-9_\-:])%[0-9A-Fa-f]{2}"), "percent-encoded local names"),
+)
 _ESCAPE = re.compile(r"\\(u....|.)")
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 
@@ -628,6 +625,9 @@ def _scan_error(text: str, pos: int) -> TurtleSyntaxError:
     if m:
         return _syntax_error(text, pos, f"SPARQL-style {(m[1] or m[2]).upper()} directives "
                                         "are not supported")
+    for form, name in _REFUSED_FORMS:
+        if form.match(text, pos):
+            return _syntax_error(text, pos, f"{name} are not supported")
     m = _NAME_RUN.match(text, pos)
     return _syntax_error(text, pos, f"unexpected token {m.group()!r}" if m
                          else f"unexpected character {c!r}")
@@ -929,7 +929,7 @@ def serialize_turtle(graph: RdfGraph) -> str:
     prefix declarations alone); statements are grouped per subject with ';'
     and ',' and sorted, so output is byte-stable for equal graphs.
     """
-    return _document(graph.prefixes, graph.rendering()[3])
+    return _document(graph.prefixes, graph.rendering[3])
 
 
 def serialize_extensions(base: RdfGraph,
@@ -939,7 +939,7 @@ def serialize_extensions(base: RdfGraph,
     additions: sorted, free of duplicates and disjoint from the base's
     triples. Each text is that of the base's triples plus the additions
     under the table."""
-    ordered, nodes, predicates, texts = base.rendering()
+    ordered, nodes, predicates, texts = base.rendering
     runs = {s: list(run) for s, run in groupby(ordered, itemgetter(0))}
     subjects = list(runs)
     terms = {*nodes, *map(itemgetter(1), ordered)}

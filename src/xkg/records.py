@@ -3,10 +3,13 @@
 Immutable records are ``typing.NamedTuple`` classes, or subclasses of a
 ``collections.namedtuple`` whose ``__new__`` checks the fields (see
 ``amr.AmrEdge``) and whose ``_make`` is ``checked_make``. Records that
-change after they are built, check their arguments or keep a cache are
-``__slots__`` classes derived from ``Record``. Defining them compiles at
-most a named tuple's one-line ``__new__``, where a generated class compiles
-every method it writes, so importing the package stays cheap.
+change after they are built or check their arguments are ``__slots__``
+classes derived from ``Record``. One that keeps a value derived from its
+fields adds ``__dict__`` to its slots and computes the value with
+``functools.cached_property``, which keeps it in that instance dict (see
+``rdf.RdfGraph``). Defining them compiles at most a named tuple's one-line
+``__new__``, where a generated class compiles every method it writes, so
+importing the package stays cheap.
 """
 
 from __future__ import annotations

@@ -299,16 +299,18 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
         if role == ":name" and isinstance(target_var, str) and target_var in name_nodes:
             add(_new(Triple, (source, RDFS_LABEL, Literal(_name_label(outgoing[target_var])))))
             continue
-        key = (concepts[source_var], role)
-        predicate = predicates.get(key)
-        if predicate is None:
-            predicate = predicates[key] = role_predicate(*key)
         if isinstance(target_var, AmrConstant):
             obj = _constant_literal(target_var)
         else:
             obj = individuals.get(target_var)
-            if obj is None:  # non-:name edge into an absorbed name node
+            if obj is None:  # into a name node, which becomes a label, not an individual
+                logger.warning("edge %s %s into name node %s has no object, dropped",
+                               source_var, role, target_var)
                 continue
+        key = (concepts[source_var], role)
+        predicate = predicates.get(key)
+        if predicate is None:
+            predicate = predicates[key] = role_predicate(*key)
         add(_new(Triple, (source, predicate, obj)))
 
     return RdfGraph(frozenset(triples), standard_prefixes())
@@ -317,10 +319,9 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
 def _typed_classes(graph: RdfGraph) -> dict[Iri, list[Iri]]:
     """Class IRI -> individuals typed by it (fred and pbrs classes only)."""
     out: dict[Iri, list[Iri]] = {}
-    for t in graph.triples:
-        if t.predicate == RDF_TYPE and isinstance(t.object, Iri) and isinstance(t.subject, Iri):
-            if t.object.value.startswith((FRED_NS, PBRS_NS)):
-                out.setdefault(t.object, []).append(t.subject)
+    for s, _, o in graph.by_predicate.get(RDF_TYPE, ()):
+        if isinstance(o, Iri) and isinstance(s, Iri) and o.value.startswith((FRED_NS, PBRS_NS)):
+            out.setdefault(o, []).append(s)
     return out
 
 
@@ -357,9 +358,9 @@ def individual_match_keys(graph: RdfGraph) -> dict[str, list[Iri]]:
     for klass, members in _typed_classes(graph).items():
         for ind in members:
             note(_INDEX_SUFFIX.sub("", ind.local_name()), ind)
-    for t in graph.triples:
-        if t.predicate == RDFS_LABEL and isinstance(t.object, Literal) and isinstance(t.subject, Iri):
-            note(t.object.lexical, t.subject)
+    for s, _, o in graph.by_predicate.get(RDFS_LABEL, ()):
+        if isinstance(o, Literal) and isinstance(s, Iri):
+            note(o.lexical, s)
     return {k: sorted(v) for k, v in keys.items()}
 
 

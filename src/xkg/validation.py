@@ -150,7 +150,7 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
     roots, their order and the listings are those of a union-find over all of
     ``added``.
     """
-    base_nodes = base.node_iris()  # IRIs only, so no literal or blank node is in it
+    base_nodes = base.node_iris  # IRIs only, so no literal or blank node is in it
     reached: set[Term] = set()
     rest = []
     for t in added:
@@ -229,7 +229,7 @@ _DECLARATION_CLASSES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY,
 
 def _minted_terms(graph: RdfGraph) -> set[Iri]:
     """Terms introduced by this graph rather than by a curated vocabulary."""
-    index = graph.by_predicate()
+    index = graph.by_predicate
     minted = {p for p in index if not p.value.startswith(_CURATED_NAMESPACES)}
     for s, _, o in index.get(RDF_TYPE, ()):
         if o in _DECLARATION_CLASSES:
@@ -249,7 +249,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
     parsed under a placeholder namespace. FALLBACK_ROLE (INFO): each
     ``dul:associatedWith`` occurrence, naming its terms by their reprs.
     """
-    index = graph.by_predicate()
+    index = graph.by_predicate
     diagnostics = [_new(Diagnostic, (
         WARN, PREFIX_MISUSE,
         f"predicate {predicate.local_name()} lives in the roleset-class namespace; "
@@ -257,7 +257,7 @@ def lint(graph: RdfGraph) -> list[Diagnostic]:
         predicate,
     )) for predicate in sorted(p for p in index if p.value.startswith(PBRS_NS))]
 
-    undeclared = sorted({iri for iri in chain(index, graph.node_iris())
+    undeclared = sorted({iri for iri in chain(index, graph.node_iris)
                          if iri.value.startswith(UNDECLARED_NS_BASE)})
     seen_labels: set[str] = set()
     for iri in undeclared:
@@ -328,7 +328,7 @@ def _find_cycle(edges: dict[Iri, Iterable[Iri]]) -> Optional[list[Iri]]:
 
 
 def _iri_pairs(graph: RdfGraph, predicate: Iri) -> Iterator[tuple[Iri, Iri]]:
-    for s, _, o in graph.by_predicate().get(predicate, ()):
+    for s, _, o in graph.by_predicate.get(predicate, ()):
         if isinstance(s, Iri) and isinstance(o, Iri):
             yield s, o
 
@@ -579,7 +579,7 @@ def profile(graph: RdfGraph, base: Optional[RdfGraph] = None) -> GraphProfile:
         # A predicate absent from the base has all its triples in the additions.
         base_predicates = set(map(itemgetter(1), base.triples))
         fresh = [all(isinstance(t[2], Literal) for t in bucket)
-                 for predicate, bucket in graph.by_predicate().items()
+                 for predicate, bucket in graph.by_predicate.items()
                  if predicate not in base_predicates]
         new_dp = sum(fresh)
         new_op = len(fresh) - new_dp

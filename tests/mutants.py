@@ -417,7 +417,7 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/validation.py",
-        "    undeclared = sorted({iri for iri in chain(index, graph.node_iris())",
+        "    undeclared = sorted({iri for iri in chain(index, graph.node_iris)",
         "    undeclared = sorted({iri for iri in chain(index)",
         (_VALIDATION + "TestLint::test_undeclared_prefix_on_nodes_alone",
          _VALIDATION + "TestAgreesWithFullScans::test_same_results_as_the_reference"),
@@ -697,12 +697,12 @@ MUTANTS = [
         "            raise MissingPlaceholderError(spec.prompt_template)\n"
         "        templates.append(template)\n"
         "    base_turtle = serialize_turtle(base)\n"
-        "    base.terms_by_text()  # built once, before the threads read it\n"
+        "    base.terms_by_text  # built once, before the threads read it\n"
         "\n"
         "    def run_one(spec: HeuristicSpec, template: str) -> EnrichmentResult:\n",
         "    templates = [None] * len(specs)\n"
         "    base_turtle = serialize_turtle(base)\n"
-        "    base.terms_by_text()  # built once, before the threads read it\n"
+        "    base.terms_by_text  # built once, before the threads read it\n"
         "\n"
         "    def run_one(spec: HeuristicSpec, template: str) -> EnrichmentResult:\n"
         "        template = _read_template(prompts_dir, spec.prompt_template)\n"
@@ -788,6 +788,57 @@ MUTANTS = [
         "            if False:\n",
         (_TRANSLATE + "TestTranslate::test_a_concept_no_iri_can_hold_is_rejected",),
         "a concept is not checked, so an IRI no Turtle writer can render is built",
+    ),
+    # Kept views, one index per predicate read, and nothing read or dropped
+    # without a name.
+    Mutant(
+        "xkg/rdf.py",
+        "    @cached_property\n    def by_predicate(self)",
+        "    @property\n    def by_predicate(self)",
+        (_RDF + "TestGraphIndexes::test_by_predicate_and_node_iris_match_full_scans",
+         "tests/test_records.py::test_rdf_graph_caches_are_not_fields"),
+        "the per-predicate index is built again on every read",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        "    for s, _, o in graph.by_predicate.get(RDFS_LABEL, ()):\n",
+        "    for s, _, o in graph.by_predicate.get(RDF_TYPE, ()):\n",
+        (_TRANSLATE + "TestLinkEntities::test_label_match_adds_same_as",),
+        "entity linking reads the rdf:type bucket for labels, so no label is matched",
+    ),
+    Mutant(
+        "xkg/amr.py",
+        '            if role == ":" or role == ":-of":\n',
+        "            if False:\n",
+        (_AMR + "TestParse::test_a_role_needs_a_name",),
+        "a role with no name is read again, and translates to dul:associatedWith",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        '                logger.warning("edge %s %s into name node %s has no object, dropped",\n'
+        "                               source_var, role, target_var)\n",
+        "",
+        (_TRANSLATE + "TestTranslate::test_an_edge_into_a_name_node_is_dropped_with_a_warning",),
+        "an edge into a name node is dropped in silence",
+    ),
+    Mutant(
+        "xkg/translate.py",
+        "        if isinstance(target_var, AmrConstant):\n",
+        "        key = (concepts[source_var], role)\n"
+        "        if key not in predicates:\n"
+        "            predicates[key] = role_predicate(*key)\n"
+        "        if isinstance(target_var, AmrConstant):\n",
+        (_TRANSLATE + "TestTranslate::test_an_edge_into_a_name_node_is_dropped_with_a_warning",),
+        "the predicate is resolved before the object, so an edge that is dropped still warns "
+        "of its role, and the next edge with that role does not",
+    ),
+    Mutant(
+        "xkg/rdf.py",
+        "        if form.match(text, pos):\n",
+        "        if False:\n",
+        (_RDF + "test_syntax_error_position_and_message",),
+        "a double or an escaped or percent-encoded local name is refused with a message that "
+        "names no form",
     ),
 ]
 

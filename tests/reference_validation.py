@@ -82,7 +82,7 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
             parent.setdefault(o, o)
             union(s, o)
 
-    base_nodes = base.node_iris()
+    base_nodes = base.node_iris
     members: dict[Term, list[Triple]] = defaultdict(list)
     anchored: dict[Term, bool] = defaultdict(bool)
     for t in added:

@@ -173,7 +173,7 @@ def test_criterion_4_anchoring():
     assert len(check_anchoring(base, floating)) == 1
 
     rng = random.Random(4242)
-    base_nodes = sorted(base.node_iris(), key=lambda i: i.value)
+    base_nodes = sorted(base.node_iris, key=lambda i: i.value)
     for _ in range(50):
         pool = [rng.choice(base_nodes) if rng.random() < 0.3
                 else Iri(f"http://x.example/n{rng.randrange(15)}")

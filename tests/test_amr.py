@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import pytest
 
@@ -94,6 +95,12 @@ class TestParse:
         assert AmrConstant("-") in constants
         assert AmrConstant("Alfa", quoted=True) in constants
 
+    def test_unknown_variable_is_a_key_error(self):
+        graph = parse_penman("(a / athlete)")
+        for lookup in (graph.concept, graph.node):
+            with pytest.raises(KeyError):
+                lookup("b")
+
     def test_duplicate_variable(self):
         with pytest.raises(DuplicateVariableError):
             parse_penman("(a / athlete :mod (a / athlete))")
@@ -107,6 +114,16 @@ class TestParse:
                     "(a / athlete :mod)"]:
             with pytest.raises(PenmanSyntaxError):
                 parse_penman(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("(a / b : (c / d))", "at offset 7: role ':' has no name"),
+        ("(a / b :-of (c / d))", "at offset 7: role ':-of' has no name"),
+        ("(a / b :mod c\n   :-of 5)", "at offset 17: role ':-of' has no name"),
+    ])
+    def test_a_role_needs_a_name(self, text, message):
+        with pytest.raises(PenmanSyntaxError) as raised:
+            parse_penman(text)
+        assert str(raised.value) == message
 
     def test_nesting_limit(self):
         def nested(depth):
@@ -371,14 +388,38 @@ _PIECES = ["(", ")", "/", ":", '"', "\\", "#", " ", "\t", "\n", "\r", "a", "b", 
            "~e.1", "\xa0", "-of", ":ARG0", "(v / c", ":mod", ' "x y" ', "\r\n", "# c\n", "+"]
 
 
+_NO_NAME = re.compile(r"at offset (\d+): role '(?::|:-of)' has no name")
+_OFFSET = re.compile(r"at offset (\d+): ")
+
+
+def _reads_as_the_reference(text, caplog):
+    """``parse_penman_file``'s outcome and warnings equal the reference's,
+    except where the reference read a role with no name, which is now an
+    error at the role's offset: the reference then read past that offset."""
+    new = _read(parse_penman_file, text, caplog)
+    old = _read(reference_base.parse_penman_file, text, caplog)
+    if new == old:
+        return new
+    assert new[1] == old[1], text
+    (kind, message), outcome = new[0], old[0]
+    no_name = _NO_NAME.fullmatch(message) if kind is PenmanSyntaxError else None
+    assert no_name, (text, new, old)
+    if isinstance(outcome, list):  # read, with the unnamed role or its inverse ':'
+        assert any(e.role in (":", ":-of") for g in outcome for e in g.edges), (text, old)
+    elif outcome[0] is PenmanSyntaxError:  # an error past the role
+        assert int(_OFFSET.match(outcome[1])[1]) > int(no_name[1]), (text, new, old)
+    else:  # found once a graph or a node after the role was read
+        assert outcome[0] in (DanglingVariableError, DuplicateVariableError), (text, old)
+    return new
+
+
 @pytest.mark.parametrize("text", _SHAPES)
 def test_reads_what_the_character_reader_read(text, caplog):
     """The same graphs as the reader that walked the document a character at
     a time, or the same exception type and message (offsets included), and
-    the same warnings."""
+    the same warnings; a role with no name is the one difference."""
     caplog.set_level(logging.WARNING, logger="xkg.amr")
-    assert _read(parse_penman_file, text, caplog) == _read(
-        reference_base.parse_penman_file, text, caplog)
+    _reads_as_the_reference(text, caplog)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -393,7 +434,5 @@ def test_reads_generated_documents_as_the_character_reader_did(seed, caplog):
     texts += ["".join(rng.choice(_PIECES) for _ in range(rng.randrange(25))) for _ in range(1500)]
     errors = 0
     for text in texts:
-        new = _read(parse_penman_file, text, caplog)
-        assert new == _read(reference_base.parse_penman_file, text, caplog), text
-        errors += isinstance(new[0], tuple)
+        errors += isinstance(_reads_as_the_reference(text, caplog)[0], tuple)
     assert 0.3 < errors / len(texts) < 0.95

@@ -588,6 +588,13 @@ class TestAgree:
     def test_missing_ratings_file(self, tmp_path):
         assert main(["agree", "--ratings", "/nope.csv", "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_entry_point_exits_with_mains_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["xkg", "agree", "--ratings", "/nope.csv",
+                                          "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as raised:
+            xkg.cli.entry_point()
+        assert raised.value.code == EXIT_CONFIG
+
     @pytest.mark.parametrize("row", ["a,h", "i1,H,a1,4,x", 'i1,H,"a1,4'])
     def test_malformed_row_is_input_error(self, tmp_path, capsys, row):
         ratings = tmp_path / "ratings.csv"

@@ -4,6 +4,8 @@ import pytest
 
 from xkg.config import (
     ConfigError,
+    ConfigError,
+    PipelineConfig,
     default_config,
     default_resource_paths,
     load_config,
@@ -23,6 +25,11 @@ class TestDefaults:
         assert config.force_merge is False
 
 
+    def test_a_config_without_resources_has_none_to_require(self):
+        with pytest.raises(ConfigError, match="no resource paths configured"):
+            PipelineConfig().require_resources()
+
+
 class TestLoadConfig:
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         mocks = tmp_path / "my-mocks"
@@ -39,12 +46,14 @@ class TestLoadConfig:
         # unspecified paths fall back to the bundled resources
         assert config.require_resources().rolesets == default_resource_paths().rolesets
 
-    def test_missing_resource_path_rejected(self, tmp_path):
+    @pytest.mark.parametrize("resources, message", [
+        ({"rolesets": "does-not-exist.json"}, "resource file for 'rolesets' not found"),
+        ({"mock_dir": "no-such-dir"}, "resource directory for 'mock_dir' not found"),
+    ])
+    def test_missing_resource_path_rejected(self, tmp_path, resources, message):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "resources": {"rolesets": "does-not-exist.json"},
-        }), encoding="utf-8")
-        with pytest.raises(ConfigError):
+        config_path.write_text(json.dumps({"resources": resources}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
             load_config(config_path)
 
     def test_unknown_backend_setting_rejected(self, tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from xkg.backends import (
     AuthError,
+    BackendError,
     MAX_BACKOFF_S,
     BackendConfig,
     HttpBackend,
@@ -41,6 +42,7 @@ from xkg.rdf import (
     Iri,
     RdfGraph,
     Triple,
+    TurtleSyntaxError,
     parse_turtle,
     serialize_turtle,
     standard_prefixes,
@@ -195,6 +197,14 @@ fred:y_1 fred:q fred:z_1 .
 """
         graph = extract_turtle(response, SCENE_BASE.prefixes)
         assert len(graph.triples) == 3
+
+    def test_repair_pass_keeps_blank_lines(self):
+        # Prose lines go, blank lines stay: an error still in the repaired
+        # text is on the line it has among the lines kept.
+        response = "Sure:\nfred:athlete_1 fred:p fred:x_1 .\n\nfred:x_1 fred:q ! ."
+        with pytest.raises(TurtleSyntaxError) as raised:
+            extract_turtle(response, SCENE_BASE.prefixes)
+        assert (raised.value.line, raised.value.column) == (3, 17)
 
     def test_bare_turtle_without_fences(self):
         graph = extract_turtle("fred:athlete_1 fred:p fred:x_1 .", SCENE_BASE.prefixes)
@@ -514,12 +524,12 @@ class TestRunAll:
         # lint builds the per-predicate index and the node IRIs of the graph
         # it reads, and a graph keeps both for its life. Nothing reads a
         # result's after run_all, so lint reads a graph of its own. The
-        # private slots are checked because the public methods build them.
+        # instance dict is checked because reading a view builds it.
         results, _ = run_all(SCENE_BASE, MockBackend(MOCKS), PROMPTS)
         assert sum(len(r.additions) for r in results) > 0
         for r in results:
-            for slot in ("_by_predicate", "_node_iris"):
-                assert not hasattr(r.additions, slot), (r.heuristic, slot)
+            for view in ("by_predicate", "node_iris"):
+                assert view not in vars(r.additions), (r.heuristic, view)
 
     def test_keeps_no_prompt_alive(self):
         # Four renamed copies of the corpus's base graph, the size of the
@@ -537,7 +547,7 @@ class TestRunAll:
                                   for copy in range(4) for s, p, o in corpus.base.triples),
                         corpus.base.prefixes)
         text = serialize_turtle(base)  # builds the base's caches, which outlive run_all
-        base.terms_by_text()
+        base.terms_by_text
         backend = MappingBackend({spec.name: "" for spec in HEURISTICS})
         gc.collect()
         tracemalloc.start()
@@ -845,6 +855,20 @@ class TestHttpBackend:
         backend = HttpBackend(self.config(), post=lambda *a, **k: FakeResponse(200))
         with pytest.raises(UnsupportedImageFormatError):
             backend.describe(bad)
+
+    def test_describe_of_an_unreadable_image_sends_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        sent = []
+        backend = HttpBackend(self.config(), post=lambda *a, **k: sent.append(a))
+        with pytest.raises(BackendError, match="cannot read image .*scene.png"):
+            backend.describe(tmp_path / "scene.png")
+        assert sent == []
+
+    def test_canned_backends_without_an_answer(self, tmp_path):
+        with pytest.raises(TransportError, match="no canned image description"):
+            MappingBackend({}).describe(tmp_path / "scene.png")
+        with pytest.raises(FileNotFoundError, match="mock directory not found"):
+            MockBackend(tmp_path / "missing")
 
 
 class Endpoint:

@@ -133,6 +133,15 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(xkg, "__wrapped__")
 
 
+def test_a_submodule_missing_a_dependency_names_the_dependency(monkeypatch):
+    def import_module(name):
+        raise ModuleNotFoundError("No module named 'requests'", name="requests")
+
+    monkeypatch.setattr(xkg, "import_module", import_module)
+    with pytest.raises(ModuleNotFoundError, match="'requests'"):
+        xkg.plugin  # a submodule that imports requests
+
+
 def test_from_import_of_exports():
     from xkg import run_pipeline, serialize_turtle
     from xkg.pipeline import run_pipeline as home_run_pipeline

@@ -74,6 +74,8 @@ class TestTerms:
         iri = Iri("http://e/x")
         with pytest.raises(ValueError):
             Triple(Literal("s"), iri, iri)
+        with pytest.raises(ValueError):
+            Triple(iri, Literal("p"), iri)
 
     def test_local_name(self):
         assert Iri(FRED_NS + "athlete_1").local_name() == "athlete_1"
@@ -249,11 +251,16 @@ SYNTAX_ERRORS = {
     "unknown escape": ('ex:a ex:p "ab\\qc" .', 1, 14, "unknown escape \\q"),
     "escape at end of input": ('ex:a ex:p "ab\\', 1, 14, "unknown escape \\"),
     "short \\u escape at end of input": ('ex:a ex:p "x\\u12', 1, 13, "bad \\u escape"),
+    "unterminated string after escapes": ('ex:a ex:p "\\u0041\\tx', 1, 11,
+                                          "unterminated string literal"),
     "@ and a non-tag word": ('ex:a ex:p "x"@en- .', 1, 14, "unexpected @en-"),
     "@ and a digit": ("@123 ex:a ex:p ex:b .", 1, 1, "unexpected @123"),
     "lone '.'": (".", 1, 1, "expected subject, found '.'"),
+    "IRI where '.' should be": ("ex:a ex:p ex:b <http://e/c> .", 1, 16,
+                                "expected '.', found 'http://e/c'"),
     "prefix label with a local part": ("@prefix ex:a <http://e/> .", 1, 9,
                                        "expected prefix label in @prefix"),
+    "prefix name without an IRI": ("@prefix ex: ex:b .", 1, 13, "expected <IRI> in @prefix"),
     "bare word": ("ex:a ex:p foo .", 1, 11, "unexpected token 'foo'"),
     "number run into a name": ("ex:a ex:p 3.5a .", 1, 11, "unexpected token '3.5a'"),
     "keyword run into dots and a name": ("ex:a ex:p true..x .", 1, 11,
@@ -300,7 +307,19 @@ SYNTAX_ERRORS = {
     "triple-quoted string with a bad escape": ('ex:a ex:p """a\\q""" .', 1, 11,
                                                "triple-quoted string literals are not supported"),
     "collection": ("ex:a ex:p ( ex:b ) .", 1, 11, "collections are not supported"),
+    "double": ("ex:a ex:p 1.5e3 .", 1, 11, "double literals are not supported"),
+    "double as subject, signed, no fraction": ("-1E+3 ex:p ex:b .", 1, 1,
+                                               "double literals are not supported"),
+    "escaped local name character": ("ex:a\\-b ex:p ex:c .", 1, 5,
+                                     "escapes in local names are not supported"),
+    "escape opening a local name": ("ex:a ex:p ex:\\.b .", 1, 14,
+                                    "escapes in local names are not supported"),
+    "percent-encoded local name": ("ex:a%20b ex:p ex:c .", 1, 5,
+                                   "percent-encoded local names are not supported"),
     # Near misses keep their own messages.
+    "double run into a name": ("ex:a ex:p 1e3x .", 1, 11, "unexpected token '1e3x'"),
+    "backslash after a space": ("ex:a ex:p \\-b .", 1, 11, "unexpected character '\\\\'"),
+    "percent sign after a space": ("ex:a ex:p %20 .", 1, 11, "unexpected character '%'"),
     "a word 'base' as object": ("ex:a ex:p base .", 1, 11, "unexpected token 'base'"),
     "two adjacent strings": ('ex:a ex:p "a\\"""b" .', 1, 16, "expected '.', found 'b'"),
     "language tag @base": ('ex:a ex:p "x"@base ; @base .', 1, 22,
@@ -499,17 +518,17 @@ class TestGraphIndexes:
         rng = random.Random(23)
         for _ in range(100):
             graph = random_rdf_graph(rng)
-            index = graph.by_predicate()
+            index = graph.by_predicate
             assert {p: sorted(bucket) for p, bucket in index.items()} == {
                 p: sorted(t for t in graph.triples if t.predicate == p)
                 for p in {t.predicate for t in graph.triples}}
-            assert graph.node_iris() == {term for t in graph.triples for term in (t.subject, t.object)
-                                         if isinstance(term, Iri)}
-            assert graph.by_predicate() is index  # kept
+            assert graph.node_iris == {term for t in graph.triples for term in (t.subject, t.object)
+                                       if isinstance(term, Iri)}
+            assert graph.by_predicate is index  # kept
 
     def test_empty_graph(self):
         graph = graph_of([])
-        assert graph.by_predicate() == {} and graph.node_iris() == frozenset()
+        assert graph.by_predicate == {} and graph.node_iris == frozenset()
 
 
 # Out of order, with a '[ ]' node, whose triples the reader meets before the
@@ -530,7 +549,7 @@ class TestOrderHint:
         plain = graph_of(unordered.triples, unordered.prefixes)  # the same set, no order
         assert serialize_turtle(unordered) == serialize_turtle(plain)
         assert list(parse_turtle(UNSORTED_TTL)) == sorted(plain.triples)
-        assert parse_turtle(UNSORTED_TTL).rendering() == plain.rendering()
+        assert parse_turtle(UNSORTED_TTL).rendering == plain.rendering
 
     def test_a_repeated_triple_leaves_the_set_order(self):
         text = ("@prefix ex: <http://example.org/x#> .\n"
@@ -538,7 +557,7 @@ class TestOrderHint:
         graph = parse_turtle(text)
         assert len(graph) == 2
         assert serialize_turtle(graph).endswith("\nex:a ex:p ex:b, ex:c .\n")
-        bucket = parse_turtle(text).by_predicate()[Iri(EX_NS + "p")]
+        bucket = parse_turtle(text).by_predicate[Iri(EX_NS + "p")]
         assert sorted(bucket) == sorted(graph.triples)
 
     def test_from_list_orders_buckets_and_sorts_in_place(self):
@@ -546,13 +565,13 @@ class TestOrderHint:
         order = [Triple(a, q, a), Triple(a, p, Literal("2")), Triple(a, p, Literal("1"))]
         graph = RdfGraph.from_list(order)
         assert graph == graph_of(order) and repr(graph) == repr(graph_of(order))
-        assert graph.by_predicate() == {q: order[:1], p: order[1:]}
+        assert graph.by_predicate == {q: order[:1], p: order[1:]}
         assert list(graph) == sorted(graph.triples) == order  # the list, sorted in place
         for copied in (copy.copy(graph), pickle.loads(pickle.dumps(graph))):
             assert copied == graph
         repeated = RdfGraph.from_list(order + order[:1])
         assert repeated == graph
-        assert {k: len(b) for k, b in repeated.by_predicate().items()} == {q: 1, p: 2}
+        assert {k: len(b) for k, b in repeated.by_predicate.items()} == {q: 1, p: 2}
 
 
 class TestMergeDiff:
@@ -606,28 +625,38 @@ def _read(parse, text, base, bind_undeclared):
     return (graph.triples, list(graph.prefixes.items()), graph.prefixes._aliases)
 
 
+# Forms the reference reader refuses with a message that names none.
+_NAMED_FORMS = tuple(f"{name} are not supported" for _, name in xkg.rdf._REFUSED_FORMS)
+
+
+def _agree(text, base, bind_undeclared):
+    """The reader gives what the reference gives; for a form that only the
+    reader's message names, the same error type, line and column."""
+    new = _read(parse_turtle, text, base, bind_undeclared)
+    old = _read(reference_turtle.parse_turtle, text, base, bind_undeclared)
+    if new[0] == "TurtleSyntaxError" and new[1].endswith(_NAMED_FORMS):
+        new, old = (new[0], *new[2:]), (old[0], *old[2:])
+    assert new == old, text
+
+
 class TestReaderAgreesWithReference:
     """The reader gives what the earlier one-token-object reader gives."""
 
     @settings(max_examples=600, deadline=None)
     @given(turtle_documents(), st.booleans(), st.booleans())
     def test_generated_documents(self, text, with_base, bind_undeclared):
-        base = standard_prefixes() if with_base else None
-        assert (_read(parse_turtle, text, base, bind_undeclared)
-                == _read(reference_turtle.parse_turtle, text, base, bind_undeclared))
+        _agree(text, standard_prefixes() if with_base else None, bind_undeclared)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 200), st.text(max_size=2))
     def test_serialized_graphs_and_their_mutations(self, seed, at, edit):
         text = serialize_turtle(random_rdf_graph(random.Random(seed)))
         for doc in (text, text[:at] + edit + text[at + 1:]):
-            assert (_read(parse_turtle, doc, None, True)
-                    == _read(reference_turtle.parse_turtle, doc, None, True))
+            _agree(doc, None, True)
 
     @pytest.mark.parametrize("text", [case[0] for case in SYNTAX_ERRORS.values()])
     def test_syntax_error_cases(self, text):
-        assert (_read(parse_turtle, text, None, True)
-                == _read(reference_turtle.parse_turtle, text, None, True))
+        _agree(text, None, True)
 
     # A last line whose first error lies at a known column; the reader finds
     # offsets only when it raises, by scanning again up to the error.
@@ -693,7 +722,7 @@ def _base_and_response(draw):
     table = base.prefixes
     if draw(st.booleans()):
         table = table.with_binding("presup", "https://w3id.org/xkg/presupposition#")
-    _, nodes, predicates, _ = base.rendering()
+    _, nodes, predicates, _ = base.rendering
     # Texts by the position they fit; now and then any text goes anywhere.
     fits = [sorted({text for term, text in nodes.items() if not isinstance(term, Literal)}
                    | {"ex:z", "_:new"}),
@@ -725,7 +754,7 @@ class TestReaderWithKnownTerms:
     @given(_base_and_response(), st.booleans())
     def test_same_as_without_them(self, case, bind_undeclared):
         base, table, response = case
-        known = base.terms_by_text()
+        known = base.terms_by_text
         before = dict(known)
 
         def with_terms(text, prefixes, undeclared):
@@ -738,10 +767,10 @@ class TestReaderWithKnownTerms:
     def test_only_nodes_and_predicates_by_their_texts(self):
         base = parse_turtle('@prefix ex: <http://e/> .\n'
                             'ex:s a ex:C ; ex:p 42, true, "x", _:b1, <urn:x>, ex:C .')
-        assert base.terms_by_text() == {
+        assert base.terms_by_text == {
             "ex:s": Iri("http://e/s"), "ex:C": Iri("http://e/C"), "ex:p": Iri("http://e/p"),
             "_:b1": BlankNode("b1"), "<urn:x>": Iri("urn:x")}
-        assert base.terms_by_text() is base.terms_by_text()
+        assert base.terms_by_text is base.terms_by_text
 
 
 def _term_sort_key(term) -> tuple:

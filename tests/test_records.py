@@ -110,6 +110,7 @@ class TestRecords:
         record, again = cls(*values), cls(*copy.deepcopy(values))
         assert record == again and not record != again
         assert record != cls(*values[:-1], defaults.get(cls._fields[-1], "other"))
+        assert record != object()  # no record equals a value of another class
         assert copy.copy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
         if immutable and _hashable(values):
@@ -145,11 +146,23 @@ def test_checked_records_reject_bad_fields(make, message):
     assert str(raised.value) == message
 
 
+VIEWS = ("node_iris", "by_predicate", "rendering", "terms_by_text")
+
+
 def test_rdf_graph_caches_are_not_fields():
     graph = RdfGraph(GRAPH.triples, GRAPH.prefixes)
-    graph.node_iris(), graph.by_predicate(), graph.rendering(), graph.terms_by_text()
+    views = [getattr(graph, name) for name in VIEWS]
+    for name, view in zip(VIEWS, views):
+        assert getattr(graph, name) is view  # computed once, then kept
+    assert sorted(vars(graph)) == sorted(VIEWS)
     assert graph == GRAPH and repr(graph) == repr(GRAPH)
-    assert pickle.loads(pickle.dumps(graph)) == GRAPH
+    for again in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
+        assert again == GRAPH and vars(again) == {}
+    for name in VIEWS:  # a kept view is not a field either
+        with pytest.raises(AttributeError):
+            setattr(graph, name, None)
+        with pytest.raises(AttributeError):
+            delattr(graph, name)
 
 
 def test_enrichment_result_sorts_its_additions_and_keeps_no_base():

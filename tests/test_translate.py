@@ -135,6 +135,24 @@ class TestTranslate:
             Triple(fred("country_1"), RDFS_LABEL, Literal("Saint Lucia")),
         })
 
+    def test_an_edge_into_a_name_node_is_dropped_with_a_warning(self, caplog):
+        amr = parse_penman('(s / see-01 :ARG0 (p / person :name (n / name :op1 "Ann"))'
+                           ' :ARG1 n :ARG1 (t / thing))')
+        caplog.set_level(logging.WARNING, logger="xkg.translate")
+        graph = translate(amr, RolesetMap({"see-01": {0: "seer"}}))
+        # The dropped edge maps no role, so the next ARG1 edge is the one warned of.
+        assert [r.getMessage() for r in caplog.records] == [
+            "edge s :ARG1 into name node n has no object, dropped",
+            "no roleset entry for see-01 ARG1, using positional role"]
+        assert graph.triples == frozenset({
+            Triple(fred("see_1"), RDF_TYPE, Iri(PBRS_NS + "see-01")),
+            Triple(fred("see_1"), Iri(PBLR_NS + "see-01.seer"), fred("person_1")),
+            Triple(fred("see_1"), Iri(PBLR_NS + "see-01.arg1"), fred("thing_1")),
+            Triple(fred("person_1"), RDF_TYPE, fred("Person")),
+            Triple(fred("person_1"), RDFS_LABEL, Literal("Ann")),
+            Triple(fred("thing_1"), RDF_TYPE, fred("Thing")),
+        })
+
     def test_constants_become_typed_literals(self):
         amr = parse_penman("(t / team :quant 3 :polarity -)")
         graph = translate(amr)
@@ -336,6 +354,12 @@ class TestAlign:
 
 
 class TestLinkEntities:
+    def test_an_empty_mention_is_rejected(self, tmp_path):
+        path = tmp_path / "links.json"
+        path.write_text('{" ": "wd:Q1"}', encoding="utf-8")
+        with pytest.raises(ValueError, match="empty mention in link table"):
+            LinkTable.from_json(path)
+
     def test_label_match_adds_same_as(self):
         amr = parse_penman('(c / country :name (n / name :op1 "Saint" :op2 "Lucia"))')
         graph = translate(amr)

@@ -684,7 +684,7 @@ def _texts(graph, rng: random.Random) -> list[str]:
     written so with one triple stated once more, so that the reader keeps
     no order for it."""
     canonical = serialize_turtle(graph)
-    _, nodes, predicates, _ = graph.rendering()
+    _, nodes, predicates, _ = graph.rendering
     objects = defaultdict(lambda: defaultdict(list))
     for s, p, o in sorted(graph.triples):
         objects[s][p].append(nodes[o])
