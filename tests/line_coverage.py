@@ -11,7 +11,7 @@ test ran. A line that ``REASONS`` gives a reason for is printed with it;
 any other unrun line makes the script exit 1, as does a failing test run.
 ``REASONS`` is keyed by file, function and the line's text, so an edit
 elsewhere in the file does not void an entry; an entry that matches no
-unrun line is printed as stale. Tests run about three times as slowly as without
+unrun line is printed as stale. Tests run two to three times as slowly as without
 the collector, and code run in a child process is not seen.
 """
 

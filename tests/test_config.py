@@ -4,7 +4,6 @@ import pytest
 
 from xkg.config import (
     ConfigError,
-    ConfigError,
     PipelineConfig,
     default_config,
     default_resource_paths,
@@ -23,7 +22,6 @@ class TestDefaults:
         config = default_config()
         assert config.backend.endpoint == ""
         assert config.force_merge is False
-
 
     def test_a_config_without_resources_has_none_to_require(self):
         with pytest.raises(ConfigError, match="no resource paths configured"):
@@ -46,14 +44,19 @@ class TestLoadConfig:
         # unspecified paths fall back to the bundled resources
         assert config.require_resources().rolesets == default_resource_paths().rolesets
 
-    @pytest.mark.parametrize("resources, message", [
-        ({"rolesets": "does-not-exist.json"}, "resource file for 'rolesets' not found"),
-        ({"mock_dir": "no-such-dir"}, "resource directory for 'mock_dir' not found"),
-    ])
-    def test_missing_resource_path_rejected(self, tmp_path, resources, message):
+    def test_missing_resource_path_rejected(self, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"resources": resources}), encoding="utf-8")
-        with pytest.raises(ConfigError, match=message):
+        config_path.write_text(json.dumps({
+            "resources": {"rolesets": "does-not-exist.json"},
+        }), encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_config(config_path)
+
+    def test_missing_resource_directory_rejected(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"resources": {"mock_dir": "no-such-dir"}}),
+                               encoding="utf-8")
+        with pytest.raises(ConfigError, match="resource directory for 'mock_dir' not found"):
             load_config(config_path)
 
     def test_unknown_backend_setting_rejected(self, tmp_path):
