@@ -5,7 +5,7 @@ parenthesized expression after another, and ``parse_penman`` the one graph
 of a document that must hold exactly one. Re-entrant variables (mentioned
 without ``/``) resolve to one node, and inverse ``-of`` roles are normalized
 by flipping the edge (``:ARG0-of`` on X->Y becomes ``:ARG0`` on Y->X). A
-role needs a name: ``:`` and ``:-of`` alone are errors.
+role needs a name: ``:``, ``:-of``, ``:-of-of`` and so on are errors.
 
 Constants (quoted strings, numbers, ``-`` and ``+``) are legal edge targets
 and do not create nodes. Unquoted targets are variable references and must be
@@ -195,7 +195,7 @@ def _read_graph(reader: _Reader, i: int) -> tuple[AmrGraph, int]:
                 raise reader.error(i, "unexpected end of input")
             if role[0] != ":":
                 raise reader.expected(i, "expected a :role, found")
-            if role == ":" or role == ":-of":
+            if role.replace("-of", "") == ":":  # ':', ':-of', ':-of-of', ...
                 raise reader.error(i, f"role {role!r} has no name")
             target = tokens[i + 1]
             if target == "(":
@@ -223,7 +223,12 @@ def _read_graph(reader: _Reader, i: int) -> tuple[AmrGraph, int]:
     if tokens[i] != "(":
         at = reader.offset(i)
         raise PenmanSyntaxError(at, f"expected '(', found {reader.text[at : at + 1]!r}")
-    root, i = parse_node(i, 1)
+    try:
+        root, i = parse_node(i, 1)
+    finally:
+        # parse_node reaches itself through its closure; the cycle would keep
+        # the whole graph alive until the cyclic collector ran.
+        del parse_node
     for var in referenced:
         if var not in declared:
             raise DanglingVariableError(var)

@@ -536,9 +536,9 @@ _AT_WORD = re.compile(r"(?:[^\W_]|-)*")
 _NAME_RUN = re.compile(r"[A-Za-z0-9_.\-:]*[A-Za-z0-9_\-:]")
 _SPARQL_DIRECTIVE = re.compile(r"(?i:(PREFIX)\s+[A-Za-z0-9_.\-]*:|(BASE)\s+<)")
 # Turtle 1.1 forms outside the subset that no token matches, and their names.
+_DOUBLE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+(?![A-Za-z0-9_\-:])")
 _REFUSED_FORMS = (
-    (re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][+-]?[0-9]+(?![A-Za-z0-9_\-:])"),
-     "double literals"),
+    (_DOUBLE, "double literals"),
     (re.compile(r"(?<=[A-Za-z0-9_\-:])\\[_~.\-!$&'()*+,;=/?#@%]"), "escapes in local names"),
     (re.compile(r"(?<=[A-Za-z0-9_\-:])%[0-9A-Fa-f]{2}"), "percent-encoded local names"),
 )
@@ -625,6 +625,8 @@ def _scan_error(text: str, pos: int) -> TurtleSyntaxError:
     if m:
         return _syntax_error(text, pos, f"SPARQL-style {(m[1] or m[2]).upper()} directives "
                                         "are not supported")
+    if text[pos - 1 : pos] == "." and _DOUBLE.match(text, pos - 1):
+        pos -= 1  # a double that starts with '.', read as a statement's end, then digits
     for form, name in _REFUSED_FORMS:
         if form.match(text, pos):
             return _syntax_error(text, pos, f"{name} are not supported")

@@ -119,6 +119,8 @@ class TestParse:
         ("(a / b : (c / d))", "at offset 7: role ':' has no name"),
         ("(a / b :-of (c / d))", "at offset 7: role ':-of' has no name"),
         ("(a / b :mod c\n   :-of 5)", "at offset 17: role ':-of' has no name"),
+        ("(a / b :-of-of (c / d))", "at offset 7: role ':-of-of' has no name"),
+        ("(a / b :mod c :-of-of-of c)", "at offset 14: role ':-of-of-of' has no name"),
     ])
     def test_a_role_needs_a_name(self, text, message):
         with pytest.raises(PenmanSyntaxError) as raised:
@@ -377,6 +379,8 @@ _SHAPES = [
     # roles, targets and inverse roles
     '(a/b:x(c/d))', '(a / b :x-of "s")', '(a / b :x-of 5 :y-of c :z-of (c / d))',
     '(a / b :-of (c / d))', '(a / b : c)', '(a / b :mod (c / d) :mod (c / e))',
+    '(a / b :-of-of (c / d))', '(a / b :-of-of "x")', '(a / b :-of-of-of c)',
+    '(a / b :-of- (c / d))', '(a / b :-ofof (c / d))', '(a / b :-of-x (c / d))',
     '(a / b :mod c)', '(a / b :polarity + :value -1.50 :quant ٣)', '(a :x b)', '(1a / b)',
     # nesting at MAX_NESTING and one deeper
     _nested(MAX_NESTING), _nested(MAX_NESTING + 1),
@@ -388,7 +392,8 @@ _PIECES = ["(", ")", "/", ":", '"', "\\", "#", " ", "\t", "\n", "\r", "a", "b", 
            "~e.1", "\xa0", "-of", ":ARG0", "(v / c", ":mod", ' "x y" ', "\r\n", "# c\n", "+"]
 
 
-_NO_NAME = re.compile(r"at offset (\d+): role '(?::|:-of)' has no name")
+_NAMELESS = re.compile(r":(?:-of)*")
+_NO_NAME = re.compile(rf"at offset (\d+): role '{_NAMELESS.pattern}' has no name")
 _OFFSET = re.compile(r"at offset (\d+): ")
 
 
@@ -405,7 +410,7 @@ def _reads_as_the_reference(text, caplog):
     no_name = _NO_NAME.fullmatch(message) if kind is PenmanSyntaxError else None
     assert no_name, (text, new, old)
     if isinstance(outcome, list):  # read, with the unnamed role or its inverse ':'
-        assert any(e.role in (":", ":-of") for g in outcome for e in g.edges), (text, old)
+        assert any(_NAMELESS.fullmatch(e.role) for g in outcome for e in g.edges), (text, old)
     elif outcome[0] is PenmanSyntaxError:  # an error past the role
         assert int(_OFFSET.match(outcome[1])[1]) > int(no_name[1]), (text, new, old)
     else:  # found once a graph or a node after the role was read

@@ -1,7 +1,9 @@
 import argparse
+import gc
 import json
 import logging
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 
 import xkg.cli
 from xkg import run_pipeline
+from xkg.amr import AmrEdge, AmrGraph, AmrNode, parse_penman, parse_penman_file
 from xkg.backends import BackendConfig, HttpBackend, MappingBackend, MockBackend
-from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, main
+from xkg.cli import EXIT_CONFIG, EXIT_DIAGNOSTICS, EXIT_OK, CliError, main
 from corpus import build_corpus
-from generators import extended_graph
+from generators import extended_graph, random_amr_graph, serialize_penman
 from strategies import ratings_csv_texts, turtle_documents
 from xkg.config import (ResourcePaths, bundled_resources_root, default_config,
                         default_resource_paths)
@@ -1121,3 +1124,115 @@ def test_every_help_exits_0(capsys, argv):
         main([*argv, "--help"])
     assert caught.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: {' '.join(['xkg', *argv])} ")
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector during a command
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """The collector's state, put back after the test."""
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome, code", [
+    (EXIT_OK, EXIT_OK),
+    (EXIT_DIAGNOSTICS, EXIT_DIAGNOSTICS),
+    (EXIT_CONFIG, EXIT_CONFIG),
+    (CliError("bad input"), EXIT_CONFIG),
+    (RuntimeError("bug"), RuntimeError),
+], ids=["exit 0", "exit 1", "exit 2", "CliError", "RuntimeError"])
+def test_main_pauses_the_collector_and_puts_it_back(monkeypatch, capsys, collector,
+                                                    enabled, outcome, code):
+    """A command runs with the collector paused; on every way out of ``main``
+    the collector is as the caller left it, thresholds included."""
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    parse = xkg.cli.build_parser().parse_args
+    monkeypatch.setattr(xkg.cli.build_parser(), "parse_args",
+                        lambda argv: argparse.Namespace(**{**vars(parse(argv)), "func": command}))
+    gc.set_threshold(1234, 5, 6)
+    (gc.enable if enabled else gc.disable)()
+    argv = ["agree", "--ratings", "ratings.csv", "--out", "out"]
+    if code is RuntimeError:
+        with pytest.raises(RuntimeError, match="bug"):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+    assert gc.get_threshold() == (1234, 5, 6)
+
+
+def _scenes(copies: int) -> str:
+    """The athlete scene's AMR ``copies`` times over, under one root, each
+    copy's variables renamed."""
+    scene = parse_penman(read(Path(SCENE_AMR)))
+    nodes, edges = [AmrNode("m", "multi-sentence")], []
+    for n in range(1, copies + 1):
+        nodes += [AmrNode(f"{var}x{n}", concept) for var, concept in scene.nodes]
+        edges.append(AmrEdge("m", f":snt{n}", f"{scene.root}x{n}"))
+        edges += [AmrEdge(f"{s}x{n}", role, f"{t}x{n}" if isinstance(t, str) else t)
+                  for s, role, t in scene.edges]
+    return serialize_penman(AmrGraph("m", tuple(nodes), tuple(edges)))
+
+
+def _garbage_after(call) -> int:
+    """The objects ``gc.collect()`` finds after ``call()``, with the collector
+    paused from a collection before the call to the one after it."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_paused_command_leaves_no_garbage_that_grows_with_its_input(tmp_path, capsys):
+    """Reading PENMAN leaves no cycle, and each command run through ``main``
+    leaves the same cyclic garbage for one scene and for four, so nothing a
+    command leaves while the collector is paused grows with its input."""
+    rng = random.Random(27)
+    document = "\n".join(serialize_penman(random_amr_graph(rng, 40)) for _ in range(20))
+    assert _garbage_after(lambda: parse_penman_file(document)) == 0
+
+    def commands(copies):
+        scene, out = tmp_path / f"x{copies}", tmp_path / f"out{copies}"
+        scene.mkdir()
+        (scene / "scene.amr").write_text(_scenes(copies), encoding="utf-8")
+        rows = [f"{h}-{item},{h},r{r},{(item + r) % 5 + 1}" for item in range(10 * copies)
+                for h in ("FactualImpact", "ImageSchemas") for r in range(3)]
+        (scene / "ratings.csv").write_text(
+            "\n".join(["item_id,heuristic,annotator,score", *rows]) + "\n", encoding="utf-8")
+        base = str(out / "base" / "base-graph.ttl")
+        return [
+            ["base", "--amr", str(scene / "scene.amr"), "--out", str(out / "base")],
+            ["enrich", "--mock", "--base", base, "--out", str(out / "enrich")],
+            ["validate", "--graph", str(out / "enrich" / "xkg-merged.ttl"), "--base", base,
+             "--out", str(out / "validate")],
+            ["run", "--mock", "--text", SCENE_TXT, "--amr", str(scene / "scene.amr"),
+             "--out", str(out / "run")],
+            ["agree", "--ratings", str(scene / "ratings.csv"), "--out", str(out / "agree")],
+        ]
+
+    once = commands(1)
+    codes = [main(argv) for argv in once]  # first imports and caches
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_DIAGNOSTICS, EXIT_DIAGNOSTICS, EXIT_OK]
+    one = [_garbage_after(lambda: main(argv)) for argv in once]
+    four = [_garbage_after(lambda: main(argv)) for argv in commands(4)]
+    assert one == four
+    capsys.readouterr()

@@ -310,6 +310,10 @@ SYNTAX_ERRORS = {
     "double": ("ex:a ex:p 1.5e3 .", 1, 11, "double literals are not supported"),
     "double as subject, signed, no fraction": ("-1E+3 ex:p ex:b .", 1, 1,
                                                "double literals are not supported"),
+    "double that starts with a dot": ("ex:a ex:p .5e3 .", 1, 11,
+                                      "double literals are not supported"),
+    "double that starts with a dot, negative exponent": ("ex:a ex:p .5E-3 .", 1, 11,
+                                                         "double literals are not supported"),
     "escaped local name character": ("ex:a\\-b ex:p ex:c .", 1, 5,
                                      "escapes in local names are not supported"),
     "escape opening a local name": ("ex:a ex:p ex:\\.b .", 1, 14,
@@ -631,11 +635,16 @@ _NAMED_FORMS = tuple(f"{name} are not supported" for _, name in xkg.rdf._REFUSED
 
 def _agree(text, base, bind_undeclared):
     """The reader gives what the reference gives; for a form that only the
-    reader's message names, the same error type, line and column."""
+    reader's message names, the same error type, line and column, except
+    that the reference names a double that starts with '.' at its first
+    digit."""
     new = _read(parse_turtle, text, base, bind_undeclared)
     old = _read(reference_turtle.parse_turtle, text, base, bind_undeclared)
     if new[0] == "TurtleSyntaxError" and new[1].endswith(_NAMED_FORMS):
-        new, old = (new[0], *new[2:]), (old[0], *old[2:])
+        line, column = new[2:]
+        if text.split("\n")[line - 1][column - 1] == ".":
+            column += 1
+        new, old = (new[0], line, column), (old[0], *old[2:])
     assert new == old, text
 
 
