@@ -351,7 +351,7 @@ def build_report(matrix: RatingsMatrix, heuristic_order: Optional[Iterable[str]]
     None in its row. A heuristic without any score raises NoDataError.
     """
     present = matrix.heuristics()
-    ordered = [h for h in heuristic_order or () if h in present]
+    ordered = [h for h in dict.fromkeys(heuristic_order or ()) if h in present]
     ordered.extend(h for h in present if h not in ordered)
 
     annotators = matrix.annotators

@@ -224,19 +224,16 @@ def _select_heuristics(selector: str):
 
 def _write_enrichment(out_dir: Path, base: RdfGraph, results, merged: RdfGraph) -> int:
     # Every extended graph and the merge are the base plus additions, each
-    # set disjoint from the base. Each result's additions iterate sorted. The
-    # merge's are the results' additions that the merged graph holds, merged
-    # by one sort (timsort merges sorted runs), with a triple two results
-    # share dropped where its copies meet. Each text is written as soon as it
-    # is rendered.
-    runs = [list(result.additions) for result in results]
-    held = merged.triples
+    # set disjoint from the base. The merge's are those of the results that
+    # run_all kept, which iterate sorted, merged by one sort (timsort merges
+    # sorted runs), with a triple two results share dropped where its copies
+    # meet, so the list is the graph's order hint. Each text is written as
+    # soon as it is rendered.
     merged_added = [t for t, _ in groupby(sorted(
-        [t for run in runs for t in run if t in held]))]
+        [t for result in results if not result.quarantined for t in result.additions]))]
     names = [f"xkg-{result.heuristic}.ttl" for result in results] + ["xkg-merged.ttl"]
-    texts = serialize_extensions(base, [
-        *((result.additions.prefixes, run) for result, run in zip(results, runs)),
-        (merged.prefixes, merged_added)])
+    texts = serialize_extensions(base, [*(result.additions for result in results),
+                                        RdfGraph.from_list(merged_added, merged.prefixes)])
     for name, text in zip(names, texts):
         _write(out_dir / name, text)
     entries = [_DIAGNOSTICS_ENTRY % (_encode(result.heuristic), len(result.additions),

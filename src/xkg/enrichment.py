@@ -41,7 +41,6 @@ from .rdf import (
     RdfGraph,
     RdfError,
     Triple,
-    merge,
     parse_turtle,
     serialize_turtle,
 )
@@ -203,17 +202,16 @@ def extract_turtle(response: str, base_prefixes: PrefixTable,
     """
     fenced = _FENCE.findall(response)
     candidate = "\n".join(fenced) if fenced else response
-    if not any(line.strip() and not line.lstrip().startswith("#")
-               for line in candidate.splitlines()):
-        raise NoTurtleFoundError()
-    try:
-        return parse_turtle(candidate, base_prefixes, bind_undeclared=True, terms=terms)
-    except RdfError:
-        repaired = _strip_prose(candidate)
+    for repaired in (False, True):
         if not any(line.strip() and not line.lstrip().startswith("#")
-                   for line in repaired.splitlines()):
+                   for line in candidate.splitlines()):
             raise NoTurtleFoundError()
-        return parse_turtle(repaired, base_prefixes, bind_undeclared=True, terms=terms)
+        try:
+            return parse_turtle(candidate, base_prefixes, bind_undeclared=True, terms=terms)
+        except RdfError:
+            if repaired:
+                raise
+            candidate = _strip_prose(candidate)
 
 
 def run_heuristic(base: RdfGraph, request: PromptRequest, prefixes: PrefixTable,
@@ -277,7 +275,9 @@ def run_all(base: RdfGraph, backend: Backend,
     with concurrent backend calls. The merged graph is the base and the
     ``additions`` of the results not quarantined: a result carrying an ERROR
     diagnostic is quarantined unless ``force_merge``, one with
-    PREFIX_CONFLICT always. Only this function sets ``quarantined``.
+    PREFIX_CONFLICT always. Only this function sets ``quarantined``. The
+    merged table is the one the clashes were checked against: the base's
+    declared labels and the kept results', as ``rdf.merge`` gives it.
     """
     specs = list(heuristics) if heuristics is not None else list(HEURISTICS)
     system_template = _read_template(prompts_dir, SYSTEM_TEMPLATE)
@@ -310,7 +310,7 @@ def run_all(base: RdfGraph, backend: Backend,
         outcomes = [run_one(spec, template) for spec, template in zip(specs, templates)]
 
     # In run order, so completion order cannot decide a clash.
-    results, kept, table = [], [base], base.prefixes
+    results, kept, table = [], [], base.prefixes.declared()
     for r in outcomes:
         if r.failed and not force_merge:
             r = r._replace(quarantined=True)
@@ -322,6 +322,6 @@ def run_all(base: RdfGraph, backend: Backend,
                     validation.ERROR, validation.PREFIX_CONFLICT, f"not merged: {exc}")),
                     quarantined=True)
             else:
-                kept.append(r.additions)
+                kept.append(r.additions.triples)
         results.append(r)
-    return results, merge(kept)
+    return results, RdfGraph(base.triples.union(*kept), table)

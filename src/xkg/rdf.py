@@ -42,12 +42,12 @@ serialized or extended. That and the graph's other views (``node_iris``,
 attributes: each is computed on its first read and kept in the instance
 dict, which equality, copies and pickles do not see.
 ``serialize_extensions`` writes graphs that extend one base graph (the
-per-heuristic graphs and their merge), each given as a prefix table and its
-additions, sorted, without duplicates and disjoint from the base. It takes
+per-heuristic graphs and their merge), each given as the graph of its
+additions, disjoint from the base, under its own prefix table. It takes
 the base's rendering and keeps each subject's sorted triples; per graph it
-merges the additions into their subjects' base triples (two sorted runs)
-and splices the rendered statements in by subject. A graph whose table
-could render a base IRI differently gets a full
+merges the additions, which iterate sorted, into their subjects' base
+triples (two sorted runs) and splices the rendered statements in by
+subject. A graph whose table could render a base IRI differently gets a full
 ``serialize_turtle``: its table lacks a base label or binds it elsewhere, or
 binds a new namespace that is some base IRI's namespace (one ending in ``#``
 or ``/``) or a prefix of one (any other). Either way the bytes are those of
@@ -70,7 +70,7 @@ import re
 from bisect import bisect_left
 from collections import defaultdict
 from functools import cached_property
-from itertools import chain, count, groupby, repeat, starmap
+from itertools import chain, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -934,13 +934,11 @@ def serialize_turtle(graph: RdfGraph) -> str:
     return _document(graph.prefixes, graph.rendering[3])
 
 
-def serialize_extensions(base: RdfGraph,
-                         extensions: Iterable[tuple[PrefixTable, list[Triple]]]) -> Iterator[str]:
+def serialize_extensions(base: RdfGraph, extensions: Iterable[RdfGraph]) -> Iterator[str]:
     """Yield ``serialize_turtle`` of each extension of ``base``, by splicing
-    (see the module docstring). An extension is a prefix table and its
-    additions: sorted, free of duplicates and disjoint from the base's
-    triples. Each text is that of the base's triples plus the additions
-    under the table."""
+    (see the module docstring). An extension is the graph of its additions,
+    disjoint from the base's triples; each text is that of the base's
+    triples plus the additions under the additions' table."""
     ordered, nodes, predicates, texts = base.rendering
     runs = {s: list(run) for s, run in groupby(ordered, itemgetter(0))}
     subjects = list(runs)
@@ -957,10 +955,11 @@ def serialize_extensions(base: RdfGraph,
             return ns in iri_namespaces
         return any(value.startswith(ns) for value in iris)
 
-    def splice(table: PrefixTable, added: list[Triple]) -> str:
+    def splice(extension: RdfGraph) -> str:
+        table, added = extension.prefixes, extension._sorted()
         if (any(table.namespace(label) != ns for label, ns in base_ns.items())
                 or any(label not in base_ns and captures(ns) for label, ns in table.items())):
-            return serialize_turtle(RdfGraph(base.triples.union(added), table))
+            return serialize_turtle(RdfGraph(base.triples | extension.triples, table))
         touched = list(dict.fromkeys(map(itemgetter(0), added)))
         # Two sorted runs, which the sort merges.
         redone = sorted([*added, *chain.from_iterable(map(runs.get, touched, repeat(())))])
@@ -978,4 +977,4 @@ def serialize_extensions(base: RdfGraph,
         return _document(table, statements)
 
     # One call per graph, so its temporaries are freed before the next.
-    yield from starmap(splice, extensions)
+    yield from map(splice, extensions)

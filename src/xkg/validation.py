@@ -40,23 +40,18 @@ from .rdf import (
     OWL_DATATYPE_PROPERTY,
     OWL_DISJOINT_WITH,
     OWL_NAMED_INDIVIDUAL,
-    OWL_NS,
     OWL_OBJECT_PROPERTY,
     OWL_ONTOLOGY,
     PBLR_NS,
     PBRS_NS,
     RDFS_COMMENT,
     RDFS_LABEL,
-    RDFS_NS,
     RDFS_SUBCLASSOF,
-    RDF_NS,
     RDF_TYPE,
+    STANDARD_NAMESPACES,
     UNDECLARED_NS_BASE,
     VN_ROLE_NS,
-    WIKIDATA_NS,
     WN30_NS,
-    XSD_NS,
-    FRED_NS,
     BlankNode,
     Iri,
     Literal,
@@ -218,10 +213,7 @@ def check_anchoring(base: RdfGraph, added: Iterable[Triple]) -> list[Diagnostic]
 # ---------------------------------------------------------------------------
 
 # Namespaces whose terms are curated elsewhere and need no local rdfs:comment.
-_CURATED_NAMESPACES = (
-    RDF_NS, RDFS_NS, OWL_NS, XSD_NS, FRED_NS, PBRS_NS, PBLR_NS,
-    VN_ROLE_NS, WN30_NS, DUL_NS, D0_NS, WIKIDATA_NS,
-)
+_CURATED_NAMESPACES = tuple(STANDARD_NAMESPACES.values())
 
 _DECLARATION_CLASSES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY,
                         OWL_NAMED_INDIVIDUAL, OWL_ANNOTATION_PROPERTY, OWL_ONTOLOGY}

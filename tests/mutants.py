@@ -20,7 +20,7 @@ slow or hung test kills stands out), followed for any outcome but
 ``killed`` by the last lines pytest printed, and ends with ``{"killed": k,
 "total": n, "seconds": s}``, where ``s`` is the run's wall time; it exits 0 only when
 every mutant is killed. The list only grows, except that a mutant whose code
-is gone is removed; a change that adds a check also adds a mutant that the
+is gone, or that the code around it has made equivalent, is removed; a change that adds a check also adds a mutant that the
 check kills.
 """
 
@@ -77,20 +77,12 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/cli.py",
-        "[t for run in runs for t in run if t in held]",
-        "[t for run in runs for t in run]",
+        "[t for result in results if not result.quarantined for t in result.additions]",
+        "[t for result in results for t in result.additions]",
         ("tests/test_cli.py::TestReportTemplates::test_extension_files_equal_serialize_turtle",
          "tests/test_cli.py::TestReportTemplates::test_merged_file_holds_what_the_merge_holds"),
-        "xkg-merged.ttl is not read from the merge, so a quarantined result's additions are "
-        "written into it",
-    ),
-    Mutant(
-        "xkg/cli.py",
-        "merged_added = [t for t, _ in groupby(sorted(",
-        "merged_added = [t for t in (sorted(",
-        ("tests/test_cli.py::TestReportTemplates::test_extension_files_equal_serialize_turtle",
-         "tests/test_cli.py::TestReportTemplates::test_merged_file_holds_what_the_merge_holds"),
-        "a triple two results share is written twice into xkg-merged.ttl",
+        "xkg-merged.ttl is not read from run_all's decision, so a quarantined result's "
+        "additions are written into it",
     ),
     Mutant(
         "xkg/cli.py",
@@ -872,6 +864,39 @@ MUTANTS = [
         "        pass  # a double that starts with '.'",
         (_RDF + "test_syntax_error_position_and_message",),
         "a double that starts with '.' is reported at its first digit, one column late",
+    ),
+    # One merge per run: run_all merges the kept results once, the writer
+    # reads its decision, and an extension is an additions graph.
+    Mutant(
+        "xkg/enrichment.py",
+        "RdfGraph(base.triples.union(*kept), table)",
+        "RdfGraph(base.triples.union(*kept[1:]), table)",
+        (_CLI + "TestReportTemplates::test_extension_files_equal_serialize_turtle",
+         _CLI + "TestReportTemplates::test_merge_equals_rdf_merge_of_the_kept_results"),
+        "the merged graph leaves out the first kept result's additions",
+    ),
+    Mutant(
+        "xkg/enrichment.py",
+        "results, kept, table = [], [], base.prefixes.declared()",
+        "results, kept, table = [], [], base.prefixes",
+        (_CLI + "TestReportTemplates::test_a_run_that_keeps_nothing_leaves_the_base_alias_out",),
+        "a run that keeps no result gives the merged table the base's alias, which rdf.merge "
+        "drops",
+    ),
+    Mutant(
+        "xkg/rdf.py",
+        "        table, added = extension.prefixes, extension._sorted()\n",
+        "        table, added = base.prefixes, extension._sorted()\n",
+        (_RDF + "TestSerializeExtensions::test_each_graph_renders_its_new_terms_under_its_own_table",
+         _RDF + "TestSerializeExtensions::test_equals_serialize_turtle"),
+        "an extension is rendered under the base's prefix table instead of its own",
+    ),
+    Mutant(
+        "xkg/agreement.py",
+        "for h in dict.fromkeys(heuristic_order or ())",
+        "for h in heuristic_order or ()",
+        (_AGREEMENT + "TestReport::test_a_heuristic_named_twice_in_the_order_has_one_row",),
+        "a heuristic that the order names twice gets two rows",
     ),
 ]
 

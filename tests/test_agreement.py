@@ -438,6 +438,13 @@ class TestReport:
         report = build_report(matrix, heuristic_order=["Alpha", "Zeta"])
         assert [s.heuristic for s in report.heuristics] == ["Alpha", "Zeta"]
 
+    def test_a_heuristic_named_twice_in_the_order_has_one_row(self):
+        matrix = RatingsMatrix()
+        matrix.add("x", "Zeta", "a", 3)
+        matrix.add("y", "Alpha", "a", 3)
+        report = build_report(matrix, heuristic_order=["Zeta", "Zeta", "Alpha", "Zeta"])
+        assert [s.heuristic for s in report.heuristics] == ["Zeta", "Alpha"]
+
 
 def random_heuristic_table(rng: random.Random, width: int):
     """A random table ``width`` wide, of one of the kinds a report must

@@ -401,6 +401,16 @@ _POOL_RESPONSES = st.lists(st.tuples(st.sets(st.sampled_from(range(len(_ANCHORED
                            min_size=3, max_size=5)
 
 
+_ALIAS = "fredalias"
+
+
+def _golden_base(alias: bool = False) -> RdfGraph:
+    """The golden base graph; with ``alias``, its table also holds a second
+    label for fred:'s namespace, which expands but is not declared."""
+    base = parse_turtle(read(Path(__file__).parent / "golden" / "base-graph.ttl"))
+    return RdfGraph(base.triples, base.prefixes.with_binding(_ALIAS, FRED_NS)) if alias else base
+
+
 def _diagnostics_reference(results) -> str:
     """``diagnostics.json`` through the dict-building writer."""
     return json.dumps({
@@ -494,6 +504,49 @@ class TestReportTemplates:
                 assert (read(Path(out) / f"xkg-{result.heuristic}.ttl")
                         == serialize_turtle(extended_graph(base, result)))
             assert read(Path(out) / "xkg-merged.ttl") == serialize_turtle(merged)
+
+    @staticmethod
+    def _assert_merge_is_the_reference(base, results, merged):
+        reference = xkg.rdf.merge([base, *(r.additions for r in results if not r.quarantined)])
+        assert merged == reference
+        assert serialize_turtle(merged) == serialize_turtle(reference)
+        # Every label either table resolves: the inputs' declared labels and
+        # the base's alias.
+        labels = {_ALIAS, *base.prefixes.labels(),
+                  *(label for r in results for label in r.additions.prefixes.labels())}
+        for label in labels:
+            assert merged.prefixes.namespace(label) == reference.prefixes.namespace(label)
+
+    @pytest.mark.parametrize("force_merge", [False, True])
+    def test_a_run_that_keeps_nothing_leaves_the_base_alias_out(self, force_merge):
+        # Error results are quarantined unless force_merge; a heuristic whose
+        # label the base binds elsewhere is quarantined either way.
+        base = _golden_base(alias=True)
+        if force_merge:
+            base = RdfGraph(base.triples, base.prefixes.with_binding("impact", _OTHER_EX)
+                            .with_binding("cause", _OTHER_EX + "c#"))
+        responses = {"FactualImpact": "not turtle at all {", "CausalRelations": _FLOATING}
+        specs = [spec for spec in HEURISTICS if spec.name in responses]
+        config = default_config()._replace(force_merge=force_merge)
+        results, merged = enrich(base, MappingBackend(responses), config, specs)
+        assert [r.quarantined for r in results] == [True, True]
+        self._assert_merge_is_the_reference(base, results, merged)
+        assert base.prefixes.namespace(_ALIAS) == FRED_NS
+        assert merged.prefixes.namespace(_ALIAS) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(_POOL_RESPONSES, st.booleans(), st.booleans())
+    def test_merge_equals_rdf_merge_of_the_kept_results(self, drawn, force_merge, alias):
+        base = _golden_base(alias)
+        specs = HEURISTICS[:len(drawn)]
+        responses = {}
+        for spec, (picks, floating, ns) in zip(specs, drawn):
+            lines = [f"@prefix ex: <{ns}> ."] if ns else []
+            lines += [_ANCHORED[i] for i in sorted(picks)] + [_FLOATING] * floating
+            responses[spec.name] = "\n".join(lines)
+        config = default_config()._replace(force_merge=force_merge)
+        results, merged = enrich(base, MappingBackend(responses), config, specs)
+        self._assert_merge_is_the_reference(base, results, merged)
 
     @pytest.mark.parametrize("name", ["empty", "corpus"])
     def test_validation_report(self, tmp_path, name):

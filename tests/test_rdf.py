@@ -385,17 +385,19 @@ _ext_tables = st.dictionaries(st.sampled_from(["ex", "b", "u", "o"]),
                               st.sampled_from(_EXT_BIND_NS), max_size=4)
 
 
-def _extended(base: RdfGraph, table: PrefixTable, added) -> str:
-    """``serialize_turtle`` of the base's triples plus ``added`` under ``table``."""
-    return serialize_turtle(RdfGraph(base.triples.union(added), table))
+def _extended(base: RdfGraph, extension: RdfGraph) -> str:
+    """``serialize_turtle`` of the base's triples plus the extension's under
+    the extension's table."""
+    return serialize_turtle(RdfGraph(base.triples | extension.triples, extension.prefixes))
 
 
 @st.composite
 def _base_and_extensions(draw):
-    """A base graph and ``(table, additions)`` pairs as the writer takes them:
-    each run sorted, without duplicates and disjoint from the base. The runs
-    draw on one pool, so extensions share additions, and a last extension may
-    be the merge of some of them built from their runs, as the CLI does."""
+    """A base graph and additions graphs disjoint from it, each built from a
+    drawn list, which may be unsorted (the graph's order hint) or repeat a
+    triple (no hint). The additions draw on one pool, so extensions share
+    them, and a last extension may be the merge of some of them built as the
+    CLI does."""
     base_table = PrefixTable(draw(_ext_tables))
     base = graph_of(draw(st.lists(st.builds(Triple, st.one_of(_ext_iris, _ext_blanks),
                                             _ext_iris, _ext_objects), max_size=12)),
@@ -421,11 +423,12 @@ def _base_and_extensions(draw):
                     table = table.with_binding(label, ns)
         else:  # an unrelated table: base labels may be missing or rebound
             table = PrefixTable(extra)
-        extensions.append((table, sorted(set(added))))
+        extensions.append(RdfGraph.from_list(added, table))
     if extensions and draw(st.booleans()):
-        kept = [run for _, run in extensions if draw(st.booleans())]
+        kept = [extension for extension in extensions if draw(st.booleans())]
         merged = [t for t, _ in groupby(sorted(chain.from_iterable(kept)))]
-        extensions.append((draw(st.sampled_from([table for table, _ in extensions])), merged))
+        table = draw(st.sampled_from([extension.prefixes for extension in extensions]))
+        extensions.append(RdfGraph.from_list(merged, table))
     return base, extensions
 
 
@@ -435,7 +438,7 @@ class TestSerializeExtensions:
     def test_equals_serialize_turtle(self, case):
         base, extensions = case
         assert list(serialize_extensions(base, extensions)) == [
-            _extended(base, table, added) for table, added in extensions]
+            _extended(base, extension) for extension in extensions]
 
     BASE = graph_of(
         [Triple(Iri("http://ex.org/b/s"), Iri("http://ex.org/a#p"), Iri("urn:ex:yo")),
@@ -459,19 +462,18 @@ class TestSerializeExtensions:
         monkeypatch.setattr(xkg.rdf, "serialize_turtle",
                             lambda g: calls.append(g) or serialize_turtle(g))
         subject = Iri("http://ex.org/a#t" if into_base_subject else "http://ex.org/a#u")
-        added = [Triple(subject, Iri("http://ex.org/a#q"), BlankNode("n1"))]
-        table = PrefixTable(table)
-        assert list(serialize_extensions(self.BASE, [(table, added)])) == [
-            _extended(self.BASE, table, added)]
+        added = graph_of([Triple(subject, Iri("http://ex.org/a#q"), BlankNode("n1"))],
+                         PrefixTable(table))
+        assert list(serialize_extensions(self.BASE, [added])) == [_extended(self.BASE, added)]
         assert len(calls) == fallbacks
 
     def test_each_graph_renders_its_new_terms_under_its_own_table(self):
         added = [Triple(Iri("http://ex.org/a#t"), Iri("http://ex.org/a#q"),
                         Iri("http://other.org/x"))]
-        tables = [PrefixTable({"ex": "http://ex.org/a#", "n": "http://other.org/"}),
-                  PrefixTable({"ex": "http://ex.org/a#"})]
-        texts = list(serialize_extensions(self.BASE, [(table, added) for table in tables]))
-        assert texts == [_extended(self.BASE, table, added) for table in tables]
+        extensions = [graph_of(added, PrefixTable(table)) for table in (
+            {"ex": "http://ex.org/a#", "n": "http://other.org/"}, {"ex": "http://ex.org/a#"})]
+        texts = list(serialize_extensions(self.BASE, extensions))
+        assert texts == [_extended(self.BASE, extension) for extension in extensions]
         assert "ex:q n:x" in texts[0] and "ex:q <http://other.org/x>" in texts[1]
 
 

@@ -41,6 +41,7 @@ from xkg.rdf import (
     BlankNode,
     Iri,
     Literal,
+    RdfGraph,
     Triple,
     parse_turtle,
     serialize_extensions,
@@ -721,7 +722,7 @@ class TestOrderHint:
             outcome = [lint(read), check_consistency(read, MINI_ONTO), infer_precedence(read),
                        profile(read, read_base), profile(read)]
             outcome += [serialize_turtle(read), serialize_turtle(read_base), *serialize_extensions(
-                read_base, [(read.prefixes, sorted(read.triples - read_base.triples))])]
+                read_base, [RdfGraph(read.triples - read_base.triples, read.prefixes)])]
             outcomes.add(repr(outcome))
         assert len(outcomes) == 1
 
