@@ -114,18 +114,6 @@ class AmrGraph(NamedTuple):
     nodes: tuple[AmrNode, ...]
     edges: tuple[AmrEdge, ...]
 
-    def concept(self, variable: str) -> str:
-        for n in self.nodes:
-            if n.variable == variable:
-                return n.concept
-        raise KeyError(variable)
-
-    def node(self, variable: str) -> AmrNode:
-        for n in self.nodes:
-            if n.variable == variable:
-                return n
-        raise KeyError(variable)
-
 
 class _Reader:
     """A PENMAN document with its alignment markers removed and each line

@@ -1,15 +1,15 @@
 """Completion backends: a generic HTTP client and deterministic mocks.
 
 The enrichment stage is model-agnostic; a backend is anything with a
-``complete(request) -> str`` method (and ``describe(image_path) -> str`` for
-the multimodal description step). A request carries only the prompt texts
-and a tag; the backend's own config sets the model, token budget and
-temperature of every call. The HTTP backend posts an OpenAI-style chat
-payload, retries transport failures with capped exponential back-off (or
-after the seconds a 429 or 503 response's ``Retry-After`` asks for), and
-keeps at most ``max_concurrent`` requests in flight however many threads
-call it; mocks replay canned responses keyed by the request tag so the whole
-pipeline runs offline and byte-stable.
+``complete(request) -> str`` method (and ``describe(image, mime) -> str``, for
+the multimodal description step, given the image's bytes and MIME type). A
+request carries only the prompt texts and a tag; the backend's own config
+sets the model, token budget and temperature of every call. The HTTP
+backend posts an OpenAI-style chat payload, retries transport failures with
+capped exponential back-off (or after the seconds a 429 or 503 response's
+``Retry-After`` asks for), and keeps at most ``max_concurrent`` requests in
+flight however many threads call it; mocks replay canned responses keyed by
+the request tag so the whole pipeline runs offline and byte-stable.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Union
 
 logger = logging.getLogger(__name__)
 
-SUPPORTED_IMAGE_SUFFIXES = (".png", ".jpg", ".jpeg", ".webp", ".gif")
-
 
 class BackendError(Exception):
     """Base class for completion backend failures."""
@@ -38,10 +36,6 @@ class TransportError(BackendError):
 
 class AuthError(BackendError):
     """Credential rejected; never retried."""
-
-
-class UnsupportedImageFormatError(BackendError):
-    pass
 
 
 #: The most retries a config may ask for (``load_config`` rejects more).
@@ -78,7 +72,8 @@ class BackendConfig(NamedTuple):
 
 class Backend(Protocol):
     """What the pipeline calls: ``complete`` for a heuristic's prompt,
-    ``describe`` for an image.
+    ``describe`` for an image's bytes and MIME type, which
+    ``pipeline.describe`` has checked and read; a backend opens no file.
 
     ``run_all`` may call ``complete`` from as many threads as there are
     heuristics at once, so a backend that waits on a remote service bounds
@@ -88,7 +83,7 @@ class Backend(Protocol):
 
     def complete(self, request) -> str: ...
 
-    def describe(self, image_path: Path) -> str: ...
+    def describe(self, image: bytes, mime: str) -> str: ...
 
 
 class MappingBackend:
@@ -105,7 +100,7 @@ class MappingBackend:
             raise TransportError(f"no canned response for {tag!r}")
         return self.responses[tag]
 
-    def describe(self, image_path: Path) -> str:
+    def describe(self, image: bytes, mime: str) -> str:
         if not self.description:
             raise TransportError("no canned image description")
         return self.description
@@ -257,15 +252,8 @@ class HttpBackend:
             {"role": "user", "content": request.user_text},
         ])
 
-    def describe(self, image_path: Path) -> str:
-        suffix = image_path.suffix.lower()
-        if suffix not in SUPPORTED_IMAGE_SUFFIXES:
-            raise UnsupportedImageFormatError(f"unsupported image format {suffix!r}")
-        try:
-            encoded = base64.b64encode(image_path.read_bytes()).decode("ascii")
-        except OSError as exc:
-            raise BackendError(f"cannot read image {image_path}: {exc}")
-        mime = "image/jpeg" if suffix in (".jpg", ".jpeg") else f"image/{suffix[1:]}"
+    def describe(self, image: bytes, mime: str) -> str:
+        encoded = base64.b64encode(image).decode("ascii")
         return self._send([
             {
                 "role": "user",

@@ -34,6 +34,7 @@ import functools
 import gc
 import json
 import logging
+import os
 import sys
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _encode
@@ -76,9 +77,22 @@ def _make_backend(config: PipelineConfig, mock: bool):
 
 
 def _echo(text: str) -> None:
-    """Write ``text`` to stdout, backslash-escaping what it cannot encode."""
-    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+    """Write ``text`` to stdout, backslash-escaping what it cannot encode, and
+    flush it. Without a stdout, or once its reader has gone, nothing is
+    printed, and the command still writes its files and returns its code."""
+    stdout = sys.stdout
+    if stdout is None:
+        return
+    encoding = getattr(stdout, "encoding", None) or "utf-8"
+    try:
+        stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+        stdout.flush()
+    except BrokenPipeError:
+        # What is still buffered, and any later write, goes to os.devnull,
+        # so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
 
 
 def _out_dir(path: str) -> Path:

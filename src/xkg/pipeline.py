@@ -12,17 +12,12 @@ temperature of every request, and its ``force_merge`` the merge policy.
 from __future__ import annotations
 
 from pathlib import Path
+from stat import S_ISREG
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import validation
 from .amr import parse_penman
-from .backends import (
-    SUPPORTED_IMAGE_SUFFIXES,
-    Backend,
-    BackendError,
-    HttpBackend,
-    UnsupportedImageFormatError,
-)
+from .backends import Backend, BackendError, HttpBackend
 from .config import ConfigError, PipelineConfig, ResourcePaths
 from .enrichment import EnrichmentResult, HeuristicSpec, run_all
 from .rdf import RdfError, RdfGraph
@@ -58,8 +53,13 @@ class PipelineResult(NamedTuple):
     report: ValidationReport
 
 
-#: The largest image file ``describe`` accepts, in bytes (20 MiB). A backend
-#: reads the whole file and sends it base64-encoded in one request.
+#: The MIME type of each image format ``describe`` accepts, by the file's
+#: lower-cased suffix.
+IMAGE_TYPES = {".png": "image/png", ".jpg": "image/jpeg", ".jpeg": "image/jpeg",
+               ".webp": "image/webp", ".gif": "image/gif"}
+
+#: The largest image file ``describe`` accepts, in bytes (20 MiB). It reads
+#: the whole file, and a backend sends it in one request.
 MAX_IMAGE_BYTES = 20 * 1024 * 1024
 
 
@@ -67,23 +67,30 @@ def describe(source: Union[str, Path], backend: Backend) -> str:
     """The scene description: ``source`` itself when it is text, else the
     backend's description of the image file it names.
 
-    Raises BackendError, with nothing sent, for an image file that cannot be
-    read or is larger than ``MAX_IMAGE_BYTES``; and for a description that
-    UTF-8 cannot encode (a JSON body can decode to a lone surrogate), which
-    could not be written.
+    The one reader of the image, for every backend: it checks the suffix,
+    and refuses anything but a regular file (a directory, a FIFO, a device)
+    and a file larger than ``MAX_IMAGE_BYTES`` before it opens it, then hands
+    the bytes and their MIME type to ``backend.describe``. Raises
+    BackendError, with nothing sent, for an image refused or unreadable; and
+    for a description that UTF-8 cannot encode (a JSON body can decode to a
+    lone surrogate), which could not be written.
     """
     if isinstance(source, str):
         return source
-    if source.suffix.lower() not in SUPPORTED_IMAGE_SUFFIXES:
-        raise UnsupportedImageFormatError(f"unsupported image format {source.suffix!r}")
+    mime = IMAGE_TYPES.get(source.suffix.lower())
+    if mime is None:
+        raise BackendError(f"unsupported image format {source.suffix!r}")
     try:
-        size = source.stat().st_size
+        status = source.stat()
+        if not S_ISREG(status.st_mode):
+            raise BackendError(f"cannot read image {source}: not a regular file")
+        if status.st_size > MAX_IMAGE_BYTES:
+            raise BackendError(f"image {source} is {status.st_size} bytes, more than "
+                               f"MAX_IMAGE_BYTES ({MAX_IMAGE_BYTES})")
+        image = source.read_bytes()
     except OSError as exc:
         raise BackendError(f"cannot read image {source}: {exc}")
-    if size > MAX_IMAGE_BYTES:
-        raise BackendError(f"image {source} is {size} bytes, more than MAX_IMAGE_BYTES "
-                           f"({MAX_IMAGE_BYTES})")
-    description = backend.describe(source)
+    description = backend.describe(image, mime)
     try:
         description.encode("utf-8")
     except UnicodeEncodeError as exc:

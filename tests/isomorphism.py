@@ -78,21 +78,29 @@ def isomorphic(g1: RdfGraph, g2: RdfGraph) -> bool:
     return backtrack(0, {}, set())
 
 
+def concepts(g: AmrGraph) -> dict[str, str]:
+    """Each variable's concept: its first declaration's, as ``translate``
+    reads it."""
+    return {n.variable: n.concept for n in reversed(g.nodes)}
+
+
 def amr_isomorphic(g1: AmrGraph, g2: AmrGraph) -> bool:
     """Equality up to a bijective renaming of variables."""
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return False
 
-    def profile(g: AmrGraph, var: str) -> tuple:
+    def profile(g: AmrGraph, concept: dict[str, str], var: str) -> tuple:
         out = sorted((e.role, "*" if isinstance(e.target, str) else repr(e.target))
                      for e in g.edges if e.source == var)
         inc = sorted(e.role for e in g.edges if e.target == var)
-        return (g.concept(var), tuple(out), tuple(inc), var == g.root)
+        return (concept[var], tuple(out), tuple(inc), var == g.root)
 
     vars1 = [n.variable for n in g1.nodes]
     vars2 = [n.variable for n in g2.nodes]
-    prof2 = {v: profile(g2, v) for v in vars2}
-    candidates = {v: [w for w in vars2 if prof2[w] == profile(g1, v)] for v in vars1}
+    concepts1, concepts2 = concepts(g1), concepts(g2)
+    prof2 = {v: profile(g2, concepts2, v) for v in vars2}
+    candidates = {v: [w for w in vars2 if prof2[w] == profile(g1, concepts1, v)]
+                  for v in vars1}
     order = sorted(vars1, key=lambda v: len(candidates[v]))
 
     edges2 = set(g2.edges)

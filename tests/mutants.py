@@ -617,8 +617,8 @@ MUTANTS = [
     ),
     Mutant(
         "xkg/cli.py",
-        '    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))\n',
-        "    sys.stdout.write(text)\n",
+        '        stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))\n',
+        "        stdout.write(text)\n",
         (_CLI + "test_stdout_that_cannot_encode_the_output_is_escaped",),
         "stdout is written strictly, so a name its encoding cannot hold raises",
     ),
@@ -897,6 +897,48 @@ MUTANTS = [
         "for h in heuristic_order or ()",
         (_AGREEMENT + "TestReport::test_a_heuristic_named_twice_in_the_order_has_one_row",),
         "a heuristic that the order names twice gets two rows",
+    ),
+    # The one reader of the scene image, and a stdout whose reader has gone.
+    Mutant(
+        "xkg/pipeline.py",
+        "        if not S_ISREG(status.st_mode):\n"
+        '            raise BackendError(f"cannot read image {source}: not a regular file")\n',
+        "",
+        (_CLI + "TestDescribe::test_image_that_is_a_directory_is_input_error_and_sends_nothing"
+         "[mock]",
+         _CLI + "TestDescribe::test_image_that_is_a_directory_is_input_error_and_sends_nothing"
+         "[live]",
+         _CLI + "TestDescribe::test_image_that_is_a_fifo_is_input_error_and_blocks_nothing[mock]"),
+        "describe opens an image that is not a regular file, so a FIFO blocks the command",
+    ),
+    Mutant(
+        "xkg/pipeline.py",
+        '".jpg": "image/jpeg"',
+        '".jpg": "image/jpg"',
+        (_ENRICHMENT + "TestHttpBackend::test_each_image_format_is_posted_as_a_data_url[jpg]",),
+        "a .jpg image is posted as image/jpg, a type no registry names",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "    except BrokenPipeError:\n",
+        "    except BrokenPipeError:\n        raise\n",
+        (_CLI + "test_a_stdout_gone_at_its_flush_is_pointed_at_devnull",
+         _CLI + "test_a_closed_stdout_changes_neither_the_files_nor_the_exit_code[buffered]"),
+        "a stdout whose reader has gone ends the command with a traceback, before its files",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "    if stdout is None:\n        return\n",
+        "",
+        (_CLI + "test_a_closed_stdout_changes_neither_the_files_nor_the_exit_code[buffered]",),
+        "a command run without a stdout fails at its first printed line",
+    ),
+    Mutant(
+        "xkg/cli.py",
+        "        stdout.flush()\n",
+        "",
+        (_CLI + "test_a_stdout_gone_at_its_flush_is_pointed_at_devnull",),
+        "output left in the buffer meets the gone reader at exit, which changes the exit code",
     ),
 ]
 

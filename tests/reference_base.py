@@ -238,9 +238,8 @@ def translate(amr: AmrGraph, rolesets: Optional[RolesetMap] = None) -> RdfGraph:
         raise InvalidAmrError("empty AMR graph")
     rolesets = rolesets or RolesetMap()
 
-    # Each variable's concept (its first declaration's, as AmrGraph.concept)
-    # and outgoing edges, built once so that translation stays linear in the
-    # graph's size.
+    # Each variable's concept (its first declaration's) and outgoing edges,
+    # built once so that translation stays linear in the graph's size.
     concepts = {n.variable: n.concept for n in reversed(amr.nodes)}
     outgoing: dict[str, list[AmrEdge]] = {}
     for e in amr.edges:

@@ -7,7 +7,7 @@ import pytest
 import reference_base
 import reference_penman
 from generators import random_amr_graph, random_penman_file, serialize_penman
-from isomorphism import amr_isomorphic
+from isomorphism import amr_isomorphic, concepts
 from reference_base import _invert
 from xkg.amr import (
     MAX_NESTING,
@@ -45,14 +45,15 @@ class TestParse:
         assert graph.root == "a"
         assert len(graph.nodes) == 1
         assert graph.edges == ()
-        assert graph.concept("a") == "athlete"
+        assert concepts(graph)["a"] == "athlete"
 
     def test_nested_frames(self):
         graph = parse_penman("(c / celebrate-01 :ARG0 (a / athlete) :ARG1 (w / win-01))")
         assert len(graph.nodes) == 3
         assert len(graph.edges) == 2
-        assert is_frame(graph.node("c"))
-        assert not is_frame(graph.node("a"))
+        nodes = {n.variable: n for n in graph.nodes}
+        assert is_frame(nodes["c"])
+        assert not is_frame(nodes["a"])
         assert {e.role for e in graph.edges} == {":ARG0", ":ARG1"}
 
     def test_reentrancy_resolves_to_one_node(self):
@@ -95,12 +96,6 @@ class TestParse:
         assert AmrConstant("-") in constants
         assert AmrConstant("Alfa", quoted=True) in constants
 
-    def test_unknown_variable_is_a_key_error(self):
-        graph = parse_penman("(a / athlete)")
-        for lookup in (graph.concept, graph.node):
-            with pytest.raises(KeyError):
-                lookup("b")
-
     def test_duplicate_variable(self):
         with pytest.raises(DuplicateVariableError):
             parse_penman("(a / athlete :mod (a / athlete))")
@@ -139,8 +134,8 @@ class TestParse:
 
     def test_alignment_markers_stripped(self):
         graph = parse_penman("(c / celebrate-01~e.2 :ARG0 (a / athlete~e.4))")
-        assert graph.concept("c") == "celebrate-01"
-        assert graph.concept("a") == "athlete"
+        assert concepts(graph)["c"] == "celebrate-01"
+        assert concepts(graph)["a"] == "athlete"
 
     def test_node_count_equals_declaration_sites(self):
         rng = random.Random(3)
@@ -295,13 +290,13 @@ class TestPenmanFile:
             reference_penman.parse_penman_file(text)
         assert [g.root for g in parse_penman_file(text)] == ["a", "d"]
         text = '(a / b"c :mod (d /\n#x\n))'
-        assert reference_penman.parse_penman_file(text)[0].concept("d") == "#x"
+        assert concepts(reference_penman.parse_penman_file(text)[0])["d"] == "#x"
         with pytest.raises(PenmanSyntaxError, match="expected a token"):  # '#x' is a comment
             parse_penman_file(text)
 
     def test_markers_before_a_comment_mark_make_a_comment_line(self):
         text = "(a /\n~1#x)"
-        assert reference_penman.parse_penman_file(text)[0].concept("a") == "#x"
+        assert concepts(reference_penman.parse_penman_file(text)[0])["a"] == "#x"
         with pytest.raises(PenmanSyntaxError, match="expected a token"):
             parse_penman_file(text)
 

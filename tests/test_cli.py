@@ -1,5 +1,7 @@
 import argparse
+import errno
 import gc
+import io
 import json
 import logging
 import os
@@ -41,6 +43,19 @@ def read(path: Path) -> str:
 
 
 class TestDescribe:
+    @staticmethod
+    def backend(live: bool, sent: list):
+        """A live backend whose ``post``, or a canned one whose ``describe``,
+        appends what it is given to ``sent``."""
+        class Recording(MappingBackend):
+            def describe(self, image, mime):
+                sent.append((len(image), mime))
+                return super().describe(image, mime)
+
+        return (HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/chat"),
+                            post=lambda *args: sent.append(args))
+                if live else Recording({}, description="a scene"))
+
     def test_text_passthrough_is_identity(self, tmp_path):
         code = main(["describe", "--text", SCENE_TXT, "--out", str(tmp_path)])
         assert code == EXIT_OK
@@ -66,15 +81,7 @@ class TestDescribe:
         image.touch()
         os.truncate(image, MAX_IMAGE_BYTES + 1)  # sparse: no data is written
         sent = []
-
-        class Recording(MappingBackend):
-            def describe(self, image_path):
-                sent.append(image_path)
-                return super().describe(image_path)
-
-        backend = (HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/chat"),
-                               post=lambda *args: sent.append(args))
-                   if live else Recording({}, description="a scene"))
+        backend = self.backend(live, sent)
         monkeypatch.setattr(xkg.cli, "_make_backend", lambda config, mock: backend)
         argv = ["describe", "--image", str(image), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
@@ -85,13 +92,62 @@ class TestDescribe:
         if not live:  # at the cap the image is described
             os.truncate(image, MAX_IMAGE_BYTES)
             assert main(argv) == EXIT_OK
-            assert sent == [image]
+            assert sent == [(MAX_IMAGE_BYTES, "image/png")]
 
     def test_unsupported_image_format(self, tmp_path):
         bad = tmp_path / "scene.tiff"
         bad.write_bytes(b"II*")
         code = main(["describe", "--image", str(bad), "--mock", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("live", [False, True], ids=["mock", "live"])
+    def test_image_that_is_a_directory_is_input_error_and_sends_nothing(
+            self, tmp_path, monkeypatch, capsys, live):
+        image = tmp_path / "scene.png"
+        image.mkdir()
+        sent = []
+        backend = self.backend(live, sent)
+        monkeypatch.setattr(xkg.cli, "_make_backend", lambda config, mock: backend)
+        assert main(["describe", "--image", str(image),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: description backend failed: cannot read image {image}: "
+            "not a regular file\n")
+        assert sent == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("live", [False, True], ids=["mock", "live"])
+    def test_image_that_is_a_fifo_is_input_error_and_blocks_nothing(self, tmp_path, live):
+        """Opening a FIFO for reading waits for a writer, so the command runs
+        in a child process with a timeout: a regression fails, not hangs."""
+        image = tmp_path / "scene.png"
+        os.mkfifo(image)
+        argv = ["describe", "--image", str(image), "--out", str(tmp_path / "out")]
+        if live:
+            code, _, stderr = _xkg_fresh(argv, script=_LIVE_XKG, timeout=60)
+        else:
+            code, _, stderr = _xkg_fresh([*argv, "--mock"], timeout=60)
+        assert (code, stderr) == (EXIT_CONFIG, (
+            f"error: description backend failed: cannot read image {image}: "
+            "not a regular file\n"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "unsupported", "over-cap"])
+    def test_a_penman_error_wins_over_a_bad_image(self, tmp_path, capsys, kind):
+        image = tmp_path / ("scene.tiff" if kind == "unsupported" else "scene.png")
+        if kind == "directory":
+            image.mkdir()
+        elif kind != "missing":
+            image.touch()
+            os.truncate(image, MAX_IMAGE_BYTES + 1)
+        amr = tmp_path / "two.amr"
+        amr.write_text("(a / cat)\n(b / dog)\n", encoding="utf-8")
+        code = main(["run", "--mock", "--image", str(image), "--amr", str(amr),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {amr}: ") and "image" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["describe", "run"])
     def test_description_with_lone_surrogate_is_input_error(self, tmp_path, monkeypatch,
@@ -820,6 +876,61 @@ def test_stdout_that_cannot_encode_the_output_is_escaped(tmp_path):
         assert ascii_files == utf8_files
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_changes_neither_the_files_nor_the_exit_code(tmp_path, unbuffered):
+    """A stdout whose reader has gone (the write end of a pipe whose read end
+    is closed, as under ``| head -1``) and no stdout at all (``>&-``) print
+    nothing more: the command writes every file and returns the code it
+    returns with its stdout read, with nothing on stderr."""
+    commands = {
+        "validate": (["validate", "--graph", str(Path(__file__).parent / "golden" /
+                                                 "base-graph.ttl")], EXIT_OK),
+        "run": (["run", "--mock", "--text", SCENE_TXT, "--amr", SCENE_AMR], EXIT_DIAGNOSTICS),
+    }
+    environ = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    read_end, gone = os.pipe()
+    os.close(read_end)
+    try:
+        for name, (argv, expected) in commands.items():
+            runs = {}
+            for stdout in ("read", "gone", "closed"):
+                out = tmp_path / f"{name}-{stdout}"
+                target = {"read": subprocess.PIPE, "gone": gone, "closed": None}[stdout]
+                code, _, stderr = _xkg_fresh([*argv, "--out", str(out)], stdout=target,
+                                             **environ)
+                assert (code, stderr) == (expected, ""), (name, stdout)
+                runs[stdout] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            assert runs["gone"] == runs["closed"] == runs["read"], name
+    finally:
+        os.close(gone)
+
+
+def test_a_stdout_gone_at_its_flush_is_pointed_at_devnull(tmp_path, monkeypatch):
+    """A reader can go after a line is written and before it is flushed (as
+    under ``| head -1``). ``_echo`` flushes each write, so it meets the gone
+    reader itself and points stdout's descriptor at ``os.devnull``, where the
+    interpreter's flush at exit raises nothing."""
+    read_end, write_end = os.pipe()
+
+    class GoneAtFlush(io.StringIO):
+        def fileno(self):
+            return write_end
+
+        def flush(self):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", GoneAtFlush())
+    try:
+        argv = ["validate", "--graph", str(Path(__file__).parent / "golden" / "base-graph.ttl")]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "validation-report.json", "validation-report.txt"]
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("backend, message", [
     ({"max_tokens": 0}, "'max_tokens' must be positive"),
     ({"max_tokens_cap": 8192}, "unknown backend settings: ['max_tokens_cap']"),
@@ -968,14 +1079,36 @@ class TestExitCodeContract:
         self.check(capsys, ["enrich", "--mock", "--base", str(graph)])
 
 
-def _xkg_fresh(argv, **environ):
-    """``xkg *argv`` in a new interpreter, with ``environ`` added to its
-    environment: the exit code, stdout and stderr."""
+#: ``xkg`` with a live ``HttpBackend`` whose injected ``post`` sends nothing
+#: and fails the process if it is called.
+_LIVE_XKG = """
+import sys
+import xkg.cli
+from xkg.backends import BackendConfig, HttpBackend
+
+def post(*args):
+    raise SystemExit("a request was sent")
+
+backend = HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/chat"), post=post)
+xkg.cli._make_backend = lambda config, mock: backend
+sys.exit(xkg.cli.main(sys.argv[1:]))
+"""
+
+
+def _xkg_fresh(argv, script=None, stdout=subprocess.PIPE, timeout=120, **environ):
+    """``xkg *argv`` in a new interpreter (``python -c script *argv`` when
+    ``script`` is given), with ``environ`` added to its environment and
+    ``stdout`` as its stdout, or none at all for None (as under ``>&-``):
+    the exit code, stdout (None unless piped) and stderr."""
     src = str(Path(xkg.cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **environ)
-    done = subprocess.run([sys.executable, "-m", "xkg.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    command = [sys.executable, *(["-m", "xkg.cli"] if script is None else ["-c", script]), *argv]
+    if stdout is None:
+        command = ["sh", "-c", 'exec "$0" "$@" >&-', *command]
+        stdout = subprocess.DEVNULL
+    done = subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=timeout)
     return done.returncode, done.stdout, done.stderr
 
 

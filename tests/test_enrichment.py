@@ -47,7 +47,7 @@ from xkg.rdf import (
     serialize_turtle,
     standard_prefixes,
 )
-from xkg.pipeline import run_pipeline
+from xkg.pipeline import describe, run_pipeline
 from corpus import build_corpus
 from generators import extended_graph
 from xkg.validation import (
@@ -810,10 +810,8 @@ class TestHttpBackend:
             post=lambda *a, **k: FakeResponse(200, {"content": [{"type": "text", "text": "hi"}]}))
         assert backend.complete(self.request()) == "hi"
 
-    def test_payload_settings_come_from_the_config(self, monkeypatch, tmp_path):
+    def test_payload_settings_come_from_the_config(self, monkeypatch):
         monkeypatch.setenv("XKG_TEST_KEY", "k")
-        image = tmp_path / "scene.png"
-        image.write_bytes(b"\x89PNG fake")
         payloads = []
 
         def post(url, payload, headers, timeout):
@@ -822,17 +820,15 @@ class TestHttpBackend:
 
         backend = HttpBackend(self.config(max_tokens=77, temperature=0.25), post=post)
         assert backend.complete(self.request()) == "ok"
-        assert backend.describe(image) == "ok"
+        assert backend.describe(b"\x89PNG fake", "image/png") == "ok"
         for payload in payloads:
             assert {key: payload[key] for key in payload if key != "messages"} == {
                 "model": "test-model", "max_tokens": 77, "temperature": 0.25}
         assert payloads[0]["messages"] == [{"role": "system", "content": "sys"},
                                            {"role": "user", "content": "user"}]
 
-    def test_describe_sends_image_payload(self, monkeypatch, tmp_path):
+    def test_describe_sends_image_payload(self, monkeypatch):
         monkeypatch.setenv("XKG_TEST_KEY", "k")
-        image = tmp_path / "scene.png"
-        image.write_bytes(b"\x89PNG fake")
         captured = {}
 
         def post(url, payload, headers, timeout):
@@ -840,33 +836,63 @@ class TestHttpBackend:
             return FakeResponse(200, {"choices": [{"message": {"content": "a scene"}}]})
 
         backend = HttpBackend(self.config(), post=post)
-        assert backend.describe(image) == "a scene"
+        assert backend.describe(b"\x89PNG fake", "image/png") == "a scene"
         parts = captured["messages"][0]["content"]
         kinds = {part["type"] for part in parts}
         assert kinds == {"text", "image_url"}
         image_part = next(p for p in parts if p["type"] == "image_url")
-        assert image_part["image_url"]["url"].startswith("data:image/png;base64,")
+        assert image_part["image_url"]["url"] == "data:image/png;base64,iVBORyBmYWtl"
+
+    @pytest.mark.parametrize("suffix, mime", [
+        (".png", "image/png"), (".jpg", "image/jpeg"), (".jpeg", "image/jpeg"),
+        (".webp", "image/webp"), (".gif", "image/gif"), (".PNG", "image/png"),
+    ], ids=["png", "jpg", "jpeg", "webp", "gif", "PNG"])
+    def test_each_image_format_is_posted_as_a_data_url(self, monkeypatch, tmp_path,
+                                                       suffix, mime):
+        """``pipeline.describe`` of an image file posts the whole payload
+        written out here: the file as a data URL of its format's type, after
+        the prompt text, under the config's settings."""
+        monkeypatch.setenv("XKG_TEST_KEY", "k")
+        image = tmp_path / f"scene{suffix}"
+        image.write_bytes(b"\x00\xffimage bytes\n")
+        sent = []
+
+        def post(url, payload, headers, timeout):
+            sent.append((url, payload, headers, timeout))
+            return FakeResponse(200, {"choices": [{"message": {"content": "a scene"}}]})
+
+        assert describe(image, HttpBackend(self.config(), post=post)) == "a scene"
+        assert sent == [("https://api.example/v1/chat", {
+            "model": "test-model", "max_tokens": 2048, "temperature": 0.0,
+            "messages": [{"role": "user", "content": [
+                {"type": "text",
+                 "text": "Describe this picture in natural language, in one dense paragraph."},
+                {"type": "image_url",
+                 "image_url": {"url": f"data:{mime};base64,AP9pbWFnZSBieXRlcwo="}},
+            ]}],
+        }, {"Authorization": "Bearer k", "Content-Type": "application/json"}, 60.0)]
 
     def test_describe_rejects_unknown_image_format(self, monkeypatch, tmp_path):
-        from xkg.backends import UnsupportedImageFormatError
         monkeypatch.setenv("XKG_TEST_KEY", "k")
         bad = tmp_path / "scene.bmp"
         bad.write_bytes(b"BM")
-        backend = HttpBackend(self.config(), post=lambda *a, **k: FakeResponse(200))
-        with pytest.raises(UnsupportedImageFormatError):
-            backend.describe(bad)
+        sent = []
+        backend = HttpBackend(self.config(), post=lambda *a, **k: sent.append(a))
+        with pytest.raises(BackendError, match="^unsupported image format '.bmp'$"):
+            describe(bad, backend)
+        assert sent == []
 
     def test_describe_of_an_unreadable_image_sends_nothing(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XKG_TEST_KEY", "k")
         sent = []
         backend = HttpBackend(self.config(), post=lambda *a, **k: sent.append(a))
         with pytest.raises(BackendError, match="cannot read image .*scene.png"):
-            backend.describe(tmp_path / "scene.png")
+            describe(tmp_path / "scene.png", backend)
         assert sent == []
 
     def test_canned_backends_without_an_answer(self, tmp_path):
         with pytest.raises(TransportError, match="no canned image description"):
-            MappingBackend({}).describe(tmp_path / "scene.png")
+            MappingBackend({}).describe(b"\x89PNG fake", "image/png")
         with pytest.raises(FileNotFoundError, match="mock directory not found"):
             MockBackend(tmp_path / "missing")
 
